@@ -28,6 +28,7 @@ from .numeric import (
     EXACT,
     Matrix,
     Scalar,
+    VerificationFailure,
     complement_positions,
     col_vector,
     identity,
@@ -218,7 +219,8 @@ def complex_profile(C: ChainComplex, tol: Optional[float] = None) -> Tuple[Tuple
     h = []
     for p in range(C.n + 1):
         hp = C.dims[p] - r[p] - r[p + 1]
-        assert hp >= 0, f"negative homology dimension at degree {p}"
+        if hp < 0:
+            raise VerificationFailure(f"negative homology dimension at degree {p}")
         h.append(hp)
     return C.dims, ranks, BettiVector(tuple(h))
 
@@ -284,7 +286,8 @@ def complex_splitting(
     h_pm1 = matrix_from_columns(back_cols, dp, backend) * inverse(q, tol)
     residual = B * h_p + h_pm1 * A - identity(dp, backend)
     budget = 0.0 if backend == EXACT else HOMOTOPY_RESIDUAL
-    assert residual.is_zero(budget), "homotopy identity failed verification"
+    if not residual.is_zero(budget):
+        raise VerificationFailure("homotopy identity failed verification")
     return h_p, h_pm1
 
 

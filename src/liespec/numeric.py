@@ -2,9 +2,15 @@
 
 Two interchangeable backends:
 
-  * "exact"  -- Gaussian rationals (pairs of ``fractions.Fraction``), with
-    fraction-free elimination for ranks and a rational-root search for
-    eigenvalues.  No rounding anywhere; equality means equality.
+  * "exact"  -- Gaussian rationals (pairs of ``fractions.Fraction``), with a
+    rational-root search for eigenvalues.  Matrix products and elimination
+    run on Gaussian integers: each row (or column) is scaled once to
+    integer (re, im) pairs over one shared denominator, zero entries are
+    skipped, and only the final entries are turned back into reduced
+    Fractions.  Elimination is fraction-free: Gauss-Jordan with
+    row <- p*row - f*pivot_row and division by the row's integer content
+    for reduced echelon forms, Bareiss for ranks.  No rounding anywhere;
+    equality means equality.
   * "float"  -- complex double precision.  Every comparison against zero
     goes through an explicit tolerance derived from TAU and the largest
     entry magnitude of the matrix at hand, so ranks and kernels are
@@ -21,7 +27,7 @@ import math
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -41,6 +47,11 @@ _DIVISOR_NORM_CAP = 10 ** 14
 
 class ExactFactorizationFailure(Exception):
     """The characteristic polynomial has a factor with no Gaussian-rational root."""
+
+
+class VerificationFailure(RuntimeError):
+    """A load-bearing internal check failed: mismatched shapes, or a result
+    that does not satisfy the identity it was built to satisfy."""
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +299,14 @@ class Matrix:
     def to_lists(self) -> List[List[Scalar]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
+    def _check_same_shape(self, other: "Matrix"):
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise VerificationFailure(
+                f"shape mismatch {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
+            )
+
     def __add__(self, other: "Matrix") -> "Matrix":
-        assert (self.rows, self.cols) == (other.rows, other.cols)
+        self._check_same_shape(other)
         return Matrix(
             self.rows,
             self.cols,
@@ -298,7 +315,7 @@ class Matrix:
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        assert (self.rows, self.cols) == (other.rows, other.cols)
+        self._check_same_shape(other)
         return Matrix(
             self.rows,
             self.cols,
@@ -310,7 +327,10 @@ class Matrix:
         return Matrix(self.rows, self.cols, tuple(-a for a in self.entries), self.backend)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
-        assert self.cols == other.rows, f"shape mismatch {self.cols} vs {other.rows}"
+        if self.cols != other.rows:
+            raise VerificationFailure(f"shape mismatch {self.cols} vs {other.rows}")
+        if self.backend == EXACT:
+            return _mul_exact(self, other)
         zero = sc_zero(self.backend)
         out = []
         for i in range(self.rows):
@@ -416,12 +436,15 @@ def _float_threshold(m: Matrix, tol: Optional[float]) -> float:
 def _rref(
     rows: List[List[Scalar]], backend: str, thr: float
 ) -> Tuple[List[List[Scalar]], List[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot column list).
+    """Reduced row echelon form; returns (rows, pivot column list).
 
-    Exact backend: first nonzero pivot per column.  Float backend: partial
-    pivot by magnitude, accepted only above thr.  Column order is fixed, so
-    the result is deterministic for a given input.
+    Exact backend: first nonzero pivot per column, on the Gaussian-integer
+    kernel.  Float backend: partial pivot by magnitude, accepted only above
+    thr, in place.  Column order is fixed, so the result is deterministic
+    for a given input.
     """
+    if backend == EXACT:
+        return _rref_exact(rows)
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivots: List[int] = []
@@ -430,18 +453,12 @@ def _rref(
         if r >= nrows:
             break
         pivot_row = -1
-        if backend == EXACT:
-            for i in range(r, nrows):
-                if not rows[i][c].is_zero:
-                    pivot_row = i
-                    break
-        else:
-            best = thr
-            for i in range(r, nrows):
-                a = abs(rows[i][c])
-                if a > best:
-                    best = a
-                    pivot_row = i
+        best = thr
+        for i in range(r, nrows):
+            a = abs(rows[i][c])
+            if a > best:
+                best = a
+                pivot_row = i
         if pivot_row < 0:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
@@ -459,32 +476,113 @@ def _rref(
     return rows, pivots
 
 
-def _int_rows(m: Matrix) -> List[List[Tuple[int, int]]]:
-    """Scale each row to Gaussian-integer entries (rank is unchanged)."""
-    out = []
-    for i in range(m.rows):
-        row = m.row(i)
-        lcm = 1
-        for x in row:
-            lcm = lcm * x.re.denominator // math.gcd(lcm, x.re.denominator)
-            lcm = lcm * x.im.denominator // math.gcd(lcm, x.im.denominator)
-        out.append([(int(x.re * lcm), int(x.im * lcm)) for x in row])
-    return out
+# --- the exact kernel: Gaussian integers ------------------------------------
+#
+# A Gaussian integer a + b*i is the pair (a, b) of Python ints.  A sparse
+# integer row is a dict {column: (a, b)} holding only the nonzero entries.
 
 
-def _row_content(row: List[Tuple[int, int]]) -> int:
-    g = 0
-    for a, b in row:
-        g = math.gcd(g, abs(a))
-        g = math.gcd(g, abs(b))
-    return g
+def _clear_denominators(values: Sequence[GaussianRational]) -> Tuple[List[Tuple[int, int]], int]:
+    """(pairs, d) with values[k] == (pairs[k][0] + pairs[k][1]*i) / d, where d
+    is the least common multiple of every denominator."""
+    parts = [(x.re, x.im) for x in values]
+    d = math.lcm(*[q.denominator for pair in parts for q in pair])
+    return [(a.numerator * (d // a.denominator), b.numerator * (d // b.denominator))
+            for a, b in parts], d
+
+
+def _gr_over(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i) / d with each part reduced once."""
+    if not (a or b):
+        return GR_ZERO
+    if d == 1:
+        return GaussianRational(Fraction(a), Fraction(b))
+    return GaussianRational(Fraction(a, d), Fraction(b, d))
+
+
+def _mul_exact(x: Matrix, y: Matrix) -> Matrix:
+    # Rows of x and columns of y are scaled to integers, so entry (i, j) of
+    # the product is an integer sum over the nonzero x[i, k] * y[k, j],
+    # divided once by dx_i * dy_j.
+    ycols = [_clear_denominators(y.entries[j :: y.cols]) for j in range(y.cols)]
+    ydens = [d for _, d in ycols]
+    yrows: List[List[Tuple[int, int, int]]] = [[] for _ in range(y.rows)]
+    for j, (pairs, _) in enumerate(ycols):
+        for k, (c, d) in enumerate(pairs):
+            if c or d:
+                yrows[k].append((j, c, d))
+    out: List[GaussianRational] = []
+    for i in range(x.rows):
+        pairs, dx = _clear_denominators(x.row(i))
+        acc_re = [0] * y.cols
+        acc_im = [0] * y.cols
+        for k, (a, b) in enumerate(pairs):
+            if not (a or b):
+                continue
+            for j, c, d in yrows[k]:
+                acc_re[j] += a * c - b * d
+                acc_im[j] += a * d + b * c
+        out.extend(_gr_over(re, im, dx * dy) for re, im, dy in zip(acc_re, acc_im, ydens))
+    return Matrix(x.rows, y.cols, tuple(out), EXACT)
+
+
+def _rref_exact(
+    rows: List[List[GaussianRational]],
+) -> Tuple[List[List[GaussianRational]], List[int]]:
+    # Fraction-free Gauss-Jordan.  Scaling a row leaves the reduced echelon
+    # form unchanged, so each row is cleared of denominators, eliminated with
+    # row <- p*row - f*pivot_row and kept primitive by dividing out its
+    # integer content.  Pivot rows are divided by their pivot at the end.
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    work: List[Dict[int, Tuple[int, int]]] = [
+        {j: v for j, v in enumerate(_clear_denominators(row)[0]) if v[0] or v[1]}
+        for row in rows
+    ]
+    pivots: List[int] = []
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        pivot_row = next((i for i in range(r, nrows) if c in work[i]), -1)
+        if pivot_row < 0:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        prow = work[r]
+        pa, pb = prow[c]
+        for i in range(nrows):
+            row = work[i]
+            if i == r or c not in row:
+                continue
+            fa, fb = row[c]
+            new = {j: (pa * xa - pb * xb, pa * xb + pb * xa) for j, (xa, xb) in row.items()}
+            for j, (ya, yb) in prow.items():
+                xa, xb = new.get(j, (0, 0))
+                new[j] = (xa - fa * ya + fb * yb, xb - fa * yb - fb * ya)
+            new = {j: v for j, v in new.items() if v[0] or v[1]}
+            g = math.gcd(*[v for pair in new.values() for v in pair])
+            if g > 1:
+                new = {j: (xa // g, xb // g) for j, (xa, xb) in new.items()}
+            work[i] = new
+        pivots.append(c)
+        r += 1
+    out = [[GR_ZERO] * ncols for _ in range(nrows)]
+    for r, c in enumerate(pivots):
+        # x / p = x * conj(p) / |p|^2
+        pa, pb = work[r][c]
+        n = pa * pa + pb * pb
+        row = out[r]
+        for j, (xa, xb) in work[r].items():
+            row[j] = _gr_over(xa * pa + xb * pb, xb * pa - xa * pb, n)
+    return out, pivots
 
 
 def _rank_exact(m: Matrix) -> int:
     # Bareiss elimination over the Gaussian integers: every entry produced
     # at step k is divided by the step k-1 pivot, which is exact and keeps
-    # entries the size of k x k minors.  Only the pivot count matters.
-    rows = _int_rows(m)
+    # entries the size of k x k minors.  Only the pivot count matters, and
+    # scaling rows to Gaussian integers leaves it unchanged.
+    rows = [_clear_denominators(m.row(i))[0] for i in range(m.rows)]
     nrows, ncols = m.rows, m.cols
     rank = 0
     prev = (1, 0)
@@ -795,7 +893,8 @@ def _poly_deflate(coeffs: List[GaussianRational], r: GaussianRational) -> List[G
     for c in coeffs[1:-1]:
         out.append(out[-1] * r + c)
     rem = out[-1] * r + coeffs[-1]
-    assert rem.is_zero, "deflation by a non-root"
+    if not rem.is_zero:
+        raise VerificationFailure("deflation by a non-root")
     return out
 
 
@@ -808,11 +907,7 @@ def _poly_roots_exact(coeffs: List[GaussianRational]) -> List[GaussianRational]:
             roots.append(GR_ZERO)
             cur = cur[:-1]
             continue
-        lcm = 1
-        for c in cur:
-            for q in (c.re, c.im):
-                lcm = lcm * q.denominator // math.gcd(lcm, q.denominator)
-        ints = [(int(c.re * lcm), int(c.im * lcm)) for c in cur]
+        ints, _ = _clear_denominators(cur)
         lead, const = ints[0], ints[-1]
         num_divs = _gaussian_divisors(const)
         den_divs = _gaussian_divisors(lead)

@@ -6,6 +6,11 @@ the naive float elimination oracle _oracle_rank, which shares no code with
 the library's rank path.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from liespec import koszul as kz
@@ -299,6 +304,57 @@ def test_splitting_homotopy_float_residual():
         h_p, h_pm1 = kz.complex_splitting(C, p)
         lhs = C.d(p + 1) * h_p + h_pm1 * C.d(p)
         assert (lhs - identity(C.dims[p], FLOAT)).maxnorm() <= 1e-6
+
+
+# The residual check is what certifies a homotopy; it must survive python -O,
+# which strips assert statements.
+_CORRUPTED_INVERSE_SCRIPT = textwrap.dedent(
+    """
+    import sys
+    from liespec import koszul as kz
+    from liespec import lie_core as lc
+    from liespec import representation as rp
+    from liespec.numeric import gr, identity
+
+    assert False, "assert statements are live: not running under -O"
+    honest_inverse = kz.inverse
+
+    def corrupted_inverse(m, tol=None):
+        inv = honest_inverse(m, tol)
+        return inv + identity(inv.rows, inv.backend).scale(gr(1, 1))
+
+    kz.inverse = corrupted_inverse
+    L = lc.abelian_algebra(["e1"])
+    rep = rp.representation(L, [[[2, 0], [0, 3]]])
+    C = kz.build_complex(rep, lc.character(L, [5]))
+    try:
+        kz.complex_splitting(C, 0)
+    except kz.VerificationFailure as e:
+        print("raised:", e)
+        sys.exit(0)
+    print("corrupted homotopy was accepted")
+    sys.exit(1)
+    """
+)
+
+
+def test_homotopy_check_survives_optimised_bytecode():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPTED_INVERSE_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "raised: homotopy identity failed verification" in proc.stdout
+
+
+def test_negative_homology_raises_typed_error():
+    # d_1 of rank 2 into a 1-dimensional degree 0 is no chain complex
+    C = kz.ChainComplex(EXACT, (1, 2), (identity(2, EXACT),))
+    with pytest.raises(kz.VerificationFailure):
+        kz.complex_profile(C)
 
 
 def test_fredholm_split_certificate_is_degenerate_identity():

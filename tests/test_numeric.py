@@ -5,6 +5,7 @@ and double-checked against the plain Fraction Gauss elimination oracle in
 _oracle_rank, which shares no code with the implementation.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -263,3 +264,195 @@ def test_matmul_and_stacking():
     v = nm.vstack([a, b])
     assert (v.rows, v.cols) == (4, 2)
     assert a.transpose().to_lists() == exact_mat([[1, 3], [2, 4]]).to_lists()
+
+
+# --- the exact Gaussian-integer kernel against a naive Fraction reference -------
+#
+# The reference works on (Fraction, Fraction) pairs with schoolbook complex
+# arithmetic and plain Gauss-Jordan (first nonzero pivot, divide, subtract),
+# sharing no code with the library.  Reduced echelon forms are unique and
+# products are exact, so the library must agree entry by entry.
+
+
+def _c_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _c_sub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def _c_div(x, y):
+    n = y[0] * y[0] + y[1] * y[1]
+    return ((x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n)
+
+
+_C_ZERO = (Fraction(0), Fraction(0))
+_C_ONE = (Fraction(1), Fraction(0))
+
+
+def _ref_mul(x, y, inner, cols):
+    out = []
+    for row in x:
+        out_row = []
+        for j in range(cols):
+            acc = _C_ZERO
+            for k in range(inner):
+                p = _c_mul(row[k], y[k][j])
+                acc = (acc[0] + p[0], acc[1] + p[1])
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def _ref_rref(rows, ncols):
+    rows = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != _C_ZERO), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        lead = rows[r][c]
+        rows[r] = [_c_div(x, lead) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != _C_ZERO:
+                f = rows[i][c]
+                rows[i] = [_c_sub(a, _c_mul(f, b)) for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows[: len(pivots)], pivots
+
+
+def _ref_nullspace(rows, ncols):
+    ech, pivots = _ref_rref(rows, ncols)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [_C_ZERO] * ncols
+        v[free] = _C_ONE
+        for r, pc in enumerate(pivots):
+            v[pc] = (-ech[r][free][0], -ech[r][free][1])
+        basis.append(v)
+    return basis
+
+
+def _ref_solve(a, b, acols, bcols):
+    ech, pivots = _ref_rref([ra + rb for ra, rb in zip(a, b)], acols + bcols)
+    if any(pc >= acols for pc in pivots):
+        return None
+    out = [[_C_ZERO] * bcols for _ in range(acols)]
+    for r, pc in enumerate(pivots):
+        out[pc] = ech[r][acols:]
+    return out
+
+
+def _pairs(m):
+    return [[(x.re, x.im) for x in m.row(i)] for i in range(m.rows)]
+
+
+def _to_exact(rows, cols):
+    return matrix_from_rows([[gr(*x) for x in r] for r in rows], EXACT, cols=cols)
+
+
+_KINDS = ("int", "frac", "imag", "mixed", "zero")
+
+
+def _entry(rng, kind):
+    if kind == "zero" or rng.random() < 0.4:
+        return _C_ZERO
+    num = lambda: rng.randint(-4, 4)
+    if kind == "int":
+        return (Fraction(num()), Fraction(0))
+    if kind == "frac":
+        return (Fraction(num(), rng.randint(1, 7)), Fraction(0))
+    if kind == "imag":
+        return (Fraction(0), Fraction(num(), rng.choice([1, 1, 2, 3])))
+    return (Fraction(num(), rng.randint(1, 5)), Fraction(num(), rng.randint(1, 5)))
+
+
+def _rand(rng, rows, cols, kind):
+    return [[_entry(rng, kind) for _ in range(cols)] for _ in range(rows)]
+
+
+def _rand_deficient(rng, rows, cols, kind):
+    """rows x cols of rank at most min(rows, cols) - 1 (when that is >= 0)."""
+    inner = max(min(rows, cols) - 1, 0)
+    return _ref_mul(_rand(rng, rows, inner, kind), _rand(rng, inner, cols, kind), inner, cols)
+
+
+def _cases(seed, count, max_dim=5):
+    rng = random.Random(seed)
+    for t in range(count):
+        kind = _KINDS[t % len(_KINDS)]
+        rows, cols = rng.randint(0, max_dim), rng.randint(0, max_dim)
+        make = _rand_deficient if t % 3 == 1 else _rand
+        yield rng, kind, rows, cols, make(rng, rows, cols, kind)
+
+
+def test_exact_product_matches_fraction_reference():
+    for rng, kind, rows, inner, x in _cases(11, 300):
+        cols = rng.randint(0, 5)
+        y = _rand(rng, inner, cols, kind)
+        got = _to_exact(x, inner) * _to_exact(y, cols)
+        assert (got.rows, got.cols) == (rows, cols)
+        assert _pairs(got) == _ref_mul(x, y, inner, cols), (kind, x, y)
+
+
+def test_exact_nullspace_and_echelon_match_fraction_reference():
+    for _, kind, rows, cols, x in _cases(12, 300):
+        m = _to_exact(x, cols)
+        got = [[(v.at(i, 0).re, v.at(i, 0).im) for i in range(cols)] for v in nm.nullspace_basis(m)]
+        assert got == _ref_nullspace(x, cols), (kind, x)
+        ech = nm.echelon_vectors([[gr(*e) for e in r] for r in x], EXACT)
+        want, pivots = _ref_rref(x, cols)
+        assert [[(e.re, e.im) for e in r] for r in ech] == want, (kind, x)
+        assert nm.pivot_positions([[gr(*e) for e in r] for r in x], EXACT) == pivots
+
+
+def test_exact_inverse_matches_fraction_reference():
+    singular = 0
+    for _, kind, n, _, x in _cases(13, 300):
+        x = [r[:n] + [_C_ZERO] * (n - len(r)) for r in x]
+        ident = [[_C_ONE if i == j else _C_ZERO for j in range(n)] for i in range(n)]
+        want = _ref_solve(x, ident, n, n)
+        ech, pivots = _ref_rref(x, n)
+        if len(pivots) < n:
+            singular += 1
+            with pytest.raises(ZeroDivisionError):
+                nm.inverse(_to_exact(x, n))
+            continue
+        assert _pairs(nm.inverse(_to_exact(x, n))) == want, (kind, x)
+    assert 0 < singular < 300
+
+
+def test_exact_solve_matrix_matches_fraction_reference():
+    outcomes = set()
+    for rng, kind, rows, cols, a in _cases(14, 300):
+        bcols = rng.randint(0, 3)
+        if rng.random() < 0.5:  # consistent by construction
+            b = _ref_mul(a, _rand(rng, cols, bcols, kind), cols, bcols)
+        else:
+            b = _rand(rng, rows, bcols, "mixed")
+        got = nm.solve_matrix(_to_exact(a, cols), _to_exact(b, bcols))
+        want = _ref_solve(a, b, cols, bcols)
+        outcomes.add(want is None)
+        if want is None:
+            assert got is None, (kind, a, b)
+        else:
+            assert got is not None and (got.rows, got.cols) == (cols, bcols)
+            assert _pairs(got) == want, (kind, a, b)
+    assert outcomes == {True, False}
+
+
+def test_shape_and_deflation_checks_raise_typed_errors():
+    a = exact_mat([[1, 2], [3, 4]])
+    b = exact_mat([[1, 2, 3]])
+    for op in (lambda: a * b, lambda: a + b, lambda: a - b):
+        with pytest.raises(nm.VerificationFailure):
+            op()
+    with pytest.raises(nm.VerificationFailure):
+        nm._poly_deflate([gr(1), gr(0), gr(-1)], gr(2))  # 2 is no root of t^2 - 1
+    assert issubclass(nm.VerificationFailure, RuntimeError)
