@@ -39,10 +39,12 @@ from .numeric import (
     scalar_to_json,
     scalar_to_text,
 )
-from .representation import rep_from_json, validate_representation
+from .representation import rep_from_json, restrict_rep, validate_representation
 from .spectra import (
     HypothesisViolation,
     NotSolvable,
+    _compare_projection,
+    _compare_routes,
     all_kinds,
     all_spectra,
     cross_validate,
@@ -372,7 +374,7 @@ def cmd_report(args) -> Tuple[int, dict]:
         for name, rpt in sorted(reports.items())
     }
 
-    cv = cross_validate(rep, tol=args.tol)
+    cv = _compare_routes(rep, reports["taylor"], joint_eigencharacters(rep, args.tol))
     crossval = {
         "equal": cv.equal,
         "eigen_contained": cv.eigen_contained,
@@ -384,13 +386,14 @@ def cmd_report(args) -> Tuple[int, dict]:
     notes: List[str] = []
     if nilp and L.n >= 1:
         ideal = chain[L.n - 1]  # the codimension-one chain ideal
-        for kind in all_kinds(L.n):
-            if kind.essential:
-                continue
-            rpt = projection_check(rep, ideal, kind, tol=args.tol)
+        kinds = [kind for kind in all_kinds(L.n) if not kind.essential]
+        restricted = all_spectra(restrict_rep(rep, ideal, args.tol), kinds, tol=args.tol)
+        for kind in kinds:
+            name = kind.render()
+            rpt = _compare_projection(rep, ideal, reports[name], restricted[name], args.tol)
             projections.append(
                 {
-                    "kind": rpt.kind.render(),
+                    "kind": name,
                     "ideal_dim": ideal.dim,
                     "equal": rpt.equal,
                 }

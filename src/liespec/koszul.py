@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .lie_core import Character
 from .numeric import (
@@ -30,7 +30,6 @@ from .numeric import (
     Scalar,
     VerificationFailure,
     complement_positions,
-    col_vector,
     identity,
     inverse,
     matrix_from_columns,
@@ -41,6 +40,7 @@ from .numeric import (
     sc_one,
     sc_zero,
     solve_matrix,
+    unit_columns,
     zeros,
 )
 from .representation import Representation, shift
@@ -241,14 +241,6 @@ def homology_dims(
 # ---------------------------------------------------------------------------
 
 
-def _standard_columns(dim: int, positions: Sequence[int], backend: str) -> List[Matrix]:
-    zero, one = sc_zero(backend), sc_one(backend)
-    return [
-        col_vector([one if i == j else zero for i in range(dim)], backend)
-        for j in positions
-    ]
-
-
 def complex_splitting(
     C: ChainComplex, p: int, tol: Optional[float] = None
 ) -> Tuple[Matrix, Matrix]:
@@ -274,14 +266,14 @@ def complex_splitting(
     if V is None:
         raise NotSplit(f"kernel at degree {p} is not reachable from degree {p + 1}")
     free = complement_positions(kernel_cols, dp, backend, tol)
-    w_cols = _standard_columns(dp, free, backend)
+    w_cols = unit_columns(dp, free, backend)
     basis_change = matrix_from_columns(kernel_cols + w_cols, dp, backend)
     lift_cols = [V.col(i) for i in range(k)] + [zeros(B.cols, 1, backend)] * len(w_cols)
     h_p = matrix_from_columns(lift_cols, B.cols, backend) * inverse(basis_change, tol)
     # h_(p-1): send d_p W back to W, kill a complement of R(d_p)
     aw_cols = [A * w for w in w_cols]
     extra = complement_positions(aw_cols, A.rows, backend, tol)
-    q = matrix_from_columns(aw_cols + _standard_columns(A.rows, extra, backend), A.rows, backend)
+    q = matrix_from_columns(aw_cols + unit_columns(A.rows, extra, backend), A.rows, backend)
     back_cols = w_cols + [zeros(dp, 1, backend)] * len(extra)
     h_pm1 = matrix_from_columns(back_cols, dp, backend) * inverse(q, tol)
     residual = B * h_p + h_pm1 * A - identity(dp, backend)
@@ -301,41 +293,3 @@ def splitting_homotopy(
     """Homotopy pair for the complex of rho - f at degree p, or NotSplit."""
     C = build_complex(rep, f, cap, tol)
     return complex_splitting(C, p, tol)
-
-
-@dataclass(frozen=True)
-class FredholmSplitCertificate:
-    """Witness for d_(p+1) h_p + h_(p-1) d_p = I_p - k_p with k_p compact."""
-
-    h_p: Matrix
-    h_pm1: Matrix
-    k_p: Matrix
-    degenerate: bool
-    note: str
-
-
-def fredholm_split_certificate(
-    rep: Representation,
-    f: Optional[Character] = None,
-    p: int = 0,
-    cap: int = DEFAULT_CAP,
-    tol: Optional[float] = None,
-) -> FredholmSplitCertificate:
-    """Always succeeds in finite dimension: h = 0 and k_p = I_p works because
-    the identity on a finite-dimensional space is compact.  Flagged as
-    degenerate so callers cannot mistake it for a genuine splitting."""
-    L = rep.algebra
-    _check_cap(L.n, rep.m, cap)
-    assert 0 <= p <= L.n
-    dims = tuple(rep.m * math.comb(L.n, p_) for p_ in range(L.n + 1))
-    dp = dims[p]
-    up = dims[p + 1] if p + 1 <= L.n else 0
-    down = dims[p - 1] if p >= 1 else 0
-    backend = rep.backend
-    return FredholmSplitCertificate(
-        h_p=zeros(up, dp, backend),
-        h_pm1=zeros(dp, down, backend),
-        k_p=identity(dp, backend),
-        degenerate=True,
-        note="identity operator is compact in finite dimension",
-    )

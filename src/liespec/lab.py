@@ -55,6 +55,7 @@ from .representation import (
     validate_representation,
 )
 from .spectra import (
+    _compare_routes,
     all_spectra,
     char_subset,
     dedup_characters,
@@ -467,9 +468,8 @@ def _check_soundness(rep: Representation, reports) -> Optional[str]:
 def _check_routes(rep: Representation, reports) -> Optional[str]:
     if not is_nilpotent(rep.algebra):
         return None  # the routes may legitimately part ways
-    eig = tuple(f.coeffs for f, _ in joint_eigencharacters(rep))
-    if not same_character_sets(reports["taylor"].member_coeffs, eig, rep.backend):
-        return "homology and eigencharacter routes disagree"
+    # raises on a disagreement, which the suite records as this check's failure
+    _compare_routes(rep, reports["taylor"], joint_eigencharacters(rep))
     return None
 
 

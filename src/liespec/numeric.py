@@ -284,8 +284,10 @@ class Matrix:
     backend: str
 
     def __post_init__(self):
-        assert self.rows >= 0 and self.cols >= 0
-        assert len(self.entries) == self.rows * self.cols
+        if self.rows < 0 or self.cols < 0 or len(self.entries) != self.rows * self.cols:
+            raise VerificationFailure(
+                f"{len(self.entries)} entries do not fill a {self.rows}x{self.cols} matrix"
+            )
 
     def at(self, i: int, j: int) -> Scalar:
         return self.entries[i * self.cols + j]
@@ -370,12 +372,14 @@ class Matrix:
 def matrix_from_rows(rows: Sequence[Sequence[Scalar]], backend: str, cols: Optional[int] = None) -> Matrix:
     nrows = len(rows)
     if nrows == 0:
-        assert cols is not None, "empty matrix needs an explicit column count"
+        if cols is None:
+            raise VerificationFailure("empty matrix needs an explicit column count")
         return Matrix(0, cols, (), backend)
     ncols = len(rows[0]) if cols is None else cols
     flat: List[Scalar] = []
     for r in rows:
-        assert len(r) == ncols, "ragged rows"
+        if len(r) != ncols:
+            raise VerificationFailure("ragged rows")
         flat.extend(r)
     return Matrix(nrows, ncols, tuple(flat), backend)
 
@@ -394,11 +398,17 @@ def col_vector(entries: Sequence[Scalar], backend: str) -> Matrix:
     return Matrix(len(entries), 1, tuple(entries), backend)
 
 
+def unit_columns(dim: int, positions: Sequence[int], backend: str) -> List[Matrix]:
+    """Standard basis vectors e_j of dimension dim, as columns, for j in positions."""
+    zero, one = sc_zero(backend), sc_one(backend)
+    return [col_vector([one if i == j else zero for i in range(dim)], backend) for j in positions]
+
+
 def hstack(mats: Sequence[Matrix]) -> Matrix:
-    assert mats, "hstack of nothing"
+    if not mats or any(m.rows != mats[0].rows or m.backend != mats[0].backend for m in mats):
+        raise VerificationFailure("hstack needs one or more matrices of one row count and backend")
     rows = mats[0].rows
     backend = mats[0].backend
-    assert all(m.rows == rows and m.backend == backend for m in mats)
     out: List[Scalar] = []
     for i in range(rows):
         for m in mats:
@@ -407,10 +417,10 @@ def hstack(mats: Sequence[Matrix]) -> Matrix:
 
 
 def vstack(mats: Sequence[Matrix]) -> Matrix:
-    assert mats, "vstack of nothing"
+    if not mats or any(m.cols != mats[0].cols or m.backend != mats[0].backend for m in mats):
+        raise VerificationFailure("vstack needs one or more matrices of one column count and backend")
     cols = mats[0].cols
     backend = mats[0].backend
-    assert all(m.cols == cols and m.backend == backend for m in mats)
     out: List[Scalar] = []
     for m in mats:
         out.extend(m.entries)
@@ -633,8 +643,7 @@ def nullspace_basis(m: Matrix, tol: Optional[float] = None) -> List[Matrix]:
     if m.cols == 0:
         return []
     if m.rows == 0:
-        return [col_vector([sc_one(m.backend) if i == j else sc_zero(m.backend)
-                            for i in range(m.cols)], m.backend) for j in range(m.cols)]
+        return unit_columns(m.cols, range(m.cols), m.backend)
     thr = 0.0 if m.backend == EXACT else _float_threshold(m, tol)
     rows, pivots = _rref(m.to_lists(), m.backend, thr)
     pivot_set = set(pivots)
@@ -656,7 +665,8 @@ def solve_matrix(a: Matrix, b: Matrix, tol: Optional[float] = None) -> Optional[
 
     Free variables are set to zero, so the result is deterministic.
     """
-    assert a.rows == b.rows
+    if a.rows != b.rows:
+        raise VerificationFailure(f"A has {a.rows} rows but B has {b.rows}")
     if a.cols == 0:
         thr0 = 0.0 if a.backend == EXACT else (TAU if tol is None else tol) * max(1.0, b.maxnorm())
         return zeros(0, b.cols, a.backend) if b.is_zero(thr0) else None
@@ -674,8 +684,13 @@ def solve_matrix(a: Matrix, b: Matrix, tol: Optional[float] = None) -> Optional[
     return matrix_from_rows(out, a.backend, cols=b.cols)
 
 
+def _check_square(m: Matrix):
+    if m.rows != m.cols:
+        raise VerificationFailure(f"{m.rows}x{m.cols} matrix is not square")
+
+
 def inverse(m: Matrix, tol: Optional[float] = None) -> Matrix:
-    assert m.rows == m.cols
+    _check_square(m)
     if m.rows == 0:
         return m
     aug = hstack([m, identity(m.rows, m.backend)])
@@ -799,7 +814,7 @@ def char_poly(m: Matrix) -> List[Scalar]:
     Hessenberg H the k x k minor of tI - H expands along its last column
     into earlier minors weighted by subdiagonal products.
     """
-    assert m.rows == m.cols
+    _check_square(m)
     backend = m.backend
     size = m.rows
     one, zero = sc_one(backend), sc_zero(backend)
@@ -943,7 +958,7 @@ def eigenvalues(m: Matrix, tol: Optional[float] = None) -> List[Scalar]:
     numpy eigenvalues deduplicated within TAU_CHAR after unit max-norm
     scaling.
     """
-    assert m.rows == m.cols
+    _check_square(m)
     if m.rows == 0:
         return []
     if m.backend == EXACT:

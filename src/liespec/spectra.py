@@ -3,8 +3,11 @@
 Two independent routes:
 
   * homology route: evaluate Betti numbers of the complex of rho - f over a
-    finite candidate set and assemble each spectrum kind as a union of
-    per-degree membership sets;
+    finite candidate set, once per representation (homology_table), and
+    read every spectrum kind off that one table as a union of per-degree
+    membership sets.  The cross-check and the projections reuse the same
+    tables: a report needs one for the representation and one for its
+    restriction to an ideal;
   * eigencharacter route: enumerate joint eigenvectors directly.  For
     nilpotent algebras the two routes agree; for merely solvable ones they
     can differ, and cross_validate reports how.
@@ -24,7 +27,7 @@ from __future__ import annotations
 import re as _re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .lie_core import (
     Character,
@@ -40,7 +43,6 @@ from .numeric import (
     EXACT,
     Matrix,
     Scalar,
-    col_vector,
     eigenvalues,
     identity,
     intersect_subspaces,
@@ -48,9 +50,8 @@ from .numeric import (
     matrix_from_columns,
     nullspace_basis,
     complement_positions,
+    unit_columns,
     sc_abs,
-    sc_one,
-    sc_zero,
     scalar_key,
     scalar_to_json,
 )
@@ -229,11 +230,6 @@ def char_subset(a: Sequence[Vector], b: Sequence[Vector], backend: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _full_space(m: int, backend: str) -> List[Matrix]:
-    one, zero = sc_one(backend), sc_zero(backend)
-    return [col_vector([one if i == j else zero for i in range(m)], backend) for j in range(m)]
-
-
 def _unique_eigenvalues(mat: Matrix, tol: Optional[float]) -> List[Scalar]:
     vals = eigenvalues(mat, tol)
     out: List[Scalar] = []
@@ -243,40 +239,54 @@ def _unique_eigenvalues(mat: Matrix, tol: Optional[float]) -> List[Scalar]:
     return out
 
 
-def joint_eigencharacters(
-    rep: Representation, tol: Optional[float] = None
-) -> List[Tuple[Character, Matrix]]:
-    """All characters f with a nonzero joint eigenvector, with witnesses.
+def _joint_eigenvectors(
+    rep: Representation, tol: Optional[float]
+) -> Iterator[Tuple[Vector, Matrix]]:
+    """Joint eigenvalue tuples with one joint eigenvector each.
 
     Exhaustive branch over per-matrix eigenvalues, narrowing the joint
-    eigenspace at each level; leaves that fail the character test are
-    dropped (cannot happen for genuine representations, but checked).
+    eigenspace at each level, leaves in deterministic branch order.  By
+    Lie's theorem a nonzero module of a solvable algebra has a joint
+    eigenvector, so finding none raises NotSolvable.
     """
-    L = rep.algebra
-    backend = rep.backend
-    found: List[Tuple[Vector, Matrix]] = []
+    L, backend = rep.algebra, rep.backend
+    eye = identity(rep.m, backend)
 
     def descend(k: int, space: List[Matrix], lams: Tuple[Scalar, ...]):
         if not space:
             return
         if k == L.n:
-            if is_character(L, lams, tol):
-                found.append((tuple(lams), space[0]))
+            yield lams, space[0]
             return
-        eye = identity(rep.m, backend)
         for lam in _unique_eigenvalues(rep.mats[k], tol):
-            shifted = rep.mats[k] - eye.scale(lam)
-            kernel = nullspace_basis(shifted, tol)
+            kernel = nullspace_basis(rep.mats[k] - eye.scale(lam), tol)
             if not kernel:
                 continue
-            if len(space) == rep.m:
-                nxt = kernel  # first level: the ambient space is everything
-            else:
-                nxt = intersect_subspaces(space, kernel, tol)
-            descend(k + 1, nxt, lams + (lam,))
+            # first level: the ambient space is everything
+            nxt = kernel if len(space) == rep.m else intersect_subspaces(space, kernel, tol)
+            yield from descend(k + 1, nxt, lams + (lam,))
 
-    if rep.m >= 1:
-        descend(0, _full_space(rep.m, backend), ())
+    if rep.m == 0:
+        return
+    found = False
+    for leaf in descend(0, unit_columns(rep.m, range(rep.m), backend), ()):
+        found = True
+        yield leaf
+    if not found:
+        raise NotSolvable("no joint eigenvector found; algebra action is not triangularizable")
+
+
+def joint_eigencharacters(
+    rep: Representation, tol: Optional[float] = None
+) -> List[Tuple[Character, Matrix]]:
+    """All characters f with a nonzero joint eigenvector, with witnesses.
+
+    Leaves of the joint eigenvector search that fail the character test are
+    dropped (cannot happen for genuine representations, but checked).
+    """
+    L = rep.algebra
+    backend = rep.backend
+    found = [(lams, v) for lams, v in _joint_eigenvectors(rep, tol) if is_character(L, lams, tol)]
     ordered = dedup_characters(tuple(c for c, _ in found), backend)
     out = []
     for c in ordered:
@@ -293,33 +303,6 @@ def joint_eigencharacters(
 # ---------------------------------------------------------------------------
 
 
-def _first_joint_eigenpair(rep: Representation, tol: Optional[float]) -> Tuple[Vector, Matrix]:
-    """One joint eigenvalue tuple and eigenvector, deterministic branch order."""
-    L, backend = rep.algebra, rep.backend
-
-    def descend(k: int, space: List[Matrix], lams: Tuple[Scalar, ...]):
-        if not space:
-            return None
-        if k == L.n:
-            return lams, space[0]
-        eye = identity(rep.m, backend)
-        for lam in _unique_eigenvalues(rep.mats[k], tol):
-            shifted = rep.mats[k] - eye.scale(lam)
-            kernel = nullspace_basis(shifted, tol)
-            if not kernel:
-                continue
-            nxt = kernel if len(space) == rep.m else intersect_subspaces(space, kernel, tol)
-            hit = descend(k + 1, nxt, lams + (lam,))
-            if hit is not None:
-                return hit
-        return None
-
-    hit = descend(0, _full_space(rep.m, backend), ())
-    if hit is None:
-        raise NotSolvable("no joint eigenvector found; algebra action is not triangularizable")
-    return hit
-
-
 def triangular_weights(rep: Representation, tol: Optional[float] = None) -> List[Vector]:
     """Diagonal weight tuples of a simultaneous triangularization, with
     multiplicity, obtained by repeated eigenvector extraction and quotient."""
@@ -330,19 +313,12 @@ def triangular_weights(rep: Representation, tol: Optional[float] = None) -> List
     work = rep
     weights: List[Vector] = []
     while work.m > 0:
-        lams, v = _first_joint_eigenpair(work, tol)
+        lams, v = next(_joint_eigenvectors(work, tol))
         weights.append(lams)
         if work.m == 1:
             break
         comp = complement_positions([v], work.m, backend, tol)
-        ext = [
-            col_vector(
-                [sc_one(backend) if i == j else sc_zero(backend) for i in range(work.m)],
-                backend,
-            )
-            for j in comp
-        ]
-        basis = matrix_from_columns([v] + ext, work.m, backend)
+        basis = matrix_from_columns([v] + unit_columns(work.m, comp, backend), work.m, backend)
         inv = inverse(basis, tol)
         sub_mats = []
         for mat in work.mats:
@@ -374,32 +350,12 @@ def _one_dim_rep(L: LieAlgebra, g: Vector) -> Representation:
 
 
 @lru_cache(maxsize=64)
-def _homology_support_cached(L: LieAlgebra) -> Tuple[Vector, ...]:
-    ad = adjoint_action(L)
-    ad_weights = triangular_weights(ad)
-    zero = L.zero_vector()
-    sums = {zero}
-    for w in ad_weights:
-        sums |= {tuple(a + b for a, b in zip(s, w)) for s in sums}
-    support = []
-    for s in sorted(sums, key=char_sort_key):
-        g = tuple(-x for x in s)
-        if not is_character(L, g):
-            continue
-        if homology_dims(_one_dim_rep(L, g)).total > 0:
-            support.append(g)
-    return dedup_characters(support, L.backend)
-
-
 def homology_support(L: LieAlgebra, tol: Optional[float] = None) -> Tuple[Vector, ...]:
     """Characters g with nonvanishing homology of the one-dimensional module
     with weight g.  Candidates are negated subset sums of adjoint weights;
     each candidate is tested directly, so the result is exact, not an
     estimate.  For nilpotent algebras this is {0}."""
-    if L.backend == EXACT and tol is None:
-        return _homology_support_cached(L)
-    ad = adjoint_action(L)
-    ad_weights = triangular_weights(ad, tol)
+    ad_weights = triangular_weights(adjoint_action(L), tol)
     zero = L.zero_vector()
     sums = {zero}
     for w in ad_weights:
@@ -443,17 +399,6 @@ def homology_table(
         betti = homology_dims(rep, Character(rep.algebra, c), cap, tol)
         table.append((c, betti))
     return tuple(table)
-
-
-def sigma_p(
-    rep: Representation,
-    p: int,
-    cap: int = DEFAULT_CAP,
-    tol: Optional[float] = None,
-) -> Tuple[Vector, ...]:
-    """Characters whose shifted complex has nonzero homology in degree p."""
-    assert 0 <= p <= rep.algebra.n
-    return tuple(c for c, betti in homology_table(rep, cap, tol) if betti.h[p] != 0)
 
 
 @dataclass(frozen=True)
@@ -588,13 +533,23 @@ def cross_validate(
     report states containment of the eigencharacter set in the homology
     spectrum and whether it is strict.
     """
-    L = rep.algebra
-    if not is_solvable(L):
+    if not is_solvable(rep.algebra):
         raise NotSolvable("joint spectra here are defined for solvable algebras")
+    return _compare_routes(
+        rep, spectrum(rep, taylor_kind(), cap, tol), joint_eigencharacters(rep, tol)
+    )
+
+
+def _compare_routes(
+    rep: Representation,
+    taylor: SpectrumReport,
+    eigen_pairs: Sequence[Tuple[Character, Matrix]],
+) -> CrossValidation:
+    """cross_validate on an already computed Taylor report and eigencharacters."""
     backend = rep.backend
-    nilp = is_nilpotent(L)
-    hom = spectrum(rep, taylor_kind(), cap, tol).member_coeffs
-    eig = tuple(f.coeffs for f, _ in joint_eigencharacters(rep, tol))
+    nilp = is_nilpotent(rep.algebra)
+    hom = taylor.member_coeffs
+    eig = tuple(f.coeffs for f, _ in eigen_pairs)
     equal = same_character_sets(hom, eig, backend)
     contained = char_subset(eig, hom, backend)
     strict = contained and not equal
@@ -629,15 +584,26 @@ def projection_check(
     if kind.essential:
         raise ValueError("projection check is for non-essential kinds")
     big = spectrum(rep, kind, cap, tol)
+    small = spectrum(restrict_rep(rep, ideal, tol), kind, cap, tol)
+    return _compare_projection(rep, ideal, big, small, tol)
+
+
+def _compare_projection(
+    rep: Representation,
+    ideal: Subspace,
+    big: SpectrumReport,
+    small: SpectrumReport,
+    tol: Optional[float],
+) -> ProjectionReport:
+    """projection_check on already computed reports of one kind for rep and
+    for its restriction to the ideal."""
     projected = dedup_characters(
         tuple(restrict_character(f, ideal, tol) for f in big.members),
         rep.backend,
     )
-    small_rep = restrict_rep(rep, ideal, tol)
-    small = spectrum(small_rep, kind, cap, tol)
     restricted = small.member_coeffs
     return ProjectionReport(
-        kind, projected, restricted,
+        big.kind, projected, restricted,
         same_character_sets(projected, restricted, rep.backend),
     )
 

@@ -2,11 +2,14 @@
 shapes, and byte determinism of the JSON rendering."""
 
 import json
+import os
 
 import pytest
 
-from liespec import lab
+from liespec import lab, spectra
 from liespec.cli import main
+from liespec.lie_core import jordan_holder_chain
+from liespec.numeric import scalar_to_json
 from liespec.representation import rep_to_json
 
 
@@ -352,3 +355,56 @@ def test_lab_suite_catalog_only(capsys):
     assert payload["instances"] == 5
     assert payload["ok"] is True
     assert payload["failures"] == []
+
+
+# --- report: golden output and the one-table-per-representation contract ----------
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+
+@pytest.mark.parametrize("name", ["a1", "h3", "s2", "z3", "f4"])
+def test_report_matches_golden_output(capsys, name):
+    code, out, _ = run(capsys, "report", "--fixture", name, "--backend", "exact")
+    assert code == 0
+    with open(os.path.join(DATA, f"report_{name}_exact.json"), encoding="utf-8") as fh:
+        assert out == fh.read()
+
+
+@pytest.mark.parametrize("name, tables", [("f4", 2), ("s2", 1)])
+def test_report_builds_one_table_per_representation(capsys, monkeypatch, name, tables):
+    built = []
+    honest = spectra.homology_table
+
+    def counting(rep, *args, **kwargs):
+        built.append(rep)
+        return honest(rep, *args, **kwargs)
+
+    monkeypatch.setattr(spectra, "homology_table", counting)
+    code, _, _ = run(capsys, "report", "--fixture", name)
+    assert code == 0
+    assert len(built) == tables
+    assert len(set(built)) == tables
+
+
+@pytest.mark.parametrize("name", ["a1", "h3", "z3", "f4"])
+def test_report_agrees_with_per_kind_checks(capsys, name):
+    code, out, _ = run(capsys, "report", "--fixture", name)
+    assert code == 0
+    payload = json.loads(out)
+    rep = lab.fixture(name).rep
+    L = rep.algebra
+    ideal = jordan_holder_chain(L)[L.n - 1]
+    expected = []
+    for kind in spectra.all_kinds(L.n):
+        if kind.essential:
+            continue
+        rpt = spectra.projection_check(rep, ideal, kind)
+        expected.append({"kind": rpt.kind.render(), "ideal_dim": ideal.dim, "equal": rpt.equal})
+    assert payload["projections"] == expected
+    cv = spectra.cross_validate(rep)
+    assert payload["cross_validation"] == {
+        "equal": cv.equal,
+        "eigen_contained": cv.eigen_contained,
+        "strict_containment": cv.strict,
+        "eigen_members": [[scalar_to_json(c) for c in f] for f in cv.eigen_members],
+    }

@@ -306,17 +306,29 @@ def test_splitting_homotopy_float_residual():
         assert (lhs - identity(C.dims[p], FLOAT)).maxnorm() <= 1e-6
 
 
-# The residual check is what certifies a homotopy; it must survive python -O,
+# The residual check is what certifies a homotopy, and the shape checks keep
+# elimination from returning wrong-shaped results; both must survive python -O,
 # which strips assert statements.
 _CORRUPTED_INVERSE_SCRIPT = textwrap.dedent(
     """
-    import sys
     from liespec import koszul as kz
     from liespec import lie_core as lc
     from liespec import representation as rp
-    from liespec.numeric import gr, identity
+    from liespec.numeric import EXACT, gr, identity, inverse, solve_matrix, zeros
 
     assert False, "assert statements are live: not running under -O"
+
+    def report(label, fn):
+        try:
+            fn()
+        except kz.VerificationFailure as e:
+            print(label, "raised:", e)
+        else:
+            print(label, "accepted")
+
+    report("inverse 2x3", lambda: inverse(zeros(2, 3, EXACT)))
+    report("solve 2-row A, 3-row B", lambda: solve_matrix(identity(2, EXACT), zeros(3, 3, EXACT)))
+
     honest_inverse = kz.inverse
 
     def corrupted_inverse(m, tol=None):
@@ -327,13 +339,7 @@ _CORRUPTED_INVERSE_SCRIPT = textwrap.dedent(
     L = lc.abelian_algebra(["e1"])
     rep = rp.representation(L, [[[2, 0], [0, 3]]])
     C = kz.build_complex(rep, lc.character(L, [5]))
-    try:
-        kz.complex_splitting(C, 0)
-    except kz.VerificationFailure as e:
-        print("raised:", e)
-        sys.exit(0)
-    print("corrupted homotopy was accepted")
-    sys.exit(1)
+    report("homotopy", lambda: kz.complex_splitting(C, 0))
     """
 )
 
@@ -347,7 +353,10 @@ def test_homotopy_check_survives_optimised_bytecode():
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "raised: homotopy identity failed verification" in proc.stdout
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("inverse 2x3 raised:"), proc.stdout
+    assert lines[1].startswith("solve 2-row A, 3-row B raised:"), proc.stdout
+    assert lines[2] == "homotopy raised: homotopy identity failed verification", proc.stdout
 
 
 def test_negative_homology_raises_typed_error():
@@ -355,14 +364,3 @@ def test_negative_homology_raises_typed_error():
     C = kz.ChainComplex(EXACT, (1, 2), (identity(2, EXACT),))
     with pytest.raises(kz.VerificationFailure):
         kz.complex_profile(C)
-
-
-def test_fredholm_split_certificate_is_degenerate_identity():
-    rep = s2_rep()
-    for p in range(0, 3):
-        cert = kz.fredholm_split_certificate(rep, p=p)
-        assert cert.degenerate
-        C = kz.build_complex(rep)
-        lhs = C.d(p + 1) * cert.h_p + cert.h_pm1 * C.d(p)
-        rhs = identity(C.dims[p], EXACT) - cert.k_p
-        assert (lhs - rhs).is_zero()

@@ -450,7 +450,16 @@ def test_exact_solve_matrix_matches_fraction_reference():
 def test_shape_and_deflation_checks_raise_typed_errors():
     a = exact_mat([[1, 2], [3, 4]])
     b = exact_mat([[1, 2, 3]])
-    for op in (lambda: a * b, lambda: a + b, lambda: a - b):
+    ops = (
+        lambda: a * b, lambda: a + b, lambda: a - b,
+        lambda: nm.Matrix(2, 2, (gr(1),), nm.EXACT),
+        lambda: nm.matrix_from_rows([], nm.EXACT),
+        lambda: nm.matrix_from_rows([[gr(1)], [gr(1), gr(2)]], nm.EXACT),
+        lambda: nm.hstack([]), lambda: nm.hstack([a, b]), lambda: nm.vstack([a, b]),
+        lambda: nm.solve_matrix(a, b), lambda: nm.inverse(b),
+        lambda: nm.char_poly(b), lambda: nm.eigenvalues(b),
+    )
+    for op in ops:
         with pytest.raises(nm.VerificationFailure):
             op()
     with pytest.raises(nm.VerificationFailure):
