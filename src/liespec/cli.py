@@ -582,6 +582,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.tol is not None and args.tol <= 0:
         print("error: --tol must be positive", file=sys.stderr)
         return 2
+    if args.seed is not None and args.handler is not cmd_lab_proxy:
+        print("error: --seed applies only to lab proxy", file=sys.stderr)
+        return 2
     try:
         code, payload = args.handler(args)
     except InputError as e:

@@ -2,8 +2,12 @@
 
 Two interchangeable backends:
 
-  * "exact"  -- Gaussian rationals (pairs of ``fractions.Fraction``), with a
-    rational-root search for eigenvalues.  Matrix products and elimination
+  * "exact"  -- Gaussian rationals (pairs of ``fractions.Fraction``).
+    Eigenvalues are guessed, then verified: numpy roots of the exact
+    square-free part of the characteristic polynomial are rounded to
+    Gaussian rationals and kept only where exact evaluation vanishes; a
+    rational-root search over Gaussian-integer divisors, bounded by a step
+    budget, takes whatever the guesses miss.  Matrix products and elimination
     run on Gaussian integers: each row (or column) is scaled once to
     integer (re, im) pairs over one shared denominator, zero entries are
     skipped, and only the final entries are turned back into reduced
@@ -41,9 +45,6 @@ TAU_CHAR = 1e-6
 
 EXACT = "exact"
 FLOAT = "float"
-
-_DIVISOR_NORM_CAP = 10 ** 14
-
 
 class ExactFactorizationFailure(Exception):
     """The characteristic polynomial has a factor with no Gaussian-rational root."""
@@ -843,8 +844,27 @@ def char_poly(m: Matrix) -> List[Scalar]:
     return list(reversed(minors[size]))
 
 
-def _int_divisors(n: int) -> List[int]:
+# Budget, in loop steps, of the divisor-search fallback of one root search:
+# divisor enumeration steps plus one step per coefficient of every exact
+# candidate test.  Guessed roots cost nothing against it.
+_DIVISOR_BUDGET = 10 ** 6
+
+
+class _StepBudget:
+    def __init__(self):
+        self.left = _DIVISOR_BUDGET
+
+    def spend(self, steps: int):
+        self.left -= steps
+        if self.left < 0:
+            raise ExactFactorizationFailure(
+                f"divisor search for a Gaussian-rational root exceeded {_DIVISOR_BUDGET} steps"
+            )
+
+
+def _int_divisors(n: int, budget: _StepBudget) -> List[int]:
     n = abs(n)
+    budget.spend(math.isqrt(n))
     out = []
     d = 1
     while d * d <= n:
@@ -867,17 +887,15 @@ def _gaussian_divides(d: Tuple[int, int], g: Tuple[int, int]) -> bool:
     return qa % nd == 0 and qb % nd == 0
 
 
-def _gaussian_divisors(g: Tuple[int, int]) -> List[Tuple[int, int]]:
+def _gaussian_divisors(g: Tuple[int, int], budget: _StepBudget) -> List[Tuple[int, int]]:
     """Divisors of a nonzero Gaussian integer, one per unit class."""
     ga, gb = g
     norm = ga * ga + gb * gb
-    assert norm > 0
-    if norm > _DIVISOR_NORM_CAP:
-        raise ExactFactorizationFailure(
-            f"coefficient norm {norm} too large for divisor enumeration"
-        )
+    if norm == 0:
+        raise VerificationFailure("divisor search on the Gaussian integer 0")
     found = []
-    for nd in _int_divisors(norm):
+    for nd in _int_divisors(norm, budget):
+        budget.spend(math.isqrt(nd) + 1)
         x = 0
         while x * x <= nd:
             y2 = nd - x * x
@@ -890,10 +908,7 @@ def _gaussian_divisors(g: Tuple[int, int]) -> List[Tuple[int, int]]:
     return found
 
 
-_UNITS = (GaussianRational(Fraction(1), Fraction(0)),
-          GaussianRational(Fraction(-1), Fraction(0)),
-          GaussianRational(Fraction(0), Fraction(1)),
-          GaussianRational(Fraction(0), Fraction(-1)))
+_UNITS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 
 def _poly_eval(coeffs: List[GaussianRational], x: GaussianRational) -> GaussianRational:
@@ -913,48 +928,175 @@ def _poly_deflate(coeffs: List[GaussianRational], r: GaussianRational) -> List[G
     return out
 
 
+# --- polynomials over the Gaussian integers ---------------------------------
+#
+# A polynomial is a list of Gaussian integers (a, b), leading coefficient
+# first, with a nonzero leading coefficient.
+
+
+def _zi_primitive(p: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """p times a nonzero Gaussian rational, with a positive integer leading
+    coefficient and coprime integer parts."""
+    la, lb = p[0]
+    if lb:
+        # times conj(lead): the leading coefficient becomes |lead|^2
+        p = [(a * la + b * lb, b * la - a * lb) for a, b in p]
+    g = math.gcd(*[v for pair in p for v in pair])
+    if p[0][0] < 0:
+        g = -g
+    return [(a // g, b // g) for a, b in p]
+
+
+def _zi_divmod(
+    p: List[Tuple[int, int]], g: List[Tuple[int, int]]
+) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]:
+    """Pseudo-division by g, whose leading coefficient c is a positive
+    integer: (q, r) with c^k * p == q * g + r and deg r < deg g.  r has its
+    leading zeros stripped."""
+    c = g[0][0]
+    q: List[Tuple[int, int]] = []
+    r = list(p)
+    while len(r) >= len(g):
+        ta, tb = r[0]
+        if ta or tb:
+            # r <- c*r - lead(r) * t^(deg r - deg g) * g, which zeroes the lead
+            q = [(c * a, c * b) for a, b in q] + [(ta, tb)]
+            r = [(c * a, c * b) for a, b in r]
+            for j, (ga, gb) in enumerate(g):
+                xa, xb = r[j]
+                r[j] = (xa - ta * ga + tb * gb, xb - ta * gb - tb * ga)
+        else:
+            q.append((0, 0))
+        r = r[1:]
+    while r and r[0] == (0, 0):
+        r = r[1:]
+    return q, r
+
+
+def _squarefree_part(p: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """p / gcd(p, p') (Yun 1976), as a primitive polynomial: the product of
+    the distinct linear factors of p, each once."""
+    deg = len(p) - 1
+    p = _zi_primitive(p)
+    a, b = p, _zi_primitive([(x * (deg - k), y * (deg - k)) for k, (x, y) in enumerate(p[:-1])])
+    while len(b) > 1:
+        _, r = _zi_divmod(a, b)
+        a, b = b, (_zi_primitive(r) if r else [])
+    if b:
+        return p  # a nonzero constant remainder: gcd(p, p') = 1
+    # the Euclidean loop ended on a zero remainder: a is the gcd
+    q, r = _zi_divmod(p, a)
+    if r:
+        raise VerificationFailure("polynomial is not divisible by its gcd with p'")
+    return _zi_primitive(q)
+
+
+def _float_root_guesses(q: List[Tuple[int, int]]) -> List[complex]:
+    """Floating-point roots of q (numpy), or none when its coefficients
+    overflow a double."""
+    try:
+        return np.roots(np.array([complex(a, b) for a, b in q], dtype=complex)).tolist()
+    except (OverflowError, np.linalg.LinAlgError):
+        return []
+
+
+def _guessed_roots(q: List[Tuple[int, int]]) -> List[GaussianRational]:
+    """Gaussian rationals that may be roots of q: its leading coefficient a
+    is a positive integer and Z[i] is integrally closed, so a*r is a
+    Gaussian integer for every Gaussian-rational root r.  Each float root is
+    rounded accordingly; nothing here is trusted without exact evaluation."""
+    a = q[0][0]
+    out = []
+    for g in _float_root_guesses(q):
+        x, y = a * g.real, a * g.imag
+        if math.isfinite(x) and math.isfinite(y):
+            out.append(GaussianRational(Fraction(round(x), a), Fraction(round(y), a)))
+    return out
+
+
+def _zi_vanishes(q: List[Tuple[int, int]], x: Tuple[int, int], d: int) -> bool:
+    """Whether q(x / d) == 0, for a positive integer d, by Horner on the
+    homogenised polynomial sum_k q_k x^(deg-k) d^k."""
+    xa, xb = x
+    acc_a, acc_b = q[0]
+    dk = 1
+    for ca, cb in q[1:]:
+        dk *= d
+        acc_a, acc_b = acc_a * xa - acc_b * xb + ca * dk, acc_a * xb + acc_b * xa + cb * dk
+    return acc_a == 0 and acc_b == 0
+
+
+def _divisor_roots(q: List[Tuple[int, int]]) -> List[GaussianRational]:
+    """Every Gaussian-rational root of q with a nonzero constant term, by the
+    rational-root theorem over Z[i]: a root n/d in lowest terms has n | q(0)
+    and d | lead(q).  Raises ExactFactorizationFailure past the step budget."""
+    budget = _StepBudget()
+    nums = _gaussian_divisors(q[-1], budget)
+    dens = _gaussian_divisors(q[0], budget)
+    found: List[GaussianRational] = []
+    seen = set()
+    for na, nb in nums:
+        for da, db in dens:
+            nd = da * da + db * db
+            for ua, ub in _UNITS:
+                # n*u/d == n*u*conj(d) / |d|^2
+                xa, xb = na * ua - nb * ub, na * ub + nb * ua
+                x = (xa * da + xb * db, xb * da - xa * db)
+                cand = _gr_over(*x, nd)
+                if cand in seen:
+                    continue
+                seen.add(cand)
+                budget.spend(len(q))
+                if _zi_vanishes(q, x, nd):
+                    found.append(cand)
+                    if len(found) == len(q) - 1:
+                        return found
+    return found
+
+
 def _poly_roots_exact(coeffs: List[GaussianRational]) -> List[GaussianRational]:
-    """All roots (with multiplicity) over the Gaussian rationals, or raise."""
+    """All roots (with multiplicity) over the Gaussian rationals, or raise.
+
+    Guess, then verify: float roots of the exact square-free part, rounded to
+    Gaussian rationals, are kept only where exact Horner evaluation vanishes,
+    and deflation reads off each multiplicity.  The budgeted divisor search
+    takes whatever the guesses leave.
+    """
     roots: List[GaussianRational] = []
     cur = list(coeffs)
-    while len(cur) > 1:
-        if cur[-1].is_zero:
-            roots.append(GR_ZERO)
-            cur = cur[:-1]
-            continue
-        ints, _ = _clear_denominators(cur)
-        lead, const = ints[0], ints[-1]
-        num_divs = _gaussian_divisors(const)
-        den_divs = _gaussian_divisors(lead)
-        candidates = []
-        for na, nb in num_divs:
-            for da, db in den_divs:
-                base = GaussianRational(Fraction(na), Fraction(nb)) / GaussianRational(
-                    Fraction(da), Fraction(db)
-                )
-                for u in _UNITS:
-                    candidates.append(base * u)
-        candidates.sort(key=lambda c: (c.re * c.re + c.im * c.im, scalar_key(c)))
-        hit = None
-        for cand in candidates:
-            if _poly_eval(cur, cand).is_zero:
-                hit = cand
-                break
-        if hit is None:
-            raise ExactFactorizationFailure(
-                "characteristic polynomial has no Gaussian-rational root"
-            )
-        roots.append(hit)
-        cur = _poly_deflate(cur, hit)
+    while len(cur) > 1 and cur[-1].is_zero:
+        roots.append(GR_ZERO)
+        cur = cur[:-1]
+    if len(cur) == 1:
+        return roots
+    q = _squarefree_part(_clear_denominators(cur)[0])
+
+    def take(candidates: Sequence[GaussianRational]):
+        nonlocal cur
+        for r in candidates:
+            while len(cur) > 1 and _poly_eval(cur, r).is_zero:
+                roots.append(r)
+                cur = _poly_deflate(cur, r)
+
+    take(_guessed_roots(q))
+    if len(cur) > 1:
+        take(_divisor_roots(q))
+    if len(cur) > 1:
+        raise ExactFactorizationFailure(
+            "characteristic polynomial has no Gaussian-rational root"
+        )
     return roots
 
 
 def eigenvalues(m: Matrix, tol: Optional[float] = None) -> List[Scalar]:
     """Eigenvalue multiset, deterministically sorted.
 
-    Exact backend: characteristic polynomial plus rational-root search over
-    Gaussian-integer divisors; raises ExactFactorizationFailure when the
-    polynomial does not split over the Gaussian rationals.  Float backend:
+    Exact backend: characteristic polynomial, then float guesses for the
+    roots of its square-free part, each verified by exact evaluation and
+    deflated as often as it stays a root; a divisor search with a step
+    budget finds any root the guesses missed.  Raises
+    ExactFactorizationFailure when the polynomial does not split over the
+    Gaussian rationals or the divisor search exceeds its budget.  Float backend:
     numpy eigenvalues deduplicated within TAU_CHAR after unit max-norm
     scaling.
     """

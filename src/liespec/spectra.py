@@ -43,6 +43,7 @@ from .numeric import (
     EXACT,
     Matrix,
     Scalar,
+    VerificationFailure,
     eigenvalues,
     identity,
     intersect_subspaces,
@@ -230,17 +231,10 @@ def char_subset(a: Sequence[Vector], b: Sequence[Vector], backend: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _unique_eigenvalues(mat: Matrix, tol: Optional[float]) -> List[Scalar]:
-    vals = eigenvalues(mat, tol)
-    out: List[Scalar] = []
-    for v in vals:
-        if not out or out[-1] != v:
-            out.append(v)
-    return out
-
-
 def _joint_eigenvectors(
-    rep: Representation, tol: Optional[float]
+    rep: Representation,
+    tol: Optional[float],
+    multisets: Optional[List[Optional[List[Scalar]]]] = None,
 ) -> Iterator[Tuple[Vector, Matrix]]:
     """Joint eigenvalue tuples with one joint eigenvector each.
 
@@ -248,9 +242,25 @@ def _joint_eigenvectors(
     eigenspace at each level, leaves in deterministic branch order.  By
     Lie's theorem a nonzero module of a solvable algebra has a joint
     eigenvector, so finding none raises NotSolvable.
+
+    multisets[k] is the sorted eigenvalue multiset of rep.mats[k]; an entry
+    that is None is computed the first time level k is reached and stored
+    back, so every matrix is factored at most once per search and the
+    caller can reuse the result.
     """
     L, backend = rep.algebra, rep.backend
     eye = identity(rep.m, backend)
+    if multisets is None:
+        multisets = [None] * L.n
+
+    def unique_eigenvalues(k: int) -> List[Scalar]:
+        if multisets[k] is None:
+            multisets[k] = eigenvalues(rep.mats[k], tol)
+        out: List[Scalar] = []
+        for v in multisets[k]:
+            if not out or out[-1] != v:
+                out.append(v)
+        return out
 
     def descend(k: int, space: List[Matrix], lams: Tuple[Scalar, ...]):
         if not space:
@@ -258,7 +268,7 @@ def _joint_eigenvectors(
         if k == L.n:
             yield lams, space[0]
             return
-        for lam in _unique_eigenvalues(rep.mats[k], tol):
+        for lam in unique_eigenvalues(k):
             kernel = nullspace_basis(rep.mats[k] - eye.scale(lam), tol)
             if not kernel:
                 continue
@@ -312,8 +322,9 @@ def triangular_weights(rep: Representation, tol: Optional[float] = None) -> List
     backend = rep.backend
     work = rep
     weights: List[Vector] = []
+    multisets: List[Optional[List[Scalar]]] = [None] * L.n
     while work.m > 0:
-        lams, v = next(_joint_eigenvectors(work, tol))
+        lams, v = next(_joint_eigenvectors(work, tol, multisets))
         weights.append(lams)
         if work.m == 1:
             break
@@ -328,14 +339,27 @@ def triangular_weights(rep: Representation, tol: Optional[float] = None) -> List
                 Matrix(work.m - 1, work.m - 1, tuple(x for row in rows for x in row), backend)
             )
         work = Representation(L, work.m - 1, tuple(sub_mats))
+        if backend == EXACT:
+            # the first leaf reached every level, so every multiset is known;
+            # the quotient's rho(e_k) keeps all of it but one copy of lams[k]
+            multisets = [_drop_one(ms, lam) for ms, lam in zip(multisets, lams)]
+        else:
+            multisets = [None] * L.n
     return weights
+
+
+def _drop_one(values: List[Scalar], value: Scalar) -> List[Scalar]:
+    out = list(values)
+    out.remove(value)
+    return out
 
 
 def weight_candidates(rep: Representation, tol: Optional[float] = None) -> Tuple[Vector, ...]:
     """Deduplicated triangularization weights, each checked to be a character."""
     weights = dedup_characters(triangular_weights(rep, tol), rep.backend)
     for w in weights:
-        assert is_character(rep.algebra, w, tol), f"non-character weight {w!r}"
+        if not is_character(rep.algebra, w, tol):
+            raise VerificationFailure(f"non-character weight {w!r}")
     return weights
 
 
@@ -378,7 +402,8 @@ def spectral_candidates(rep: Representation, tol: Optional[float] = None) -> Tup
     for w in weights:
         for g in support:
             c = tuple(a - b for a, b in zip(w, g))
-            assert is_character(rep.algebra, c, tol)
+            if not is_character(rep.algebra, c, tol):
+                raise VerificationFailure(f"non-character candidate {c!r}")
             out.append(c)
     return dedup_characters(out, rep.backend)
 

@@ -3,10 +3,13 @@ shapes, and byte determinism of the JSON rendering."""
 
 import json
 import os
+import time
 
 import pytest
 
 from liespec import lab, spectra
+from liespec import lie_core as lc
+from liespec import representation as rp
 from liespec.cli import main
 from liespec.lie_core import jordan_holder_chain
 from liespec.numeric import scalar_to_json
@@ -332,6 +335,14 @@ def test_lab_proxy_seed_override(capsys, tmp_path):
     assert json.loads(out)["rows"][0]["sigma_size"] == 1
 
 
+@pytest.mark.parametrize("argv", [["spectrum", "--fixture", "h3"], ["lab", "suite", "--seeds", "1"]])
+def test_seed_outside_lab_proxy_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv, "--seed", "3")
+    assert code == 2
+    assert out == ""
+    assert "--seed" in err
+
+
 def test_lab_proxy_bad_budget_exits_2(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"schedule": [6], "rank_budget": 6}))
@@ -408,3 +419,35 @@ def test_report_agrees_with_per_kind_checks(capsys, name):
         "strict_containment": cv.strict,
         "eigen_members": [[scalar_to_json(c) for c in f] for f in cv.eigen_members],
     }
+
+
+# --- exact eigenvalues: seeded goldens and a hostile input ------------------------
+
+
+@pytest.mark.parametrize("command", ["eigenchars", "crossval"])
+@pytest.mark.parametrize(
+    "base, m, seed",
+    [("H3", 5, 0), ("H3", 5, 1), ("F4", 6, 0), ("F4", 8, 0), ("A1", 4, 0), ("Z3", 5, 0)],
+)
+def test_seeded_exact_output_matches_golden(capsys, tmp_path, command, base, m, seed):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(rep_to_json(lab.random_nilpotent_rep(seed, base, m))))
+    code, out, _ = run(capsys, command, str(path), "--backend", "exact")
+    assert code == 0
+    name = f"{command}_{base.lower()}_m{m}_s{seed}_exact.json"
+    with open(os.path.join(DATA, name), encoding="utf-8") as fh:
+        assert out == fh.read()
+
+
+def test_irrational_eigenvalue_with_huge_divisor_count_exits_1_fast(capsys, tmp_path):
+    # t^2 - 9999990 has no Gaussian-rational root, and a full divisor search
+    # of its constant term would take about 10^7 trial divisions
+    rep = rp.representation(lc.abelian_algebra(["e1"]), [[[0, 9999990], [1, 0]]])
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(rep_to_json(rep)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "spectrum", str(path))
+    assert time.perf_counter() - start < 5
+    assert code == 1
+    assert out == ""
+    assert "error:" in err

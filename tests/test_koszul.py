@@ -340,6 +340,16 @@ _CORRUPTED_INVERSE_SCRIPT = textwrap.dedent(
     rep = rp.representation(L, [[[2, 0], [0, 3]]])
     C = kz.build_complex(rep, lc.character(L, [5]))
     report("homotopy", lambda: kz.complex_splitting(C, 0))
+
+    # a wrong root slipping through the eigenvalue search would surface as a
+    # weight that is no character of [x, y] = y
+    from liespec import spectra as sp
+    S2 = lc.lie_algebra(["x", "y"], {(0, 1): [0, 1]})
+    s2 = rp.representation(S2, [[[1, 0], [0, 0]], [[0, 1], [0, 0]]])
+    sp.triangular_weights = lambda rep, tol=None: [(gr(1), gr(1))]
+    report("weight", lambda: sp.weight_candidates(s2))
+    sp.weight_candidates = lambda rep, tol=None: ((gr(1), gr(1)),)
+    report("candidate", lambda: sp.spectral_candidates(s2))
     """
 )
 
@@ -357,6 +367,8 @@ def test_homotopy_check_survives_optimised_bytecode():
     assert lines[0].startswith("inverse 2x3 raised:"), proc.stdout
     assert lines[1].startswith("solve 2-row A, 3-row B raised:"), proc.stdout
     assert lines[2] == "homotopy raised: homotopy identity failed verification", proc.stdout
+    assert lines[3].startswith("weight raised: non-character weight"), proc.stdout
+    assert lines[4].startswith("candidate raised: non-character candidate"), proc.stdout
 
 
 def test_negative_homology_raises_typed_error():

@@ -252,6 +252,73 @@ def test_char_poly_matches_trace_and_det():
     assert coeffs == [gr(1), gr(-5), gr(-2)]
 
 
+# --- exact root search: guess, verify, budgeted divisor fallback --------------
+
+
+def _poly_from_factors(factors):
+    """Coefficients, leading first, of the product of (d*t - c)^k over
+    (d, c, k) with Gaussian-integer d != 0 and c, given as (re, im) pairs."""
+    poly = [gr(1)]
+    for (da, db), (ca, cb), k in factors:
+        d, c = gr(da, db), gr(ca, cb)
+        for _ in range(k):
+            shifted = poly + [nm.GR_ZERO]
+            poly = [d * shifted[0]] + [d * shifted[j] - c * poly[j - 1] for j in range(1, len(shifted))]
+    return poly
+
+
+def _known_roots(factors):
+    return sorted(
+        (gr(ca, cb) / gr(da, db) for (da, db), (ca, cb), k in factors for _ in range(k)),
+        key=nm.scalar_key,
+    )
+
+
+def _root_cases():
+    rng = random.Random(1976)
+    cases = [[((2, 0), (1, 0), 12), ((1, 0), (0, -1), 12)]]  # (2t - 1)^12 (t + i)^12
+    for _ in range(40):
+        factors = []
+        for _ in range(rng.randint(1, 4)):
+            d = (0, 0)
+            while d == (0, 0):
+                d = (rng.randint(-3, 3), rng.randint(-3, 3))
+            c = (rng.randint(-5, 5), rng.randint(-5, 5))
+            factors.append((d, c, rng.choice((1, 1, 2, 3, 5, 24))))
+        cases.append(factors)
+    return cases
+
+
+def test_poly_roots_exact_on_products_of_linear_powers():
+    for factors in _root_cases():
+        roots = nm._poly_roots_exact(_poly_from_factors(factors))
+        assert sorted(roots, key=nm.scalar_key) == _known_roots(factors), factors
+
+
+def test_poly_roots_exact_fallback_gives_the_same_roots(monkeypatch):
+    # every float guess is junk, so each root comes from the divisor search
+    monkeypatch.setattr(nm, "_float_root_guesses", lambda q: [complex(1e6 + 0.5, -3.25)] * (len(q) - 1))
+    for factors in _root_cases():
+        roots = nm._poly_roots_exact(_poly_from_factors(factors))
+        assert sorted(roots, key=nm.scalar_key) == _known_roots(factors), factors
+
+
+@pytest.mark.parametrize("junk_guesses", [False, True])
+def test_poly_roots_exact_raises_without_gaussian_root(monkeypatch, junk_guesses):
+    if junk_guesses:
+        monkeypatch.setattr(nm, "_float_root_guesses", lambda q: [])
+    with pytest.raises(ExactFactorizationFailure):
+        nm._poly_roots_exact([gr(1), gr(0), gr(-2)])  # t^2 - 2
+
+
+def test_divisor_fallback_stops_at_its_step_budget():
+    # sqrt(9999990^2) divisor trials would be needed for t^2 - 9999990
+    with pytest.raises(ExactFactorizationFailure, match="exceeded"):
+        nm._poly_roots_exact([gr(1), gr(0), gr(-9999990)])
+    with pytest.raises(nm.VerificationFailure):
+        nm._gaussian_divisors((0, 0), nm._StepBudget())
+
+
 # --- matrix algebra ----------------------------------------------------------
 
 

@@ -10,6 +10,7 @@ solvable non-nilpotent algebra.
 import pytest
 
 from liespec import lab
+from liespec import numeric as nm
 from liespec import lie_core as lc
 from liespec import representation as rp
 from liespec import spectra as sp
@@ -138,6 +139,18 @@ def test_weight_candidates_need_solvable():
     rep = rp.adjoint_action(L)
     with pytest.raises(sp.NotSolvable):
         sp.weight_candidates(rep)
+
+
+@pytest.mark.parametrize("route", ["triangular_weights", "joint_eigencharacters"])
+def test_each_input_matrix_is_factored_once(monkeypatch, route):
+    # one search factors each rho(e_k) once; the quotients of the
+    # triangularization reuse the parent's eigenvalue multisets
+    rep = lab.random_nilpotent_rep(1, "F4", 8)
+    calls = []
+    honest = nm.char_poly
+    monkeypatch.setattr(nm, "char_poly", lambda m: calls.append(m) or honest(m))
+    getattr(sp, route)(rep)
+    assert 0 < len(calls) <= rep.algebra.n
 
 
 def test_homology_support_nilpotent_is_zero():
