@@ -14,16 +14,21 @@ substituted through the structure constants, then the wedge is renormalized:
 sort indices increasingly, multiply by the permutation parity, drop
 repeated-index terms.  These conventions make d o d = 0 an identity, which
 validate_complex checks explicitly.
+
+The differential is affine in the shift f, with E_(l,p) the signed operator
+terms and B_p the bracket scalars, both fixed by the algebra and p alone:
+    d_p(rho - f) = sum_l E_(l,p) (x) rho(e_l) + (B_p - sum_l f_l E_(l,p)) (x) I_m.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
-from .lie_core import Character
+from .lie_core import Character, LieAlgebra, NotACharacter, is_character
 from .numeric import (
     EXACT,
     Matrix,
@@ -33,17 +38,15 @@ from .numeric import (
     identity,
     inverse,
     matrix_from_columns,
-    matrix_from_rows,
     nullspace_basis,
     rank,
     sc_is_zero,
-    sc_one,
     sc_zero,
     solve_matrix,
     unit_columns,
     zeros,
 )
-from .representation import Representation, shift
+from .representation import Representation
 
 DEFAULT_CAP = 100_000
 
@@ -63,21 +66,7 @@ class NotSplit(Exception):
 def exterior_basis(n: int, p: int) -> Tuple[Tuple[int, ...], ...]:
     """Strictly increasing p-subsets of {0..n-1} in lexicographic order;
     empty for p outside 0..n."""
-    if p < 0 or p > n:
-        return ()
-    if p == 0:
-        return ((),)
-    out = []
-
-    def grow(prefix: Tuple[int, ...], start: int):
-        if len(prefix) == p:
-            out.append(prefix)
-            return
-        for k in range(start, n - (p - len(prefix)) + 1):
-            grow(prefix + (k,), k + 1)
-
-    grow((), 0)
-    return tuple(out)
+    return tuple(itertools.combinations(range(n), p)) if p >= 0 else ()
 
 
 @dataclass(frozen=True)
@@ -122,54 +111,69 @@ def _wedge_insert(t: int, rest: Tuple[int, ...]) -> Optional[Tuple[int, Tuple[in
     return smaller, merged
 
 
-def koszul_differential(rep: Representation, p: int) -> Matrix:
-    """Matrix of d_p in the subset-major basis, shape dims[p-1] x dims[p]."""
-    L = rep.algebra
-    n, m = L.n, rep.m
-    assert 1 <= p <= n
-    src = exterior_basis(n, p)
-    dst = exterior_basis(n, p - 1)
-    dst_index = {s: i for i, s in enumerate(dst)}
-    rows, cols = m * len(dst), m * len(src)
-    backend = rep.backend
-    zero = sc_zero(backend)
-    grid = [[zero] * cols for _ in range(rows)]
-
-    def add_block(ti: int, si: int, block: Matrix, factor: Scalar):
-        if sc_is_zero(factor):
-            return
-        r0, c0 = ti * m, si * m
-        for a in range(m):
-            for b in range(m):
-                v = block.at(a, b)
-                if not sc_is_zero(v):
-                    grid[r0 + a][c0 + b] = grid[r0 + a][c0 + b] + factor * v
-
-    one = sc_one(backend)
-    eye = identity(m, backend)
-    for si, S in enumerate(src):
+@lru_cache(maxsize=256)
+def _differential_pattern(L: LieAlgebra, p: int):
+    """Block pattern of d_p for every representation and shift: (dst block, src
+    block, l, +-1) per operator term, (dst block, src block, B_p scalar)."""
+    dst_index = {s: i for i, s in enumerate(exterior_basis(L.n, p - 1))}
+    ops = []
+    brackets: Dict[Tuple[int, int], Scalar] = {}
+    for si, S in enumerate(exterior_basis(L.n, p)):
         # operator terms: remove the k-th index (k counted from 1)
         for k_pos, l in enumerate(S):
-            rest = S[:k_pos] + S[k_pos + 1 :]
-            sign = one if k_pos % 2 == 0 else -one
-            add_block(dst_index[rest], si, rep.mats[l], sign)
+            ops.append((dst_index[S[:k_pos] + S[k_pos + 1 :]], si, l, 1 - 2 * (k_pos % 2)))
         # bracket terms: remove positions i < j, prepend [l_i, l_j]
         for i_pos in range(len(S)):
             for j_pos in range(i_pos + 1, len(S)):
-                # (-1)^(i+j-1) with 1-based positions = (-1)^(i_pos+j_pos+1)
-                base = one if (i_pos + j_pos + 1) % 2 == 0 else -one
                 rest = tuple(x for t, x in enumerate(S) if t not in (i_pos, j_pos))
-                coeffs = L.structure(S[i_pos], S[j_pos])
-                for t, c in enumerate(coeffs):
-                    if sc_is_zero(c):
-                        continue
+                for t, c in enumerate(L.structure(S[i_pos], S[j_pos])):
                     ins = _wedge_insert(t, rest)
-                    if ins is None:
+                    if ins is None or sc_is_zero(c):
                         continue
                     exp, merged = ins
-                    factor = base * c if exp % 2 == 0 else -(base * c)
-                    add_block(dst_index[merged], si, eye, factor)
-    return matrix_from_rows(grid, backend, cols=cols)
+                    # (-1)^(i+j-1) with 1-based positions, times the wedge parity
+                    term = c if (i_pos + j_pos + 1 + exp) % 2 == 0 else -c
+                    key = (dst_index[merged], si)
+                    brackets[key] = brackets[key] + term if key in brackets else term
+    return tuple(ops), tuple((ti, si, c) for (ti, si), c in brackets.items() if not sc_is_zero(c))
+
+
+def _check_degree(p: int, lo: int, hi: int):
+    if not lo <= p <= hi:
+        raise ValueError(f"degree {p} outside {lo}..{hi}")
+
+
+def _differential(rep: Representation, p: int, fs: Tuple[Scalar, ...]) -> Matrix:
+    """d_p of rho - f: copies of +-rho(e_l), plus each scalar of B_p - sum_l
+    f_l E_(l,p) on the m diagonal entries of its block (fs = () for f = 0)."""
+    L, m, zero = rep.algebra, rep.m, sc_zero(rep.backend)
+    _check_degree(p, 1, L.n)
+    ops, brackets = _differential_pattern(L, p)
+    rows, cols = m * math.comb(L.n, p - 1), m * math.comb(L.n, p)
+    flat = [zero] * (rows * cols)
+    # offset inside a block, +v and -v per nonzero entry v of rho(e_l); on
+    # floats 0 + v and 0 - v, whose zero parts stay unsigned
+    exact = rep.backend == EXACT
+    nonzero = [[(a * cols + b, (v, -v) if exact else (zero + v, zero - v)) for a in range(m)
+                for b, v in enumerate(mat.row(a)) if not sc_is_zero(v)] for mat in rep.mats]
+    diag = {(ti, si): c for ti, si, c in brackets}
+    for ti, si, l, sign in ops:
+        base = m * (ti * cols + si)
+        for k, v in nonzero[l]:
+            flat[base + k] = v[sign < 0]
+        if fs and not sc_is_zero(fs[l]):
+            c = diag.get((ti, si), zero)
+            diag[(ti, si)] = c - fs[l] if sign > 0 else c + fs[l]
+    for (ti, si), c in diag.items():
+        base = m * (ti * cols + si)
+        for k in range(base, base + m * (cols + 1), cols + 1):
+            flat[k] = flat[k] + c
+    return Matrix(rows, cols, tuple(flat), rep.backend)
+
+
+def koszul_differential(rep: Representation, p: int) -> Matrix:
+    """Matrix of d_p in the subset-major basis, shape dims[p-1] x dims[p]."""
+    return _differential(rep, p, ())
 
 
 def _check_cap(n: int, m: int, cap: int):
@@ -181,21 +185,27 @@ def _check_cap(n: int, m: int, cap: int):
         )
 
 
-def build_complex(
-    rep: Representation,
-    f: Optional[Character] = None,
-    cap: int = DEFAULT_CAP,
-    tol: Optional[float] = None,
-) -> ChainComplex:
-    """Chain complex of rho - f (f defaults to zero)."""
+def _truncated_complex(rep: Representation, f: Optional[Character], cap: int,
+                       tol: Optional[float], lo: int, hi: int) -> ChainComplex:
+    """The complex of rho - f cut to degrees lo..hi, zero below lo: homology is
+    unchanged strictly between lo and hi, and at an end that is 0 or n."""
     L = rep.algebra
     _check_cap(L.n, rep.m, cap)
-    work = rep
+    fs: Tuple[Scalar, ...] = ()
     if f is not None and not all(sc_is_zero(c) for c in f.coeffs):
-        work = shift(rep, f, tol)
-    dims = tuple(rep.m * math.comb(L.n, p) for p in range(L.n + 1))
-    ds = tuple(koszul_differential(work, p) for p in range(1, L.n + 1))
+        if f.algebra != L or not is_character(L, f.coeffs, tol):
+            raise NotACharacter("shift needs a character of the same algebra")
+        fs = f.coeffs
+    dims = tuple(rep.m * math.comb(L.n, p) if p >= lo else 0 for p in range(hi + 1))
+    ds = tuple(_differential(rep, p, fs) if p > lo else zeros(0, dims[p], rep.backend)
+               for p in range(1, hi + 1))
     return ChainComplex(rep.backend, dims, ds)
+
+
+def build_complex(rep: Representation, f: Optional[Character] = None, cap: int = DEFAULT_CAP,
+                  tol: Optional[float] = None) -> ChainComplex:
+    """Chain complex of rho - f (f defaults to zero)."""
+    return _truncated_complex(rep, f, cap, tol, 0, rep.algebra.n)
 
 
 def validate_complex(C: ChainComplex, tol: Optional[float] = None) -> List[int]:
@@ -251,7 +261,7 @@ def complex_splitting(
     h_(p-1) inverts d_p|_W along R(d_p).  The identity is verified before
     returning.
     """
-    assert 0 <= p <= C.n
+    _check_degree(p, 0, C.n)
     backend = C.backend
     A = C.d(p)
     B = C.d(p + 1)
@@ -271,7 +281,7 @@ def complex_splitting(
     lift_cols = [V.col(i) for i in range(k)] + [zeros(B.cols, 1, backend)] * len(w_cols)
     h_p = matrix_from_columns(lift_cols, B.cols, backend) * inverse(basis_change, tol)
     # h_(p-1): send d_p W back to W, kill a complement of R(d_p)
-    aw_cols = [A * w for w in w_cols]
+    aw_cols = [A.col(j) for j in free]  # A e_j is column j of A
     extra = complement_positions(aw_cols, A.rows, backend, tol)
     q = matrix_from_columns(aw_cols + unit_columns(A.rows, extra, backend), A.rows, backend)
     back_cols = w_cols + [zeros(dp, 1, backend)] * len(extra)
@@ -290,6 +300,9 @@ def splitting_homotopy(
     cap: int = DEFAULT_CAP,
     tol: Optional[float] = None,
 ) -> Tuple[Matrix, Matrix]:
-    """Homotopy pair for the complex of rho - f at degree p, or NotSplit."""
-    C = build_complex(rep, f, cap, tol)
+    """Homotopy pair for the complex of rho - f at degree p, or NotSplit.
+    Only d_p and d_(p+1) are built, on degrees max(p-1, 0)..min(p+1, n)."""
+    n = rep.algebra.n
+    _check_degree(p, 0, n)
+    C = _truncated_complex(rep, f, cap, tol, max(p - 1, 0), min(p + 1, n))
     return complex_splitting(C, p, tol)

@@ -1014,6 +1014,28 @@ def _guessed_roots(q: List[Tuple[int, int]]) -> List[GaussianRational]:
     return out
 
 
+# Exact Newton steps given to a rounded guess that is no root: enough to
+# reach roots beyond double precision from a float guess.
+_NEWTON_STEPS = 3
+
+
+def _newton_refined(q: List[Tuple[int, int]], x: GaussianRational) -> GaussianRational:
+    """x moved by exact Newton steps on the square-free q (so q' is nonzero
+    at its roots), a*x rounded to Z[i] after each, until q vanishes there."""
+    a, deg = q[0][0], len(q) - 1
+    qs = [gr(re, im) for re, im in q]
+    slope_coeffs = [gr((deg - k) * re, (deg - k) * im) for k, (re, im) in enumerate(q[:-1])]
+    for _ in range(_NEWTON_STEPS):
+        slope = _poly_eval(slope_coeffs, x)
+        if slope.is_zero:
+            break
+        x = x - _poly_eval(qs, x) / slope
+        x = _gr_over(round(a * x.re), round(a * x.im), a)
+        if _poly_eval(qs, x).is_zero:
+            break
+    return x
+
+
 def _zi_vanishes(q: List[Tuple[int, int]], x: Tuple[int, int], d: int) -> bool:
     """Whether q(x / d) == 0, for a positive integer d, by Horner on the
     homogenised polynomial sum_k q_k x^(deg-k) d^k."""
@@ -1059,8 +1081,9 @@ def _poly_roots_exact(coeffs: List[GaussianRational]) -> List[GaussianRational]:
 
     Guess, then verify: float roots of the exact square-free part, rounded to
     Gaussian rationals, are kept only where exact Horner evaluation vanishes,
-    and deflation reads off each multiplicity.  The budgeted divisor search
-    takes whatever the guesses leave.
+    and deflation reads off each multiplicity.  A guess that is no root gets
+    a few exact Newton steps; a linear remainder gives its root directly.
+    The budgeted divisor search takes whatever is left.
     """
     roots: List[GaussianRational] = []
     cur = list(coeffs)
@@ -1071,14 +1094,23 @@ def _poly_roots_exact(coeffs: List[GaussianRational]) -> List[GaussianRational]:
         return roots
     q = _squarefree_part(_clear_denominators(cur)[0])
 
-    def take(candidates: Sequence[GaussianRational]):
+    def take(candidates: Sequence[GaussianRational]) -> bool:
+        """Deflate cur by each candidate while it stays a root; whether any was."""
         nonlocal cur
+        hit = False
         for r in candidates:
             while len(cur) > 1 and _poly_eval(cur, r).is_zero:
                 roots.append(r)
                 cur = _poly_deflate(cur, r)
+                hit = True
+        return hit
 
-    take(_guessed_roots(q))
+    if len(cur) > 2:
+        for g in _guessed_roots(q):
+            if not take([g]) and len(cur) > 2:
+                take([_newton_refined(q, g)])
+    if len(cur) == 2:
+        take([-cur[1] / cur[0]])
     if len(cur) > 1:
         take(_divisor_roots(q))
     if len(cur) > 1:

@@ -28,6 +28,7 @@ from .numeric import (
     Matrix,
     Scalar,
     TAU,
+    VerificationFailure,
     identity,
     inverse,
     make_scalar,
@@ -46,10 +47,14 @@ class Representation:
     mats: Tuple[Matrix, ...]
 
     def __post_init__(self):
-        assert len(self.mats) == self.algebra.n
+        if len(self.mats) != self.algebra.n:
+            raise VerificationFailure(f"{len(self.mats)} matrices for an algebra of dimension {self.algebra.n}")
         for mat in self.mats:
-            assert mat.rows == self.m and mat.cols == self.m
-            assert mat.backend == self.algebra.backend
+            if (mat.rows, mat.cols, mat.backend) != (self.m, self.m, self.algebra.backend):
+                raise VerificationFailure(
+                    f"a {mat.rows}x{mat.cols} {mat.backend} matrix in a {self.m}-dimensional "
+                    f"{self.algebra.backend} representation"
+                )
 
     @property
     def backend(self) -> str:

@@ -6,7 +6,9 @@ the naive float elimination oracle _oracle_rank, which shares no code with
 the library's rank path.
 """
 
+import itertools
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -14,9 +16,10 @@ import textwrap
 import pytest
 
 from liespec import koszul as kz
+from liespec import lab
 from liespec import lie_core as lc
 from liespec import representation as rp
-from liespec.numeric import EXACT, FLOAT, Fraction, GaussianRational, gr, identity, zeros
+from liespec.numeric import EXACT, FLOAT, Fraction, GaussianRational, gr, identity, sc_one, sc_zero, zeros
 
 
 def _oracle_rank(mat):
@@ -354,15 +357,21 @@ _CORRUPTED_INVERSE_SCRIPT = textwrap.dedent(
 )
 
 
-def test_homotopy_check_survives_optimised_bytecode():
+def _run_optimised(script):
+    """Run script under python -O with this checkout's src on the path."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", _CORRUPTED_INVERSE_SCRIPT],
+        [sys.executable, "-O", "-c", script],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    return proc
+
+
+def test_homotopy_check_survives_optimised_bytecode():
+    proc = _run_optimised(_CORRUPTED_INVERSE_SCRIPT)
     lines = proc.stdout.splitlines()
     assert lines[0].startswith("inverse 2x3 raised:"), proc.stdout
     assert lines[1].startswith("solve 2-row A, 3-row B raised:"), proc.stdout
@@ -376,3 +385,171 @@ def test_negative_homology_raises_typed_error():
     C = kz.ChainComplex(EXACT, (1, 2), (identity(2, EXACT),))
     with pytest.raises(kz.VerificationFailure):
         kz.complex_profile(C)
+
+
+# Degree and shape checks guard the block assembly, which indexes rho(e_l) as
+# an m x m array and the complex by degree; python -O strips assert statements.
+_OPTIMISED_PREAMBLE = textwrap.dedent(
+    """
+    from liespec import koszul as kz
+    from liespec import lie_core as lc
+    from liespec import representation as rp
+    from liespec.numeric import FLOAT, identity, zeros
+
+    assert False, "assert statements are live: not running under -O"
+
+    def report(label, fn, error):
+        try:
+            fn()
+        except error as e:
+            print(label, "raised:", e)
+        else:
+            print(label, "accepted")
+
+    H3 = lc.lie_algebra(["x", "y", "z"], {(0, 1): [0, 0, 1]})
+    h3 = rp.representation(H3, [
+        [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
+        [[0, 0, 0], [0, 0, 1], [0, 0, 0]],
+        [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
+    ])
+    """
+)
+
+_DEGREE_SCRIPT = _OPTIMISED_PREAMBLE + textwrap.dedent(
+    """
+    f = lc.character(H3, [1, 0, 0])
+    report("differential 0", lambda: kz.koszul_differential(h3, 0), ValueError)
+    report("differential 4", lambda: kz.koszul_differential(h3, 4), ValueError)
+    report("splitting 9", lambda: kz.splitting_homotopy(h3, f, p=9), ValueError)
+    report("splitting -1", lambda: kz.splitting_homotopy(h3, f, p=-1), ValueError)
+    report("complex splitting 4", lambda: kz.complex_splitting(kz.build_complex(h3, f), 4), ValueError)
+    """
+)
+
+_SHAPE_SCRIPT = _OPTIMISED_PREAMBLE + textwrap.dedent(
+    """
+    mats = h3.mats
+    report("too few", lambda: rp.Representation(H3, 3, mats[:2]), kz.VerificationFailure)
+    report("wrong size", lambda: rp.Representation(H3, 2, mats), kz.VerificationFailure)
+    report("non-square", lambda: rp.Representation(H3, 3, mats[:2] + (zeros(3, 2, H3.backend),)),
+           kz.VerificationFailure)
+    report("backend", lambda: rp.Representation(H3, 3, mats[:2] + (identity(3, FLOAT),)),
+           kz.VerificationFailure)
+    """
+)
+
+
+def test_degree_checks_survive_optimised_bytecode():
+    lines = _run_optimised(_DEGREE_SCRIPT).stdout.splitlines()
+    assert len(lines) == 5, lines
+    for label, line in zip(["differential 0", "differential 4", "splitting 9", "splitting -1",
+                            "complex splitting 4"], lines):
+        assert line.startswith(f"{label} raised: degree "), lines
+
+
+def test_representation_shape_checks_survive_optimised_bytecode():
+    lines = _run_optimised(_SHAPE_SCRIPT).stdout.splitlines()
+    assert len(lines) == 4, lines
+    for label, line in zip(["too few", "wrong size", "non-square", "backend"], lines):
+        assert line.startswith(f"{label} raised:"), lines
+
+
+# --- block assembly against a naive reference -------------------------------------
+
+
+def _naive_differential(rep, p):
+    """d_p written out from the formula in koszul's module docstring: a dense
+    grid, every term added entry by entry."""
+    L, m, backend = rep.algebra, rep.m, rep.backend
+    src = list(itertools.combinations(range(L.n), p))
+    dst = list(itertools.combinations(range(L.n), p - 1))
+    zero = sc_zero(backend)
+    eye = identity(m, backend)
+    grid = [[zero] * (m * len(src)) for _ in range(m * len(dst))]
+
+    def add(target, si, block, coeff):
+        ti = dst.index(target)
+        for a in range(m):
+            for b in range(m):
+                grid[ti * m + a][si * m + b] = grid[ti * m + a][si * m + b] + coeff * block.at(a, b)
+
+    one = sc_one(backend)
+    for si, S in enumerate(src):
+        for k, l in enumerate(S):  # (-1)^(k+1) with k counted from 1
+            add(S[:k] + S[k + 1:], si, rep.mats[l], one if k % 2 == 0 else -one)
+        for i, j in itertools.combinations(range(p), 2):
+            rest = tuple(x for t, x in enumerate(S) if t not in (i, j))
+            for t, c in enumerate(L.structure(S[i], S[j])):
+                if t in rest:
+                    continue
+                # e_t ^ e_rest: moving e_t into place passes the smaller indices
+                parity = (i + j + 1) + sum(1 for u in rest if u < t)
+                add(tuple(sorted(rest + (t,))), si, eye, c if parity % 2 == 0 else -c)
+    return grid
+
+
+def _assembly_cases():
+    for backend in (EXACT, FLOAT):
+        for name in ("A1", "H3", "S2", "Z3", "F4"):
+            yield backend, lab.fixture(name, backend).rep
+        for seed, base, m in ((0, "H3", 5), (1, "H3", 6), (0, "F4", 6), (2, "A1", 4), (3, "Z3", 5)):
+            yield backend, lab.random_nilpotent_rep(seed, base, m, backend)
+
+
+@pytest.mark.parametrize("backend,rep", list(_assembly_cases()))
+def test_build_complex_matches_shift_then_naive_assembly(backend, rep):
+    L = rep.algebra
+    rng = random.Random(L.n * 100 + rep.m)
+    shifts = [None, lc.character(L, [0] * L.n)] + [lab.random_character(rng, L) for _ in range(2)]
+    if backend == EXACT:
+        # a Gaussian-rational shift, on the coordinates a character may use
+        free = [lab.random_character(random.Random(7), L).coeffs[k] for k in range(L.n)]
+        shifts.append(lc.character(L, [c * gr(Fraction(1, 3), Fraction(-2, 5)) for c in free]))
+    for f in shifts:
+        shifted = rep if f is None else rp.shift(rep, f)
+        C = kz.build_complex(rep, f)
+        assert len(C.ds) == L.n
+        for p in range(1, L.n + 1):
+            assert C.d(p).to_lists() == _naive_differential(shifted, p), (p, f)
+
+
+def test_build_complex_rejects_non_characters():
+    rep = s2_rep()  # [x, y] = y, so a character vanishes on y
+    not_a_character = lc.Character(rep.algebra, (gr(0), gr(1)))
+    with pytest.raises(lc.NotACharacter):
+        kz.build_complex(rep, not_a_character)
+    with pytest.raises(lc.NotACharacter):
+        kz.splitting_homotopy(rep, not_a_character, p=1)
+    z3 = lab.fixture("Z3").rep  # the zero representation of the Heisenberg algebra
+    other = lc.character(lc.abelian_algebra(["a", "b", "c"]), [1, 0, 0])
+    with pytest.raises(lc.NotACharacter):
+        kz.build_complex(z3, other)
+    with pytest.raises(lc.NotACharacter):
+        kz.homology_dims(z3, other)
+
+
+def test_splitting_homotopy_builds_at_most_two_differentials(monkeypatch):
+    built = []
+    real = kz._differential
+
+    def counted(rep, p, fs):
+        built.append(p)
+        return real(rep, p, fs)
+
+    def no_shift(*args, **kwargs):
+        raise AssertionError("the Koszul build must not call representation.shift")
+
+    monkeypatch.setattr(kz, "_differential", counted)
+    monkeypatch.setattr(rp, "shift", no_shift)
+    monkeypatch.setattr(kz, "shift", no_shift, raising=False)
+    for rep, coeffs in ((h3_rep(), [1, 0, 0]), (f4_rep(), [1, 2, 0, 0]), (s2_rep(), [1, 0])):
+        f = ch(rep.algebra, coeffs)
+        full = kz.build_complex(rep, f)
+        assert sorted(built) == list(range(1, rep.algebra.n + 1))
+        for p in range(rep.algebra.n + 1):
+            built.clear()
+            h_p, h_pm1 = kz.splitting_homotopy(rep, f, p)
+            assert sorted(built) == [q for q in (p, p + 1) if 1 <= q <= rep.algebra.n]
+            expect = kz.complex_splitting(full, p)
+            assert (h_p.to_lists(), h_pm1.to_lists()) == (expect[0].to_lists(), expect[1].to_lists())
+        built.clear()

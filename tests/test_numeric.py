@@ -311,6 +311,33 @@ def test_poly_roots_exact_raises_without_gaussian_root(monkeypatch, junk_guesses
         nm._poly_roots_exact([gr(1), gr(0), gr(-2)])  # t^2 - 2
 
 
+def test_roots_beyond_double_precision_are_found_exactly(monkeypatch):
+    # a rounded double misses these roots; the divisor search would exceed its
+    # budget on them, so it must not be reached
+    def no_divisor_search(q):
+        raise AssertionError("divisor search reached")
+
+    monkeypatch.setattr(nm, "_divisor_roots", no_divisor_search)
+    big = 10 ** 30
+    assert nm.eigenvalues(Matrix(1, 1, (gr(big),), EXACT)) == [gr(big)]
+    assert nm._poly_roots_exact([gr(1), gr(10 ** 300)]) == [gr(-10 ** 300)]
+    diag = exact_mat([[big, 0], [0, 2 * big + 7]])
+    assert nm.eigenvalues(diag) == [gr(big), gr(2 * big + 7)]
+    # three such roots: two come from Newton steps, the last from the linear remainder
+    diag3 = exact_mat([[big, 0, 0], [0, 2 * big + 7, 0], [0, 0, -3 * big + 11]])
+    assert nm.eigenvalues(diag3) == [gr(-3 * big + 11), gr(big), gr(2 * big + 7)]
+
+
+def test_one_newton_step_reaches_a_root_beyond_double_precision(monkeypatch):
+    monkeypatch.setattr(nm, "_NEWTON_STEPS", 1)
+    big = 10 ** 30
+    q = [(1, 0), (-3 * big - 7, 0), (big * (2 * big + 7), 0)]  # (t - big)(t - 2 big - 7)
+    for root in (big, 2 * big + 7):
+        guess = gr(round(float(root)))
+        assert guess != gr(root)
+        assert nm._newton_refined(q, guess) == gr(root)
+
+
 def test_divisor_fallback_stops_at_its_step_budget():
     # sqrt(9999990^2) divisor trials would be needed for t^2 - 9999990
     with pytest.raises(ExactFactorizationFailure, match="exceeded"):
