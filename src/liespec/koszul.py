@@ -34,16 +34,11 @@ from .numeric import (
     Matrix,
     Scalar,
     VerificationFailure,
-    complement_positions,
+    generalized_inverse,
     identity,
-    inverse,
-    matrix_from_columns,
-    nullspace_basis,
     rank,
     sc_is_zero,
     sc_zero,
-    solve_matrix,
-    unit_columns,
     zeros,
 )
 from .representation import Representation
@@ -256,41 +251,26 @@ def complex_splitting(
 ) -> Tuple[Matrix, Matrix]:
     """Homotopies (h_p, h_(p-1)) with d_(p+1) h_p + h_(p-1) d_p = I_p.
 
-    Exists iff H_p = 0; built by splitting X_p into N(d_p) (+) W:
-    on N(d_p) = R(d_(p+1)), h_p lifts through any preimage; on W,
-    h_(p-1) inverts d_p|_W along R(d_p).  The identity is verified before
-    returning.
+    Exists iff H_p = 0.  With generalized inverses G_A of A = d_p and G_B of
+    B = d_(p+1) (A G_A A = A), h_(p-1) = G_A and h_p = G_B q for
+    q = I - G_A A.  A q = A - A G_A A = 0, so q maps into N(d_p), which is
+    R(d_(p+1)) when H_p = 0; B G_B fixes R(d_(p+1)), so B h_p = q and
+    B h_p + G_A A = I.  That identity is verified before returning.
     """
     _check_degree(p, 0, C.n)
-    backend = C.backend
     A = C.d(p)
     B = C.d(p + 1)
-    dp = C.dims[p]
-    kernel_cols = nullspace_basis(A, tol)
-    k = len(kernel_cols)
-    rB = rank(B, tol)
-    if k != rB:
-        raise NotSplit(f"homology has dimension {k - rB} at degree {p}")
-    K = matrix_from_columns(kernel_cols, dp, backend)
-    V = solve_matrix(B, K, tol)
-    if V is None:
-        raise NotSplit(f"kernel at degree {p} is not reachable from degree {p + 1}")
-    free = complement_positions(kernel_cols, dp, backend, tol)
-    w_cols = unit_columns(dp, free, backend)
-    basis_change = matrix_from_columns(kernel_cols + w_cols, dp, backend)
-    lift_cols = [V.col(i) for i in range(k)] + [zeros(B.cols, 1, backend)] * len(w_cols)
-    h_p = matrix_from_columns(lift_cols, B.cols, backend) * inverse(basis_change, tol)
-    # h_(p-1): send d_p W back to W, kill a complement of R(d_p)
-    aw_cols = [A.col(j) for j in free]  # A e_j is column j of A
-    extra = complement_positions(aw_cols, A.rows, backend, tol)
-    q = matrix_from_columns(aw_cols + unit_columns(A.rows, extra, backend), A.rows, backend)
-    back_cols = w_cols + [zeros(dp, 1, backend)] * len(extra)
-    h_pm1 = matrix_from_columns(back_cols, dp, backend) * inverse(q, tol)
-    residual = B * h_p + h_pm1 * A - identity(dp, backend)
-    budget = 0.0 if backend == EXACT else HOMOTOPY_RESIDUAL
-    if not residual.is_zero(budget):
+    g_a, r_a = generalized_inverse(A, tol)
+    g_b, r_b = generalized_inverse(B, tol)
+    h = C.dims[p] - r_a - r_b
+    if h != 0:
+        raise NotSplit(f"homology has dimension {h} at degree {p}")
+    q = identity(C.dims[p], C.backend) - g_a * A
+    h_p = g_b * q
+    budget = 0.0 if C.backend == EXACT else HOMOTOPY_RESIDUAL
+    if not (B * h_p - q).is_zero(budget):
         raise VerificationFailure("homotopy identity failed verification")
-    return h_p, h_pm1
+    return h_p, g_a
 
 
 def splitting_homotopy(

@@ -39,6 +39,7 @@ from .numeric import (
     EXACT,
     Matrix,
     Scalar,
+    VerificationFailure,
     make_scalar,
     matrix_from_rows,
     rank,
@@ -345,12 +346,15 @@ def finite_rank_proxy(config: ExperimentConfig) -> Tuple[ProxyRow, ...]:
             padded, unimodular_matrix(rng, m, config.backend)
         )
         ranks = [rank(mat) for mat in rep.mats]
-        assert max(ranks) <= config.rank_budget
+        if max(ranks) > config.rank_budget:
+            raise VerificationFailure(f"conjugation raised an operator rank to {max(ranks)}")
         sigma = spectrum(rep, taylor_kind()).member_coeffs
         eig = tuple(f.coeffs for f, _ in joint_eigencharacters(rep))
         if sum(ranks) < m:
             # the operators share a nonzero kernel vector, so 0 must be a member
-            assert char_subset((zero,), sigma, config.backend)
+            if not char_subset((zero,), sigma, config.backend):
+                raise VerificationFailure(
+                    "0 is missing from the spectrum of operators with a common kernel")
         expected = dedup_characters((zero,) + eig, config.backend)
         eq = same_character_sets(sigma, expected, config.backend)
         elapsed = (time.perf_counter() - t0) * 1000.0

@@ -66,9 +66,12 @@ class LieAlgebra:
         n = len(self.names)
         seen = {}
         for i, j, coeffs in self.table:
-            assert 0 <= i < j < n, f"bad bracket index pair ({i},{j})"
-            assert len(coeffs) == n
-            assert (i, j) not in seen, f"duplicate bracket ({i},{j})"
+            if not 0 <= i < j < n:
+                raise ValueError(f"bad bracket index pair ({i},{j})")
+            if len(coeffs) != n:
+                raise ValueError(f"bracket ({i},{j}) has {len(coeffs)} coefficients, not {n}")
+            if (i, j) in seen:
+                raise ValueError(f"duplicate bracket ({i},{j})")
             seen[(i, j)] = coeffs
         object.__setattr__(self, "_map", seen)
 
@@ -100,9 +103,11 @@ def lie_algebra(
     n = len(names)
     table = []
     for (i, j), coeffs in sorted(brackets.items()):
-        assert i < j, f"brackets must be given for i<j, got ({i},{j})"
+        if not i < j:
+            raise ValueError(f"brackets must be given for i<j, got ({i},{j})")
         vec = tuple(make_scalar(c, backend) for c in coeffs)
-        assert len(vec) == n
+        if len(vec) != n:
+            raise ValueError(f"bracket ({i},{j}) has {len(vec)} coefficients, not {n}")
         if not all(sc_is_zero(c) for c in vec):
             table.append((i, j, vec))
     return LieAlgebra(tuple(names), tuple(table), backend)
@@ -183,7 +188,8 @@ def contains_subspace(outer: Subspace, inner: Subspace, tol: Optional[float] = N
 def bracket(L: LieAlgebra, u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
     """[u, v] by bilinear expansion through the structure constants."""
     n = L.n
-    assert len(u) == n and len(v) == n
+    if len(u) != n or len(v) != n:
+        raise ValueError(f"bracket of vectors of lengths {len(u)}, {len(v)} in dimension {n}")
     out = list(L.zero_vector())
     for i in range(n):
         if sc_is_zero(u[i]):

@@ -12,9 +12,9 @@ Two interchangeable backends:
     integer (re, im) pairs over one shared denominator, zero entries are
     skipped, and only the final entries are turned back into reduced
     Fractions.  Elimination is fraction-free: Gauss-Jordan with
-    row <- p*row - f*pivot_row and division by the row's integer content
-    for reduced echelon forms, Bareiss for ranks.  No rounding anywhere;
-    equality means equality.
+    row <- p*row - f*pivot_row and division by the row's integer content,
+    one reduced echelon routine for ranks, kernels, solutions and the
+    generalized inverse.  No rounding anywhere; equality means equality.
   * "float"  -- complex double precision.  Every comparison against zero
     goes through an explicit tolerance derived from TAU and the largest
     entry magnitude of the matrix at hand, so ranks and kernels are
@@ -26,7 +26,6 @@ are pure; nothing here mutates shared state.
 
 from __future__ import annotations
 
-import cmath
 import math
 import re as _re
 from dataclasses import dataclass
@@ -296,9 +295,6 @@ class Matrix:
     def row(self, i: int) -> Tuple[Scalar, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def col(self, j: int) -> "Matrix":
-        return Matrix(self.rows, 1, tuple(self.at(i, j) for i in range(self.rows)), self.backend)
-
     def to_lists(self) -> List[List[Scalar]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
@@ -439,9 +435,17 @@ def matrix_from_columns(cols: Sequence[Matrix], rows: int, backend: str) -> Matr
 # ---------------------------------------------------------------------------
 
 
-def _float_threshold(m: Matrix, tol: Optional[float]) -> float:
-    t = TAU if tol is None else tol
-    return t * m.maxnorm()
+def _echelon(
+    vectors: Sequence[Sequence[Scalar]], backend: str, tol: Optional[float]
+) -> Tuple[List[List[Scalar]], List[int]]:
+    """_rref of the given rows; float pivots count above tol (default TAU)
+    relative to the largest entry magnitude."""
+    vecs = [list(v) for v in vectors]
+    thr = 0.0
+    if backend == FLOAT:
+        mx = max((sc_abs(x) for v in vecs for x in v), default=0.0)
+        thr = (TAU if tol is None else tol) * mx
+    return _rref(vecs, backend, thr)
 
 
 def _rref(
@@ -588,65 +592,16 @@ def _rref_exact(
     return out, pivots
 
 
-def _rank_exact(m: Matrix) -> int:
-    # Bareiss elimination over the Gaussian integers: every entry produced
-    # at step k is divided by the step k-1 pivot, which is exact and keeps
-    # entries the size of k x k minors.  Only the pivot count matters, and
-    # scaling rows to Gaussian integers leaves it unchanged.
-    rows = [_clear_denominators(m.row(i))[0] for i in range(m.rows)]
-    nrows, ncols = m.rows, m.cols
-    rank = 0
-    prev = (1, 0)
-    for c in range(ncols):
-        pivot_row = -1
-        for i in range(rank, nrows):
-            if rows[i][c] != (0, 0):
-                pivot_row = i
-                break
-        if pivot_row < 0:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pa, pb = rows[rank][c]
-        qa, qb = prev
-        qn = qa * qa + qb * qb
-        for i in range(rank + 1, nrows):
-            fa, fb = rows[i][c]
-            new_row = []
-            for (xa, xb), (ya, yb) in zip(rows[i], rows[rank]):
-                ra = pa * xa - pb * xb - (fa * ya - fb * yb)
-                rb = pa * xb + pb * xa - (fa * yb + fb * ya)
-                if qn != 1:
-                    ra, rb = (ra * qa + rb * qb) // qn, (rb * qa - ra * qb) // qn
-                new_row.append((ra, rb))
-            rows[i] = new_row
-        prev = (pa, pb)
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
 def rank(m: Matrix, tol: Optional[float] = None) -> int:
-    """Rank of m.  Exact: fraction-free elimination.  Float: pivots above
-    tol (default TAU) relative to the largest initial entry magnitude."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    if m.backend == EXACT:
-        return _rank_exact(m)
-    thr = _float_threshold(m, tol)
-    _, pivots = _rref(m.to_lists(), FLOAT, thr)
-    return len(pivots)
+    """Rank of m: the pivot count of its reduced echelon form, float pivots
+    above tol (default TAU) relative to the largest entry magnitude."""
+    return len(_echelon(m.to_lists(), m.backend, tol)[1])
 
 
 def nullspace_basis(m: Matrix, tol: Optional[float] = None) -> List[Matrix]:
     """Kernel basis via the reduced-echelon free-variable construction,
     free columns taken in column order."""
-    if m.cols == 0:
-        return []
-    if m.rows == 0:
-        return unit_columns(m.cols, range(m.cols), m.backend)
-    thr = 0.0 if m.backend == EXACT else _float_threshold(m, tol)
-    rows, pivots = _rref(m.to_lists(), m.backend, thr)
+    rows, pivots = _echelon(m.to_lists(), m.backend, tol)
     pivot_set = set(pivots)
     zero, one = sc_zero(m.backend), sc_one(m.backend)
     basis = []
@@ -672,8 +627,7 @@ def solve_matrix(a: Matrix, b: Matrix, tol: Optional[float] = None) -> Optional[
         thr0 = 0.0 if a.backend == EXACT else (TAU if tol is None else tol) * max(1.0, b.maxnorm())
         return zeros(0, b.cols, a.backend) if b.is_zero(thr0) else None
     aug = hstack([a, b]) if a.rows else Matrix(0, a.cols + b.cols, (), a.backend)
-    thr = 0.0 if a.backend == EXACT else _float_threshold(aug, tol)
-    rows, pivots = _rref(aug.to_lists(), a.backend, thr)
+    rows, pivots = _echelon(aug.to_lists(), a.backend, tol)
     for r, pc in enumerate(pivots):
         if pc >= a.cols:
             return None  # pivot in the right-hand block: inconsistent
@@ -690,17 +644,28 @@ def _check_square(m: Matrix):
         raise VerificationFailure(f"{m.rows}x{m.cols} matrix is not square")
 
 
+def generalized_inverse(m: Matrix, tol: Optional[float] = None) -> Tuple[Matrix, int]:
+    """(G, rank of m) with m G m == m, from one reduced echelon form of
+    [m | I]: row r of the right-hand block goes to the r-th pivot column of m
+    and free variables stay zero, so G y solves m x = y whenever y lies in
+    R(m).  Float pivots count above tol (default TAU) relative to the
+    largest entry magnitude of [m | I]."""
+    if m.rows == 0 or m.cols == 0:
+        return zeros(m.cols, m.rows, m.backend), 0
+    rows, pivots = _echelon(hstack([m, identity(m.rows, m.backend)]).to_lists(), m.backend, tol)
+    pivots = [c for c in pivots if c < m.cols]
+    out = [[sc_zero(m.backend)] * m.rows for _ in range(m.cols)]
+    for r, pc in enumerate(pivots):
+        out[pc] = rows[r][m.cols:]
+    return matrix_from_rows(out, m.backend), len(pivots)
+
+
 def inverse(m: Matrix, tol: Optional[float] = None) -> Matrix:
     _check_square(m)
-    if m.rows == 0:
-        return m
-    aug = hstack([m, identity(m.rows, m.backend)])
-    thr = 0.0 if m.backend == EXACT else _float_threshold(aug, tol)
-    rows, pivots = _rref(aug.to_lists(), m.backend, thr)
-    if pivots != list(range(m.rows)):
+    g, r = generalized_inverse(m, tol)
+    if r < m.rows:
         raise ZeroDivisionError("matrix is singular")
-    out = [r[m.rows:] for r in rows]
-    return matrix_from_rows(out, m.backend)
+    return g
 
 
 def echelon_vectors(
@@ -708,38 +673,15 @@ def echelon_vectors(
 ) -> Tuple[Tuple[Scalar, ...], ...]:
     """Canonical reduced-echelon basis of the span of the given coefficient
     vectors (rows).  Identical spans give identical output."""
-    vecs = [list(v) for v in vectors]
-    if not vecs:
-        return ()
-    thr = 0.0
-    if backend == FLOAT:
-        mx = max((sc_abs(x) for v in vecs for x in v), default=0.0)
-        thr = (TAU if tol is None else tol) * mx
-    rows, pivots = _rref(vecs, backend, thr)
+    rows, pivots = _echelon(vectors, backend, tol)
     return tuple(tuple(rows[r]) for r in range(len(pivots)))
-
-
-def pivot_positions(
-    vectors: Sequence[Sequence[Scalar]], backend: str, tol: Optional[float] = None
-) -> List[int]:
-    vecs = [list(v) for v in vectors]
-    if not vecs:
-        return []
-    thr = 0.0
-    if backend == FLOAT:
-        mx = max((sc_abs(x) for v in vecs for x in v), default=0.0)
-        thr = (TAU if tol is None else tol) * mx
-    _, pivots = _rref(vecs, backend, thr)
-    return pivots
 
 
 def complement_positions(columns: Sequence[Matrix], dim: int, backend: str,
                          tol: Optional[float] = None) -> List[int]:
     """Indices j such that the standard vectors e_j extend span(columns) to
     the whole space.  columns must be independent."""
-    rows = [[c.at(i, 0) for i in range(dim)] for c in columns]
-    pivots = pivot_positions(rows, backend, tol) if rows else []
-    pivot_set = set(pivots)
+    pivot_set = set(_echelon([[c.at(i, 0) for i in range(dim)] for c in columns], backend, tol)[1])
     return [j for j in range(dim) if j not in pivot_set]
 
 

@@ -72,7 +72,8 @@ class Representation:
 def representation(L: LieAlgebra, mats: Sequence[Sequence[Sequence]], m: Optional[int] = None) -> Representation:
     """Build from nested lists, coercing entries into the algebra backend."""
     if m is None:
-        assert mats, "need at least one matrix or an explicit dimension"
+        if not mats:
+            raise ValueError("need at least one matrix or an explicit dimension")
         m = len(mats[0])
     built = []
     for raw in mats:
@@ -139,14 +140,17 @@ def restrict_rep(rep: Representation, ideal: Subspace, tol: Optional[float] = No
 
 def conjugate_representation(rep: Representation, s: Matrix, tol: Optional[float] = None) -> Representation:
     """Similarity S rho(.) S^{-1}; spectra-invariant by construction."""
-    assert s.rows == s.cols == rep.m and s.backend == rep.backend
+    if not s.rows == s.cols == rep.m or s.backend != rep.backend:
+        raise ValueError(f"a {s.rows}x{s.cols} {s.backend} matrix cannot conjugate a "
+                         f"{rep.m}-dimensional {rep.backend} representation")
     s_inv = inverse(s, tol)
     return Representation(rep.algebra, rep.m, tuple(s * mat * s_inv for mat in rep.mats))
 
 
 def direct_sum(a: Representation, b: Representation) -> Representation:
     """Block-diagonal sum of two representations of the same algebra."""
-    assert a.algebra == b.algebra
+    if a.algebra != b.algebra:
+        raise ValueError("direct sum of representations of different algebras")
     backend = a.backend
     mats = []
     for ma, mb in zip(a.mats, b.mats):

@@ -105,11 +105,13 @@ class SpectrumKind:
     k: Optional[int]
 
     def __post_init__(self):
-        assert self.family in _FAMILIES
+        if self.family not in _FAMILIES:
+            raise ValueError(f"unknown spectrum family {self.family!r}")
         if self.family == "taylor":
-            assert self.k is None
-        else:
-            assert self.k is not None and self.k >= 0
+            if self.k is not None:
+                raise ValueError("the taylor family takes no degree k")
+        elif self.k is None or self.k < 0:
+            raise ValueError(f"the {self.family} family needs a degree k >= 0, got {self.k}")
 
     def render(self) -> str:
         if self.family == "taylor":

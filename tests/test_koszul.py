@@ -6,6 +6,7 @@ the naive float elimination oracle _oracle_rank, which shares no code with
 the library's rank path.
 """
 
+import ast
 import itertools
 import os
 import random
@@ -18,6 +19,7 @@ import pytest
 from liespec import koszul as kz
 from liespec import lab
 from liespec import lie_core as lc
+from liespec import numeric as nm
 from liespec import representation as rp
 from liespec.numeric import EXACT, FLOAT, Fraction, GaussianRational, gr, identity, sc_one, sc_zero, zeros
 
@@ -309,6 +311,23 @@ def test_splitting_homotopy_float_residual():
         assert (lhs - identity(C.dims[p], FLOAT)).maxnorm() <= 1e-6
 
 
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_complex_splitting_eliminates_twice(monkeypatch, backend):
+    # one elimination per differential: the generalized inverses of d_p and d_(p+1)
+    rep = rp.rep_from_json(rp.rep_to_json(h3_rep()), backend=backend)
+    C = kz.build_complex(rep, lc.character(rep.algebra, [1, 0, 0]))
+    calls = []
+    real = nm._rref
+
+    def counted(rows, backend, thr):
+        calls.append(len(rows))
+        return real(rows, backend, thr)
+
+    monkeypatch.setattr(nm, "_rref", counted)
+    kz.complex_splitting(C, 1)
+    assert len(calls) == 2, calls
+
+
 # The residual check is what certifies a homotopy, and the shape checks keep
 # elimination from returning wrong-shaped results; both must survive python -O,
 # which strips assert statements.
@@ -317,7 +336,7 @@ _CORRUPTED_INVERSE_SCRIPT = textwrap.dedent(
     from liespec import koszul as kz
     from liespec import lie_core as lc
     from liespec import representation as rp
-    from liespec.numeric import EXACT, gr, identity, inverse, solve_matrix, zeros
+    from liespec.numeric import EXACT, Matrix, gr, identity, inverse, solve_matrix, zeros
 
     assert False, "assert statements are live: not running under -O"
 
@@ -332,13 +351,13 @@ _CORRUPTED_INVERSE_SCRIPT = textwrap.dedent(
     report("inverse 2x3", lambda: inverse(zeros(2, 3, EXACT)))
     report("solve 2-row A, 3-row B", lambda: solve_matrix(identity(2, EXACT), zeros(3, 3, EXACT)))
 
-    honest_inverse = kz.inverse
+    honest_inverse = kz.generalized_inverse
 
     def corrupted_inverse(m, tol=None):
-        inv = honest_inverse(m, tol)
-        return inv + identity(inv.rows, inv.backend).scale(gr(1, 1))
+        g, r = honest_inverse(m, tol)
+        return g + Matrix(g.rows, g.cols, (gr(1, 1),) * (g.rows * g.cols), g.backend), r
 
-    kz.inverse = corrupted_inverse
+    kz.generalized_inverse = corrupted_inverse
     L = lc.abelian_algebra(["e1"])
     rep = rp.representation(L, [[[2, 0], [0, 3]]])
     C = kz.build_complex(rep, lc.character(L, [5]))
@@ -378,6 +397,82 @@ def test_homotopy_check_survives_optimised_bytecode():
     assert lines[2] == "homotopy raised: homotopy identity failed verification", proc.stdout
     assert lines[3].startswith("weight raised: non-character weight"), proc.stdout
     assert lines[4].startswith("candidate raised: non-character candidate"), proc.stdout
+
+
+# Caller input is checked with ValueError and the finite-rank proxy's
+# invariants with VerificationFailure; python -O strips assert statements.
+_INPUT_CHECKS_SCRIPT = textwrap.dedent(
+    """
+    import types
+
+    from liespec import lab
+    from liespec import lie_core as lc
+    from liespec import representation as rp
+    from liespec import spectra as sp
+    from liespec.numeric import EXACT, FLOAT, VerificationFailure, gr, identity
+
+    assert False, "assert statements are live: not running under -O"
+
+    def report(label, fn, error):
+        try:
+            fn()
+        except error as e:
+            print(label, "raised:", e)
+        else:
+            print(label, "accepted")
+
+    Z2 = lc.abelian_algebra(["x", "y"])
+    S2 = lc.lie_algebra(["x", "y"], {(0, 1): [0, 1]})
+    s2 = rp.representation(S2, [[[1, 0], [0, 0]], [[0, 1], [0, 0]]])
+    z2 = rp.representation(Z2, [[[1, 0], [0, 0]], [[0, 1], [0, 0]]])
+    report("index pair", lambda: lc.LieAlgebra(("x", "y"), ((1, 0, (gr(0), gr(1))),), EXACT), ValueError)
+    report("coefficient count", lambda: lc.LieAlgebra(("x", "y"), ((0, 1, (gr(1),)),), EXACT), ValueError)
+    report("duplicate", lambda: lc.LieAlgebra(("x", "y"), ((0, 1, (gr(0), gr(1))),) * 2, EXACT),
+           ValueError)
+    report("bracket order", lambda: lc.lie_algebra(["x", "y"], {(1, 0): [0, 1]}), ValueError)
+    report("bracket length", lambda: lc.lie_algebra(["x", "y"], {(0, 1): [1]}), ValueError)
+    report("bracket vectors", lambda: lc.bracket(S2, (gr(1),), (gr(0), gr(1))), ValueError)
+    report("family", lambda: sp.SpectrumKind("gamma", False, False, None), ValueError)
+    report("taylor k", lambda: sp.SpectrumKind("taylor", False, False, 1), ValueError)
+    report("delta k", lambda: sp.SpectrumKind("delta", False, False, None), ValueError)
+    report("pi k", lambda: sp.SpectrumKind("pi", False, False, -1), ValueError)
+    report("no matrices", lambda: rp.representation(lc.abelian_algebra([]), []), ValueError)
+    report("conjugate shape", lambda: rp.conjugate_representation(s2, identity(3, EXACT)), ValueError)
+    report("conjugate backend", lambda: rp.conjugate_representation(s2, identity(2, FLOAT)), ValueError)
+    report("direct sum", lambda: rp.direct_sum(s2, z2), ValueError)
+
+    config = lab.ExperimentConfig("h3", (6,), 3, seed=7)
+    honest_conjugate = lab.conjugate_representation
+    lab.conjugate_representation = lambda rep, s: rp.Representation(
+        rep.algebra, rep.m, tuple(identity(rep.m, rep.backend) for _ in rep.mats))
+    report("proxy rank", lambda: lab.finite_rank_proxy(config), VerificationFailure)
+    lab.conjugate_representation = honest_conjugate
+    lab.spectrum = lambda rep, kind: types.SimpleNamespace(member_coeffs=())
+    report("proxy zero", lambda: lab.finite_rank_proxy(config), VerificationFailure)
+    """
+)
+
+
+def test_input_checks_survive_optimised_bytecode():
+    lines = _run_optimised(_INPUT_CHECKS_SCRIPT).stdout.splitlines()
+    labels = ["index pair", "coefficient count", "duplicate", "bracket order", "bracket length",
+              "bracket vectors", "family", "taylor k", "delta k", "pi k", "no matrices",
+              "conjugate shape", "conjugate backend", "direct sum", "proxy rank", "proxy zero"]
+    assert len(lines) == len(labels), lines
+    for label, line in zip(labels, lines):
+        assert line.startswith(f"{label} raised:"), lines
+
+
+def test_package_has_no_assert_statements():
+    # checks that must hold under python -O are exceptions, never assert statements
+    package = os.path.dirname(os.path.abspath(kz.__file__))
+    found = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_negative_homology_raises_typed_error():

@@ -503,7 +503,7 @@ def test_exact_nullspace_and_echelon_match_fraction_reference():
         ech = nm.echelon_vectors([[gr(*e) for e in r] for r in x], EXACT)
         want, pivots = _ref_rref(x, cols)
         assert [[(e.re, e.im) for e in r] for r in ech] == want, (kind, x)
-        assert nm.pivot_positions([[gr(*e) for e in r] for r in x], EXACT) == pivots
+        assert nm._echelon([[gr(*e) for e in r] for r in x], EXACT, None)[1] == pivots
 
 
 def test_exact_inverse_matches_fraction_reference():
@@ -530,14 +530,22 @@ def test_exact_solve_matrix_matches_fraction_reference():
             b = _ref_mul(a, _rand(rng, cols, bcols, kind), cols, bcols)
         else:
             b = _rand(rng, rows, bcols, "mixed")
-        got = nm.solve_matrix(_to_exact(a, cols), _to_exact(b, bcols))
+        m = _to_exact(a, cols)
+        got = nm.solve_matrix(m, _to_exact(b, bcols))
         want = _ref_solve(a, b, cols, bcols)
+        # the generalized inverse: m G m == m, its rank is the pivot count,
+        # and G b is the free-zero solution of every consistent system
+        g, r = nm.generalized_inverse(m)
+        assert (g.rows, g.cols) == (cols, rows)
+        assert r == nm.rank(m) == len(_ref_rref(a, cols)[1]), (kind, a)
+        assert _pairs(m * g * m) == _pairs(m), (kind, a)
         outcomes.add(want is None)
         if want is None:
             assert got is None, (kind, a, b)
         else:
             assert got is not None and (got.rows, got.cols) == (cols, bcols)
             assert _pairs(got) == want, (kind, a, b)
+            assert _pairs(g * _to_exact(b, bcols)) == want, (kind, a, b)
     assert outcomes == {True, False}
 
 
