@@ -4,13 +4,16 @@ Every subcommand reads a representation from a JSON file (or a named
 catalog fixture), computes one report, and prints it as deterministic JSON
 (sorted keys) or as an indented table.  Exit codes are stable: 0 for a
 clean run, 1 for a domain failure (validation violations, hypothesis
-violations, nonconvergence), 2 for unusable input (missing files, schema
-errors, bad flag combinations).
+violations, nonconvergence, a failed internal verification such as a
+dual-route disagreement), 2 for unusable input (missing files, schema
+errors, bad flag combinations).  Any other exception is a bug and
+propagates with its traceback.
 """
 
 import argparse
 import json
 import sys
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from . import lab
@@ -34,6 +37,7 @@ from .numeric import (
     FLOAT,
     ExactFactorizationFailure,
     Matrix,
+    VerificationFailure,
     make_scalar,
     scalar_from_text,
     scalar_to_json,
@@ -45,6 +49,7 @@ from .spectra import (
     NotSolvable,
     _compare_projection,
     _compare_routes,
+    _restrictions,
     all_kinds,
     all_spectra,
     cross_validate,
@@ -70,7 +75,7 @@ _DOMAIN_ERRORS = (
     DimensionCap,
     NotSplit,
     ExactFactorizationFailure,
-    RuntimeError,
+    VerificationFailure,
 )
 
 
@@ -207,24 +212,26 @@ def cmd_validate(args) -> Tuple[int, dict]:
     return (0 if payload["ok"] else 1), payload
 
 
+def _structure(L, tol) -> dict:
+    """Structural facts about L, as info and report print them."""
+    series = lower_central_series(L, tol)
+    facts = {
+        "solvable": is_solvable(L),
+        "nilpotent": is_nilpotent(L),
+        "derived_dim": derived_subalgebra(L, tol).dim,
+        "lower_central_dims": [S.dim for S in series],
+    }
+    if facts["nilpotent"]:
+        facts["nilpotency_class"] = len(series) - 1
+        facts["chain_dims"] = [S.dim for S in jordan_holder_chain(L, tol)]
+    return facts
+
+
 def cmd_info(args) -> Tuple[int, dict]:
     rep = _load_rep(args)
     L = rep.algebra
-    nilp = is_nilpotent(L)
-    series = lower_central_series(L, args.tol)
-    payload = {
-        "dim": L.n,
-        "basis": list(L.names),
-        "dimX": rep.m,
-        "backend": rep.backend,
-        "solvable": is_solvable(L),
-        "nilpotent": nilp,
-        "derived_dim": derived_subalgebra(L, args.tol).dim,
-        "lower_central_dims": [S.dim for S in series],
-    }
-    if nilp:
-        payload["nilpotency_class"] = len(series) - 1
-        payload["chain_dims"] = [S.dim for S in jordan_holder_chain(L, args.tol)]
+    payload = {"dim": L.n, "basis": list(L.names), "dimX": rep.m, "backend": rep.backend,
+               **_structure(L, args.tol)}
     return 0, payload
 
 
@@ -349,21 +356,7 @@ def cmd_project(args) -> Tuple[int, dict]:
 def cmd_report(args) -> Tuple[int, dict]:
     rep = _load_rep(args)
     L = rep.algebra
-    nilp = is_nilpotent(L)
-    series = lower_central_series(L, args.tol)
-    algebra = {
-        "dim": L.n,
-        "basis": list(L.names),
-        "solvable": is_solvable(L),
-        "nilpotent": nilp,
-        "derived_dim": derived_subalgebra(L, args.tol).dim,
-        "lower_central_dims": [S.dim for S in series],
-    }
-    chain: List[Subspace] = []
-    if nilp:
-        algebra["nilpotency_class"] = len(series) - 1
-        chain = jordan_holder_chain(L, args.tol)
-        algebra["chain_dims"] = [S.dim for S in chain]
+    algebra = {"dim": L.n, "basis": list(L.names), **_structure(L, args.tol)}
 
     reports = all_spectra(rep, tol=args.tol)
     spectra = {
@@ -384,13 +377,15 @@ def cmd_report(args) -> Tuple[int, dict]:
 
     projections = []
     notes: List[str] = []
-    if nilp and L.n >= 1:
-        ideal = chain[L.n - 1]  # the codimension-one chain ideal
+    if algebra["nilpotent"] and L.n >= 1:
+        ideal = jordan_holder_chain(L, args.tol)[L.n - 1]  # the codimension-one chain ideal
         kinds = [kind for kind in all_kinds(L.n) if not kind.essential]
         restricted = all_spectra(restrict_rep(rep, ideal, args.tol), kinds, tol=args.tol)
+        # every non-essential kind's members are Taylor members
+        restriction = _restrictions(reports["taylor"].members, ideal, args.tol)
         for kind in kinds:
             name = kind.render()
-            rpt = _compare_projection(rep, ideal, reports[name], restricted[name], args.tol)
+            rpt = _compare_projection(rep, reports[name], restricted[name], restriction)
             projections.append(
                 {
                     "kind": name,
@@ -502,7 +497,9 @@ def cmd_lab_suite(args) -> Tuple[int, dict]:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once per process; parse_args leaves the parser unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--backend", choices=(EXACT, FLOAT), default=None, help="arithmetic backend"

@@ -9,19 +9,22 @@ Chain terminology below: a full flag of ideals L_0 ⊂ L_1 ⊂ ... ⊂ L_n with
 dim L_i = i and [L_i, L_j] ⊆ L_{i-1} for i < j.  Such flags exist exactly
 for nilpotent algebras and are built here by refining the ascending central
 series one dimension at a time.
+
+Structural facts about an algebra (series, nilpotency, solvability, ideal
+tests, the flag) are cached per (algebra, subspace, tol); series and flags
+come back as tuples, so no caller can change a cached value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .numeric import (
     EXACT,
-    Matrix,
     Scalar,
     TAU,
-    col_vector,
     echelon_vectors,
     make_scalar,
     matrix_from_rows,
@@ -242,12 +245,14 @@ def _bracket_span(L: LieAlgebra, A: Subspace, B: Subspace, tol: Optional[float] 
     return span(L, prods, tol) if prods else zero_subspace(L)
 
 
+@lru_cache(maxsize=256)
 def derived_subalgebra(L: LieAlgebra, tol: Optional[float] = None) -> Subspace:
     prods = [L.structure(i, j) for i in range(L.n) for j in range(i + 1, L.n)]
     return span(L, prods, tol) if prods else zero_subspace(L)
 
 
-def lower_central_series(L: LieAlgebra, tol: Optional[float] = None) -> List[Subspace]:
+@lru_cache(maxsize=256)
+def lower_central_series(L: LieAlgebra, tol: Optional[float] = None) -> Tuple[Subspace, ...]:
     """L ⊇ [L,L] ⊇ [L,[L,L]] ⊇ ... until stabilization."""
     series = [full_subspace(L)]
     whole = series[0]
@@ -258,10 +263,11 @@ def lower_central_series(L: LieAlgebra, tol: Optional[float] = None) -> List[Sub
         series.append(nxt)
         if nxt.dim == 0:
             break
-    return series
+    return tuple(series)
 
 
-def derived_series(L: LieAlgebra, tol: Optional[float] = None) -> List[Subspace]:
+@lru_cache(maxsize=256)
+def derived_series(L: LieAlgebra, tol: Optional[float] = None) -> Tuple[Subspace, ...]:
     series = [full_subspace(L)]
     while True:
         cur = series[-1]
@@ -271,17 +277,20 @@ def derived_series(L: LieAlgebra, tol: Optional[float] = None) -> List[Subspace]
         series.append(nxt)
         if nxt.dim == 0:
             break
-    return series
+    return tuple(series)
 
 
+@lru_cache(maxsize=256)
 def is_nilpotent(L: LieAlgebra) -> bool:
-    return lower_central_series(L)[-1].dim == 0
+    return lower_central_series(L, None)[-1].dim == 0
 
 
+@lru_cache(maxsize=256)
 def is_solvable(L: LieAlgebra) -> bool:
-    return derived_series(L)[-1].dim == 0
+    return derived_series(L, None)[-1].dim == 0
 
 
+@lru_cache(maxsize=256)
 def is_ideal(L: LieAlgebra, S: Subspace, tol: Optional[float] = None) -> bool:
     for i in range(L.n):
         e = _basis_vector(L, i)
@@ -296,7 +305,8 @@ def is_ideal(L: LieAlgebra, S: Subspace, tol: Optional[float] = None) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _ascending_central_series(L: LieAlgebra, tol: Optional[float] = None) -> List[Subspace]:
+@lru_cache(maxsize=256)
+def _ascending_central_series(L: LieAlgebra, tol: Optional[float] = None) -> Tuple[Subspace, ...]:
     """0 = Z_0 ⊆ Z_1 ⊆ ... with Z_{k+1}/Z_k the center of L/Z_k."""
     series = [zero_subspace(L)]
     backend = L.backend
@@ -315,10 +325,10 @@ def _ascending_central_series(L: LieAlgebra, tol: Optional[float] = None) -> Lis
         kernel = nullspace_basis(mat, tol)
         nxt = span(L, [tuple(k.at(r, 0) for r in range(L.n)) for k in kernel], tol)
         if nxt.dim == zk.dim:
-            return series
+            return tuple(series)
         series.append(nxt)
         if nxt.dim == L.n:
-            return series
+            return tuple(series)
 
 
 def _normalize_leading(vec: Vector, thr: float = 0.0) -> Vector:
@@ -326,7 +336,8 @@ def _normalize_leading(vec: Vector, thr: float = 0.0) -> Vector:
     return tuple(x / lead for x in vec)
 
 
-def jordan_holder_chain(L: LieAlgebra, tol: Optional[float] = None) -> List[Subspace]:
+@lru_cache(maxsize=256)
+def jordan_holder_chain(L: LieAlgebra, tol: Optional[float] = None) -> Tuple[Subspace, ...]:
     """Full flag 0 = L_0 ⊂ L_1 ⊂ ... ⊂ L_n = L with [L_i, L_j] ⊆ L_{i-1}.
 
     Built by refining the ascending central series; inside each central
@@ -351,7 +362,7 @@ def jordan_holder_chain(L: LieAlgebra, tol: Optional[float] = None) -> List[Subs
                     candidates.append(_normalize_leading(r, thr))
             pick = min(candidates, key=lambda v: tuple(scalar_key(x) for x in v))
             chain.append(span(L, list(current.basis) + [pick], tol))
-    return chain
+    return tuple(chain)
 
 
 def verify_chain(L: LieAlgebra, chain: Sequence[Subspace], tol: Optional[float] = None) -> List[str]:

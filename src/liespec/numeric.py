@@ -391,6 +391,23 @@ def identity(n: int, backend: str) -> Matrix:
     return Matrix(n, n, tuple(o if i == j else z for i in range(n) for j in range(n)), backend)
 
 
+def sub_diagonal(m: Matrix, lam: Scalar) -> Matrix:
+    """m - lam*I without forming lam*I.  Exact entries off the diagonal are
+    kept as they are; float ones still have lam*0 subtracted, because its
+    signed zeros reach the float output."""
+    _check_square(m)
+    n = m.rows
+    if m.backend == EXACT:
+        entries = list(m.entries)
+    else:
+        off = lam * sc_zero(FLOAT)
+        entries = [a - off for a in m.entries]
+        lam = lam * sc_one(FLOAT)
+    for i in range(0, n * n, n + 1):
+        entries[i] = m.entries[i] - lam
+    return Matrix(n, n, tuple(entries), m.backend)
+
+
 def col_vector(entries: Sequence[Scalar], backend: str) -> Matrix:
     return Matrix(len(entries), 1, tuple(entries), backend)
 

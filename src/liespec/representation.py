@@ -29,13 +29,13 @@ from .numeric import (
     Scalar,
     TAU,
     VerificationFailure,
-    identity,
     inverse,
     make_scalar,
     matrix_from_rows,
     scalar_from_json,
     scalar_to_json,
     sc_is_zero,
+    sub_diagonal,
     zeros,
 )
 
@@ -112,9 +112,8 @@ def shift(rep: Representation, f: Character, tol: Optional[float] = None) -> Rep
     """
     if f.algebra != rep.algebra or not is_character(rep.algebra, f.coeffs, tol):
         raise NotACharacter("shift needs a character of the same algebra")
-    eye = identity(rep.m, rep.backend)
     mats = tuple(
-        mat - eye.scale(c) if not sc_is_zero(c) else mat
+        sub_diagonal(mat, c) if not sc_is_zero(c) else mat
         for mat, c in zip(rep.mats, f.coeffs)
     )
     return Representation(rep.algebra, rep.m, mats)

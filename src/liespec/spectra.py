@@ -45,7 +45,6 @@ from .numeric import (
     Scalar,
     VerificationFailure,
     eigenvalues,
-    identity,
     intersect_subspaces,
     inverse,
     matrix_from_columns,
@@ -54,6 +53,7 @@ from .numeric import (
     unit_columns,
     sc_abs,
     scalar_key,
+    sub_diagonal,
     scalar_to_json,
 )
 from .representation import Representation, adjoint_action, adjoint_rep, restrict_rep
@@ -68,6 +68,10 @@ class NotSolvable(Exception):
 
 class HypothesisViolation(Exception):
     """The eigencharacter shortcut is only a theorem for nilpotent algebras."""
+
+
+class RouteDisagreement(VerificationFailure):
+    """The homology and eigencharacter routes differ on a nilpotent algebra."""
 
 
 Vector = Tuple[Scalar, ...]
@@ -251,7 +255,6 @@ def _joint_eigenvectors(
     caller can reuse the result.
     """
     L, backend = rep.algebra, rep.backend
-    eye = identity(rep.m, backend)
     if multisets is None:
         multisets = [None] * L.n
 
@@ -271,7 +274,7 @@ def _joint_eigenvectors(
             yield lams, space[0]
             return
         for lam in unique_eigenvalues(k):
-            kernel = nullspace_basis(rep.mats[k] - eye.scale(lam), tol)
+            kernel = nullspace_basis(sub_diagonal(rep.mats[k], lam), tol)
             if not kernel:
                 continue
             # first level: the ambient space is everything
@@ -581,7 +584,7 @@ def _compare_routes(
     contained = char_subset(eig, hom, backend)
     strict = contained and not equal
     if nilp and not equal:
-        raise RuntimeError(
+        raise RouteDisagreement(
             "dual-route disagreement on a nilpotent algebra: "
             f"homology {hom!r} vs eigencharacters {eig!r}"
         )
@@ -612,21 +615,25 @@ def projection_check(
         raise ValueError("projection check is for non-essential kinds")
     big = spectrum(rep, kind, cap, tol)
     small = spectrum(restrict_rep(rep, ideal, tol), kind, cap, tol)
-    return _compare_projection(rep, ideal, big, small, tol)
+    return _compare_projection(rep, big, small, _restrictions(big.members, ideal, tol))
+
+
+def _restrictions(members: Sequence[Character], ideal: Subspace, tol: Optional[float]) -> Dict[Character, Vector]:
+    """Each member's values on the ideal, one restriction per member."""
+    return {f: restrict_character(f, ideal, tol) for f in members}
 
 
 def _compare_projection(
     rep: Representation,
-    ideal: Subspace,
     big: SpectrumReport,
     small: SpectrumReport,
-    tol: Optional[float],
+    restricted_members: Dict[Character, Vector],
 ) -> ProjectionReport:
     """projection_check on already computed reports of one kind for rep and
-    for its restriction to the ideal."""
+    for its restriction to the ideal; restricted_members maps every member
+    of big to its restriction."""
     projected = dedup_characters(
-        tuple(restrict_character(f, ideal, tol) for f in big.members),
-        rep.backend,
+        tuple(restricted_members[f] for f in big.members), rep.backend
     )
     restricted = small.member_coeffs
     return ProjectionReport(

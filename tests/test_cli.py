@@ -7,12 +7,12 @@ import time
 
 import pytest
 
-from liespec import lab, spectra
+from liespec import cli, lab, spectra
 from liespec import lie_core as lc
 from liespec import representation as rp
 from liespec.cli import main
 from liespec.lie_core import jordan_holder_chain
-from liespec.numeric import scalar_to_json
+from liespec.numeric import VerificationFailure, scalar_to_json
 from liespec.representation import rep_to_json
 
 
@@ -451,3 +451,71 @@ def test_irrational_eigenvalue_with_huge_divisor_count_exits_1_fast(capsys, tmp_
     assert code == 1
     assert out == ""
     assert "error:" in err
+
+
+# --- per-algebra caches and one restriction per member -----------------------------
+
+
+def test_report_derives_algebra_invariants_once_per_process(capsys, monkeypatch):
+    for value in vars(lc).values():
+        if callable(getattr(value, "cache_clear", None)):
+            value.cache_clear()
+    F4 = lab.fixture("f4").rep.algebra
+    spans = []
+    honest = lc._bracket_span
+
+    def counting(L, *args, **kwargs):
+        spans.append(L == F4)
+        return honest(L, *args, **kwargs)
+
+    monkeypatch.setattr(lc, "_bracket_span", counting)
+    per_run = []
+    for _ in range(2):
+        code, _, _ = run(capsys, "report", "--fixture", "f4")
+        assert code == 0
+        per_run.append(sum(spans))
+        spans.clear()
+    assert per_run[0] > 0
+    assert per_run[1] == 0
+
+
+@pytest.mark.parametrize("name", ["a1", "h3", "z3", "f4"])
+def test_report_restricts_each_taylor_member_once(capsys, monkeypatch, name):
+    restricted = []
+    honest = spectra.restrict_character
+
+    def counting(f, *args, **kwargs):
+        restricted.append(f.coeffs)
+        return honest(f, *args, **kwargs)
+
+    monkeypatch.setattr(spectra, "restrict_character", counting)
+    code, out, _ = run(capsys, "report", "--fixture", name)
+    assert code == 0
+    taylor = json.loads(out)["spectra"]["taylor"]["members"]
+    assert sorted([scalar_to_json(c) for c in f] for f in restricted) == sorted(taylor)
+
+
+def test_parser_is_built_once_per_process():
+    assert cli._build_parser() is cli._build_parser()
+
+
+# --- typed failures: route disagreement and internal errors -----------------------
+
+
+def test_crossval_route_disagreement_exits_1(capsys, monkeypatch):
+    honest = spectra.joint_eigencharacters
+    monkeypatch.setattr(spectra, "joint_eigencharacters", lambda rep, tol=None: honest(rep, tol)[1:])
+    code, out, err = run(capsys, "crossval", "--fixture", "h3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: dual-route disagreement on a nilpotent algebra")
+    assert issubclass(spectra.RouteDisagreement, VerificationFailure)
+
+
+def test_internal_errors_propagate_with_traceback(monkeypatch):
+    def broken(rep, tol=None):
+        raise RuntimeError("an internal bug")
+
+    monkeypatch.setattr(spectra, "joint_eigencharacters", broken)
+    with pytest.raises(RuntimeError, match="an internal bug"):
+        main(["crossval", "--fixture", "h3"])

@@ -236,3 +236,100 @@ def test_zero_dimensional_algebra():
     assert lc.is_nilpotent(L)
     chain = lc.jordan_holder_chain(L)
     assert len(chain) == 1 and lc.verify_chain(L, chain) == []
+
+
+# --- per-algebra caches -------------------------------------------------------
+
+
+def test_series_and_flags_are_tuples():
+    for L in (h3(), aff1(), ab2()):
+        assert type(lc.lower_central_series(L)) is tuple
+        assert type(lc.derived_series(L)) is tuple
+    assert type(lc.jordan_holder_chain(h3())) is tuple
+
+
+def near_degenerate():
+    """[x,y] = z, [x,w] = z + 1e-6 u with z, u central (float): whether the
+    derived algebra has dimension 2 or 1 depends on the tolerance."""
+    z, zu = [0, 0, 0, 1, 0], [0, 0, 0, 1, 1e-6]
+    return lc.lie_algebra(["x", "y", "w", "z", "u"], {(0, 1): z, (0, 2): zu}, backend=FLOAT)
+
+
+def test_float_tolerance_is_part_of_the_cache_key():
+    L = near_degenerate()
+    assert lc.validate_lie_algebra(L) == []
+    coarse = lc.lower_central_series(L, 1e-3)
+    assert [S.dim for S in lc.lower_central_series(L)] == [5, 2, 0]
+    assert [S.dim for S in coarse] == [5, 1, 0]
+    assert lc.lower_central_series(L, 1e-3) is coarse  # served from the cache
+    default = lc.derived_subalgebra(L)
+    assert (default.dim, lc.derived_subalgebra(L, 1e-3).dim) == (2, 1)
+    assert lc.derived_subalgebra(L) is default
+    # [x, w] = z + 1e-6 u lies in span{w, z} only at the coarse tolerance
+    wz = lc.span(L, [(0j, 0j, 1 + 0j, 0j, 0j), (0j, 0j, 0j, 1 + 0j, 0j)])
+    assert lc.is_ideal(L, wz, 1e-3) and not lc.is_ideal(L, wz)
+
+
+def _cached_functions():
+    """Every lru_cache'd function defined in liespec, by qualified name."""
+    import importlib
+    import pkgutil
+
+    import liespec
+
+    found = {}
+    for info in pkgutil.iter_modules(liespec.__path__):
+        mod = importlib.import_module(f"liespec.{info.name}")
+        for name, value in vars(mod).items():
+            if callable(getattr(value, "cache_clear", None)) and value.__module__ == mod.__name__:
+                found[f"{mod.__name__}.{name}"] = value
+    return found
+
+
+def _mutable_parts(value):
+    """Lists, dicts and sets reachable through tuples, frozensets and the
+    compared fields of dataclasses.  Other objects are opaque: the cached
+    argument parser is one, and parse_args leaves it unchanged."""
+    import dataclasses
+
+    if isinstance(value, (list, dict, set)):
+        return [type(value).__name__]
+    if isinstance(value, (tuple, frozenset)):
+        return [t for v in value for t in _mutable_parts(v)]
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return [t for f in dataclasses.fields(value) if f.compare
+                for t in _mutable_parts(getattr(value, f.name))]
+    return []
+
+
+def test_cached_results_hold_no_mutable_container():
+    import inspect
+    import itertools
+
+    from liespec import lab
+
+    cached = _cached_functions()
+    assert {
+        "liespec.lie_core.is_ideal", "liespec.lie_core.jordan_holder_chain",
+        "liespec.spectra.homology_support", "liespec.koszul.exterior_basis",
+        "liespec.koszul._differential_pattern", "liespec.cli._build_parser",
+    } <= set(cached)
+    calls = 0
+    for backend in (EXACT, FLOAT):
+        for fix in lab.catalog(backend):
+            L = fix.rep.algebra
+            subspaces = {lc.zero_subspace(L), lc.full_subspace(L), lc.derived_subalgebra(L)}
+            subspaces |= set(lc.lower_central_series(L)) | set(lc.derived_series(L))
+            inputs = {"L": [L], "S": subspaces, "tol": [None], "n": [L.n], "p": range(1, L.n + 1)}
+            for name, fn in sorted(cached.items()):
+                params = inspect.signature(fn).parameters
+                missing = set(params) - set(inputs)
+                assert not missing, f"no catalog inputs for {name} parameters {missing}"
+                for args in itertools.product(*(inputs[p] for p in params)):
+                    try:
+                        result = fn(*args)
+                    except lc.NotNilpotent:
+                        continue
+                    calls += 1
+                    assert _mutable_parts(result) == [], (name, fix.name, backend)
+    assert calls > 100

@@ -567,3 +567,43 @@ def test_shape_and_deflation_checks_raise_typed_errors():
     with pytest.raises(nm.VerificationFailure):
         nm._poly_deflate([gr(1), gr(0), gr(-1)], gr(2))  # 2 is no root of t^2 - 1
     assert issubclass(nm.VerificationFailure, RuntimeError)
+
+
+def _entrywise(m):
+    # repr keeps the sign of a float zero, which == does not
+    return tuple(repr(x) for x in m.entries) if m.backend == FLOAT else m.entries
+
+
+def test_sub_diagonal_matches_subtracting_a_scaled_identity():
+    from liespec import lab
+
+    def check(m, lam):
+        want = m - identity(m.rows, m.backend).scale(lam)
+        got = nm.sub_diagonal(m, lam)
+        assert (got.rows, got.cols, got.backend) == (want.rows, want.cols, want.backend)
+        assert _entrywise(got) == _entrywise(want), (m, lam)
+
+    checked = 0
+    for backend in (EXACT, FLOAT):
+        for fix in lab.catalog(backend):
+            for mat in fix.rep.mats:
+                lams = nm.eigenvalues(mat) + [nm.sc_one(backend), nm.make_scalar(gr(-3, 2), backend)]
+                for m in (mat, -mat):
+                    for lam in lams:
+                        check(m, lam)
+                        checked += 1
+    rng = random.Random(117)
+    signed = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), -1.5 + 2j, 2 - 0.5j]
+    for t in range(200):
+        kind = _KINDS[t % len(_KINDS)]
+        n = rng.randint(0, 5)
+        m = _to_exact(_rand(rng, n, n, kind), n)
+        lam = gr(*_entry(rng, kind))
+        check(m, lam)
+        for fm in (m.to_float(), -m.to_float()):
+            check(fm, lam.to_complex())
+            check(fm, rng.choice(signed))
+        checked += 3
+    assert checked > 600
+    with pytest.raises(nm.VerificationFailure):
+        nm.sub_diagonal(exact_mat([[1, 2, 3]]), gr(1))
