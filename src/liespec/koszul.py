@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Tuple
 from .lie_core import Character, LieAlgebra, NotACharacter, is_character
 from .numeric import (
     EXACT,
+    TAU,
     Matrix,
     Scalar,
     VerificationFailure,
@@ -43,14 +44,20 @@ from .numeric import (
 )
 from .representation import Representation
 
-DEFAULT_CAP = 100_000
+# Budget on the dense entries (rows x cols) of one differential.  Each d_p
+# is a dense entry list, so this bounds a complex before any of it is
+# allocated.  The largest differential built by the tests (42 x 42), the
+# benchmark (24 x 36), `lab suite --seeds 25` (28 x 42) or the H3/F4
+# scaling sweep up to m = 24 / m = 16 (64 x 96, from F4 with m = 16) has
+# 6 144 entries.
+MAX_DIFFERENTIAL_ENTRIES = 10 ** 6
 
 # residual budget for verifying homotopy identities on the float backend
 HOMOTOPY_RESIDUAL = 1e-6
 
 
 class DimensionCap(Exception):
-    """Chain spaces exceed the configured size budget."""
+    """A differential would exceed MAX_DIFFERENTIAL_ENTRIES dense entries."""
 
 
 class NotSplit(Exception):
@@ -171,36 +178,35 @@ def koszul_differential(rep: Representation, p: int) -> Matrix:
     return _differential(rep, p, ())
 
 
-def _check_cap(n: int, m: int, cap: int):
-    worst = max(m * math.comb(n, p) for p in range(n + 1))
-    if worst > cap:
-        raise DimensionCap(
-            f"chain space dimension {worst} exceeds the cap {cap}; "
-            "raise the cap explicitly to proceed"
-        )
-
-
-def _truncated_complex(rep: Representation, f: Optional[Character], cap: int,
+def _truncated_complex(rep: Representation, f: Optional[Character],
                        tol: Optional[float], lo: int, hi: int) -> ChainComplex:
     """The complex of rho - f cut to degrees lo..hi, zero below lo: homology is
-    unchanged strictly between lo and hi, and at an end that is 0 or n."""
+    unchanged strictly between lo and hi, and at an end that is 0 or n.
+    Raises DimensionCap before allocating when a differential it builds
+    would exceed MAX_DIFFERENTIAL_ENTRIES."""
     L = rep.algebra
-    _check_cap(L.n, rep.m, cap)
+    dims = tuple(rep.m * math.comb(L.n, p) if p >= lo else 0 for p in range(hi + 1))
+    for p in range(lo + 1, hi + 1):
+        rows, cols = dims[p - 1], dims[p]
+        if rows * cols > MAX_DIFFERENTIAL_ENTRIES:
+            raise DimensionCap(
+                f"d_{p} would have {rows}x{cols} = {rows * cols} entries, over the "
+                f"budget of {MAX_DIFFERENTIAL_ENTRIES} entries per differential"
+            )
     fs: Tuple[Scalar, ...] = ()
     if f is not None and not all(sc_is_zero(c) for c in f.coeffs):
         if f.algebra != L or not is_character(L, f.coeffs, tol):
             raise NotACharacter("shift needs a character of the same algebra")
         fs = f.coeffs
-    dims = tuple(rep.m * math.comb(L.n, p) if p >= lo else 0 for p in range(hi + 1))
     ds = tuple(_differential(rep, p, fs) if p > lo else zeros(0, dims[p], rep.backend)
                for p in range(1, hi + 1))
     return ChainComplex(rep.backend, dims, ds)
 
 
-def build_complex(rep: Representation, f: Optional[Character] = None, cap: int = DEFAULT_CAP,
+def build_complex(rep: Representation, f: Optional[Character] = None,
                   tol: Optional[float] = None) -> ChainComplex:
     """Chain complex of rho - f (f defaults to zero)."""
-    return _truncated_complex(rep, f, cap, tol, 0, rep.algebra.n)
+    return _truncated_complex(rep, f, tol, 0, rep.algebra.n)
 
 
 def validate_complex(C: ChainComplex, tol: Optional[float] = None) -> List[int]:
@@ -211,7 +217,7 @@ def validate_complex(C: ChainComplex, tol: Optional[float] = None) -> List[int]:
         thr = 0.0
         if C.backend != EXACT:
             scale = max(C.d(p - 1).maxnorm() * C.d(p).maxnorm(), 1.0)
-            thr = (1e-9 if tol is None else tol) * scale
+            thr = (TAU if tol is None else tol) * scale
         if not prod.is_zero(thr):
             bad.append(p)
     return bad
@@ -233,11 +239,10 @@ def complex_profile(C: ChainComplex, tol: Optional[float] = None) -> Tuple[Tuple
 def homology_dims(
     rep: Representation,
     f: Optional[Character] = None,
-    cap: int = DEFAULT_CAP,
     tol: Optional[float] = None,
 ) -> BettiVector:
     """Betti numbers h[p] = dim H_p of the complex of rho - f."""
-    C = build_complex(rep, f, cap, tol)
+    C = build_complex(rep, f, tol)
     return complex_profile(C, tol)[2]
 
 
@@ -267,8 +272,11 @@ def complex_splitting(
         raise NotSplit(f"homology has dimension {h} at degree {p}")
     q = identity(C.dims[p], C.backend) - g_a * A
     h_p = g_b * q
-    budget = 0.0 if C.backend == EXACT else HOMOTOPY_RESIDUAL
-    if not (B * h_p - q).is_zero(budget):
+    if C.backend == EXACT:
+        holds = B * h_p == q
+    else:
+        holds = (B * h_p - q).is_zero(HOMOTOPY_RESIDUAL)
+    if not holds:
         raise VerificationFailure("homotopy identity failed verification")
     return h_p, g_a
 
@@ -277,12 +285,11 @@ def splitting_homotopy(
     rep: Representation,
     f: Optional[Character] = None,
     p: int = 0,
-    cap: int = DEFAULT_CAP,
     tol: Optional[float] = None,
 ) -> Tuple[Matrix, Matrix]:
     """Homotopy pair for the complex of rho - f at degree p, or NotSplit.
     Only d_p and d_(p+1) are built, on degrees max(p-1, 0)..min(p+1, n)."""
     n = rep.algebra.n
     _check_degree(p, 0, n)
-    C = _truncated_complex(rep, f, cap, tol, max(p - 1, 0), min(p + 1, n))
+    C = _truncated_complex(rep, f, tol, max(p - 1, 0), min(p + 1, n))
     return complex_splitting(C, p, tol)

@@ -3,12 +3,14 @@
 Two interchangeable backends:
 
   * "exact"  -- Gaussian rationals (pairs of ``fractions.Fraction``).
-    Eigenvalues are guessed, then verified: numpy roots of the exact
-    square-free part of the characteristic polynomial are rounded to
-    Gaussian rationals and kept only where exact evaluation vanishes; a
-    rational-root search over Gaussian-integer divisors, bounded by a step
-    budget, takes whatever the guesses miss.  Matrix products and elimination
-    run on Gaussian integers: each row (or column) is scaled once to
+    The characteristic polynomial comes from the Faddeev-LeVerrier
+    recurrence on the matrix cleared to Gaussian integers, where every
+    division is exact.  Its roots are guessed, then verified on integers:
+    numpy roots of its exact square-free part are rounded to Gaussian
+    rationals and kept only where homogenised integer Horner evaluation
+    vanishes; a rational-root search over Gaussian-integer divisors, bounded
+    by a step budget, takes whatever the guesses miss.  Matrix products and
+    elimination run on Gaussian integers: each row (or column) is scaled once to
     integer (re, im) pairs over one shared denominator, zero entries are
     skipped, and only the final entries are turned back into reduced
     Fractions.  Elimination is fraction-free: Gauss-Jordan with
@@ -532,6 +534,22 @@ def _gr_over(a: int, b: int, d: int) -> GaussianRational:
     return GaussianRational(Fraction(a, d), Fraction(b, d))
 
 
+def _zi_row_product(
+    row: Sequence[Tuple[int, int]], yrows: List[List[Tuple[int, int, int]]], ncols: int
+) -> Tuple[List[int], List[int]]:
+    """(real parts, imaginary parts) of row * Y, where yrows[k] lists the
+    nonzero entries (j, c, d) of row k of Y; zero entries of row are skipped."""
+    acc_re = [0] * ncols
+    acc_im = [0] * ncols
+    for k, (a, b) in enumerate(row):
+        if not (a or b):
+            continue
+        for j, c, d in yrows[k]:
+            acc_re[j] += a * c - b * d
+            acc_im[j] += a * d + b * c
+    return acc_re, acc_im
+
+
 def _mul_exact(x: Matrix, y: Matrix) -> Matrix:
     # Rows of x and columns of y are scaled to integers, so entry (i, j) of
     # the product is an integer sum over the nonzero x[i, k] * y[k, j],
@@ -546,14 +564,7 @@ def _mul_exact(x: Matrix, y: Matrix) -> Matrix:
     out: List[GaussianRational] = []
     for i in range(x.rows):
         pairs, dx = _clear_denominators(x.row(i))
-        acc_re = [0] * y.cols
-        acc_im = [0] * y.cols
-        for k, (a, b) in enumerate(pairs):
-            if not (a or b):
-                continue
-            for j, c, d in yrows[k]:
-                acc_re[j] += a * c - b * d
-                acc_im[j] += a * d + b * c
+        acc_re, acc_im = _zi_row_product(pairs, yrows, y.cols)
         out.extend(_gr_over(re, im, dx * dy) for re, im, dy in zip(acc_re, acc_im, ydens))
     return Matrix(x.rows, y.cols, tuple(out), EXACT)
 
@@ -731,76 +742,42 @@ def intersect_subspaces(
 # ---------------------------------------------------------------------------
 
 
-def _hessenberg(rows: List[List[Scalar]], backend: str) -> List[List[Scalar]]:
-    # similarity reduction to upper Hessenberg form, in place
-    size = len(rows)
-    for k in range(size - 2):
-        piv = -1
-        if backend == EXACT:
-            for i in range(k + 1, size):
-                if not sc_is_zero(rows[i][k]):
-                    piv = i
-                    break
-        else:
-            best = 0.0
-            for i in range(k + 1, size):
-                mag = sc_abs(rows[i][k])
-                if mag > best:
-                    best, piv = mag, i
-        if piv < 0:
-            continue
-        if piv != k + 1:
-            rows[piv], rows[k + 1] = rows[k + 1], rows[piv]
-            for r in rows:
-                r[piv], r[k + 1] = r[k + 1], r[piv]
-        lead = rows[k + 1][k]
-        for i in range(k + 2, size):
-            if sc_is_zero(rows[i][k]):
-                continue
-            t = rows[i][k] / lead
-            ri, rk = rows[i], rows[k + 1]
-            for j in range(k, size):
-                ri[j] = ri[j] - t * rk[j]
-            # inverse similarity: fold t times column i back into column k+1
-            for r in rows:
-                r[k + 1] = r[k + 1] + t * r[i]
-    return rows
+def char_poly(m: Matrix) -> List[GaussianRational]:
+    """Monic characteristic polynomial det(tI - M), leading coefficient
+    first, of an exact matrix.
 
-
-def char_poly(m: Matrix) -> List[Scalar]:
-    """Monic characteristic polynomial det(tI - M), leading coefficient first.
-
-    Hessenberg reduction followed by the leading-minor recurrence; for a
-    Hessenberg H the k x k minor of tI - H expands along its last column
-    into earlier minors weighted by subdiagonal products.
+    Faddeev-LeVerrier on the Gaussian-integer matrix N = d*M, d the common
+    denominator: M_1 = I, c_k = -tr(N M_k) / k, M_(k+1) = N M_k + c_k I gives
+    det(sI - N) = sum_k c_k s^(n-k), whose c_k lie in Z[i], so every division
+    by k is exact.  The coefficient of t^(n-k) in det(tI - M) is c_k / d^k.
+    M_k is a polynomial in N, so N M_k = M_k N, formed row by row against
+    the sparse rows of N.
     """
     _check_square(m)
-    backend = m.backend
+    if m.backend != EXACT:
+        raise ValueError("char_poly needs an exact matrix")
     size = m.rows
-    one, zero = sc_one(backend), sc_zero(backend)
-    if size == 0:
-        return [one]
-    h = _hessenberg(m.to_lists(), backend)
-    minors = [[one]]  # minors[k] = degree-k polynomial, ascending coefficients
+    pairs, d = _clear_denominators(m.entries)
+    n_rows = [[(j, a, b) for j, (a, b) in enumerate(pairs[i * size : (i + 1) * size]) if a or b]
+             for i in range(size)]
+    mk = [[(1, 0) if i == j else (0, 0) for j in range(size)] for i in range(size)]
+    coeffs = [GR_ONE]
+    dk = 1
     for k in range(1, size + 1):
-        prev = minors[k - 1]
-        cur = [zero] * (k + 1)
-        diag = h[k - 1][k - 1]
-        for d, c in enumerate(prev):
-            cur[d + 1] = cur[d + 1] + c
-            cur[d] = cur[d] - diag * c
-        mult = one
-        for i in range(k - 1, 0, -1):
-            mult = mult * h[i][i - 1]
-            if sc_is_zero(mult):
-                break
-            coeff = h[i - 1][k - 1] * mult
-            if sc_is_zero(coeff):
-                continue
-            for d, c in enumerate(minors[i - 1]):
-                cur[d] = cur[d] - coeff * c
-        minors.append(cur)
-    return list(reversed(minors[size]))
+        prod = [_zi_row_product(row, n_rows, size) for row in mk]
+        tr_re = sum(re[i] for i, (re, _) in enumerate(prod))
+        tr_im = sum(im[i] for i, (_, im) in enumerate(prod))
+        if tr_re % k or tr_im % k:
+            raise VerificationFailure(f"trace of N M_{k} is not divisible by {k}")
+        c_re, c_im = -tr_re // k, -tr_im // k
+        dk *= d
+        coeffs.append(_gr_over(c_re, c_im, dk))
+        if k < size:
+            mk = [list(zip(re, im)) for re, im in prod]
+            for i in range(size):
+                a, b = mk[i][i]
+                mk[i][i] = (a + c_re, b + c_im)
+    return coeffs
 
 
 # Budget, in loop steps, of the divisor-search fallback of one root search:
@@ -868,23 +845,6 @@ def _gaussian_divisors(g: Tuple[int, int], budget: _StepBudget) -> List[Tuple[in
 
 
 _UNITS = ((1, 0), (-1, 0), (0, 1), (0, -1))
-
-
-def _poly_eval(coeffs: List[GaussianRational], x: GaussianRational) -> GaussianRational:
-    acc = GR_ZERO
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
-
-
-def _poly_deflate(coeffs: List[GaussianRational], r: GaussianRational) -> List[GaussianRational]:
-    out = [coeffs[0]]
-    for c in coeffs[1:-1]:
-        out.append(out[-1] * r + c)
-    rem = out[-1] * r + coeffs[-1]
-    if not rem.is_zero:
-        raise VerificationFailure("deflation by a non-root")
-    return out
 
 
 # --- polynomials over the Gaussian integers ---------------------------------
@@ -978,33 +938,48 @@ def _guessed_roots(q: List[Tuple[int, int]]) -> List[GaussianRational]:
 _NEWTON_STEPS = 3
 
 
-def _newton_refined(q: List[Tuple[int, int]], x: GaussianRational) -> GaussianRational:
-    """x moved by exact Newton steps on the square-free q (so q' is nonzero
-    at its roots), a*x rounded to Z[i] after each, until q vanishes there."""
-    a, deg = q[0][0], len(q) - 1
-    qs = [gr(re, im) for re, im in q]
-    slope_coeffs = [gr((deg - k) * re, (deg - k) * im) for k, (re, im) in enumerate(q[:-1])]
-    for _ in range(_NEWTON_STEPS):
-        slope = _poly_eval(slope_coeffs, x)
-        if slope.is_zero:
-            break
-        x = x - _poly_eval(qs, x) / slope
-        x = _gr_over(round(a * x.re), round(a * x.im), a)
-        if _poly_eval(qs, x).is_zero:
-            break
-    return x
-
-
-def _zi_vanishes(q: List[Tuple[int, int]], x: Tuple[int, int], d: int) -> bool:
-    """Whether q(x / d) == 0, for a positive integer d, by Horner on the
-    homogenised polynomial sum_k q_k x^(deg-k) d^k."""
+def _zi_value(q: List[Tuple[int, int]], x: Tuple[int, int], d: int) -> Tuple[int, int]:
+    """d^deg * q(x / d), for a positive integer d, by Horner on the
+    homogenised polynomial sum_k q_k x^(deg-k) d^k: zero exactly where
+    x / d is a root of q."""
     xa, xb = x
     acc_a, acc_b = q[0]
     dk = 1
     for ca, cb in q[1:]:
         dk *= d
         acc_a, acc_b = acc_a * xa - acc_b * xb + ca * dk, acc_a * xb + acc_b * xa + cb * dk
-    return acc_a == 0 and acc_b == 0
+    return acc_a, acc_b
+
+
+def _zi_deflate(p: List[Tuple[int, int]], x: Tuple[int, int], d: int) -> List[Tuple[int, int]]:
+    """p / (d*t - x) as a primitive polynomial, for a root x / d of p."""
+    quo, rem = _zi_divmod(p, [(d, 0), (-x[0], -x[1])])
+    if rem:
+        raise VerificationFailure("deflation by a non-root")
+    return _zi_primitive(quo)
+
+
+def _newton_refined(q: List[Tuple[int, int]], x: GaussianRational) -> GaussianRational:
+    """x moved by exact Newton steps on the square-free q (so q' is nonzero
+    at its roots), a*x rounded to Z[i] after each, until q vanishes there.
+
+    With x = n / d, h = d^deg q(x) and s = d^(deg-1) q'(x), the step is
+    x - h / (d*s), so a*x becomes a*(n*s - h) / (d*s)."""
+    a, deg = q[0][0], len(q) - 1
+    slope_q = [((deg - k) * re, (deg - k) * im) for k, (re, im) in enumerate(q[:-1])]
+    (n,), d = _clear_denominators([x])
+    for _ in range(_NEWTON_STEPS):
+        sa, sb = _zi_value(slope_q, n, d)
+        if not (sa or sb):
+            break
+        ha, hb = _zi_value(q, n, d)
+        ua, ub = a * (n[0] * sa - n[1] * sb - ha), a * (n[0] * sb + n[1] * sa - hb)
+        den = d * (sa * sa + sb * sb)
+        n = (round(Fraction(ua * sa + ub * sb, den)), round(Fraction(ub * sa - ua * sb, den)))
+        d = a
+        if _zi_value(q, n, d) == (0, 0):
+            break
+    return _gr_over(*n, d)
 
 
 def _divisor_roots(q: List[Tuple[int, int]]) -> List[GaussianRational]:
@@ -1028,7 +1003,7 @@ def _divisor_roots(q: List[Tuple[int, int]]) -> List[GaussianRational]:
                     continue
                 seen.add(cand)
                 budget.spend(len(q))
-                if _zi_vanishes(q, x, nd):
+                if _zi_value(q, x, nd) == (0, 0):
                     found.append(cand)
                     if len(found) == len(q) - 1:
                         return found
@@ -1038,41 +1013,47 @@ def _divisor_roots(q: List[Tuple[int, int]]) -> List[GaussianRational]:
 def _poly_roots_exact(coeffs: List[GaussianRational]) -> List[GaussianRational]:
     """All roots (with multiplicity) over the Gaussian rationals, or raise.
 
-    Guess, then verify: float roots of the exact square-free part, rounded to
-    Gaussian rationals, are kept only where exact Horner evaluation vanishes,
-    and deflation reads off each multiplicity.  A guess that is no root gets
-    a few exact Newton steps; a linear remainder gives its root directly.
-    The budgeted divisor search takes whatever is left.
+    The coefficients are cleared to a Gaussian-integer polynomial p once.
+    Guess, then verify: float roots of the square-free part of p, rounded to
+    Gaussian rationals x / d, are kept only where the homogenised integer
+    Horner value d^deg p(x / d) vanishes, and pseudo-division by d*t - x
+    reads off each multiplicity.  A guess that is no root gets a few exact
+    Newton steps; a linear remainder gives its root directly.  The budgeted
+    divisor search takes whatever is left.
     """
     roots: List[GaussianRational] = []
     cur = list(coeffs)
     while len(cur) > 1 and cur[-1].is_zero:
         roots.append(GR_ZERO)
         cur = cur[:-1]
-    if len(cur) == 1:
+    p = _clear_denominators(cur)[0]
+    if len(p) == 1:
         return roots
-    q = _squarefree_part(_clear_denominators(cur)[0])
+    q = _squarefree_part(p)
 
     def take(candidates: Sequence[GaussianRational]) -> bool:
-        """Deflate cur by each candidate while it stays a root; whether any was."""
-        nonlocal cur
+        """Deflate p by each candidate while it stays a root; whether any was."""
+        nonlocal p
         hit = False
         for r in candidates:
-            while len(cur) > 1 and _poly_eval(cur, r).is_zero:
+            (x,), d = _clear_denominators([r])
+            while len(p) > 1 and _zi_value(p, x, d) == (0, 0):
                 roots.append(r)
-                cur = _poly_deflate(cur, r)
+                p = _zi_deflate(p, x, d)
                 hit = True
         return hit
 
-    if len(cur) > 2:
+    if len(p) > 2:
         for g in _guessed_roots(q):
-            if not take([g]) and len(cur) > 2:
+            if not take([g]) and len(p) > 2:
                 take([_newton_refined(q, g)])
-    if len(cur) == 2:
-        take([-cur[1] / cur[0]])
-    if len(cur) > 1:
+    if len(p) == 2:
+        # the root of c0*t + c1 is -c1*conj(c0) / |c0|^2
+        (a0, b0), (a1, b1) = p
+        take([_gr_over(-a1 * a0 - b1 * b0, a1 * b0 - b1 * a0, a0 * a0 + b0 * b0)])
+    if len(p) > 1:
         take(_divisor_roots(q))
-    if len(cur) > 1:
+    if len(p) > 1:
         raise ExactFactorizationFailure(
             "characteristic polynomial has no Gaussian-rational root"
         )

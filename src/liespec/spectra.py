@@ -38,7 +38,7 @@ from .lie_core import (
     is_solvable,
     restrict_character,
 )
-from .koszul import BettiVector, DEFAULT_CAP, homology_dims
+from .koszul import BettiVector, homology_dims
 from .numeric import (
     EXACT,
     Matrix,
@@ -420,13 +420,12 @@ def spectral_candidates(rep: Representation, tol: Optional[float] = None) -> Tup
 
 def homology_table(
     rep: Representation,
-    cap: int = DEFAULT_CAP,
     tol: Optional[float] = None,
 ) -> Tuple[Tuple[Vector, BettiVector], ...]:
     """Betti vectors of rho - f over the full candidate set, sorted."""
     table = []
     for c in spectral_candidates(rep, tol):
-        betti = homology_dims(rep, Character(rep.algebra, c), cap, tol)
+        betti = homology_dims(rep, Character(rep.algebra, c), tol)
         table.append((c, betti))
     return tuple(table)
 
@@ -481,7 +480,6 @@ def _report_from_table(
 def all_spectra(
     rep: Representation,
     kinds: Optional[Sequence[SpectrumKind]] = None,
-    cap: int = DEFAULT_CAP,
     tol: Optional[float] = None,
 ) -> Dict[str, SpectrumReport]:
     """Reports for many kinds off one shared homology table."""
@@ -489,7 +487,7 @@ def all_spectra(
         kinds = all_kinds(rep.algebra.n)
     table = None
     if any(not k.essential for k in kinds):
-        table = homology_table(rep, cap, tol)
+        table = homology_table(rep, tol)
     out = {}
     for kind in kinds:
         out[kind.render()] = _report_from_table(rep, kind, table or ())
@@ -499,12 +497,11 @@ def all_spectra(
 def spectrum(
     rep: Representation,
     kind: SpectrumKind | str,
-    cap: int = DEFAULT_CAP,
     tol: Optional[float] = None,
 ) -> SpectrumReport:
     if isinstance(kind, str):
         kind = parse_kind(kind)
-    return all_spectra(rep, [kind], cap, tol)[kind.render()]
+    return all_spectra(rep, [kind], tol)[kind.render()]
 
 
 def spectrum_via_eigencharacters(
@@ -553,7 +550,6 @@ class CrossValidation:
 
 def cross_validate(
     rep: Representation,
-    cap: int = DEFAULT_CAP,
     tol: Optional[float] = None,
 ) -> CrossValidation:
     """Computes both routes and compares.
@@ -566,7 +562,7 @@ def cross_validate(
     if not is_solvable(rep.algebra):
         raise NotSolvable("joint spectra here are defined for solvable algebras")
     return _compare_routes(
-        rep, spectrum(rep, taylor_kind(), cap, tol), joint_eigencharacters(rep, tol)
+        rep, spectrum(rep, taylor_kind(), tol), joint_eigencharacters(rep, tol)
     )
 
 
@@ -603,7 +599,6 @@ def projection_check(
     rep: Representation,
     ideal: Subspace,
     kind: SpectrumKind | str,
-    cap: int = DEFAULT_CAP,
     tol: Optional[float] = None,
 ) -> ProjectionReport:
     """Restriction of the spectrum to an ideal vs the spectrum of the
@@ -613,8 +608,8 @@ def projection_check(
         kind = parse_kind(kind)
     if kind.essential:
         raise ValueError("projection check is for non-essential kinds")
-    big = spectrum(rep, kind, cap, tol)
-    small = spectrum(restrict_rep(rep, ideal, tol), kind, cap, tol)
+    big = spectrum(rep, kind, tol)
+    small = spectrum(restrict_rep(rep, ideal, tol), kind, tol)
     return _compare_projection(rep, big, small, _restrictions(big.members, ideal, tol))
 
 
@@ -653,7 +648,6 @@ class DualityReport:
 def adjoint_duality_check(
     rep: Representation,
     k: int,
-    cap: int = DEFAULT_CAP,
     tol: Optional[float] = None,
 ) -> DualityReport:
     """{0} union sigma_delta_k(rho) against {0} union sigma_pi_k(rho*)."""
@@ -661,9 +655,9 @@ def adjoint_duality_check(
     if not is_nilpotent(L):
         raise HypothesisViolation("duality comparison stated for nilpotent algebras")
     zero = L.zero_vector()
-    delta_side = spectrum(rep, SpectrumKind("delta", False, False, k), cap, tol).member_coeffs
+    delta_side = spectrum(rep, SpectrumKind("delta", False, False, k), tol).member_coeffs
     dual = adjoint_rep(rep)
-    pi_side = spectrum(dual, SpectrumKind("pi", False, False, k), cap, tol).member_coeffs
+    pi_side = spectrum(dual, SpectrumKind("pi", False, False, k), tol).member_coeffs
     left = dedup_characters(delta_side + (zero,), rep.backend)
     right = dedup_characters(pi_side + (zero,), rep.backend)
     return DualityReport(k, left, right, same_character_sets(left, right, rep.backend))

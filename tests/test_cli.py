@@ -453,6 +453,20 @@ def test_irrational_eigenvalue_with_huge_divisor_count_exits_1_fast(capsys, tmp_
     assert "error:" in err
 
 
+def test_differential_over_the_entry_budget_exits_1_fast(capsys, tmp_path):
+    # abelian n = 10 on C^10: d_4 would have 1 200 x 2 100 dense entries
+    names = [f"x{k}" for k in range(10)]
+    rep = rp.representation(lc.abelian_algebra(names), [[[0] * 10 for _ in range(10)]] * 10)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(rep_to_json(rep)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "koszul", str(path))
+    assert time.perf_counter() - start < 5
+    assert code == 1
+    assert out == ""
+    assert "1200x2100" in err
+
+
 # --- per-algebra caches and one restriction per member -----------------------------
 
 

@@ -250,12 +250,39 @@ def test_float_backend_agrees_on_betti():
             assert be.h == bf.h
 
 
-def test_dimension_cap():
+def test_dimension_cap(monkeypatch):
     rep = h3_rep()
+    monkeypatch.setattr(kz, "MAX_DIFFERENTIAL_ENTRIES", 5)
     with pytest.raises(kz.DimensionCap):
-        kz.build_complex(rep, cap=5)
+        kz.build_complex(rep)
     with pytest.raises(kz.DimensionCap):
-        kz.homology_dims(rep, cap=5)
+        kz.homology_dims(rep)
+
+
+def test_entry_budget_is_checked_before_allocating(monkeypatch):
+    # abelian n = 10 with m = 10: no chain space exceeds dimension 2 520, but
+    # d_4 would be 1 200 x 2 100 and d_5 2 100 x 2 520 dense entries
+    L = lc.abelian_algebra([f"x{k}" for k in range(10)])
+    rep = rp.representation(L, [[[0] * 10 for _ in range(10)] for _ in range(10)])
+    honest = kz._differential
+    built = []
+
+    def recording(rep, p, fs):
+        rows, cols = rep.m * len(kz.exterior_basis(L.n, p - 1)), rep.m * len(kz.exterior_basis(L.n, p))
+        if rows * cols > 10 ** 6:
+            raise AssertionError(f"allocating a {rows}x{cols} differential")
+        built.append(p)
+        return honest(rep, p, fs)
+
+    monkeypatch.setattr(kz, "_differential", recording)
+    with pytest.raises(kz.DimensionCap, match="d_4 would have 1200x2100"):
+        kz.build_complex(rep)
+    with pytest.raises(kz.DimensionCap):
+        kz.homology_dims(rep)
+    assert built == []
+    # the splitting at degree 0 builds d_1 alone (10 x 100): within the budget
+    h0, _ = kz.splitting_homotopy(rep, lc.character(L, [1] + [0] * 9), p=0)
+    assert built == [1] and (h0.rows, h0.cols) == (100, 10)
 
 
 # --- homotopies ------------------------------------------------------------------

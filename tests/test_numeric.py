@@ -549,6 +549,67 @@ def test_exact_solve_matrix_matches_fraction_reference():
     assert outcomes == {True, False}
 
 
+def _ref_det(rows):
+    """Determinant by Fraction-pair Gaussian elimination, first nonzero pivot."""
+    rows = [list(r) for r in rows]
+    det = _C_ONE
+    for c in range(len(rows)):
+        piv = next((i for i in range(c, len(rows)) if rows[i][c] != _C_ZERO), None)
+        if piv is None:
+            return _C_ZERO
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            det = (-det[0], -det[1])
+        det = _c_mul(det, rows[c][c])
+        for i in range(c + 1, len(rows)):
+            f = _c_div(rows[i][c], rows[c][c])
+            rows[i] = [_c_sub(x, _c_mul(f, y)) for x, y in zip(rows[i], rows[c])]
+    return det
+
+
+def test_char_poly_matches_determinant_oracle():
+    # a monic degree-n polynomial is pinned by its values det(sI - M) at s = 0..n
+    rng = random.Random(1940)
+    for t in range(240):
+        n, kind, shape = t % 9, _KINDS[t % len(_KINDS)], ("dense", "nilpotent", "diagonal")[t // 5 % 3]
+        a = _rand(rng, n, n, kind)
+        if shape != "dense":
+            keep = (lambda i, j: i < j) if shape == "nilpotent" else (lambda i, j: i == j)
+            perm = rng.sample(range(n), n)
+            a = [[a[perm[i]][perm[j]] if keep(perm[i], perm[j]) else _C_ZERO for j in range(n)]
+                 for i in range(n)]
+        coeffs = [(c.re, c.im) for c in nm.char_poly(_to_exact(a, n))]
+        assert len(coeffs) == n + 1 and coeffs[0] == _C_ONE, (kind, shape, a)
+        for s in range(n + 1):
+            value = _C_ZERO
+            for c in coeffs:
+                v = _c_mul(value, (Fraction(s), Fraction(0)))
+                value = (v[0] + c[0], v[1] + c[1])
+            shifted = [[_c_sub((Fraction(s if i == j else 0), Fraction(0)), x) for j, x in enumerate(r)]
+                       for i, r in enumerate(a)]
+            assert value == _ref_det(shifted), (kind, shape, a, s)
+
+
+def test_char_poly_is_exact_only():
+    with pytest.raises(ValueError):
+        nm.char_poly(float_mat([[1, 2], [3, 4]]))
+
+
+def test_exact_eigenvalues_do_no_gaussian_rational_arithmetic(monkeypatch):
+    # the characteristic polynomial and its roots are found on Gaussian
+    # integers; GaussianRational appears only in the returned values
+    from liespec import lab
+
+    m = lab.random_nilpotent_rep(1, "F4", 8).mats[0]
+    calls = []
+    for name in ("__add__", "__sub__", "__mul__"):
+        honest = getattr(GaussianRational, name)
+        monkeypatch.setattr(GaussianRational, name,
+                            lambda x, y, honest=honest, name=name: calls.append(name) or honest(x, y))
+    assert len(nm.eigenvalues(m)) == 8
+    assert calls == []
+
+
 def test_shape_and_deflation_checks_raise_typed_errors():
     a = exact_mat([[1, 2], [3, 4]])
     b = exact_mat([[1, 2, 3]])
@@ -565,7 +626,7 @@ def test_shape_and_deflation_checks_raise_typed_errors():
         with pytest.raises(nm.VerificationFailure):
             op()
     with pytest.raises(nm.VerificationFailure):
-        nm._poly_deflate([gr(1), gr(0), gr(-1)], gr(2))  # 2 is no root of t^2 - 1
+        nm._zi_deflate([(1, 0), (0, 0), (-1, 0)], (2, 0), 1)  # 2 is no root of t^2 - 1
     assert issubclass(nm.VerificationFailure, RuntimeError)
 
 
