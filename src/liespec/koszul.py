@@ -36,7 +36,7 @@ from .numeric import (
     Scalar,
     VerificationFailure,
     generalized_inverse,
-    identity,
+    identity_minus_product,
     rank,
     sc_is_zero,
     sc_zero,
@@ -270,7 +270,7 @@ def complex_splitting(
     h = C.dims[p] - r_a - r_b
     if h != 0:
         raise NotSplit(f"homology has dimension {h} at degree {p}")
-    q = identity(C.dims[p], C.backend) - g_a * A
+    q = identity_minus_product(g_a, A)
     h_p = g_b * q
     if C.backend == EXACT:
         holds = B * h_p == q

@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .koszul import build_complex, complex_profile, validate_complex
+from .koszul import build_complex, complex_profile, homology_dims, validate_complex
 from .lie_core import (
     Character,
     LieAlgebra,
@@ -60,13 +60,14 @@ from .spectra import (
     all_spectra,
     char_subset,
     dedup_characters,
+    homology_table,
     joint_eigencharacters,
     projection_check,
     same_character_sets,
     spectral_candidates,
     spectrum,
     taylor_kind,
-    weight_candidates,
+    triangular_weights,
 )
 
 
@@ -464,8 +465,15 @@ def _check_soundness(rep: Representation, reports) -> Optional[str]:
     if not char_subset(members, spectral_candidates(rep), rep.backend):
         return "members escape the candidate set"
     if is_nilpotent(rep.algebra):
-        if not char_subset(members, weight_candidates(rep), rep.backend):
+        # triangularization weights and full complexes, independent of the
+        # weight blocks that the table is built on for exact input
+        weights = dedup_characters(triangular_weights(rep), rep.backend)
+        if not char_subset(members, weights, rep.backend):
             return "members escape the weights on a nilpotent algebra"
+        if rep.backend == EXACT:
+            for c, betti in homology_table(rep):
+                if homology_dims(rep, Character(rep.algebra, c)) != betti:
+                    return f"weight-block homology differs from the full complex at {c!r}"
     return None
 
 

@@ -550,7 +550,12 @@ def _zi_row_product(
     return acc_re, acc_im
 
 
-def _mul_exact(x: Matrix, y: Matrix) -> Matrix:
+def _zi_product_rows(
+    x: Matrix, y: Matrix
+) -> Tuple[List[Tuple[List[int], List[int], int]], List[int]]:
+    """Rows of the exact product x * y in Z[i]: (rows, ydens), each row
+    (real parts, imaginary parts, dx) with entry (i, j) equal to
+    (re[j] + im[j]*i) / (dx * ydens[j])."""
     # Rows of x and columns of y are scaled to integers, so entry (i, j) of
     # the product is an integer sum over the nonzero x[i, k] * y[k, j],
     # divided once by dx_i * dy_j.
@@ -561,11 +566,34 @@ def _mul_exact(x: Matrix, y: Matrix) -> Matrix:
         for k, (c, d) in enumerate(pairs):
             if c or d:
                 yrows[k].append((j, c, d))
-    out: List[GaussianRational] = []
+    rows = []
     for i in range(x.rows):
         pairs, dx = _clear_denominators(x.row(i))
-        acc_re, acc_im = _zi_row_product(pairs, yrows, y.cols)
+        rows.append(_zi_row_product(pairs, yrows, y.cols) + (dx,))
+    return rows, ydens
+
+
+def _mul_exact(x: Matrix, y: Matrix) -> Matrix:
+    rows, ydens = _zi_product_rows(x, y)
+    out: List[GaussianRational] = []
+    for acc_re, acc_im, dx in rows:
         out.extend(_gr_over(re, im, dx * dy) for re, im, dy in zip(acc_re, acc_im, ydens))
+    return Matrix(x.rows, y.cols, tuple(out), EXACT)
+
+
+def identity_minus_product(x: Matrix, y: Matrix) -> Matrix:
+    """I - x y for a square product.  Exact entries are formed in Z[i] with
+    the identity folded in, one division per entry; float ones as
+    identity - x * y."""
+    if x.cols != y.rows or x.rows != y.cols:
+        raise VerificationFailure(f"{x.rows}x{x.cols} times {y.rows}x{y.cols} is not square")
+    if x.backend != EXACT:
+        return identity(x.rows, x.backend) - x * y
+    rows, ydens = _zi_product_rows(x, y)
+    out: List[GaussianRational] = []
+    for i, (acc_re, acc_im, dx) in enumerate(rows):
+        acc_re[i] -= dx * ydens[i]
+        out.extend(_gr_over(-re, -im, dx * dy) for re, im, dy in zip(acc_re, acc_im, ydens))
     return Matrix(x.rows, y.cols, tuple(out), EXACT)
 
 

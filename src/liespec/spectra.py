@@ -20,6 +20,14 @@ weight w - f, so nonvanishing total homology forces f = w - g for some
 weight w and some g with nonvanishing one-dimensional homology.  On a
 nilpotent algebra the support is {0} and the candidates are exactly the
 weights.
+
+On exact input of a nilpotent algebra the table is built on weight blocks:
+X is the direct sum of its generalized weight spaces X^w, each a submodule,
+homology is additive over the sum, and X^w shifted by f has no zero weight,
+hence no homology, unless w = f (Dixmier).  So the Betti vector of rho - f
+is that of rho restricted to X^f, minus f, on a complex of dim X^f copies of
+the exterior algebra instead of m.  Float and merely solvable input keep the
+full complexes over the triangularization candidates.
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ from .numeric import (
     Scalar,
     VerificationFailure,
     eigenvalues,
+    generalized_inverse,
     intersect_subspaces,
     inverse,
     matrix_from_columns,
@@ -360,12 +369,85 @@ def _drop_one(values: List[Scalar], value: Scalar) -> List[Scalar]:
 
 
 def weight_candidates(rep: Representation, tol: Optional[float] = None) -> Tuple[Vector, ...]:
-    """Deduplicated triangularization weights, each checked to be a character."""
-    weights = dedup_characters(triangular_weights(rep, tol), rep.backend)
+    """Deduplicated weights, each checked to be a character: read off the
+    weight blocks on exact nilpotent input, else the triangularization
+    weights."""
+    if _splits_by_weight(rep):
+        return _checked_weights(rep, [w for w, _ in weight_blocks(rep, tol)], tol)
+    return _checked_weights(rep, triangular_weights(rep, tol), tol)
+
+
+def _checked_weights(rep: Representation, found: Sequence[Vector],
+                     tol: Optional[float]) -> Tuple[Vector, ...]:
+    weights = dedup_characters(found, rep.backend)
     for w in weights:
         if not is_character(rep.algebra, w, tol):
             raise VerificationFailure(f"non-character weight {w!r}")
     return weights
+
+
+# ---------------------------------------------------------------------------
+# generalized weight spaces
+# ---------------------------------------------------------------------------
+
+
+def _splits_by_weight(rep: Representation) -> bool:
+    """Exact input of a nilpotent algebra: its generalized weight spaces are
+    submodules, and exact arithmetic can verify each split."""
+    return rep.backend == EXACT and is_nilpotent(rep.algebra)
+
+
+def weight_blocks(
+    rep: Representation, tol: Optional[float] = None
+) -> List[Tuple[Vector, Representation]]:
+    """Generalized weight spaces X^w = the intersection over k of
+    ker(rho(e_k) - w_k)^m, as (w, rho restricted to X^w); the weights are
+    distinct and the block dimensions sum to m.
+
+    Split level by level, k = 0..n-1: a block on which rho(e_k) has more
+    than one eigenvalue is cut into the kernels of (rho(e_k) - lam)^mu, mu
+    the multiplicity of lam.  Each kernel has dimension mu and, L being
+    nilpotent, is invariant under every rho(e_j).  Both are verified, the
+    invariance as V R == M V for each restricted matrix R = G M V, with G a
+    generalized inverse of the kernel basis V; a failure raises
+    VerificationFailure.
+    """
+    if not _splits_by_weight(rep):
+        raise ValueError("weight blocks need exact input of a nilpotent algebra")
+    blocks: List[Tuple[Vector, Representation]] = [((), rep)] if rep.m else []
+    for k in range(rep.algebra.n):
+        split = []
+        for w, block in blocks:
+            mat = block.mats[k]
+            counts: Dict[Scalar, int] = {}
+            for lam in eigenvalues(mat, tol):
+                counts[lam] = counts.get(lam, 0) + 1
+            if len(counts) == 1:  # the whole block is one weight space
+                split.append((w + tuple(counts), block))
+                continue
+            for lam, mu in counts.items():
+                # ker N^mu = ker N^j for every j >= mu: square until past mu
+                power, j = sub_diagonal(mat, lam), 1
+                while j < mu:
+                    power, j = power * power, 2 * j
+                kernel = nullspace_basis(power, tol)
+                if len(kernel) != mu:
+                    raise VerificationFailure(
+                        f"generalized eigenspace of dimension {len(kernel)} for an "
+                        f"eigenvalue of multiplicity {mu}"
+                    )
+                v = matrix_from_columns(kernel, block.m, EXACT)
+                g = generalized_inverse(v, tol)[0]
+                mats = []
+                for other in block.mats:
+                    moved = other * v
+                    restricted = g * moved
+                    if v * restricted != moved:
+                        raise VerificationFailure("generalized weight space is not invariant")
+                    mats.append(restricted)
+                split.append((w + (lam,), Representation(block.algebra, mu, tuple(mats))))
+        blocks = split
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -422,12 +504,16 @@ def homology_table(
     rep: Representation,
     tol: Optional[float] = None,
 ) -> Tuple[Tuple[Vector, BettiVector], ...]:
-    """Betti vectors of rho - f over the full candidate set, sorted."""
-    table = []
-    for c in spectral_candidates(rep, tol):
-        betti = homology_dims(rep, Character(rep.algebra, c), tol)
-        table.append((c, betti))
-    return tuple(table)
+    """Betti vectors of rho - f over the full candidate set, sorted.  On
+    exact nilpotent input the candidates are the weights, and each complex
+    is built on its own weight block (see the module docstring)."""
+    L = rep.algebra
+    if _splits_by_weight(rep):
+        blocks = dict(weight_blocks(rep, tol))
+        return tuple((w, homology_dims(blocks[w], Character(L, w), tol))
+                     for w in _checked_weights(rep, list(blocks), tol))
+    return tuple((c, homology_dims(rep, Character(L, c), tol))
+                 for c in spectral_candidates(rep, tol))
 
 
 @dataclass(frozen=True)

@@ -355,6 +355,18 @@ def test_complex_splitting_eliminates_twice(monkeypatch, backend):
     assert len(calls) == 2, calls
 
 
+def test_exact_complex_splitting_does_no_gaussian_rational_subtraction(monkeypatch):
+    # q = I - G_A d_p is formed on Gaussian integers with the identity folded in
+    rep = lab.random_nilpotent_rep(2, "H3", 5)
+    C = kz.build_complex(rep, lc.character(rep.algebra, [7, 0, 0]))
+    calls = []
+    honest = GaussianRational.__sub__
+    monkeypatch.setattr(GaussianRational, "__sub__", lambda x, y: calls.append(1) or honest(x, y))
+    for p in range(C.n + 1):
+        kz.complex_splitting(C, p)
+    assert calls == []
+
+
 # The residual check is what certifies a homotopy, and the shape checks keep
 # elimination from returning wrong-shaped results; both must survive python -O,
 # which strips assert statements.
@@ -399,6 +411,10 @@ _CORRUPTED_INVERSE_SCRIPT = textwrap.dedent(
     report("weight", lambda: sp.weight_candidates(s2))
     sp.weight_candidates = lambda rep, tol=None: ((gr(1), gr(1)),)
     report("candidate", lambda: sp.spectral_candidates(s2))
+
+    # a weight block restricted through a wrong inverse fails its invariance check
+    sp.generalized_inverse = corrupted_inverse
+    report("block", lambda: sp.weight_blocks(rep))
     """
 )
 
@@ -424,6 +440,7 @@ def test_homotopy_check_survives_optimised_bytecode():
     assert lines[2] == "homotopy raised: homotopy identity failed verification", proc.stdout
     assert lines[3].startswith("weight raised: non-character weight"), proc.stdout
     assert lines[4].startswith("candidate raised: non-character candidate"), proc.stdout
+    assert lines[5] == "block raised: generalized weight space is not invariant", proc.stdout
 
 
 # Caller input is checked with ValueError and the finite-rank proxy's

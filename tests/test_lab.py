@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from liespec import koszul as kz
 from liespec import lab
 from liespec import lie_core as lc
 from liespec import representation as rp
@@ -240,3 +241,18 @@ def test_property_suite_reports_invalid_input_without_spectra():
     assert len(bad_records) == 1
     assert bad_records[0].check == "validate"
     assert "residual" in bad_records[0].detail
+
+
+def test_soundness_check_compares_block_and_full_complex_homology(monkeypatch):
+    # a table whose Betti vectors differ from the full complexes is a soundness failure
+    honest = lab.homology_table
+
+    def shifted_table(rep, tol=None):
+        return tuple((c, kz.BettiVector(tuple(h + 1 for h in betti.h))) for c, betti in honest(rep, tol))
+
+    monkeypatch.setattr(lab, "homology_table", shifted_table)
+    summary = lab.run_property_suite(0)
+    failed = {(f.instance, f.check) for f in summary.failures}
+    # the catalog's exact nilpotent fixtures; s2 is solvable only
+    assert failed == {(name, "soundness") for name in ("A1", "H3", "Z3", "F4")}
+    assert all("weight-block homology differs" in f.detail for f in summary.failures)

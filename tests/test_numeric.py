@@ -668,3 +668,19 @@ def test_sub_diagonal_matches_subtracting_a_scaled_identity():
     assert checked > 600
     with pytest.raises(nm.VerificationFailure):
         nm.sub_diagonal(exact_mat([[1, 2, 3]]), gr(1))
+
+
+def test_identity_minus_product_matches_subtracting_the_product():
+    rng = random.Random(118)
+    for t in range(300):
+        kind = _KINDS[t % len(_KINDS)]
+        rows, inner = rng.randint(0, 5), rng.randint(0, 5)
+        x = _to_exact(_rand(rng, rows, inner, kind), inner)
+        y = _to_exact(_rand(rng, inner, rows, kind), rows)
+        for a, b in ((x, y), (x.to_float(), y.to_float())):
+            want = identity(rows, a.backend) - a * b
+            got = nm.identity_minus_product(a, b)
+            assert (got.rows, got.cols, got.backend) == (want.rows, want.cols, want.backend)
+            assert _entrywise(got) == _entrywise(want), (kind, x, y)
+    with pytest.raises(nm.VerificationFailure):
+        nm.identity_minus_product(exact_mat([[1, 2]]), exact_mat([[1, 2]]))

@@ -9,6 +9,7 @@ solvable non-nilpotent algebra.
 
 import pytest
 
+from liespec import koszul as kz
 from liespec import lab
 from liespec import numeric as nm
 from liespec import lie_core as lc
@@ -166,6 +167,66 @@ def test_homology_support_aff1():
 def test_spectral_candidates_s2():
     cands = sp.spectral_candidates(s2_rep())
     assert set(cands) == {(gr(0), gr(0)), (gr(1), gr(0)), (gr(2), gr(0))}
+
+
+# --- weight blocks ------------------------------------------------------------------
+
+
+def block_instances():
+    """20 seeded exact nilpotent inputs, five per base algebra, m = 4..8."""
+    bases = ("H3", "F4", "A1", "Z3")
+    return [lab.random_nilpotent_rep(300 + s, bases[s % 4], 4 + s % 5) for s in range(20)]
+
+
+def test_block_betti_equals_full_complex_betti():
+    split = 0
+    for rep in block_instances():
+        blocks = dict(sp.weight_blocks(rep))
+        split += len(blocks) > 1
+        table = sp.homology_table(rep)
+        assert tuple(c for c, _ in table) == sp.dedup_characters(tuple(blocks), EXACT)
+        for c, betti in table:
+            assert betti == kz.homology_dims(rep, lc.Character(rep.algebra, c)), c
+    assert split >= 10  # most inputs have more than one weight
+
+
+def test_block_dimensions_are_the_weight_multiplicities():
+    for rep in block_instances():
+        blocks = sp.weight_blocks(rep)
+        assert sum(block.m for _, block in blocks) == rep.m
+        assert all(block.algebra is rep.algebra for _, block in blocks)
+        with_multiplicity = [w for w, block in blocks for _ in range(block.m)]
+        key = sp.char_sort_key
+        assert sorted(with_multiplicity, key=key) == sorted(sp.triangular_weights(rep), key=key)
+
+
+def test_weight_blocks_refuse_float_and_solvable_input():
+    with pytest.raises(ValueError):
+        sp.weight_blocks(float_copy(a1_rep()))
+    with pytest.raises(ValueError):
+        sp.weight_blocks(s2_rep())
+
+
+def test_exact_nilpotent_table_is_built_on_the_blocks(monkeypatch):
+    rep = lab.random_nilpotent_rep(3, "F4", 8)
+    dims = {w: block.m for w, block in sp.weight_blocks(rep)}
+    assert len(dims) > 1
+    triangular, built = [], []
+    honest_weights, honest_complex = sp.triangular_weights, kz._truncated_complex
+
+    def counted_weights(rep, tol=None):
+        triangular.append(rep)
+        return honest_weights(rep, tol)
+
+    def recorded_complex(rep, f, tol, lo, hi):
+        built.append((f.coeffs, rep.m))
+        return honest_complex(rep, f, tol, lo, hi)
+
+    monkeypatch.setattr(sp, "triangular_weights", counted_weights)
+    monkeypatch.setattr(kz, "_truncated_complex", recorded_complex)
+    sp.all_spectra(rep)
+    assert triangular == []
+    assert len(built) == len(dims) and dict(built) == dims
 
 
 # --- homology route -----------------------------------------------------------------
