@@ -23,7 +23,13 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .koszul import build_complex, complex_profile, homology_dims, validate_complex
+from .koszul import (
+    BettiVector,
+    build_complex,
+    complex_profile,
+    homology_dims,
+    validate_complex,
+)
 from .lie_core import (
     Character,
     LieAlgebra,
@@ -60,7 +66,6 @@ from .spectra import (
     all_spectra,
     char_subset,
     dedup_characters,
-    homology_table,
     joint_eigencharacters,
     projection_check,
     same_character_sets,
@@ -471,8 +476,12 @@ def _check_soundness(rep: Representation, reports) -> Optional[str]:
         if not char_subset(members, weights, rep.backend):
             return "members escape the weights on a nilpotent algebra"
         if rep.backend == EXACT:
-            for c, betti in homology_table(rep):
-                if homology_dims(rep, Character(rep.algebra, c)) != betti:
+            # the reports' table: member Betti vectors, zero off the members
+            taylor = reports["taylor"]
+            table = dict(taylor.betti)
+            zero = BettiVector((0,) * (rep.algebra.n + 1))
+            for c in taylor.candidates:
+                if homology_dims(rep, Character(rep.algebra, c)) != table.get(c, zero):
                     return f"weight-block homology differs from the full complex at {c!r}"
     return None
 

@@ -373,7 +373,7 @@ def weight_candidates(rep: Representation, tol: Optional[float] = None) -> Tuple
     weight blocks on exact nilpotent input, else the triangularization
     weights."""
     if _splits_by_weight(rep):
-        return _checked_weights(rep, [w for w, _ in weight_blocks(rep, tol)], tol)
+        return _checked_weights(rep, [w for w, _ in weight_blocks(rep)], tol)
     return _checked_weights(rep, triangular_weights(rep, tol), tol)
 
 
@@ -397,9 +397,7 @@ def _splits_by_weight(rep: Representation) -> bool:
     return rep.backend == EXACT and is_nilpotent(rep.algebra)
 
 
-def weight_blocks(
-    rep: Representation, tol: Optional[float] = None
-) -> List[Tuple[Vector, Representation]]:
+def weight_blocks(rep: Representation) -> List[Tuple[Vector, Representation]]:
     """Generalized weight spaces X^w = the intersection over k of
     ker(rho(e_k) - w_k)^m, as (w, rho restricted to X^w); the weights are
     distinct and the block dimensions sum to m.
@@ -420,7 +418,7 @@ def weight_blocks(
         for w, block in blocks:
             mat = block.mats[k]
             counts: Dict[Scalar, int] = {}
-            for lam in eigenvalues(mat, tol):
+            for lam in eigenvalues(mat):
                 counts[lam] = counts.get(lam, 0) + 1
             if len(counts) == 1:  # the whole block is one weight space
                 split.append((w + tuple(counts), block))
@@ -430,14 +428,14 @@ def weight_blocks(
                 power, j = sub_diagonal(mat, lam), 1
                 while j < mu:
                     power, j = power * power, 2 * j
-                kernel = nullspace_basis(power, tol)
+                kernel = nullspace_basis(power)
                 if len(kernel) != mu:
                     raise VerificationFailure(
                         f"generalized eigenspace of dimension {len(kernel)} for an "
                         f"eigenvalue of multiplicity {mu}"
                     )
                 v = matrix_from_columns(kernel, block.m, EXACT)
-                g = generalized_inverse(v, tol)[0]
+                g = generalized_inverse(v)[0]
                 mats = []
                 for other in block.mats:
                     moved = other * v
@@ -509,7 +507,7 @@ def homology_table(
     is built on its own weight block (see the module docstring)."""
     L = rep.algebra
     if _splits_by_weight(rep):
-        blocks = dict(weight_blocks(rep, tol))
+        blocks = dict(weight_blocks(rep))
         return tuple((w, homology_dims(blocks[w], Character(L, w), tol))
                      for w in _checked_weights(rep, list(blocks), tol))
     return tuple((c, homology_dims(rep, Character(L, c), tol))

@@ -1,5 +1,6 @@
 """Catalog integrity, generator determinism, and the rank-budget rows."""
 
+import dataclasses
 import random
 
 import pytest
@@ -245,12 +246,16 @@ def test_property_suite_reports_invalid_input_without_spectra():
 
 def test_soundness_check_compares_block_and_full_complex_homology(monkeypatch):
     # a table whose Betti vectors differ from the full complexes is a soundness failure
-    honest = lab.homology_table
+    honest = lab.all_spectra
 
-    def shifted_table(rep, tol=None):
-        return tuple((c, kz.BettiVector(tuple(h + 1 for h in betti.h))) for c, betti in honest(rep, tol))
+    def shifted_reports(rep, kinds=None, tol=None):
+        reports = honest(rep, kinds, tol)
+        taylor = reports["taylor"]
+        betti = tuple((c, kz.BettiVector(tuple(h + 1 for h in b.h))) for c, b in taylor.betti)
+        reports["taylor"] = dataclasses.replace(taylor, betti=betti)
+        return reports
 
-    monkeypatch.setattr(lab, "homology_table", shifted_table)
+    monkeypatch.setattr(lab, "all_spectra", shifted_reports)
     summary = lab.run_property_suite(0)
     failed = {(f.instance, f.check) for f in summary.failures}
     # the catalog's exact nilpotent fixtures; s2 is solvable only
