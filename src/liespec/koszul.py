@@ -41,6 +41,8 @@ from .numeric import (
     sc_is_zero,
     sc_zero,
     zeros,
+    zi_form,
+    zi_matrix,
 )
 from .representation import Representation
 
@@ -152,25 +154,63 @@ def _differential(rep: Representation, p: int, fs: Tuple[Scalar, ...]) -> Matrix
     _check_degree(p, 1, L.n)
     ops, brackets = _differential_pattern(L, p)
     rows, cols = m * math.comb(L.n, p - 1), m * math.comb(L.n, p)
-    flat = [zero] * (rows * cols)
-    # offset inside a block, +v and -v per nonzero entry v of rho(e_l); on
-    # floats 0 + v and 0 - v, whose zero parts stay unsigned
-    exact = rep.backend == EXACT
-    nonzero = [[(a * cols + b, (v, -v) if exact else (zero + v, zero - v)) for a in range(m)
-                for b, v in enumerate(mat.row(a)) if not sc_is_zero(v)] for mat in rep.mats]
     diag = {(ti, si): c for ti, si, c in brackets}
+    if fs:
+        for ti, si, l, sign in ops:
+            if not sc_is_zero(fs[l]):
+                c = diag.get((ti, si), zero)
+                diag[(ti, si)] = c - fs[l] if sign > 0 else c + fs[l]
+    if rep.backend == EXACT:
+        return _exact_differential(rep, ops, diag, rows, cols)
+    flat = [zero] * (rows * cols)
+    # offset inside a block, 0 + v and 0 - v per nonzero entry v of rho(e_l),
+    # whose zero parts stay unsigned
+    nonzero = [[(a * cols + b, (zero + v, zero - v)) for a in range(m)
+                for b, v in enumerate(mat.row(a)) if not sc_is_zero(v)] for mat in rep.mats]
     for ti, si, l, sign in ops:
         base = m * (ti * cols + si)
         for k, v in nonzero[l]:
             flat[base + k] = v[sign < 0]
-        if fs and not sc_is_zero(fs[l]):
-            c = diag.get((ti, si), zero)
-            diag[(ti, si)] = c - fs[l] if sign > 0 else c + fs[l]
     for (ti, si), c in diag.items():
         base = m * (ti * cols + si)
         for k in range(base, base + m * (cols + 1), cols + 1):
             flat[k] = flat[k] + c
     return Matrix(rows, cols, tuple(flat), rep.backend)
+
+
+def _exact_differential(rep: Representation, ops, diag: Dict[Tuple[int, int], Scalar],
+                        rows: int, cols: int) -> Matrix:
+    """The exact d_p built in Z[i], over the least common multiple D of the
+    denominators of the rho(e_l) forms and of the diagonal scalars."""
+    m = rep.m
+    forms = [zi_form(mat) for mat in rep.mats]
+    D = math.lcm(*[d for _, d in forms], *[q.denominator for c in diag.values() for q in (c.re, c.im)])
+    zrows: List[Dict[int, Tuple[int, int]]] = [{} for _ in range(rows)]
+    blocks: Dict[Tuple[int, int], List[List[Tuple[int, Tuple[int, int]]]]] = {}
+    for ti, si, l, sign in ops:
+        block = blocks.get((l, sign))
+        if block is None:
+            # D / d_l times +-rho(e_l), as (column, value) per row
+            mat_rows, d = forms[l]
+            s = sign * (D // d)
+            block = blocks[(l, sign)] = [[(b, (x * s, y * s)) for b, (x, y) in row.items()]
+                                         for row in mat_rows]
+        c0 = si * m
+        for target, row in zip(zrows[ti * m : (ti + 1) * m], block):
+            for b, v in row:
+                target[c0 + b] = v
+    for (ti, si), c in diag.items():
+        ca, cb = c.re.numerator * (D // c.re.denominator), c.im.numerator * (D // c.im.denominator)
+        if not (ca or cb):
+            continue
+        for a in range(m):
+            target, k = zrows[ti * m + a], si * m + a
+            x, y = target.get(k, (0, 0))
+            if x + ca or y + cb:
+                target[k] = (x + ca, y + cb)
+            else:
+                del target[k]
+    return zi_matrix(rows, cols, zrows, D)
 
 
 def koszul_differential(rep: Representation, p: int) -> Matrix:

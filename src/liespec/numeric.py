@@ -9,28 +9,31 @@ Two interchangeable backends:
     numpy roots of its exact square-free part are rounded to Gaussian
     rationals and kept only where homogenised integer Horner evaluation
     vanishes; a rational-root search over Gaussian-integer divisors, bounded
-    by a step budget, takes whatever the guesses miss.  Matrix products and
-    elimination run on Gaussian integers: each row (or column) is scaled once to
-    integer (re, im) pairs over one shared denominator, zero entries are
-    skipped, and only the final entries are turned back into reduced
-    Fractions.  Elimination is fraction-free: Gauss-Jordan with
-    row <- p*row - f*pivot_row and division by the row's integer content,
-    one reduced echelon routine for ranks, kernels, solutions and the
-    generalized inverse.  No rounding anywhere; equality means equality.
+    by a step budget, takes whatever the guesses miss.  Every exact matrix
+    has one Gaussian-integer form: sparse rows of integer (re, im) pairs
+    over one positive common denominator, coprime to the numerators.  It is
+    computed once per matrix, from the entries on first use or handed over
+    by the kernel routine that produced the matrix, and products and
+    elimination read only that form.  Elimination is fraction-free:
+    Gauss-Jordan with row <- p*row - f*pivot_row and division by the row's
+    integer content, one reduced echelon routine for ranks, kernels,
+    solutions and the generalized inverse.  Results are built from their
+    integer form, each entry turned into a reduced Fraction pair once.  No
+    rounding anywhere; equality means equality.
   * "float"  -- complex double precision.  Every comparison against zero
     goes through an explicit tolerance derived from TAU and the largest
     entry magnitude of the matrix at hand, so ranks and kernels are
     reproducible for a fixed input.
 
 Matrices are small and dense (desk scale), stored row-major.  All functions
-are pure; nothing here mutates shared state.
+are pure; the one write is a matrix caching its own integer form.
 """
 
 from __future__ import annotations
 
 import math
 import re as _re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -278,12 +281,15 @@ def scalar_from_json(value, backend: str) -> Scalar:
 
 @dataclass(frozen=True, slots=True)
 class Matrix:
-    """Dense row-major matrix; all entries share one backend."""
+    """Dense row-major matrix; all entries share one backend.  An exact
+    matrix also caches its Gaussian-integer form (see zi_form), which takes
+    no part in comparison, hashing or repr."""
 
     rows: int
     cols: int
     entries: Tuple[Scalar, ...]
     backend: str
+    _zi: Optional["ZiForm"] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0 or len(self.entries) != self.rows * self.cols:
@@ -457,28 +463,26 @@ def matrix_from_columns(cols: Sequence[Matrix], rows: int, backend: str) -> Matr
 def _echelon(
     vectors: Sequence[Sequence[Scalar]], backend: str, tol: Optional[float]
 ) -> Tuple[List[List[Scalar]], List[int]]:
-    """_rref of the given rows; float pivots count above tol (default TAU)
-    relative to the largest entry magnitude."""
-    vecs = [list(v) for v in vectors]
-    thr = 0.0
-    if backend == FLOAT:
-        mx = max((sc_abs(x) for v in vecs for x in v), default=0.0)
-        thr = (TAU if tol is None else tol) * mx
-    return _rref(vecs, backend, thr)
-
-
-def _rref(
-    rows: List[List[Scalar]], backend: str, thr: float
-) -> Tuple[List[List[Scalar]], List[int]]:
-    """Reduced row echelon form; returns (rows, pivot column list).
-
-    Exact backend: first nonzero pivot per column, on the Gaussian-integer
-    kernel.  Float backend: partial pivot by magnitude, accepted only above
-    thr, in place.  Column order is fixed, so the result is deterministic
-    for a given input.
-    """
+    """Reduced echelon rows of the given rows, and the pivot columns; the
+    first len(pivots) rows span them (exact rows are only those).  Float
+    pivots count above tol (default TAU) relative to the largest entry
+    magnitude."""
     if backend == EXACT:
-        return _rref_exact(rows)
+        if not vectors:
+            return [], []
+        m = matrix_from_rows(vectors, EXACT)
+        work, pivots = _rref_zi(zi_form(m)[0], m.cols)
+        parts = [_zi_divided(row, row[c]) for row, c in zip(work, pivots)]
+        return zi_matrix(len(parts), m.cols, *_zi_over_lcm(parts)).to_lists(), pivots
+    vecs = [list(v) for v in vectors]
+    mx = max((sc_abs(x) for v in vecs for x in v), default=0.0)
+    return _rref(vecs, (TAU if tol is None else tol) * mx)
+
+
+def _rref(rows: List[List[complex]], thr: float) -> Tuple[List[List[complex]], List[int]]:
+    """Float reduced row echelon form, in place; returns (rows, pivot column
+    list).  Partial pivot by magnitude, accepted only above thr.  Column
+    order is fixed, so the result is deterministic for a given input."""
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivots: List[int] = []
@@ -514,11 +518,18 @@ def _rref(
 #
 # A Gaussian integer a + b*i is the pair (a, b) of Python ints.  A sparse
 # integer row is a dict {column: (a, b)} holding only the nonzero entries.
+# The Z[i] form of an exact matrix is (rows, d): its sparse integer rows
+# over one positive denominator d, coprime to the numerators.  The row dicts
+# of a form may be shared, and are never mutated.
+
+ZiRow = Dict[int, Tuple[int, int]]
+ZiForm = Tuple[Tuple[ZiRow, ...], int]
 
 
 def _clear_denominators(values: Sequence[GaussianRational]) -> Tuple[List[Tuple[int, int]], int]:
     """(pairs, d) with values[k] == (pairs[k][0] + pairs[k][1]*i) / d, where d
-    is the least common multiple of every denominator."""
+    is the least common multiple of every denominator (so d and the pairs
+    are coprime)."""
     parts = [(x.re, x.im) for x in values]
     d = math.lcm(*[q.denominator for pair in parts for q in pair])
     return [(a.numerator * (d // a.denominator), b.numerator * (d // b.denominator))
@@ -534,82 +545,118 @@ def _gr_over(a: int, b: int, d: int) -> GaussianRational:
     return GaussianRational(Fraction(a, d), Fraction(b, d))
 
 
-def _zi_row_product(
-    row: Sequence[Tuple[int, int]], yrows: List[List[Tuple[int, int, int]]], ncols: int
-) -> Tuple[List[int], List[int]]:
-    """(real parts, imaginary parts) of row * Y, where yrows[k] lists the
-    nonzero entries (j, c, d) of row k of Y; zero entries of row are skipped."""
+def zi_form(m: Matrix) -> ZiForm:
+    """The Z[i] form of an exact matrix: handed over by the kernel routine
+    that built m, or cleared from its entries once, on first use."""
+    form = m._zi
+    if form is None:
+        pairs, d = _clear_denominators(m.entries)
+        c = m.cols
+        form = (tuple({j: v for j, v in enumerate(pairs[i * c : (i + 1) * c]) if v[0] or v[1]}
+                      for i in range(m.rows)), d)
+        object.__setattr__(m, "_zi", form)
+    return form
+
+
+def zi_matrix(rows: int, cols: int, zrows: Sequence[ZiRow], d: int) -> Matrix:
+    """The exact matrix zrows / d, for sparse rows and d > 0, with its Z[i]
+    form handed over once the gcd of d and every numerator is divided out.
+    Equal entries share one Gaussian rational, converted once."""
+    g = math.gcd(d, *[v for row in zrows for pair in row.values() for v in pair])
+    if g > 1:
+        zrows = [{j: (a // g, b // g) for j, (a, b) in row.items()} for row in zrows]
+        d //= g
+    flat = [GR_ZERO] * (rows * cols)
+    seen: Dict[Tuple[int, int], GaussianRational] = {}
+    for i, row in enumerate(zrows):
+        base = i * cols
+        for j, v in row.items():
+            x = seen.get(v)
+            if x is None:
+                x = seen[v] = _gr_over(v[0], v[1], d)
+            flat[base + j] = x
+    m = Matrix(rows, cols, tuple(flat), EXACT)
+    object.__setattr__(m, "_zi", (tuple(zrows), d))
+    return m
+
+
+def _zi_divided(row: ZiRow, p: Tuple[int, int]) -> Tuple[ZiRow, int]:
+    """row / p in lowest terms, as (numerators, denominator): x / p is
+    x * conj(p) / |p|^2."""
+    pa, pb = p
+    n = pa * pa + pb * pb
+    out = {j: (xa * pa + xb * pb, xb * pa - xa * pb) for j, (xa, xb) in row.items()}
+    g = math.gcd(n, *[v for pair in out.values() for v in pair])
+    if g > 1:
+        out = {j: (a // g, b // g) for j, (a, b) in out.items()}
+    return out, n // g
+
+
+def _zi_over_lcm(parts: Sequence[Tuple[ZiRow, int]]) -> Tuple[List[ZiRow], int]:
+    """Rows, each over its own denominator, put over the least common
+    multiple d of those: (rows, d)."""
+    d = math.lcm(*[n for _, n in parts])
+    rows = []
+    for row, n in parts:
+        s = d // n
+        rows.append(row if s == 1 else {j: (a * s, b * s) for j, (a, b) in row.items()})
+    return rows, d
+
+
+def _zi_sparse(re: Sequence[int], im: Sequence[int]) -> ZiRow:
+    return {j: v for j, v in enumerate(zip(re, im)) if v[0] or v[1]}
+
+
+def _zi_row_product(row: ZiRow, yrows: Sequence[ZiRow], ncols: int) -> Tuple[List[int], List[int]]:
+    """(real parts, imaginary parts) of row * Y, for the sparse rows of Y."""
     acc_re = [0] * ncols
     acc_im = [0] * ncols
-    for k, (a, b) in enumerate(row):
-        if not (a or b):
-            continue
-        for j, c, d in yrows[k]:
+    for k, (a, b) in row.items():
+        for j, (c, d) in yrows[k].items():
             acc_re[j] += a * c - b * d
             acc_im[j] += a * d + b * c
     return acc_re, acc_im
 
 
-def _zi_product_rows(
-    x: Matrix, y: Matrix
-) -> Tuple[List[Tuple[List[int], List[int], int]], List[int]]:
-    """Rows of the exact product x * y in Z[i]: (rows, ydens), each row
-    (real parts, imaginary parts, dx) with entry (i, j) equal to
-    (re[j] + im[j]*i) / (dx * ydens[j])."""
-    # Rows of x and columns of y are scaled to integers, so entry (i, j) of
-    # the product is an integer sum over the nonzero x[i, k] * y[k, j],
-    # divided once by dx_i * dy_j.
-    ycols = [_clear_denominators(y.entries[j :: y.cols]) for j in range(y.cols)]
-    ydens = [d for _, d in ycols]
-    yrows: List[List[Tuple[int, int, int]]] = [[] for _ in range(y.rows)]
-    for j, (pairs, _) in enumerate(ycols):
-        for k, (c, d) in enumerate(pairs):
-            if c or d:
-                yrows[k].append((j, c, d))
-    rows = []
-    for i in range(x.rows):
-        pairs, dx = _clear_denominators(x.row(i))
-        rows.append(_zi_row_product(pairs, yrows, y.cols) + (dx,))
-    return rows, ydens
+def _zi_product_rows(x: Matrix, y: Matrix) -> Tuple[List[Tuple[List[int], List[int]]], int]:
+    """Rows of the exact product x * y in Z[i], (real parts, imaginary parts)
+    each, over the product of the two forms' denominators."""
+    xrows, dx = zi_form(x)
+    yrows, dy = zi_form(y)
+    return [_zi_row_product(row, yrows, y.cols) for row in xrows], dx * dy
 
 
 def _mul_exact(x: Matrix, y: Matrix) -> Matrix:
-    rows, ydens = _zi_product_rows(x, y)
-    out: List[GaussianRational] = []
-    for acc_re, acc_im, dx in rows:
-        out.extend(_gr_over(re, im, dx * dy) for re, im, dy in zip(acc_re, acc_im, ydens))
-    return Matrix(x.rows, y.cols, tuple(out), EXACT)
+    rows, d = _zi_product_rows(x, y)
+    return zi_matrix(x.rows, y.cols, [_zi_sparse(re, im) for re, im in rows], d)
 
 
 def identity_minus_product(x: Matrix, y: Matrix) -> Matrix:
     """I - x y for a square product.  Exact entries are formed in Z[i] with
-    the identity folded in, one division per entry; float ones as
-    identity - x * y."""
+    the identity folded in; float ones as identity - x * y."""
     if x.cols != y.rows or x.rows != y.cols:
         raise VerificationFailure(f"{x.rows}x{x.cols} times {y.rows}x{y.cols} is not square")
     if x.backend != EXACT:
         return identity(x.rows, x.backend) - x * y
-    rows, ydens = _zi_product_rows(x, y)
-    out: List[GaussianRational] = []
-    for i, (acc_re, acc_im, dx) in enumerate(rows):
-        acc_re[i] -= dx * ydens[i]
-        out.extend(_gr_over(-re, -im, dx * dy) for re, im, dy in zip(acc_re, acc_im, ydens))
-    return Matrix(x.rows, y.cols, tuple(out), EXACT)
+    rows, d = _zi_product_rows(x, y)
+    out = []
+    for i, (re, im) in enumerate(rows):
+        re[i] -= d
+        out.append({j: (-a, -b) for j, (a, b) in enumerate(zip(re, im)) if a or b})
+    return zi_matrix(x.rows, y.cols, out, d)
 
 
-def _rref_exact(
-    rows: List[List[GaussianRational]],
-) -> Tuple[List[List[GaussianRational]], List[int]]:
+def _rref_zi(rows: Sequence[ZiRow], ncols: int) -> Tuple[List[ZiRow], List[int]]:
+    """Reduced row echelon form of sparse Z[i] rows: (pivot rows, pivot
+    columns), where the reduced row r is pivot row r divided by its entry
+    at pivots[r].  The first nonzero pivot per column is taken, so the
+    result is deterministic for a given input."""
     # Fraction-free Gauss-Jordan.  Scaling a row leaves the reduced echelon
-    # form unchanged, so each row is cleared of denominators, eliminated with
-    # row <- p*row - f*pivot_row and kept primitive by dividing out its
-    # integer content.  Pivot rows are divided by their pivot at the end.
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    work: List[Dict[int, Tuple[int, int]]] = [
-        {j: v for j, v in enumerate(_clear_denominators(row)[0]) if v[0] or v[1]}
-        for row in rows
-    ]
+    # form unchanged, so rows are eliminated with row <- p*row - f*pivot_row
+    # and kept primitive by dividing out their integer content.  New rows
+    # are new dicts: the input rows are never mutated.
+    work = list(rows)
+    nrows = len(work)
     pivots: List[int] = []
     r = 0
     for c in range(ncols):
@@ -637,26 +684,26 @@ def _rref_exact(
             work[i] = new
         pivots.append(c)
         r += 1
-    out = [[GR_ZERO] * ncols for _ in range(nrows)]
-    for r, c in enumerate(pivots):
-        # x / p = x * conj(p) / |p|^2
-        pa, pb = work[r][c]
-        n = pa * pa + pb * pb
-        row = out[r]
-        for j, (xa, xb) in work[r].items():
-            row[j] = _gr_over(xa * pa + xb * pb, xb * pa - xa * pb, n)
-    return out, pivots
+    return work[:r], pivots
+
+
+def _pivot_columns(m: Matrix, tol: Optional[float]) -> List[int]:
+    if m.backend == EXACT:
+        return _rref_zi(zi_form(m)[0], m.cols)[1]
+    return _echelon(m.to_lists(), m.backend, tol)[1]
 
 
 def rank(m: Matrix, tol: Optional[float] = None) -> int:
     """Rank of m: the pivot count of its reduced echelon form, float pivots
     above tol (default TAU) relative to the largest entry magnitude."""
-    return len(_echelon(m.to_lists(), m.backend, tol)[1])
+    return len(_pivot_columns(m, tol))
 
 
 def nullspace_basis(m: Matrix, tol: Optional[float] = None) -> List[Matrix]:
     """Kernel basis via the reduced-echelon free-variable construction,
     free columns taken in column order."""
+    if m.backend == EXACT:
+        return _nullspace_exact(m)
     rows, pivots = _echelon(m.to_lists(), m.backend, tol)
     pivot_set = set(pivots)
     zero, one = sc_zero(m.backend), sc_one(m.backend)
@@ -669,6 +716,28 @@ def nullspace_basis(m: Matrix, tol: Optional[float] = None) -> List[Matrix]:
         for r, pc in enumerate(pivots):
             v[pc] = -rows[r][free]
         basis.append(col_vector(v, m.backend))
+    return basis
+
+
+def _nullspace_exact(m: Matrix) -> List[Matrix]:
+    work, pivots = _rref_zi(zi_form(m)[0], m.cols)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(m.cols):
+        if free in pivot_set:
+            continue
+        # v[free] = 1, and v[pc] = -row[free] / row[pc] for each pivot row
+        parts = [({free: (1, 0)}, 1)]
+        for row, pc in zip(work, pivots):
+            if free in row:
+                a, b = row[free]
+                parts.append(_zi_divided({pc: (-a, -b)}, row[pc]))
+        entries, d = _zi_over_lcm(parts)
+        col: List[ZiRow] = [{}] * m.cols
+        for part in entries:
+            for i, v in part.items():
+                col[i] = {0: v}
+        basis.append(zi_matrix(m.cols, 1, col, d))
     return basis
 
 
@@ -704,15 +773,28 @@ def generalized_inverse(m: Matrix, tol: Optional[float] = None) -> Tuple[Matrix,
     """(G, rank of m) with m G m == m, from one reduced echelon form of
     [m | I]: row r of the right-hand block goes to the r-th pivot column of m
     and free variables stay zero, so G y solves m x = y whenever y lies in
-    R(m).  Float pivots count above tol (default TAU) relative to the
-    largest entry magnitude of [m | I]."""
+    R(m).  An exact m = N / d eliminates [N | d I], whose reduced echelon
+    form is the same.  Float pivots count above tol (default TAU) relative
+    to the largest entry magnitude of [m | I]."""
     if m.rows == 0 or m.cols == 0:
         return zeros(m.cols, m.rows, m.backend), 0
+    k = m.cols
+    if m.backend == EXACT:
+        zrows, d = zi_form(m)
+        work, pivots = _rref_zi([{**row, k + i: (d, 0)} for i, row in enumerate(zrows)], k + m.rows)
+        parts: List[Tuple[ZiRow, int]] = [({}, 1)] * k
+        r = 0
+        for row, pc in zip(work, pivots):
+            if pc >= k:
+                break
+            parts[pc] = _zi_divided({j - k: v for j, v in row.items() if j >= k}, row[pc])
+            r += 1
+        return zi_matrix(k, m.rows, *_zi_over_lcm(parts)), r
     rows, pivots = _echelon(hstack([m, identity(m.rows, m.backend)]).to_lists(), m.backend, tol)
-    pivots = [c for c in pivots if c < m.cols]
-    out = [[sc_zero(m.backend)] * m.rows for _ in range(m.cols)]
+    pivots = [c for c in pivots if c < k]
+    out = [[sc_zero(m.backend)] * m.rows for _ in range(k)]
     for r, pc in enumerate(pivots):
-        out[pc] = rows[r][m.cols:]
+        out[pc] = rows[r][k:]
     return matrix_from_rows(out, m.backend), len(pivots)
 
 
@@ -737,7 +819,8 @@ def complement_positions(columns: Sequence[Matrix], dim: int, backend: str,
                          tol: Optional[float] = None) -> List[int]:
     """Indices j such that the standard vectors e_j extend span(columns) to
     the whole space.  columns must be independent."""
-    pivot_set = set(_echelon([[c.at(i, 0) for i in range(dim)] for c in columns], backend, tol)[1])
+    rows = matrix_from_rows([[c.at(i, 0) for i in range(dim)] for c in columns], backend, cols=dim)
+    pivot_set = set(_pivot_columns(rows, tol))
     return [j for j in range(dim) if j not in pivot_set]
 
 
@@ -779,16 +862,14 @@ def char_poly(m: Matrix) -> List[GaussianRational]:
     det(sI - N) = sum_k c_k s^(n-k), whose c_k lie in Z[i], so every division
     by k is exact.  The coefficient of t^(n-k) in det(tI - M) is c_k / d^k.
     M_k is a polynomial in N, so N M_k = M_k N, formed row by row against
-    the sparse rows of N.
+    the sparse rows of N, which are m's Z[i] form.
     """
     _check_square(m)
     if m.backend != EXACT:
         raise ValueError("char_poly needs an exact matrix")
     size = m.rows
-    pairs, d = _clear_denominators(m.entries)
-    n_rows = [[(j, a, b) for j, (a, b) in enumerate(pairs[i * size : (i + 1) * size]) if a or b]
-             for i in range(size)]
-    mk = [[(1, 0) if i == j else (0, 0) for j in range(size)] for i in range(size)]
+    n_rows, d = zi_form(m)
+    mk: List[ZiRow] = [{i: (1, 0)} for i in range(size)]
     coeffs = [GR_ONE]
     dk = 1
     for k in range(1, size + 1):
@@ -801,10 +882,11 @@ def char_poly(m: Matrix) -> List[GaussianRational]:
         dk *= d
         coeffs.append(_gr_over(c_re, c_im, dk))
         if k < size:
-            mk = [list(zip(re, im)) for re, im in prod]
-            for i in range(size):
-                a, b = mk[i][i]
-                mk[i][i] = (a + c_re, b + c_im)
+            mk = [_zi_sparse(re, im) for re, im in prod]
+            if c_re or c_im:
+                for i, row in enumerate(mk):
+                    a, b = row.get(i, (0, 0))
+                    row[i] = (a + c_re, b + c_im)
     return coeffs
 
 

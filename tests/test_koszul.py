@@ -344,15 +344,29 @@ def test_complex_splitting_eliminates_twice(monkeypatch, backend):
     rep = rp.rep_from_json(rp.rep_to_json(h3_rep()), backend=backend)
     C = kz.build_complex(rep, lc.character(rep.algebra, [1, 0, 0]))
     calls = []
-    real = nm._rref
+    entry = "_rref_zi" if backend == EXACT else "_rref"
+    real = getattr(nm, entry)
 
-    def counted(rows, backend, thr):
+    def counted(rows, *args):
         calls.append(len(rows))
-        return real(rows, backend, thr)
+        return real(rows, *args)
 
-    monkeypatch.setattr(nm, "_rref", counted)
+    monkeypatch.setattr(nm, entry, counted)
     kz.complex_splitting(C, 1)
     assert len(calls) == 2, calls
+
+
+def test_exact_rank_of_a_differential_builds_no_gaussian_rational(monkeypatch):
+    # rank counts pivots on the differential's Z[i] form, handed over when
+    # it was built; no echelon row is turned back into Gaussian rationals
+    rep = lab.random_nilpotent_rep(3, "F4", 6)
+    ds = [kz.koszul_differential(rep, p) for p in range(1, rep.algebra.n + 1)]
+    calls = []
+    honest = nm._gr_over
+    monkeypatch.setattr(nm, "_gr_over", lambda *parts: calls.append(parts) or honest(*parts))
+    ranks = [nm.rank(d) for d in ds]
+    assert calls == []
+    assert ranks == [_oracle_rank(d) for d in ds] and sum(ranks) > 0
 
 
 def test_exact_complex_splitting_does_no_gaussian_rational_subtraction(monkeypatch):

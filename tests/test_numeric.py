@@ -5,6 +5,7 @@ and double-checked against the plain Fraction Gauss elimination oracle in
 _oracle_rank, which shares no code with the implementation.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -684,3 +685,83 @@ def test_identity_minus_product_matches_subtracting_the_product():
             assert _entrywise(got) == _entrywise(want), (kind, x, y)
     with pytest.raises(nm.VerificationFailure):
         nm.identity_minus_product(exact_mat([[1, 2]]), exact_mat([[1, 2]]))
+
+
+def test_exact_rank_matches_fraction_reference_pivot_count():
+    for _, kind, rows, cols, x in _cases(15, 300):
+        assert nm.rank(_to_exact(x, cols)) == len(_ref_rref(x, cols)[1]), (kind, x)
+
+
+def _check_form(m, handed_over=True):
+    """m's Z[i] form holds exactly its entries: sparse rows of nonzero
+    (re, im) numerators over a positive denominator coprime to them."""
+    if handed_over:
+        assert m._zi is not None, "the producing routine handed over no form"
+    rows, d = nm.zi_form(m)
+    assert d > 0 and len(rows) == m.rows
+    assert math.gcd(d, *[v for row in rows for pair in row.values() for v in pair]) == 1
+    for i, row in enumerate(rows):
+        assert all((a, b) != (0, 0) and 0 <= j < m.cols for j, (a, b) in row.items())
+        for j in range(m.cols):
+            a, b = row.get(j, (0, 0))
+            assert (m.at(i, j).re, m.at(i, j).im) == (Fraction(a, d), Fraction(b, d)), (m, i, j)
+
+
+def test_exact_form_matches_entries_for_every_producer():
+    from liespec import koszul as kz
+    from liespec import lab
+    from liespec import lie_core as lc
+    from liespec import representation as rp
+
+    rng = random.Random(120)
+    for t, (_, kind, rows, cols, x) in enumerate(_cases(16, 200)):
+        m = _to_exact(x, cols)
+        _check_form(m, handed_over=False)
+        y = _to_exact(_rand(rng, cols, rows, _KINDS[t % len(_KINDS)]), rows)
+        _check_form(m * y)
+        _check_form(nm.identity_minus_product(m, y))
+        g, _ = nm.generalized_inverse(m)
+        _check_form(g, handed_over=rows > 0 and cols > 0)
+        for v in nm.nullspace_basis(m):
+            _check_form(v)
+        if rows == cols:
+            _check_form(nm.sub_diagonal(m, gr(*_entry(rng, kind))), handed_over=False)
+        # equal matrices built different ways compare and hash equal
+        same = m * identity(cols, EXACT)
+        assert same == m and hash(same) == hash(m)
+        prod = matrix_from_rows((m * y).to_lists(), EXACT, cols=rows)
+        assert prod == m * y and hash(prod) == hash(m * y)
+    # Koszul differentials, over rational conjugators, with and without a shift
+    for seed, base in ((0, "H3"), (1, "F4"), (2, "Z3")):
+        rep = lab.random_nilpotent_rep(seed, base, 4)
+        s = _to_exact(_rand(random.Random(seed), 4, 4, "frac"), 4)
+        rep = rp.conjugate_representation(rep, s)
+        L = rep.algebra
+        shift = lc.character(L, [gr(Fraction(1, 2), Fraction(-3, 4))] + [gr(0)] * (L.n - 1))
+        for p in range(1, L.n + 1):
+            for fs in ((), shift.coeffs):
+                d = kz._differential(rep, p, fs)
+                _check_form(d)
+                assert nm.zi_form(d)[1] > 1
+                rebuilt = matrix_from_rows(d.to_lists(), EXACT, cols=d.cols)
+                assert d == rebuilt and hash(d) == hash(rebuilt)
+
+
+def test_exact_product_clears_each_operand_once(monkeypatch):
+    rng = random.Random(122)
+    x_rows = [_rand(rng, r, 4, kind) for r, kind in ((2, "frac"), (5, "imag"), (3, "mixed"))]
+    y_rows = _rand(rng, 4, 3, "mixed")
+    lefts = [_to_exact(x, 4) for x in x_rows]
+    y = _to_exact(y_rows, 3)
+    calls = []
+    honest = nm._clear_denominators
+    monkeypatch.setattr(nm, "_clear_denominators", lambda values: calls.append(1) or honest(values))
+    products = [x * y for x in lefts]
+    # four matrices were built from entries: each is cleared at most once
+    assert len(calls) <= 4, calls
+    for x, got in zip(x_rows, products):
+        assert _pairs(got) == _ref_mul(x, y_rows, 4, 3)
+    # the products carry their form: multiplying one on clears only the
+    # new right operand, a fifth matrix built from entries
+    products[0] * y.transpose()
+    assert len(calls) <= 5, calls
