@@ -284,7 +284,7 @@ def cmd_eigenchars(args) -> Tuple[int, dict]:
     payload = {
         "eigencharacters": [_coeffs_json(f.coeffs) for f, _ in pairs],
         "witnesses": [
-            [scalar_to_json(w.at(i, 0)) for i in range(w.rows)] for _, w in pairs
+            [scalar_to_json(x) for x in w.entries] for _, w in pairs
         ],
     }
     return 0, payload

@@ -322,8 +322,7 @@ def _ascending_central_series(L: LieAlgebra, tol: Optional[float] = None) -> Tup
             for coord in range(L.n):
                 cond_rows.append([cols[i][coord] for i in range(L.n)])
         mat = matrix_from_rows(cond_rows, backend, cols=L.n)
-        kernel = nullspace_basis(mat, tol)
-        nxt = span(L, [tuple(k.at(r, 0) for r in range(L.n)) for k in kernel], tol)
+        nxt = span(L, nullspace_basis(mat, tol).transpose().to_lists(), tol)
         if nxt.dim == zk.dim:
             return tuple(series)
         series.append(nxt)

@@ -416,16 +416,6 @@ def sub_diagonal(m: Matrix, lam: Scalar) -> Matrix:
     return Matrix(n, n, tuple(entries), m.backend)
 
 
-def col_vector(entries: Sequence[Scalar], backend: str) -> Matrix:
-    return Matrix(len(entries), 1, tuple(entries), backend)
-
-
-def unit_columns(dim: int, positions: Sequence[int], backend: str) -> List[Matrix]:
-    """Standard basis vectors e_j of dimension dim, as columns, for j in positions."""
-    zero, one = sc_zero(backend), sc_one(backend)
-    return [col_vector([one if i == j else zero for i in range(dim)], backend) for j in positions]
-
-
 def hstack(mats: Sequence[Matrix]) -> Matrix:
     if not mats or any(m.rows != mats[0].rows or m.backend != mats[0].backend for m in mats):
         raise VerificationFailure("hstack needs one or more matrices of one row count and backend")
@@ -436,23 +426,6 @@ def hstack(mats: Sequence[Matrix]) -> Matrix:
         for m in mats:
             out.extend(m.row(i))
     return Matrix(rows, sum(m.cols for m in mats), tuple(out), backend)
-
-
-def vstack(mats: Sequence[Matrix]) -> Matrix:
-    if not mats or any(m.cols != mats[0].cols or m.backend != mats[0].backend for m in mats):
-        raise VerificationFailure("vstack needs one or more matrices of one column count and backend")
-    cols = mats[0].cols
-    backend = mats[0].backend
-    out: List[Scalar] = []
-    for m in mats:
-        out.extend(m.entries)
-    return Matrix(sum(m.rows for m in mats), cols, tuple(out), backend)
-
-
-def matrix_from_columns(cols: Sequence[Matrix], rows: int, backend: str) -> Matrix:
-    if not cols:
-        return Matrix(rows, 0, (), backend)
-    return hstack(list(cols))
 
 
 # ---------------------------------------------------------------------------
@@ -699,46 +672,36 @@ def rank(m: Matrix, tol: Optional[float] = None) -> int:
     return len(_pivot_columns(m, tol))
 
 
-def nullspace_basis(m: Matrix, tol: Optional[float] = None) -> List[Matrix]:
-    """Kernel basis via the reduced-echelon free-variable construction,
-    free columns taken in column order."""
+def _free_columns(ncols: int, pivots: Sequence[int]) -> List[int]:
+    pivot_set = set(pivots)
+    return [j for j in range(ncols) if j not in pivot_set]
+
+
+def nullspace_basis(m: Matrix, tol: Optional[float] = None) -> Matrix:
+    """Kernel basis of m, as the columns of one m.cols x nullity matrix (no
+    columns when m is injective), by the reduced-echelon free-variable
+    construction.  With the free columns j_0 < j_1 < ... of m, column t is
+    1 at row j_t, minus entry j_t of echelon row r at the r-th pivot
+    column, and 0 elsewhere.  An exact kernel is built as one Z[i] form,
+    each of its pivot rows one echelon row divided by its pivot entry."""
     if m.backend == EXACT:
-        return _nullspace_exact(m)
-    rows, pivots = _echelon(m.to_lists(), m.backend, tol)
-    pivot_set = set(pivots)
-    zero, one = sc_zero(m.backend), sc_one(m.backend)
-    basis = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        v = [zero] * m.cols
-        v[free] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][free]
-        basis.append(col_vector(v, m.backend))
-    return basis
-
-
-def _nullspace_exact(m: Matrix) -> List[Matrix]:
-    work, pivots = _rref_zi(zi_form(m)[0], m.cols)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        # v[free] = 1, and v[pc] = -row[free] / row[pc] for each pivot row
-        parts = [({free: (1, 0)}, 1)]
+        work, pivots = _rref_zi(zi_form(m)[0], m.cols)
+        free = _free_columns(m.cols, pivots)
+        parts: List[Tuple[ZiRow, int]] = [({}, 1)] * m.cols
+        for t, j in enumerate(free):
+            parts[j] = ({t: (1, 0)}, 1)
         for row, pc in zip(work, pivots):
-            if free in row:
-                a, b = row[free]
-                parts.append(_zi_divided({pc: (-a, -b)}, row[pc]))
-        entries, d = _zi_over_lcm(parts)
-        col: List[ZiRow] = [{}] * m.cols
-        for part in entries:
-            for i, v in part.items():
-                col[i] = {0: v}
-        basis.append(zi_matrix(m.cols, 1, col, d))
-    return basis
+            neg = {t: (-row[j][0], -row[j][1]) for t, j in enumerate(free) if j in row}
+            parts[pc] = _zi_divided(neg, row[pc])
+        return zi_matrix(m.cols, len(free), *_zi_over_lcm(parts))
+    rows, pivots = _echelon(m.to_lists(), m.backend, tol)
+    free = _free_columns(m.cols, pivots)
+    out = [[sc_zero(FLOAT)] * len(free) for _ in range(m.cols)]
+    for t, j in enumerate(free):
+        out[j][t] = sc_one(FLOAT)
+    for row, pc in zip(rows, pivots):
+        out[pc] = [-row[j] for j in free]
+    return matrix_from_rows(out, FLOAT, cols=len(free))
 
 
 def solve_matrix(a: Matrix, b: Matrix, tol: Optional[float] = None) -> Optional[Matrix]:
@@ -815,37 +778,27 @@ def echelon_vectors(
     return tuple(tuple(rows[r]) for r in range(len(pivots)))
 
 
-def complement_positions(columns: Sequence[Matrix], dim: int, backend: str,
-                         tol: Optional[float] = None) -> List[int]:
-    """Indices j such that the standard vectors e_j extend span(columns) to
-    the whole space.  columns must be independent."""
-    rows = matrix_from_rows([[c.at(i, 0) for i in range(dim)] for c in columns], backend, cols=dim)
-    pivot_set = set(_pivot_columns(rows, tol))
-    return [j for j in range(dim) if j not in pivot_set]
+def complement_columns(basis: Matrix, tol: Optional[float] = None) -> Matrix:
+    """The standard vectors e_j, as the columns of one matrix in order of j,
+    that extend the span of basis's columns to the whole space: every j that
+    is no pivot of the echelon form of those columns.  The columns of basis
+    must be independent."""
+    comp = _free_columns(basis.rows, _pivot_columns(basis.transpose(), tol))
+    zero, one = sc_zero(basis.backend), sc_one(basis.backend)
+    entries = tuple(one if i == j else zero for i in range(basis.rows) for j in comp)
+    return Matrix(basis.rows, len(comp), entries, basis.backend)
 
 
-def intersect_subspaces(
-    a: Sequence[Matrix], b: Sequence[Matrix], tol: Optional[float] = None
-) -> List[Matrix]:
-    """Basis of span(a) & span(b), canonical echelon form, deterministic order.
-
-    a and b are lists of column vectors of one ambient dimension.
-    """
-    if not a or not b:
-        return []
-    backend = a[0].backend
-    dim = a[0].rows
-    ma = matrix_from_columns(list(a), dim, backend)
-    mb = matrix_from_columns(list(b), dim, backend)
-    stacked = hstack([ma, -mb])
-    kernel = nullspace_basis(stacked, tol)
-    raw = []
-    for k in kernel:
-        x = Matrix(ma.cols, 1, tuple(k.at(i, 0) for i in range(ma.cols)), backend)
-        raw.append(ma * x)
-    rows = [[v.at(i, 0) for i in range(dim)] for v in raw]
-    ech = echelon_vectors(rows, backend, tol)
-    return [col_vector(list(v), backend) for v in ech]
+def intersect_subspaces(a: Matrix, b: Matrix, tol: Optional[float] = None) -> Matrix:
+    """Basis of the intersection of the column spans of a and b, two
+    matrices of one row count, as the columns of one matrix: the canonical
+    echelon basis, in echelon order, with no columns when the spans meet
+    only in 0.  Each kernel vector (x, y) of [a | -b] has a x == b y, so a
+    times the top a.cols rows of that kernel spans the intersection."""
+    kernel = nullspace_basis(hstack([a, -b]), tol)
+    x = Matrix(a.cols, kernel.cols, kernel.entries[: a.cols * kernel.cols], a.backend)
+    ech = echelon_vectors((a * x).transpose().to_lists(), a.backend, tol)
+    return matrix_from_rows(ech, a.backend, cols=a.rows).transpose()
 
 
 # ---------------------------------------------------------------------------

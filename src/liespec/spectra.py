@@ -52,14 +52,14 @@ from .numeric import (
     Matrix,
     Scalar,
     VerificationFailure,
+    complement_columns,
     eigenvalues,
     generalized_inverse,
+    hstack,
+    identity,
     intersect_subspaces,
     inverse,
-    matrix_from_columns,
     nullspace_basis,
-    complement_positions,
-    unit_columns,
     sc_abs,
     scalar_key,
     sub_diagonal,
@@ -251,12 +251,14 @@ def _joint_eigenvectors(
     tol: Optional[float],
     multisets: Optional[List[Optional[List[Scalar]]]] = None,
 ) -> Iterator[Tuple[Vector, Matrix]]:
-    """Joint eigenvalue tuples with one joint eigenvector each.
+    """Joint eigenvalue tuples with one joint eigenvector each, an m x 1
+    matrix.
 
     Exhaustive branch over per-matrix eigenvalues, narrowing the joint
-    eigenspace at each level, leaves in deterministic branch order.  By
-    Lie's theorem a nonzero module of a solvable algebra has a joint
-    eigenvector, so finding none raises NotSolvable.
+    eigenspace (a basis, as the columns of one matrix) at each level, leaves
+    in deterministic branch order; a leaf's vector is the first basis
+    column.  By Lie's theorem a nonzero module of a solvable algebra has a
+    joint eigenvector, so finding none raises NotSolvable.
 
     multisets[k] is the sorted eigenvalue multiset of rep.mats[k]; an entry
     that is None is computed the first time level k is reached and stored
@@ -276,24 +278,24 @@ def _joint_eigenvectors(
                 out.append(v)
         return out
 
-    def descend(k: int, space: List[Matrix], lams: Tuple[Scalar, ...]):
-        if not space:
+    def descend(k: int, space: Matrix, lams: Tuple[Scalar, ...]):
+        if not space.cols:
             return
         if k == L.n:
-            yield lams, space[0]
+            yield lams, Matrix(space.rows, 1, space.entries[:: space.cols], backend)
             return
         for lam in unique_eigenvalues(k):
             kernel = nullspace_basis(sub_diagonal(rep.mats[k], lam), tol)
-            if not kernel:
+            if not kernel.cols:
                 continue
-            # first level: the ambient space is everything
-            nxt = kernel if len(space) == rep.m else intersect_subspaces(space, kernel, tol)
+            # a space that is still everything needs no intersection
+            nxt = kernel if space.cols == rep.m else intersect_subspaces(space, kernel, tol)
             yield from descend(k + 1, nxt, lams + (lam,))
 
     if rep.m == 0:
         return
     found = False
-    for leaf in descend(0, unit_columns(rep.m, range(rep.m), backend), ()):
+    for leaf in descend(0, identity(rep.m, backend), ()):
         found = True
         yield leaf
     if not found:
@@ -342,9 +344,15 @@ def triangular_weights(rep: Representation, tol: Optional[float] = None) -> List
         weights.append(lams)
         if work.m == 1:
             break
-        comp = complement_positions([v], work.m, backend, tol)
-        basis = matrix_from_columns([v] + unit_columns(work.m, comp, backend), work.m, backend)
-        inv = inverse(basis, tol)
+        basis = hstack([v, complement_columns(v, tol)])
+        try:
+            inv = inverse(basis, tol)
+        except ZeroDivisionError:
+            # exact [v | e_j] is a basis by construction; a float one can fail
+            # the relative pivot threshold when v has large entries
+            raise VerificationFailure(
+                "quotient basis [v | e_j] of a joint eigenvector is numerically singular"
+            ) from None
         sub_mats = []
         for mat in work.mats:
             moved = inv * mat * basis
@@ -428,13 +436,12 @@ def weight_blocks(rep: Representation) -> List[Tuple[Vector, Representation]]:
                 power, j = sub_diagonal(mat, lam), 1
                 while j < mu:
                     power, j = power * power, 2 * j
-                kernel = nullspace_basis(power)
-                if len(kernel) != mu:
+                v = nullspace_basis(power)
+                if v.cols != mu:
                     raise VerificationFailure(
-                        f"generalized eigenspace of dimension {len(kernel)} for an "
+                        f"generalized eigenspace of dimension {v.cols} for an "
                         f"eigenvalue of multiplicity {mu}"
                     )
-                v = matrix_from_columns(kernel, block.m, EXACT)
                 g = generalized_inverse(v)[0]
                 mats = []
                 for other in block.mats:

@@ -471,6 +471,18 @@ def test_float_crossval_of_f4_seed_0(capsys, tmp_path):
     assert code == 0, err
 
 
+@pytest.mark.parametrize("command", ["spectrum", "report", "crossval"])
+@pytest.mark.parametrize("seed,base,m", [(3, "H3", 7), (4, "F4", 6), (5, "F4", 6)])
+def test_float_singular_quotient_basis_exits_1_with_one_error_line(
+        capsys, tmp_path, command, seed, base, m):
+    # the float joint eigenvector has entries near 5e8, so the relative pivot
+    # threshold rejects the unit columns that complete it to a basis
+    code, out, err = _seeded_float_run(capsys, tmp_path, command, base, m, seed)
+    assert code == 1
+    assert out == ""
+    assert err == "error: quotient basis [v | e_j] of a joint eigenvector is numerically singular\n"
+
+
 def test_irrational_eigenvalue_with_huge_divisor_count_exits_1_fast(capsys, tmp_path):
     # t^2 - 9999990 has no Gaussian-rational root, and a full divisor search
     # of its constant term would take about 10^7 trial divisions

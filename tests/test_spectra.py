@@ -7,6 +7,8 @@ here; they exhibit the failure of the eigencharacter description on a
 solvable non-nilpotent algebra.
 """
 
+import random
+
 import pytest
 
 from liespec import koszul as kz
@@ -128,6 +130,23 @@ def test_weight_candidates():
     assert sp.weight_candidates(a1_rep()) == ((gr(2),), (gr(3),))
     assert sp.weight_candidates(h3_rep()) == ((gr(0), gr(0), gr(0)),)
     assert set(sp.weight_candidates(s2_rep())) == {(gr(0), gr(0)), (gr(1), gr(0))}
+
+
+def test_triangular_weights_of_conjugated_sums_of_shifted_s2():
+    # the multi-step quotient on a non-nilpotent algebra: S2 shifted by the
+    # character (a, 0) has the weights (1 - a, 0) and (-a, 0)
+    rng = random.Random(13)
+    L = s2_rep().algebra
+    key = sp.char_sort_key
+    for _ in range(10):
+        shifts = [rng.randint(-3, 3) for _ in range(rng.randint(2, 4))]
+        blocks = [rp.shift(s2_rep(), lc.Character(L, (gr(a), gr(0)))) for a in shifts]
+        rep = blocks[0]
+        for block in blocks[1:]:
+            rep = rp.direct_sum(rep, block)
+        rep = rp.conjugate_representation(rep, lab.unimodular_matrix(rng, rep.m, EXACT))
+        want = [(gr(c - a), gr(0)) for a in shifts for c in (1, 0)]
+        assert sorted(sp.triangular_weights(rep), key=key) == sorted(want, key=key), shifts
 
 
 def test_weight_candidates_need_solvable():
