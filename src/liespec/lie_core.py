@@ -427,8 +427,11 @@ def is_character(L: LieAlgebra, coeffs: Sequence[Scalar], tol: Optional[float] =
     if L.backend != EXACT:
         mx = max((sc_abs(c) for c in coeffs), default=0.0)
         thr = (TAU if tol is None else tol) * max(1.0, mx)
+    exact = L.backend == EXACT
     for b in derived_subalgebra(L, tol).basis:
-        val = sum((c * x for c, x in zip(coeffs, b)), start=sc_zero(L.backend))
+        # exact zero coordinates add nothing; float sums keep every term
+        val = sum((c * x for c, x in zip(coeffs, b) if not (exact and x.is_zero)),
+                  start=sc_zero(L.backend))
         if not sc_is_zero(val, thr):
             return False
     return True

@@ -400,17 +400,27 @@ def identity(n: int, backend: str) -> Matrix:
 
 
 def sub_diagonal(m: Matrix, lam: Scalar) -> Matrix:
-    """m - lam*I without forming lam*I.  Exact entries off the diagonal are
-    kept as they are; float ones still have lam*0 subtracted, because its
-    signed zeros reach the float output."""
+    """m - lam*I without forming lam*I.  An exact m = N / d and lam = x / e
+    give (e N - d x I) / (d e), formed in Z[i] and handed over as the
+    result's form.  Float entries off the diagonal still have lam*0
+    subtracted, because its signed zeros reach the float output."""
     _check_square(m)
     n = m.rows
     if m.backend == EXACT:
-        entries = list(m.entries)
-    else:
-        off = lam * sc_zero(FLOAT)
-        entries = [a - off for a in m.entries]
-        lam = lam * sc_one(FLOAT)
+        zrows, d = zi_form(m)
+        ((xa, xb),), e = _clear_denominators([lam])
+        out = []
+        for i, row in enumerate(zrows):
+            new = {j: (a * e, b * e) for j, (a, b) in row.items() if j != i}
+            a, b = row.get(i, (0, 0))
+            diag = (a * e - d * xa, b * e - d * xb)
+            if diag != (0, 0):
+                new[i] = diag
+            out.append(new)
+        return zi_matrix(n, n, out, d * e)
+    off = lam * sc_zero(FLOAT)
+    entries = [a - off for a in m.entries]
+    lam = lam * sc_one(FLOAT)
     for i in range(0, n * n, n + 1):
         entries[i] = m.entries[i] - lam
     return Matrix(n, n, tuple(entries), m.backend)
@@ -578,6 +588,14 @@ def _zi_over_lcm(parts: Sequence[Tuple[ZiRow, int]]) -> Tuple[List[ZiRow], int]:
 
 def _zi_sparse(re: Sequence[int], im: Sequence[int]) -> ZiRow:
     return {j: v for j, v in enumerate(zip(re, im)) if v[0] or v[1]}
+
+
+def _zi_transposed(rows: Sequence[ZiRow], ncols: int) -> List[ZiRow]:
+    out: List[ZiRow] = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            out[j][i] = v
+    return out
 
 
 def _zi_row_product(row: ZiRow, yrows: Sequence[ZiRow], ncols: int) -> Tuple[List[int], List[int]]:
@@ -799,6 +817,21 @@ def intersect_subspaces(a: Matrix, b: Matrix, tol: Optional[float] = None) -> Ma
     x = Matrix(a.cols, kernel.cols, kernel.entries[: a.cols * kernel.cols], a.backend)
     ech = echelon_vectors((a * x).transpose().to_lists(), a.backend, tol)
     return matrix_from_rows(ech, a.backend, cols=a.rows).transpose()
+
+
+def kernel_within(m: Matrix, space: Matrix, tol: Optional[float] = None) -> Matrix:
+    """Basis of {v in the column span of space : m v == 0}, as the columns
+    of one matrix: the same canonical echelon basis as
+    intersect_subspaces(space, nullspace_basis(m)).  An exact result is
+    spanned by space times a kernel of m * space; the columns of that
+    product are reduced in Z[i] and the result is built from its form.  A
+    float result is that intersection itself."""
+    if m.backend != EXACT:
+        return intersect_subspaces(space, nullspace_basis(m, tol), tol)
+    span = space * nullspace_basis(m * space)
+    work, pivots = _rref_zi(_zi_transposed(zi_form(span)[0], span.cols), span.rows)
+    rows, d = _zi_over_lcm([_zi_divided(row, row[c]) for row, c in zip(work, pivots)])
+    return zi_matrix(span.rows, len(rows), _zi_transposed(rows, span.rows), d)
 
 
 # ---------------------------------------------------------------------------

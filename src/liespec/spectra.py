@@ -8,9 +8,12 @@ Two independent routes:
     membership sets.  The cross-check and the projections reuse the same
     tables: a report needs one for the representation and one for its
     restriction to an ideal;
-  * eigencharacter route: enumerate joint eigenvectors directly.  For
-    nilpotent algebras the two routes agree; for merely solvable ones they
-    can differ, and cross_validate reports how.
+  * eigencharacter route: enumerate joint eigenvectors directly, narrowing
+    a joint eigenspace V level by level to the kernel of rho(e_k) - lam
+    within V, which the exact backend reads off the kernel of
+    (rho(e_k) - lam) V instead of intersecting V with the whole kernel.
+    For nilpotent algebras the two routes agree; for merely solvable ones
+    they can differ, and cross_validate reports how.
 
 The candidate set is {w - g} where w runs over the triangularization
 weights of rho and g over the homology support of the algebra's
@@ -57,8 +60,8 @@ from .numeric import (
     generalized_inverse,
     hstack,
     identity,
-    intersect_subspaces,
     inverse,
+    kernel_within,
     nullspace_basis,
     sc_abs,
     scalar_key,
@@ -257,8 +260,13 @@ def _joint_eigenvectors(
     Exhaustive branch over per-matrix eigenvalues, narrowing the joint
     eigenspace (a basis, as the columns of one matrix) at each level, leaves
     in deterministic branch order; a leaf's vector is the first basis
-    column.  By Lie's theorem a nonzero module of a solvable algebra has a
-    joint eigenvector, so finding none raises NotSolvable.
+    column.  Level k takes the kernel of rho(e_k) - lam: the whole kernel
+    while the space is still everything, else the canonical echelon basis
+    of the kernel within the space (numeric.kernel_within), which an exact
+    search finds from the small kernel of (rho(e_k) - lam) V instead of
+    intersecting V with the whole m x m kernel.  By Lie's theorem a nonzero
+    module of a solvable algebra has a joint eigenvector, so finding none
+    raises NotSolvable.
 
     multisets[k] is the sorted eigenvalue multiset of rep.mats[k]; an entry
     that is None is computed the first time level k is reached and stored
@@ -285,11 +293,12 @@ def _joint_eigenvectors(
             yield lams, Matrix(space.rows, 1, space.entries[:: space.cols], backend)
             return
         for lam in unique_eigenvalues(k):
-            kernel = nullspace_basis(sub_diagonal(rep.mats[k], lam), tol)
-            if not kernel.cols:
-                continue
-            # a space that is still everything needs no intersection
-            nxt = kernel if space.cols == rep.m else intersect_subspaces(space, kernel, tol)
+            shifted = sub_diagonal(rep.mats[k], lam)
+            # the kernel of rho(e_k) - lam, restricted unless space is still everything
+            if space.cols == rep.m:
+                nxt = nullspace_basis(shifted, tol)
+            else:
+                nxt = kernel_within(shifted, space, tol)
             yield from descend(k + 1, nxt, lams + (lam,))
 
     if rep.m == 0:

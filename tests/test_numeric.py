@@ -728,7 +728,8 @@ def test_exact_form_matches_entries_for_every_producer():
         _check_form(g, handed_over=rows > 0 and cols > 0)
         _check_form(nm.nullspace_basis(m))
         if rows == cols:
-            _check_form(nm.sub_diagonal(m, gr(*_entry(rng, kind))), handed_over=False)
+            _check_form(nm.sub_diagonal(m, gr(*_entry(rng, kind))))
+        _check_form(nm.kernel_within(y, m))
         # equal matrices built different ways compare and hash equal
         same = m * identity(cols, EXACT)
         assert same == m and hash(same) == hash(m)
@@ -748,6 +749,32 @@ def test_exact_form_matches_entries_for_every_producer():
                 assert nm.zi_form(d)[1] > 1
                 rebuilt = matrix_from_rows(d.to_lists(), EXACT, cols=d.cols)
                 assert d == rebuilt and hash(d) == hash(rebuilt)
+
+
+def test_kernel_within_matches_intersecting_with_the_kernel():
+    rng = random.Random(123)
+    empty = whole = 0
+    for t, (_, kind, n, r, x) in enumerate(_cases(19, 300)):
+        space = _to_exact(x, r)
+        rows = rng.randint(0, 5)
+        if t % 4 == 0:  # m vanishes on the space, or on a kernel of its own
+            m = _to_exact(_rand(rng, rows, n, "zero"), n)
+        else:
+            make = _rand_deficient if t % 4 == 1 else _rand
+            m = _to_exact(make(rng, rows, n, _KINDS[(t // 5) % len(_KINDS)]), n)
+            if t % 4 == 3:
+                space = nm.nullspace_basis(m)
+        for mm, ss in ((m.to_float(), space.to_float()), (m, space)):
+            got = nm.kernel_within(mm, ss)
+            want = nm.intersect_subspaces(ss, nm.nullspace_basis(mm))
+            assert (got.rows, got.cols, got.backend) == (want.rows, want.cols, want.backend)
+            assert _entrywise(got) == _entrywise(want), (kind, m, space)
+        span = nm.rank(space)  # the exact result is the last one checked
+        empty += span > 0 and got.cols == 0
+        whole += span > 0 and got.cols == span
+    assert empty >= 10 and whole >= 60, (empty, whole)
+    with pytest.raises(nm.VerificationFailure):
+        nm.kernel_within(exact_mat([[1, 2]]), exact_mat([[1], [0], [0]]))
 
 
 def test_exact_product_clears_each_operand_once(monkeypatch):

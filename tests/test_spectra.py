@@ -132,21 +132,81 @@ def test_weight_candidates():
     assert set(sp.weight_candidates(s2_rep())) == {(gr(0), gr(0)), (gr(1), gr(0))}
 
 
-def test_triangular_weights_of_conjugated_sums_of_shifted_s2():
-    # the multi-step quotient on a non-nilpotent algebra: S2 shifted by the
-    # character (a, 0) has the weights (1 - a, 0) and (-a, 0)
+def shifted_s2_sums():
+    """10 seeded (shifts, rep): conjugated direct sums of S2 shifted by the
+    characters (a, 0), a in shifts."""
     rng = random.Random(13)
     L = s2_rep().algebra
-    key = sp.char_sort_key
+    out = []
     for _ in range(10):
         shifts = [rng.randint(-3, 3) for _ in range(rng.randint(2, 4))]
         blocks = [rp.shift(s2_rep(), lc.Character(L, (gr(a), gr(0)))) for a in shifts]
         rep = blocks[0]
         for block in blocks[1:]:
             rep = rp.direct_sum(rep, block)
-        rep = rp.conjugate_representation(rep, lab.unimodular_matrix(rng, rep.m, EXACT))
+        out.append((shifts, rp.conjugate_representation(rep, lab.unimodular_matrix(rng, rep.m, EXACT))))
+    return out
+
+
+def test_triangular_weights_of_conjugated_sums_of_shifted_s2():
+    # the multi-step quotient on a non-nilpotent algebra: S2 shifted by the
+    # character (a, 0) has the weights (1 - a, 0) and (-a, 0)
+    key = sp.char_sort_key
+    for shifts, rep in shifted_s2_sums():
         want = [(gr(c - a), gr(0)) for a in shifts for c in (1, 0)]
         assert sorted(sp.triangular_weights(rep), key=key) == sorted(want, key=key), shifts
+
+
+def intersected_leaves(rep):
+    """The joint eigenvector search by subspace intersection: at every level
+    the whole kernel of rho(e_k) - lam, intersected with the space so far."""
+    def descend(k, space, lams):
+        if not space.cols:
+            return
+        if k == rep.algebra.n:
+            yield lams, nm.Matrix(space.rows, 1, space.entries[:: space.cols], rep.backend)
+            return
+        values = nm.eigenvalues(rep.mats[k])
+        for lam in [v for i, v in enumerate(values) if i == 0 or values[i - 1] != v]:
+            kernel = nm.nullspace_basis(nm.sub_diagonal(rep.mats[k], lam))
+            nxt = kernel if space.cols == rep.m else nm.intersect_subspaces(space, kernel)
+            yield from descend(k + 1, nxt, lams + (lam,))
+
+    return list(descend(0, nm.identity(rep.m, rep.backend), ()))
+
+
+def test_restricted_kernels_give_the_intersected_leaves():
+    bases = ("H3", "F4", "A1", "Z3")
+    reps = [lab.random_nilpotent_rep(400 + s, bases[s % 4], 4 + s % 5) for s in range(40)]
+    reps += [rep for _, rep in shifted_s2_sums()]
+    for rep in reps:
+        got = list(sp._joint_eigenvectors(rep, None))
+        want = intersected_leaves(rep)
+        assert [lams for lams, _ in got] == [lams for lams, _ in want]
+        for (_, v), (_, w) in zip(got, want):
+            assert (v.rows, v.cols) == (w.rows, w.cols) == (rep.m, 1)
+            assert v.entries == w.entries
+
+
+def test_exact_eigencharacters_intersect_no_subspaces(monkeypatch):
+    calls = {"intersect_subspaces": 0, "kernel_within": 0}
+
+    def counted(name):
+        honest = getattr(nm, name)
+
+        def call(*args):
+            calls[name] += 1
+            return honest(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(nm, name, counted(name))
+    monkeypatch.setattr(sp, "kernel_within", nm.kernel_within)
+    sp.joint_eigencharacters(lab.random_nilpotent_rep(1, "F4", 8))
+    assert calls["intersect_subspaces"] == 0 and calls["kernel_within"] > 0, calls
+    # the float search still intersects, and the count sees it
+    sp.joint_eigencharacters(float_copy(h3_rep()))
+    assert calls["intersect_subspaces"] > 0, calls
 
 
 def test_weight_candidates_need_solvable():
