@@ -12,7 +12,9 @@ propagates with its traceback.
 
 import argparse
 import json
+import math
 import sys
+from dataclasses import asdict
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
@@ -136,18 +138,15 @@ def _matrix_json(m: Matrix) -> list:
     return [[scalar_to_json(m.at(i, j)) for j in range(m.cols)] for i in range(m.rows)]
 
 
-def _parse_character(text: str, L, backend: str):
-    """Comma-separated scalar literals -> a character on L."""
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != L.n:
-        raise InputError(f"character needs {L.n} coordinates, got {len(parts)}")
-    coeffs = []
-    for p in parts:
-        try:
-            coeffs.append(make_scalar(scalar_from_text(p), backend))
-        except ValueError as e:
-            raise InputError(str(e)) from None
-    return character(L, coeffs)
+def _parse_vector(text: str, n: int, backend: str, wrong_length: str) -> list:
+    """Comma-separated scalar literals -> n backend scalars; else wrong_length.format(got=count)."""
+    coords = [p.strip() for p in text.split(",")]
+    if len(coords) != n:
+        raise InputError(wrong_length.format(got=len(coords)))
+    try:
+        return [make_scalar(scalar_from_text(c), backend) for c in coords]
+    except ValueError as e:
+        raise InputError(str(e)) from None
 
 
 def _fmt_leaf(value) -> str:
@@ -239,7 +238,9 @@ def cmd_koszul(args) -> Tuple[int, dict]:
     rep = _load_rep(args)
     f = None
     if args.shift is not None:
-        f = _parse_character(args.shift, rep.algebra, rep.backend)
+        n = rep.algebra.n
+        wrong_length = f"character needs {n} coordinates, got {{got}}"
+        f = character(rep.algebra, _parse_vector(args.shift, n, rep.backend, wrong_length))
     C = build_complex(rep, f, tol=args.tol)
     dims, ranks, betti = complex_profile(C, args.tol)
     coeffs = f.coeffs if f is not None else rep.algebra.zero_vector()
@@ -320,17 +321,9 @@ def _resolve_ideal(args, rep) -> Subspace:
     vectors = []
     for part in args.ideal.split(";"):
         part = part.strip()
-        if not part:
-            continue
-        coords = [p.strip() for p in part.split(",")]
-        if len(coords) != L.n:
-            raise InputError(f"ideal vectors need {L.n} coordinates")
-        try:
-            vectors.append(
-                tuple(make_scalar(scalar_from_text(c), rep.backend) for c in coords)
-            )
-        except ValueError as e:
-            raise InputError(str(e)) from None
+        if part:
+            vectors.append(_parse_vector(part, L.n, rep.backend,
+                                         f"ideal vectors need {L.n} coordinates"))
     if not vectors:
         raise InputError("empty --ideal")
     return span(L, vectors, args.tol)
@@ -453,20 +446,7 @@ def cmd_lab_proxy(args) -> Tuple[int, object]:
     except ValueError as e:
         raise InputError(str(e)) from None
     if args.format == "json":
-        payload = {
-            "rows": [
-                {
-                    "m": r.m,
-                    "rank_budget": r.rank_budget,
-                    "sigma_size": r.sigma_size,
-                    "eigenchar_size": r.eigenchar_size,
-                    "equality": r.equality,
-                    "elapsed_ms": r.elapsed_ms,
-                }
-                for r in rows
-            ]
-        }
-        return 0, payload
+        return 0, {"rows": [asdict(r) for r in rows]}
     return 0, lab.proxy_csv(rows, include_timing=True)
 
 
@@ -479,15 +459,7 @@ def cmd_lab_suite(args) -> Tuple[int, dict]:
         "instances": summary.instances,
         "checks": summary.checks,
         "ok": summary.ok,
-        "failures": [
-            {
-                "instance": f.instance,
-                "seed": f.seed,
-                "check": f.check,
-                "detail": f.detail,
-            }
-            for f in summary.failures
-        ],
+        "failures": [asdict(f) for f in summary.failures],
     }
     return (0 if summary.ok else 1), payload
 
@@ -576,8 +548,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.tol is not None and (args.backend or EXACT) != FLOAT:
         print("error: --tol applies only to --backend float", file=sys.stderr)
         return 2
-    if args.tol is not None and args.tol <= 0:
-        print("error: --tol must be positive", file=sys.stderr)
+    if args.tol is not None and not 0 < args.tol < math.inf:
+        print("error: --tol must be a positive finite number", file=sys.stderr)
         return 2
     if args.seed is not None and args.handler is not cmd_lab_proxy:
         print("error: --seed applies only to lab proxy", file=sys.stderr)

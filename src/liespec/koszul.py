@@ -31,7 +31,6 @@ from typing import Dict, List, Optional, Tuple
 from .lie_core import Character, LieAlgebra, NotACharacter, is_character
 from .numeric import (
     EXACT,
-    TAU,
     Matrix,
     Scalar,
     VerificationFailure,
@@ -40,6 +39,7 @@ from .numeric import (
     rank,
     sc_is_zero,
     sc_zero,
+    zero_threshold,
     zeros,
     zi_form,
     zi_matrix,
@@ -97,9 +97,6 @@ class ChainComplex:
 @dataclass(frozen=True)
 class BettiVector:
     h: Tuple[int, ...]
-
-    def __getitem__(self, p: int) -> int:
-        return self.h[p]
 
     @property
     def total(self) -> int:
@@ -218,6 +215,18 @@ def koszul_differential(rep: Representation, p: int) -> Matrix:
     return _differential(rep, p, ())
 
 
+def check_entry_budget(n: int, m: int, lo: int, hi: int) -> None:
+    """Raises DimensionCap when some d_p, lo < p <= hi, of an n-dimensional
+    algebra's complex on C^m would exceed MAX_DIFFERENTIAL_ENTRIES."""
+    for p in range(lo + 1, hi + 1):
+        rows, cols = m * math.comb(n, p - 1), m * math.comb(n, p)
+        if rows * cols > MAX_DIFFERENTIAL_ENTRIES:
+            raise DimensionCap(
+                f"d_{p} would have {rows}x{cols} = {rows * cols} entries, over the "
+                f"budget of {MAX_DIFFERENTIAL_ENTRIES} entries per differential"
+            )
+
+
 def _truncated_complex(rep: Representation, f: Optional[Character],
                        tol: Optional[float], lo: int, hi: int) -> ChainComplex:
     """The complex of rho - f cut to degrees lo..hi, zero below lo: homology is
@@ -225,14 +234,8 @@ def _truncated_complex(rep: Representation, f: Optional[Character],
     Raises DimensionCap before allocating when a differential it builds
     would exceed MAX_DIFFERENTIAL_ENTRIES."""
     L = rep.algebra
+    check_entry_budget(L.n, rep.m, lo, hi)
     dims = tuple(rep.m * math.comb(L.n, p) if p >= lo else 0 for p in range(hi + 1))
-    for p in range(lo + 1, hi + 1):
-        rows, cols = dims[p - 1], dims[p]
-        if rows * cols > MAX_DIFFERENTIAL_ENTRIES:
-            raise DimensionCap(
-                f"d_{p} would have {rows}x{cols} = {rows * cols} entries, over the "
-                f"budget of {MAX_DIFFERENTIAL_ENTRIES} entries per differential"
-            )
     fs: Tuple[Scalar, ...] = ()
     if f is not None and not all(sc_is_zero(c) for c in f.coeffs):
         if f.algebra != L or not is_character(L, f.coeffs, tol):
@@ -254,10 +257,8 @@ def validate_complex(C: ChainComplex, tol: Optional[float] = None) -> List[int]:
     bad = []
     for p in range(2, C.n + 1):
         prod = C.d(p - 1) * C.d(p)
-        thr = 0.0
-        if C.backend != EXACT:
-            scale = max(C.d(p - 1).maxnorm() * C.d(p).maxnorm(), 1.0)
-            thr = (TAU if tol is None else tol) * scale
+        thr = zero_threshold(C.backend, tol,
+                             lambda: max(C.d(p - 1).maxnorm() * C.d(p).maxnorm(), 1.0))
         if not prod.is_zero(thr):
             bad.append(p)
     return bad

@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .koszul import (
     BettiVector,
     build_complex,
+    check_entry_budget,
     complex_profile,
     homology_dims,
     validate_complex,
@@ -325,6 +326,7 @@ def finite_rank_proxy(config: ExperimentConfig) -> Tuple[ProxyRow, ...]:
     the row records whether the spectrum equals {0} joined with the
     eigencharacter set.  Wall time is measured per row but kept out of the
     canonical CSV (see proxy_csv) so a rerun reproduces identical bytes.
+    Over the entry budget at the largest m, raises DimensionCap up front.
     """
     if not config.schedule:
         raise ValueError("empty dimension schedule")
@@ -335,6 +337,7 @@ def finite_rank_proxy(config: ExperimentConfig) -> Tuple[ProxyRow, ...]:
             f"scheduled dimension {lo}"
         )
     base = fixture(config.algebra, config.backend).rep
+    check_entry_budget(base.algebra.n, max(config.schedule), 0, base.algebra.n)
     if lo < base.m:
         raise ValueError(f"schedule entry {lo} is below the base block size {base.m}")
     for mat in base.mats:
@@ -410,12 +413,14 @@ class SuiteSummary:
 
 
 _SUITE_BASES = ("H3", "F4", "A1", "Z3")
+# largest module dimension of a generated suite instance
+_SUITE_MAX_M = 8
 
 
-def _suite_dimension(base_m: int, s: int, max_m: int) -> int:
+def _suite_dimension(base_m: int, s: int) -> int:
     # cycle block counts and remainders so the schedule is not all multiples
     m = (1 + (s // 2) % 2) * base_m + (s // 4) % base_m
-    while m > max_m:
+    while m > _SUITE_MAX_M:
         m -= base_m
     return max(m, base_m)
 
@@ -509,7 +514,6 @@ def run_property_suite(
     seed_count: int = 25,
     backend: str = EXACT,
     extra: Sequence[Tuple[str, Representation]] = (),
-    max_m: int = 8,
 ) -> SuiteSummary:
     """Runs the module invariants over the catalog plus generated instances.
 
@@ -524,7 +528,7 @@ def run_property_suite(
     for s in range(seed_count):
         base = _SUITE_BASES[s % len(_SUITE_BASES)]
         base_m = fixture(base, backend).rep.m
-        m = _suite_dimension(base_m, s, max_m)
+        m = _suite_dimension(base_m, s)
         instances.append(
             (f"{base}#s{s}m{m}", s, random_nilpotent_rep(s, base, m, backend))
         )

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .numeric import (
     EXACT,
     Scalar,
-    TAU,
     echelon_vectors,
     make_scalar,
     matrix_from_rows,
@@ -36,6 +35,7 @@ from .numeric import (
     scalar_from_json,
     scalar_key,
     scalar_to_json,
+    zero_threshold,
 )
 
 
@@ -148,17 +148,13 @@ def zero_subspace(L: LieAlgebra) -> Subspace:
 
 
 def full_subspace(L: LieAlgebra) -> Subspace:
-    one, zero = sc_one(L.backend), sc_zero(L.backend)
-    rows = [tuple(one if i == j else zero for i in range(L.n)) for j in range(L.n)]
-    return Subspace(L, tuple(rows))
+    return Subspace(L, tuple(_basis_vector(L, j) for j in range(L.n)))
 
 
 def _membership_threshold(S: Subspace, vec: Sequence[Scalar], tol: Optional[float]) -> float:
-    if S.algebra.backend == EXACT:
-        return 0.0
-    mx = max((sc_abs(x) for row in S.basis for x in row), default=0.0)
-    mx = max(mx, max((sc_abs(x) for x in vec), default=0.0), 1.0)
-    return (TAU if tol is None else tol) * mx
+    return zero_threshold(S.algebra.backend, tol, lambda: max(
+        max((sc_abs(x) for row in S.basis for x in row), default=0.0),
+        max((sc_abs(x) for x in vec), default=0.0), 1.0))
 
 
 def reduce_mod(S: Subspace, vec: Sequence[Scalar], tol: Optional[float] = None) -> Vector:
@@ -217,10 +213,11 @@ def validate_lie_algebra(L: LieAlgebra, tol: Optional[float] = None) -> List[Tup
     residual vector [[ei,ej],ek] + [[ej,ek],ei] + [[ek,ei],ej]; empty list
     means the constants define a Lie algebra.
     """
-    thr = 0.0
-    if L.backend != EXACT:
+    def scale() -> float:
         mx = max((sc_abs(c) for _, _, row in L.table for c in row), default=0.0)
-        thr = (TAU if tol is None else tol) * max(1.0, mx * mx)
+        return max(1.0, mx * mx)
+
+    thr = zero_threshold(L.backend, tol, scale)
     violations = []
     basis = [_basis_vector(L, i) for i in range(L.n)]
     for i in range(L.n):
@@ -251,33 +248,27 @@ def derived_subalgebra(L: LieAlgebra, tol: Optional[float] = None) -> Subspace:
     return span(L, prods, tol) if prods else zero_subspace(L)
 
 
-@lru_cache(maxsize=256)
-def lower_central_series(L: LieAlgebra, tol: Optional[float] = None) -> Tuple[Subspace, ...]:
-    """L ⊇ [L,L] ⊇ [L,[L,L]] ⊇ ... until stabilization."""
-    series = [full_subspace(L)]
-    whole = series[0]
-    while True:
-        nxt = _bracket_span(L, whole, series[-1], tol)
+def _series(first: Subspace, step: Callable[[Subspace], Subspace], last_dim: int) -> Tuple[Subspace, ...]:
+    """first, step(first), ... until the dimension stops changing or reaches last_dim."""
+    series = [first]
+    while series[-1].dim != last_dim:
+        nxt = step(series[-1])
         if nxt.dim == series[-1].dim:
             break
         series.append(nxt)
-        if nxt.dim == 0:
-            break
     return tuple(series)
+
+
+@lru_cache(maxsize=256)
+def lower_central_series(L: LieAlgebra, tol: Optional[float] = None) -> Tuple[Subspace, ...]:
+    """L ⊇ [L,L] ⊇ [L,[L,L]] ⊇ ... until stabilization."""
+    whole = full_subspace(L)
+    return _series(whole, lambda cur: _bracket_span(L, whole, cur, tol), 0)
 
 
 @lru_cache(maxsize=256)
 def derived_series(L: LieAlgebra, tol: Optional[float] = None) -> Tuple[Subspace, ...]:
-    series = [full_subspace(L)]
-    while True:
-        cur = series[-1]
-        nxt = _bracket_span(L, cur, cur, tol)
-        if nxt.dim == cur.dim:
-            break
-        series.append(nxt)
-        if nxt.dim == 0:
-            break
-    return tuple(series)
+    return _series(full_subspace(L), lambda cur: _bracket_span(L, cur, cur, tol), 0)
 
 
 @lru_cache(maxsize=256)
@@ -308,10 +299,8 @@ def is_ideal(L: LieAlgebra, S: Subspace, tol: Optional[float] = None) -> bool:
 @lru_cache(maxsize=256)
 def _ascending_central_series(L: LieAlgebra, tol: Optional[float] = None) -> Tuple[Subspace, ...]:
     """0 = Z_0 ⊆ Z_1 ⊆ ... with Z_{k+1}/Z_k the center of L/Z_k."""
-    series = [zero_subspace(L)]
-    backend = L.backend
-    while True:
-        zk = series[-1]
+
+    def next_center(zk: Subspace) -> Subspace:
         # v lies in Z_{k+1} iff [v, e_j] reduces to 0 mod Z_k for all j;
         # rows of the condition matrix: one block per basis element e_j.
         cond_rows: List[List[Scalar]] = []
@@ -321,13 +310,10 @@ def _ascending_central_series(L: LieAlgebra, tol: Optional[float] = None) -> Tup
                 cols.append(reduce_mod(zk, L.structure(i, j), tol))
             for coord in range(L.n):
                 cond_rows.append([cols[i][coord] for i in range(L.n)])
-        mat = matrix_from_rows(cond_rows, backend, cols=L.n)
-        nxt = span(L, nullspace_basis(mat, tol).transpose().to_lists(), tol)
-        if nxt.dim == zk.dim:
-            return tuple(series)
-        series.append(nxt)
-        if nxt.dim == L.n:
-            return tuple(series)
+        mat = matrix_from_rows(cond_rows, L.backend, cols=L.n)
+        return span(L, nullspace_basis(mat, tol).transpose().to_lists(), tol)
+
+    return _series(zero_subspace(L), next_center, L.n)
 
 
 def _normalize_leading(vec: Vector, thr: float = 0.0) -> Vector:
@@ -354,9 +340,7 @@ def jordan_holder_chain(L: LieAlgebra, tol: Optional[float] = None) -> Tuple[Sub
             candidates = []
             for b in target.basis:
                 r = reduce_mod(current, b, tol)
-                thr = 0.0
-                if L.backend != EXACT:
-                    thr = (TAU if tol is None else tol) * max(sc_abs(x) for x in r)
+                thr = zero_threshold(L.backend, tol, lambda: max(sc_abs(x) for x in r))
                 if not all(sc_is_zero(x, thr) for x in r):
                     candidates.append(_normalize_leading(r, thr))
             pick = min(candidates, key=lambda v: tuple(scalar_key(x) for x in v))
@@ -423,10 +407,8 @@ class Character:
 
 
 def is_character(L: LieAlgebra, coeffs: Sequence[Scalar], tol: Optional[float] = None) -> bool:
-    thr = 0.0
-    if L.backend != EXACT:
-        mx = max((sc_abs(c) for c in coeffs), default=0.0)
-        thr = (TAU if tol is None else tol) * max(1.0, mx)
+    thr = zero_threshold(L.backend, tol,
+                         lambda: max(1.0, max((sc_abs(c) for c in coeffs), default=0.0)))
     exact = L.backend == EXACT
     for b in derived_subalgebra(L, tol).basis:
         # exact zero coordinates add nothing; float sums keep every term

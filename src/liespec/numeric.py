@@ -21,9 +21,9 @@ Two interchangeable backends:
     integer form, each entry turned into a reduced Fraction pair once.  No
     rounding anywhere; equality means equality.
   * "float"  -- complex double precision.  Every comparison against zero
-    goes through an explicit tolerance derived from TAU and the largest
-    entry magnitude of the matrix at hand, so ranks and kernels are
-    reproducible for a fixed input.
+    goes through zero_threshold: TAU, or the caller's tolerance, times a
+    scale taken from the entry magnitudes at hand, so ranks and kernels
+    are reproducible for a fixed input.
 
 Matrices are small and dense (desk scale), stored row-major.  All functions
 are pure; the one write is a matrix caching its own integer form.
@@ -35,7 +35,7 @@ import math
 import re as _re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -95,9 +95,6 @@ class GaussianRational:
             (self.im * other.re - self.re * other.im) / n,
         )
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     @property
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
@@ -146,6 +143,14 @@ def make_scalar(value, backend: str) -> Scalar:
     if isinstance(value, tuple) and len(value) == 2:
         return complex(float(value[0]), float(value[1]))
     raise TypeError(f"cannot build float scalar from {value!r}")
+
+
+def zero_threshold(backend: str, tol: Optional[float], scale: Callable[[], float]) -> float:
+    """The magnitude at or below which a scalar counts as zero: 0.0 on exact,
+    tol (default TAU) times scale() on float, the only backend that calls it."""
+    if backend == EXACT:
+        return 0.0
+    return (TAU if tol is None else tol) * scale()
 
 
 def sc_is_zero(x: Scalar, thr: float = 0.0) -> bool:
@@ -454,12 +459,11 @@ def _echelon(
         if not vectors:
             return [], []
         m = matrix_from_rows(vectors, EXACT)
-        work, pivots = _rref_zi(zi_form(m)[0], m.cols)
-        parts = [_zi_divided(row, row[c]) for row, c in zip(work, pivots)]
-        return zi_matrix(len(parts), m.cols, *_zi_over_lcm(parts)).to_lists(), pivots
+        rows, d, pivots = _zi_reduced(zi_form(m)[0], m.cols)
+        return zi_matrix(len(rows), m.cols, rows, d).to_lists(), pivots
     vecs = [list(v) for v in vectors]
-    mx = max((sc_abs(x) for v in vecs for x in v), default=0.0)
-    return _rref(vecs, (TAU if tol is None else tol) * mx)
+    return _rref(vecs, zero_threshold(backend, tol, lambda: max(
+        (sc_abs(x) for v in vecs for x in v), default=0.0)))
 
 
 def _rref(rows: List[List[complex]], thr: float) -> Tuple[List[List[complex]], List[int]]:
@@ -563,29 +567,6 @@ def zi_matrix(rows: int, cols: int, zrows: Sequence[ZiRow], d: int) -> Matrix:
     return m
 
 
-def _zi_divided(row: ZiRow, p: Tuple[int, int]) -> Tuple[ZiRow, int]:
-    """row / p in lowest terms, as (numerators, denominator): x / p is
-    x * conj(p) / |p|^2."""
-    pa, pb = p
-    n = pa * pa + pb * pb
-    out = {j: (xa * pa + xb * pb, xb * pa - xa * pb) for j, (xa, xb) in row.items()}
-    g = math.gcd(n, *[v for pair in out.values() for v in pair])
-    if g > 1:
-        out = {j: (a // g, b // g) for j, (a, b) in out.items()}
-    return out, n // g
-
-
-def _zi_over_lcm(parts: Sequence[Tuple[ZiRow, int]]) -> Tuple[List[ZiRow], int]:
-    """Rows, each over its own denominator, put over the least common
-    multiple d of those: (rows, d)."""
-    d = math.lcm(*[n for _, n in parts])
-    rows = []
-    for row, n in parts:
-        s = d // n
-        rows.append(row if s == 1 else {j: (a * s, b * s) for j, (a, b) in row.items()})
-    return rows, d
-
-
 def _zi_sparse(re: Sequence[int], im: Sequence[int]) -> ZiRow:
     return {j: v for j, v in enumerate(zip(re, im)) if v[0] or v[1]}
 
@@ -678,6 +659,32 @@ def _rref_zi(rows: Sequence[ZiRow], ncols: int) -> Tuple[List[ZiRow], List[int]]
     return work[:r], pivots
 
 
+def _zi_reduced(rows: Sequence[ZiRow], ncols: int,
+                rhs: int = 0) -> Tuple[List[ZiRow], int, List[int]]:
+    """(rows, d, pivots): rows[r] / d is pivot row r of _rref_zi divided by
+    its pivot p, as x * conj(p) / |p|^2 in lowest terms, over the lcm d.  With
+    rhs > 0, only rows with a pivot left of the last rhs columns remain, cut to those."""
+    work, pivots = _rref_zi(rows, ncols)
+    first = ncols - rhs if rhs else 0
+    pivots = [c for c in pivots if c < ncols - rhs]
+    parts = []
+    for row, c in zip(work, pivots):
+        pa, pb = row[c]
+        n = pa * pa + pb * pb
+        num = {j - first: (xa * pa + xb * pb, xb * pa - xa * pb)
+               for j, (xa, xb) in row.items() if j >= first}
+        g = math.gcd(n, *[v for pair in num.values() for v in pair])
+        parts.append((num, g, n // g))
+    d = math.lcm(*[n for _, _, n in parts])
+    out = []
+    for num, g, n in parts:
+        s = d // n
+        if g > 1 or s > 1:
+            num = {j: (a // g * s, b // g * s) for j, (a, b) in num.items()}
+        out.append(num)
+    return out, d, pivots
+
+
 def _pivot_columns(m: Matrix, tol: Optional[float]) -> List[int]:
     if m.backend == EXACT:
         return _rref_zi(zi_form(m)[0], m.cols)[1]
@@ -703,15 +710,14 @@ def nullspace_basis(m: Matrix, tol: Optional[float] = None) -> Matrix:
     column, and 0 elsewhere.  An exact kernel is built as one Z[i] form,
     each of its pivot rows one echelon row divided by its pivot entry."""
     if m.backend == EXACT:
-        work, pivots = _rref_zi(zi_form(m)[0], m.cols)
+        rows, d, pivots = _zi_reduced(zi_form(m)[0], m.cols)
         free = _free_columns(m.cols, pivots)
-        parts: List[Tuple[ZiRow, int]] = [({}, 1)] * m.cols
+        out: List[ZiRow] = [{}] * m.cols
         for t, j in enumerate(free):
-            parts[j] = ({t: (1, 0)}, 1)
-        for row, pc in zip(work, pivots):
-            neg = {t: (-row[j][0], -row[j][1]) for t, j in enumerate(free) if j in row}
-            parts[pc] = _zi_divided(neg, row[pc])
-        return zi_matrix(m.cols, len(free), *_zi_over_lcm(parts))
+            out[j] = {t: (d, 0)}
+        for row, pc in zip(rows, pivots):
+            out[pc] = {t: (-row[j][0], -row[j][1]) for t, j in enumerate(free) if j in row}
+        return zi_matrix(m.cols, len(free), out, d)
     rows, pivots = _echelon(m.to_lists(), m.backend, tol)
     free = _free_columns(m.cols, pivots)
     out = [[sc_zero(FLOAT)] * len(free) for _ in range(m.cols)]
@@ -730,7 +736,7 @@ def solve_matrix(a: Matrix, b: Matrix, tol: Optional[float] = None) -> Optional[
     if a.rows != b.rows:
         raise VerificationFailure(f"A has {a.rows} rows but B has {b.rows}")
     if a.cols == 0:
-        thr0 = 0.0 if a.backend == EXACT else (TAU if tol is None else tol) * max(1.0, b.maxnorm())
+        thr0 = zero_threshold(a.backend, tol, lambda: max(1.0, b.maxnorm()))
         return zeros(0, b.cols, a.backend) if b.is_zero(thr0) else None
     aug = hstack([a, b]) if a.rows else Matrix(0, a.cols + b.cols, (), a.backend)
     rows, pivots = _echelon(aug.to_lists(), a.backend, tol)
@@ -762,15 +768,12 @@ def generalized_inverse(m: Matrix, tol: Optional[float] = None) -> Tuple[Matrix,
     k = m.cols
     if m.backend == EXACT:
         zrows, d = zi_form(m)
-        work, pivots = _rref_zi([{**row, k + i: (d, 0)} for i, row in enumerate(zrows)], k + m.rows)
-        parts: List[Tuple[ZiRow, int]] = [({}, 1)] * k
-        r = 0
-        for row, pc in zip(work, pivots):
-            if pc >= k:
-                break
-            parts[pc] = _zi_divided({j - k: v for j, v in row.items() if j >= k}, row[pc])
-            r += 1
-        return zi_matrix(k, m.rows, *_zi_over_lcm(parts)), r
+        rows, e, pivots = _zi_reduced([{**row, k + i: (d, 0)} for i, row in enumerate(zrows)],
+                                      k + m.rows, m.rows)
+        out: List[ZiRow] = [{}] * k
+        for row, pc in zip(rows, pivots):
+            out[pc] = row
+        return zi_matrix(k, m.rows, out, e), len(pivots)
     rows, pivots = _echelon(hstack([m, identity(m.rows, m.backend)]).to_lists(), m.backend, tol)
     pivots = [c for c in pivots if c < k]
     out = [[sc_zero(m.backend)] * m.rows for _ in range(k)]
@@ -815,8 +818,7 @@ def intersect_subspaces(a: Matrix, b: Matrix, tol: Optional[float] = None) -> Ma
     times the top a.cols rows of that kernel spans the intersection."""
     kernel = nullspace_basis(hstack([a, -b]), tol)
     x = Matrix(a.cols, kernel.cols, kernel.entries[: a.cols * kernel.cols], a.backend)
-    ech = echelon_vectors((a * x).transpose().to_lists(), a.backend, tol)
-    return matrix_from_rows(ech, a.backend, cols=a.rows).transpose()
+    return _column_echelon(a * x, tol)
 
 
 def kernel_within(m: Matrix, space: Matrix, tol: Optional[float] = None) -> Matrix:
@@ -828,10 +830,17 @@ def kernel_within(m: Matrix, space: Matrix, tol: Optional[float] = None) -> Matr
     float result is that intersection itself."""
     if m.backend != EXACT:
         return intersect_subspaces(space, nullspace_basis(m, tol), tol)
-    span = space * nullspace_basis(m * space)
-    work, pivots = _rref_zi(_zi_transposed(zi_form(span)[0], span.cols), span.rows)
-    rows, d = _zi_over_lcm([_zi_divided(row, row[c]) for row, c in zip(work, pivots)])
-    return zi_matrix(span.rows, len(rows), _zi_transposed(rows, span.rows), d)
+    return _column_echelon(space * nullspace_basis(m * space), tol)
+
+
+def _column_echelon(m: Matrix, tol: Optional[float]) -> Matrix:
+    """The canonical echelon basis of m's column span, as columns in echelon
+    order; an exact one is reduced in Z[i] and built from its form."""
+    if m.backend != EXACT:
+        ech = echelon_vectors(m.transpose().to_lists(), m.backend, tol)
+        return matrix_from_rows(ech, m.backend, cols=m.rows).transpose()
+    rows, d, _ = _zi_reduced(_zi_transposed(zi_form(m)[0], m.cols), m.rows)
+    return zi_matrix(m.rows, len(rows), _zi_transposed(rows, m.rows), d)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from .numeric import (
     EXACT,
     Matrix,
     Scalar,
-    TAU,
     VerificationFailure,
     inverse,
     make_scalar,
@@ -36,6 +35,7 @@ from .numeric import (
     scalar_to_json,
     sc_is_zero,
     sub_diagonal,
+    zero_threshold,
     zeros,
 )
 
@@ -91,10 +91,12 @@ def validate_representation(
     rho(e_i)rho(e_j) - rho(e_j)rho(e_i) - rho([e_i,e_j]); empty list = ok.
     """
     L = rep.algebra
-    thr = 0.0
-    if rep.backend != EXACT:
+
+    def scale() -> float:
         mx = max((mat.maxnorm() for mat in rep.mats), default=0.0)
-        thr = (TAU if tol is None else tol) * max(1.0, mx * mx)
+        return max(1.0, mx * mx)
+
+    thr = zero_threshold(rep.backend, tol, scale)
     violations = []
     for i in range(L.n):
         for j in range(i + 1, L.n):

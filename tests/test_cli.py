@@ -208,6 +208,14 @@ def test_tol_requires_float_backend(capsys):
     assert "float" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "1e400", "0"])
+def test_tol_must_be_positive_and_finite(capsys, tol):
+    code, out, err = run(capsys, "spectrum", "--fixture", "h3", "--backend", "float", "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --tol must be a positive finite number\n"
+
+
 def test_float_backend_members(capsys):
     code, out, _ = run(
         capsys, "spectrum", "--fixture", "h3", "--backend", "float",
@@ -315,6 +323,27 @@ def test_lab_proxy_csv(capsys, tmp_path):
     lines = out.strip().splitlines()
     assert lines[0] == "m,rank_budget,sigma_size,eigenchar_size,equality,elapsed_ms"
     assert lines[1].startswith("6,3,1,1,true,")
+
+
+def test_lab_proxy_schedule_over_the_entry_budget_exits_1_fast(capsys, tmp_path):
+    # H3 at m = 1000: d_1 would have 1 000 x 3 000 dense entries, d_2 3 000 x 3 000
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schedule": [1000]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "lab", "proxy", "--config", str(cfg))
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert out == ""
+    assert "1000x3000" in err
+
+
+def test_lab_proxy_default_schedule_csv(capsys):
+    code, out, _ = run(capsys, "lab", "proxy")
+    assert code == 0
+    assert [line.rsplit(",", 1)[0] for line in out.splitlines()] == [
+        "m,rank_budget,sigma_size,eigenchar_size,equality",
+        "6,3,1,1,true", "10,3,1,1,true", "14,3,1,1,true",
+    ]
 
 
 def test_lab_proxy_defaults_without_config(capsys):

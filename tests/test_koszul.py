@@ -521,15 +521,30 @@ def test_input_checks_survive_optimised_bytecode():
         assert line.startswith(f"{label} raised:"), lines
 
 
-def test_package_has_no_assert_statements():
-    # checks that must hold under python -O are exceptions, never assert statements
+def _package_nodes():
+    """(module file name, node) for every syntax node of the package."""
     package = os.path.dirname(os.path.abspath(kz.__file__))
-    found = []
     for name in sorted(os.listdir(package)):
         if name.endswith(".py"):
             with open(os.path.join(package, name)) as fh:
                 tree = ast.parse(fh.read(), name)
-            found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+            for node in ast.walk(tree):
+                yield name, node
+
+
+def test_package_has_no_assert_statements():
+    # checks that must hold under python -O are exceptions, never assert statements
+    found = [f"{name}:{node.lineno}" for name, node in _package_nodes() if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_only_numeric_names_the_float_tolerance():
+    # every float zero test takes its threshold from numeric.zero_threshold
+    found = [
+        f"{name}:{getattr(node, 'lineno', '?')}" for name, node in _package_nodes()
+        if name != "numeric.py" and "TAU" in (getattr(node, "id", None), getattr(node, "name", None),
+                                              getattr(node, "attr", None))
+    ]
     assert found == []
 
 

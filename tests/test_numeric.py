@@ -128,6 +128,16 @@ def test_rank_agrees_with_oracle_on_fixed_grid():
         assert nm.rank(float_mat(rows)) == want
 
 
+def test_zero_threshold_scales_only_on_float():
+    def unused():
+        raise AssertionError("scale read on the exact backend")
+
+    assert nm.zero_threshold(EXACT, None, unused) == 0.0
+    assert nm.zero_threshold(EXACT, 1e-3, unused) == 0.0
+    assert nm.zero_threshold(FLOAT, None, lambda: 4.0) == nm.TAU * 4.0
+    assert nm.zero_threshold(FLOAT, 1e-3, lambda: 4.0) == 1e-3 * 4.0
+
+
 def test_float_rank_tolerance_is_relative():
     # 1e-6 noise on a unit-scale matrix is above TAU, so full rank; the
     # same matrix scaled by 1e-30 must keep its rank under the relative rule.
