@@ -476,20 +476,15 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--backend", choices=(EXACT, FLOAT), default=None, help="arithmetic backend"
     )
-    common.add_argument(
-        "--tol", type=float, default=None, help="rank tolerance (float backend only)"
-    )
     common.add_argument("--format", choices=("json", "table"), default=None)
     common.add_argument("--seed", type=int, default=None)
-    common.add_argument(
-        "--override-nilpotency",
-        action="store_true",
-        help="force the eigencharacter route on a non-nilpotent algebra",
-    )
 
     withrep = argparse.ArgumentParser(add_help=False)
     withrep.add_argument("input", nargs="?", help="representation JSON file")
     withrep.add_argument("--fixture", help="catalog fixture name instead of a file")
+    withrep.add_argument(
+        "--tol", type=float, default=None, help="rank tolerance (float backend only)"
+    )
 
     parser = argparse.ArgumentParser(
         prog="liespec",
@@ -516,6 +511,11 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("homology", "eigenchar"),
         default="homology",
         help="computation route",
+    )
+    p.add_argument(
+        "--override-nilpotency",
+        action="store_true",
+        help="force the eigencharacter route on a non-nilpotent algebra",
     )
 
     add("eigenchars", cmd_eigenchars, "joint eigencharacters with witnesses")
@@ -545,10 +545,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.tol is not None and (args.backend or EXACT) != FLOAT:
+    tol = getattr(args, "tol", None)  # the lab subcommands take no --tol
+    if tol is not None and (args.backend or EXACT) != FLOAT:
         print("error: --tol applies only to --backend float", file=sys.stderr)
         return 2
-    if args.tol is not None and not 0 < args.tol < math.inf:
+    if tol is not None and not 0 < tol < math.inf:
         print("error: --tol must be a positive finite number", file=sys.stderr)
         return 2
     if args.seed is not None and args.handler is not cmd_lab_proxy:

@@ -210,11 +210,6 @@ def _exact_differential(rep: Representation, ops, diag: Dict[Tuple[int, int], Sc
     return zi_matrix(rows, cols, zrows, D)
 
 
-def koszul_differential(rep: Representation, p: int) -> Matrix:
-    """Matrix of d_p in the subset-major basis, shape dims[p-1] x dims[p]."""
-    return _differential(rep, p, ())
-
-
 def check_entry_budget(n: int, m: int, lo: int, hi: int) -> None:
     """Raises DimensionCap when some d_p, lo < p <= hi, of an n-dimensional
     algebra's complex on C^m would exceed MAX_DIFFERENTIAL_ENTRIES."""

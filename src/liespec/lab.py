@@ -73,7 +73,6 @@ from .spectra import (
     spectral_candidates,
     spectrum,
     taylor_kind,
-    triangular_weights,
 )
 
 
@@ -474,20 +473,15 @@ def _check_soundness(rep: Representation, reports) -> Optional[str]:
     members = reports["taylor"].member_coeffs
     if not char_subset(members, spectral_candidates(rep), rep.backend):
         return "members escape the candidate set"
-    if is_nilpotent(rep.algebra):
-        # triangularization weights and full complexes, independent of the
-        # weight blocks that the table is built on for exact input
-        weights = dedup_characters(triangular_weights(rep), rep.backend)
-        if not char_subset(members, weights, rep.backend):
-            return "members escape the weights on a nilpotent algebra"
-        if rep.backend == EXACT:
-            # the reports' table: member Betti vectors, zero off the members
-            taylor = reports["taylor"]
-            table = dict(taylor.betti)
-            zero = BettiVector((0,) * (rep.algebra.n + 1))
-            for c in taylor.candidates:
-                if homology_dims(rep, Character(rep.algebra, c)) != table.get(c, zero):
-                    return f"weight-block homology differs from the full complex at {c!r}"
+    if rep.backend == EXACT and is_nilpotent(rep.algebra):
+        # the reports' table, built on weight blocks, against full complexes:
+        # member Betti vectors, zero off the members
+        taylor = reports["taylor"]
+        table = dict(taylor.betti)
+        zero = BettiVector((0,) * (rep.algebra.n + 1))
+        for c in taylor.candidates:
+            if homology_dims(rep, Character(rep.algebra, c)) != table.get(c, zero):
+                return f"weight-block homology differs from the full complex at {c!r}"
     return None
 
 
@@ -513,7 +507,6 @@ def _check_projection(rep: Representation) -> Optional[str]:
 def run_property_suite(
     seed_count: int = 25,
     backend: str = EXACT,
-    extra: Sequence[Tuple[str, Representation]] = (),
 ) -> SuiteSummary:
     """Runs the module invariants over the catalog plus generated instances.
 
@@ -532,8 +525,6 @@ def run_property_suite(
         instances.append(
             (f"{base}#s{s}m{m}", s, random_nilpotent_rep(s, base, m, backend))
         )
-    for name, rep in extra:
-        instances.append((name, None, rep))
 
     failures: List[SuiteFailure] = []
     checks = 0

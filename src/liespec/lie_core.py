@@ -175,10 +175,6 @@ def contains(S: Subspace, vec: Sequence[Scalar], tol: Optional[float] = None) ->
     return all(sc_is_zero(x, thr) for x in reduce_mod(S, vec, tol))
 
 
-def contains_subspace(outer: Subspace, inner: Subspace, tol: Optional[float] = None) -> bool:
-    return all(contains(outer, v, tol) for v in inner.basis)
-
-
 # ---------------------------------------------------------------------------
 # bracket and validation
 # ---------------------------------------------------------------------------
@@ -348,45 +344,6 @@ def jordan_holder_chain(L: LieAlgebra, tol: Optional[float] = None) -> Tuple[Sub
     return tuple(chain)
 
 
-def verify_chain(L: LieAlgebra, chain: Sequence[Subspace], tol: Optional[float] = None) -> List[str]:
-    """Explicit check of the flag conditions; empty list means ok.
-
-      i.  L_0 = 0 and L_n = L;
-      ii. L_i ⊆ L_{i+1} with dim L_i = i;
-      iii.[L_i, L_j] ⊆ L_{i-1} for 1 ≤ i < j ≤ n.
-    """
-    problems = []
-    if len(chain) != L.n + 1:
-        problems.append(f"condition ii fails: chain length {len(chain)} != {L.n + 1}")
-        return problems
-    if chain[0].dim != 0:
-        problems.append("condition i fails: L_0 != 0")
-    if chain[-1].dim != L.n:
-        problems.append("condition i fails: L_n != L")
-    for i in range(len(chain)):
-        if chain[i].dim != i:
-            problems.append(f"condition ii fails: dim L_{i} = {chain[i].dim}")
-        if i > 0 and not contains_subspace(chain[i], chain[i - 1], tol):
-            problems.append(f"condition ii fails: L_{i-1} not inside L_{i}")
-    if problems:
-        return problems
-    for i in range(1, L.n + 1):
-        for j in range(i + 1, L.n + 1):
-            for u in chain[i].basis:
-                for v in chain[j].basis:
-                    w = bracket(L, u, v)
-                    if not contains(chain[i - 1], w, tol):
-                        problems.append(
-                            f"condition iii fails at (i,j)=({i},{j}): "
-                            f"[L_{i},L_{j}] not inside L_{i-1}"
-                        )
-                        break
-                else:
-                    continue
-                break
-    return problems
-
-
 # ---------------------------------------------------------------------------
 # characters
 # ---------------------------------------------------------------------------
@@ -424,10 +381,6 @@ def character(L: LieAlgebra, values: Sequence, tol: Optional[float] = None) -> C
     if not is_character(L, coeffs, tol):
         raise NotACharacter(f"functional {values!r} does not vanish on [L, L]")
     return Character(L, coeffs)
-
-
-def zero_character(L: LieAlgebra) -> Character:
-    return Character(L, L.zero_vector())
 
 
 def restrict_character(f: Character, ideal: Subspace, tol: Optional[float] = None) -> Vector:

@@ -68,7 +68,7 @@ from .numeric import (
     sub_diagonal,
     scalar_to_json,
 )
-from .representation import Representation, adjoint_action, adjoint_rep, restrict_rep
+from .representation import Representation, adjoint_action, restrict_rep
 
 # float-backend threshold for merging candidate and member characters
 CHAR_MERGE = 1e-6
@@ -386,11 +386,8 @@ def _drop_one(values: List[Scalar], value: Scalar) -> List[Scalar]:
 
 
 def weight_candidates(rep: Representation, tol: Optional[float] = None) -> Tuple[Vector, ...]:
-    """Deduplicated weights, each checked to be a character: read off the
-    weight blocks on exact nilpotent input, else the triangularization
-    weights."""
-    if _splits_by_weight(rep):
-        return _checked_weights(rep, [w for w, _ in weight_blocks(rep)], tol)
+    """Deduplicated triangularization weights, each checked to be a
+    character."""
     return _checked_weights(rep, triangular_weights(rep, tol), tol)
 
 
@@ -634,7 +631,7 @@ def spectrum_via_eigencharacters(
 
 
 # ---------------------------------------------------------------------------
-# cross-validation, projection, duality
+# cross-validation and projection
 # ---------------------------------------------------------------------------
 
 
@@ -735,29 +732,3 @@ def _compare_projection(
         big.kind, projected, restricted,
         same_character_sets(projected, restricted, rep.backend),
     )
-
-
-@dataclass(frozen=True)
-class DualityReport:
-    k: int
-    delta_side: Tuple[Vector, ...]
-    pi_side_dual: Tuple[Vector, ...]
-    equal: bool
-
-
-def adjoint_duality_check(
-    rep: Representation,
-    k: int,
-    tol: Optional[float] = None,
-) -> DualityReport:
-    """{0} union sigma_delta_k(rho) against {0} union sigma_pi_k(rho*)."""
-    L = rep.algebra
-    if not is_nilpotent(L):
-        raise HypothesisViolation("duality comparison stated for nilpotent algebras")
-    zero = L.zero_vector()
-    delta_side = spectrum(rep, SpectrumKind("delta", False, False, k), tol).member_coeffs
-    dual = adjoint_rep(rep)
-    pi_side = spectrum(dual, SpectrumKind("pi", False, False, k), tol).member_coeffs
-    left = dedup_characters(delta_side + (zero,), rep.backend)
-    right = dedup_characters(pi_side + (zero,), rep.backend)
-    return DualityReport(k, left, right, same_character_sets(left, right, rep.backend))

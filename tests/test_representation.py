@@ -86,7 +86,7 @@ def test_shift_preserves_law_and_composes():
     twice = rp.shift(once, lc.Character(once.algebra, g.coeffs))
     fg = lc.character(rep.algebra, [1, 2, 0])
     assert twice == rp.shift(rep, fg)
-    assert rp.shift(rep, lc.zero_character(rep.algebra)) == rep
+    assert rp.shift(rep, lc.Character(rep.algebra, rep.algebra.zero_vector())) == rep
 
 
 def test_shift_rejects_non_character():

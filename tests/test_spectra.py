@@ -279,6 +279,20 @@ def test_block_dimensions_are_the_weight_multiplicities():
         assert sorted(with_multiplicity, key=key) == sorted(sp.triangular_weights(rep), key=key)
 
 
+def test_candidate_route_does_not_read_the_blocks(monkeypatch):
+    # the candidates the table is built on, recomputed by triangularization
+    # alone: an independent route for the soundness check
+    instances = block_instances()
+    tables = [tuple(c for c, _ in sp.homology_table(rep)) for rep in instances]
+
+    def refuse(rep):
+        raise AssertionError("weight_blocks called")
+
+    monkeypatch.setattr(sp, "weight_blocks", refuse)
+    for rep, table in zip(instances, tables):
+        assert sp.spectral_candidates(rep) == table
+
+
 def test_weight_blocks_refuse_float_and_solvable_input():
     with pytest.raises(ValueError):
         sp.weight_blocks(float_copy(a1_rep()))
@@ -497,15 +511,14 @@ def test_projection_rejects_non_ideal():
 
 
 def test_adjoint_duality_h3_and_a1():
+    # {0} ∪ σ_δ,k(ρ) = {0} ∪ σ_π,k(ρ*) on a nilpotent algebra, ρ* the adjoint
     for rep in (h3_rep(), a1_rep(), zero_rep()):
+        zero = rep.algebra.zero_vector()
+        dual = rp.adjoint_rep(rep)
         for k in range(rep.algebra.n + 1):
-            report = sp.adjoint_duality_check(rep, k)
-            assert report.equal
-
-
-def test_adjoint_duality_refuses_non_nilpotent():
-    with pytest.raises(sp.HypothesisViolation):
-        sp.adjoint_duality_check(s2_rep(), 0)
+            delta = sp.spectrum(rep, f"delta:{k}").member_coeffs
+            pi = sp.spectrum(dual, f"pi:{k}").member_coeffs
+            assert set(delta) | {zero} == set(pi) | {zero}, k
 
 
 # --- backends ------------------------------------------------------------------------
