@@ -542,9 +542,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _tol_joined(argv: Sequence[str]) -> List[str]:
+    """argv with each "--tol VALUE" whose value parses as a float written as
+    "--tol=VALUE": argparse would take a value such as -1e-6 for an option."""
+    out: List[str] = []
+    for arg in argv:
+        if out and out[-1] == "--tol":
+            try:
+                float(arg)
+            except ValueError:
+                pass
+            else:
+                out[-1] = "--tol=" + arg
+                continue
+        out.append(arg)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_tol_joined(sys.argv[1:] if argv is None else argv))
     tol = getattr(args, "tol", None)  # the lab subcommands take no --tol
     if tol is not None and (args.backend or EXACT) != FLOAT:
         print("error: --tol applies only to --backend float", file=sys.stderr)

@@ -10,23 +10,23 @@ Two interchangeable backends:
     rationals and kept only where homogenised integer Horner evaluation
     vanishes; a rational-root search over Gaussian-integer divisors, bounded
     by a step budget, takes whatever the guesses miss.  Every exact matrix
-    has one Gaussian-integer form: sparse rows of integer (re, im) pairs
-    over one positive common denominator, coprime to the numerators.  It is
-    computed once per matrix, from the entries on first use or handed over
-    by the kernel routine that produced the matrix, and products and
-    elimination read only that form.  Elimination is fraction-free:
-    Gauss-Jordan with row <- p*row - f*pivot_row and division by the row's
-    integer content, one reduced echelon routine for ranks, kernels,
-    solutions and the generalized inverse.  Results are built from their
-    integer form, each entry turned into a reduced Fraction pair once.  No
-    rounding anywhere; equality means equality.
+    is its Gaussian-integer form: sparse rows of nonzero integer (re, im)
+    pairs over one positive common denominator, coprime to the numerators.
+    A matrix built from entries clears them to that form once, on first
+    use; the kernel routines build their results from the form alone, and
+    such a result fills its entries on first read.  The form is canonical,
+    so == and hash compare it.  Products and elimination read only the
+    form.  Elimination is fraction-free: Gauss-Jordan with
+    row <- p*row - f*pivot_row and division by the row's integer content,
+    one reduced echelon routine for ranks, kernels, solutions and the
+    generalized inverse.  No rounding anywhere; equality means equality.
   * "float"  -- complex double precision.  Every comparison against zero
     goes through zero_threshold: TAU, or the caller's tolerance, times a
     scale taken from the entry magnitudes at hand, so ranks and kernels
     are reproducible for a fixed input.
 
 Matrices are small and dense (desk scale), stored row-major.  All functions
-are pure; the one write is a matrix caching its own integer form.
+are pure; the one write is a matrix caching its own integer form or entries.
 """
 
 from __future__ import annotations
@@ -284,23 +284,57 @@ def scalar_from_json(value, backend: str) -> Scalar:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Matrix:
     """Dense row-major matrix; all entries share one backend.  An exact
-    matrix also caches its Gaussian-integer form (see zi_form), which takes
-    no part in comparison, hashing or repr."""
+    matrix is its Gaussian-integer form (see zi_form): one built by
+    zi_matrix holds only the form and fills its entries on first read.
+    Exact == and hash compare (rows, cols, form), float ones the entries;
+    the form is canonical, so both agree with equality of entries."""
 
     rows: int
     cols: int
-    entries: Tuple[Scalar, ...]
+    _entries: Optional[Tuple[Scalar, ...]]
     backend: str
-    _zi: Optional["ZiForm"] = field(default=None, init=False, repr=False, compare=False)
+    _zi: Optional["ZiForm"] = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
-        if self.rows < 0 or self.cols < 0 or len(self.entries) != self.rows * self.cols:
-            raise VerificationFailure(
-                f"{len(self.entries)} entries do not fill a {self.rows}x{self.cols} matrix"
-            )
+        n = self.rows * self.cols if self._entries is None else len(self._entries)
+        if self.rows < 0 or self.cols < 0 or n != self.rows * self.cols:
+            raise VerificationFailure(f"{n} entries do not fill a {self.rows}x{self.cols} matrix")
+
+    @property
+    def entries(self) -> Tuple[Scalar, ...]:
+        if self._entries is None:
+            zrows, d = self._zi
+            flat = [GR_ZERO] * (self.rows * self.cols)
+            seen: Dict[Tuple[int, int], GaussianRational] = {}
+            for i, row in enumerate(zrows):
+                base = i * self.cols
+                for j, v in row.items():
+                    x = seen.get(v)
+                    if x is None:
+                        x = seen[v] = _gr_over(v[0], v[1], d)
+                    flat[base + j] = x
+            object.__setattr__(self, "_entries", tuple(flat))
+        return self._entries
+
+    def _key(self):
+        return self.rows, self.cols, self.backend, (
+            zi_form(self) if self.backend == EXACT else self.entries)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, Matrix) else NotImplemented
+
+    def __hash__(self):
+        rows, cols, backend, key = self._key()
+        if backend == EXACT:
+            key = tuple(frozenset(row.items()) for row in key[0]), key[1]
+        return hash((rows, cols, backend, key))
+
+    def __repr__(self):
+        return (f"Matrix(rows={self.rows!r}, cols={self.cols!r}, "
+                f"entries={self.entries!r}, backend={self.backend!r})")
 
     def at(self, i: int, j: int) -> Scalar:
         return self.entries[i * self.cols + j]
@@ -358,6 +392,9 @@ class Matrix:
         return Matrix(self.rows, self.cols, tuple(c * a for a in self.entries), self.backend)
 
     def transpose(self) -> "Matrix":
+        if self.backend == EXACT:
+            zrows, d = zi_form(self)
+            return zi_matrix(self.cols, self.rows, _zi_transposed(zrows, self.cols), d)
         return Matrix(
             self.cols,
             self.rows,
@@ -371,6 +408,8 @@ class Matrix:
         return max(sc_abs(a) for a in self.entries)
 
     def is_zero(self, thr: float = 0.0) -> bool:
+        if self.backend == EXACT:
+            return not any(zi_form(self)[0])
         return all(sc_is_zero(a, thr) for a in self.entries)
 
     def to_float(self) -> "Matrix":
@@ -441,6 +480,16 @@ def hstack(mats: Sequence[Matrix]) -> Matrix:
         for m in mats:
             out.extend(m.row(i))
     return Matrix(rows, sum(m.cols for m in mats), tuple(out), backend)
+
+
+def submatrix(m: Matrix, rows: range, cols: range) -> Matrix:
+    """The block of m on the given ranges of rows and columns; an exact
+    block is sliced from m's Z[i] form."""
+    if m.backend == EXACT:
+        zrows, d = zi_form(m)
+        return zi_matrix(len(rows), len(cols), [
+            {j - cols.start: v for j, v in zrows[i].items() if j in cols} for i in rows], d)
+    return Matrix(len(rows), len(cols), tuple(m.at(i, j) for i in rows for j in cols), m.backend)
 
 
 # ---------------------------------------------------------------------------
@@ -546,23 +595,19 @@ def zi_form(m: Matrix) -> ZiForm:
 
 
 def zi_matrix(rows: int, cols: int, zrows: Sequence[ZiRow], d: int) -> Matrix:
-    """The exact matrix zrows / d, for sparse rows and d > 0, with its Z[i]
-    form handed over once the gcd of d and every numerator is divided out.
-    Equal entries share one Gaussian rational, converted once."""
-    g = math.gcd(d, *[v for row in zrows for pair in row.values() for v in pair])
+    """The exact matrix zrows / d, for sparse rows of nonzero entries and
+    d > 0, holding only its Z[i] form once the gcd of d and every numerator
+    is divided out; its entries are filled on first read (equal entries
+    share one Gaussian rational).  Rows that do not fit a rows x cols
+    matrix raise VerificationFailure."""
+    if len(zrows) != rows or max((max(row) for row in zrows if row), default=-1) >= cols:
+        raise VerificationFailure(f"{len(zrows)} sparse rows do not fit a {rows}x{cols} matrix")
+    # a denominator of 1 has no common factor to divide out
+    g = math.gcd(d, *[v for row in zrows for pair in row.values() for v in pair]) if d > 1 else 1
     if g > 1:
         zrows = [{j: (a // g, b // g) for j, (a, b) in row.items()} for row in zrows]
         d //= g
-    flat = [GR_ZERO] * (rows * cols)
-    seen: Dict[Tuple[int, int], GaussianRational] = {}
-    for i, row in enumerate(zrows):
-        base = i * cols
-        for j, v in row.items():
-            x = seen.get(v)
-            if x is None:
-                x = seen[v] = _gr_over(v[0], v[1], d)
-            flat[base + j] = x
-    m = Matrix(rows, cols, tuple(flat), EXACT)
+    m = Matrix(rows, cols, None, EXACT)
     object.__setattr__(m, "_zi", (tuple(zrows), d))
     return m
 
@@ -817,8 +862,7 @@ def intersect_subspaces(a: Matrix, b: Matrix, tol: Optional[float] = None) -> Ma
     only in 0.  Each kernel vector (x, y) of [a | -b] has a x == b y, so a
     times the top a.cols rows of that kernel spans the intersection."""
     kernel = nullspace_basis(hstack([a, -b]), tol)
-    x = Matrix(a.cols, kernel.cols, kernel.entries[: a.cols * kernel.cols], a.backend)
-    return _column_echelon(a * x, tol)
+    return _column_echelon(a * submatrix(kernel, range(a.cols), range(kernel.cols)), tol)
 
 
 def kernel_within(m: Matrix, space: Matrix, tol: Optional[float] = None) -> Matrix:

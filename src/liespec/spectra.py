@@ -67,6 +67,7 @@ from .numeric import (
     scalar_key,
     sub_diagonal,
     scalar_to_json,
+    submatrix,
 )
 from .representation import Representation, adjoint_action, restrict_rep
 
@@ -290,7 +291,7 @@ def _joint_eigenvectors(
         if not space.cols:
             return
         if k == L.n:
-            yield lams, Matrix(space.rows, 1, space.entries[:: space.cols], backend)
+            yield lams, submatrix(space, range(space.rows), range(1))
             return
         for lam in unique_eigenvalues(k):
             shifted = sub_diagonal(rep.mats[k], lam)
@@ -364,11 +365,7 @@ def triangular_weights(rep: Representation, tol: Optional[float] = None) -> List
             ) from None
         sub_mats = []
         for mat in work.mats:
-            moved = inv * mat * basis
-            rows = [[moved.at(i, j) for j in range(1, work.m)] for i in range(1, work.m)]
-            sub_mats.append(
-                Matrix(work.m - 1, work.m - 1, tuple(x for row in rows for x in row), backend)
-            )
+            sub_mats.append(submatrix(inv * mat * basis, range(1, work.m), range(1, work.m)))
         work = Representation(L, work.m - 1, tuple(sub_mats))
         if backend == EXACT:
             # the first leaf reached every level, so every multiset is known;

@@ -208,7 +208,8 @@ def test_tol_requires_float_backend(capsys):
     assert "float" in err
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "1e400", "0"])
+# "-1e-6" does not match argparse's negative-number pattern, yet reaches the check
+@pytest.mark.parametrize("tol", ["nan", "inf", "1e400", "0", "-1", "-1e-6"])
 def test_tol_must_be_positive_and_finite(capsys, tol):
     code, out, err = run(capsys, "spectrum", "--fixture", "h3", "--backend", "float", "--tol", tol)
     assert code == 2

@@ -389,7 +389,7 @@ _CORRUPTED_INVERSE_SCRIPT = textwrap.dedent(
     from liespec import koszul as kz
     from liespec import lie_core as lc
     from liespec import representation as rp
-    from liespec.numeric import EXACT, Matrix, gr, identity, inverse, solve_matrix, zeros
+    from liespec.numeric import EXACT, Matrix, gr, identity, inverse, solve_matrix, zeros, zi_matrix
 
     assert False, "assert statements are live: not running under -O"
 
@@ -403,6 +403,9 @@ _CORRUPTED_INVERSE_SCRIPT = textwrap.dedent(
 
     report("inverse 2x3", lambda: inverse(zeros(2, 3, EXACT)))
     report("solve 2-row A, 3-row B", lambda: solve_matrix(identity(2, EXACT), zeros(3, 3, EXACT)))
+    # a matrix built from its Z[i] form has no entries to count against its shape
+    report("form 1 row for 2", lambda: zi_matrix(2, 2, [{0: (1, 0)}], 1))
+    report("form column 2 of 2", lambda: zi_matrix(1, 2, [{2: (1, 0)}], 1))
 
     honest_inverse = kz.generalized_inverse
 
@@ -451,10 +454,12 @@ def test_homotopy_check_survives_optimised_bytecode():
     lines = proc.stdout.splitlines()
     assert lines[0].startswith("inverse 2x3 raised:"), proc.stdout
     assert lines[1].startswith("solve 2-row A, 3-row B raised:"), proc.stdout
-    assert lines[2] == "homotopy raised: homotopy identity failed verification", proc.stdout
-    assert lines[3].startswith("weight raised: non-character weight"), proc.stdout
-    assert lines[4].startswith("candidate raised: non-character candidate"), proc.stdout
-    assert lines[5] == "block raised: generalized weight space is not invariant", proc.stdout
+    assert lines[2] == "form 1 row for 2 raised: 1 sparse rows do not fit a 2x2 matrix", proc.stdout
+    assert lines[3] == "form column 2 of 2 raised: 1 sparse rows do not fit a 1x2 matrix", proc.stdout
+    assert lines[4] == "homotopy raised: homotopy identity failed verification", proc.stdout
+    assert lines[5].startswith("weight raised: non-character weight"), proc.stdout
+    assert lines[6].startswith("candidate raised: non-character candidate"), proc.stdout
+    assert lines[7] == "block raised: generalized weight space is not invariant", proc.stdout
 
 
 # Caller input is checked with ValueError and the finite-rank proxy's

@@ -7,6 +7,7 @@ _oracle_rank, which shares no code with the implementation.
 
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -706,9 +707,11 @@ def test_exact_rank_matches_fraction_reference_pivot_count():
         assert nm.rank(_to_exact(x, cols)) == len(_ref_rref(x, cols)[1]), (kind, x)
 
 
-def _check_form(m, handed_over=True):
+def _check_form(m, want, handed_over=True):
     """m's Z[i] form holds exactly its entries: sparse rows of nonzero
-    (re, im) numerators over a positive denominator coprime to them."""
+    (re, im) numerators over a positive denominator coprime to them.  Its
+    entries are filled from that form, so they are also compared with want,
+    a Fraction-pair reference computed without the library."""
     if handed_over:
         assert m._zi is not None, "the producing routine handed over no form"
     rows, d = nm.zi_form(m)
@@ -719,6 +722,31 @@ def _check_form(m, handed_over=True):
         for j in range(m.cols):
             a, b = row.get(j, (0, 0))
             assert (m.at(i, j).re, m.at(i, j).im) == (Fraction(a, d), Fraction(b, d)), (m, i, j)
+    assert _pairs(m) == want, (m, want)
+
+
+def _ref_transpose(a, ncols):
+    return [[r[j] for r in a] for j in range(ncols)]
+
+
+def _ref_generalized_inverse(x, rows, cols):
+    """Row r of the right-hand block of rref [x | I] at the r-th pivot column
+    of x, zero rows at its free columns."""
+    ident = [[_C_ONE if i == j else _C_ZERO for j in range(rows)] for i in range(rows)]
+    ech, pivots = _ref_rref([r + e for r, e in zip(x, ident)], cols + rows)
+    out = [[_C_ZERO] * rows for _ in range(cols)]
+    for r, pc in enumerate(pivots):
+        if pc < cols:
+            out[pc] = ech[r][cols:]
+    return out
+
+
+def _ref_kernel_within(y, x, rows, cols):
+    """The reduced echelon basis, as columns, of the span of x's columns
+    intersected with the kernel of y: spanned by x times a kernel of y x."""
+    kernel = _ref_nullspace(_ref_mul(y, x, rows, cols), cols)
+    span = _ref_mul(x, _ref_transpose(kernel, cols), cols, len(kernel))
+    return _ref_transpose(_ref_rref(_ref_transpose(span, len(kernel)), rows)[0], rows)
 
 
 def test_exact_form_matches_entries_for_every_producer():
@@ -726,26 +754,35 @@ def test_exact_form_matches_entries_for_every_producer():
     from liespec import lab
     from liespec import lie_core as lc
     from liespec import representation as rp
+    from test_koszul import _naive_differential
 
     rng = random.Random(120)
     for t, (_, kind, rows, cols, x) in enumerate(_cases(16, 200)):
         m = _to_exact(x, cols)
-        _check_form(m, handed_over=False)
-        y = _to_exact(_rand(rng, cols, rows, _KINDS[t % len(_KINDS)]), rows)
-        _check_form(m * y)
-        _check_form(nm.identity_minus_product(m, y))
+        _check_form(m, x, handed_over=False)
+        yx = _rand(rng, cols, rows, _KINDS[t % len(_KINDS)])
+        y = _to_exact(yx, rows)
+        xy = _ref_mul(x, yx, cols, rows)
+        _check_form(m * y, xy)
+        _check_form(nm.identity_minus_product(m, y),
+                    [[_c_sub(_C_ONE if i == j else _C_ZERO, e) for j, e in enumerate(r)]
+                     for i, r in enumerate(xy)])
         g, _ = nm.generalized_inverse(m)
-        _check_form(g, handed_over=rows > 0 and cols > 0)
-        _check_form(nm.nullspace_basis(m))
+        _check_form(g, _ref_generalized_inverse(x, rows, cols), handed_over=rows > 0 and cols > 0)
+        _check_form(nm.nullspace_basis(m), _ref_transpose(_ref_nullspace(x, cols), cols))
         if rows == cols:
-            _check_form(nm.sub_diagonal(m, gr(*_entry(rng, kind))))
-        _check_form(nm.kernel_within(y, m))
+            lam = _entry(rng, kind)
+            _check_form(nm.sub_diagonal(m, gr(*lam)),
+                        [[_c_sub(e, lam) if i == j else e for j, e in enumerate(r)]
+                         for i, r in enumerate(x)])
+        _check_form(nm.kernel_within(y, m), _ref_kernel_within(yx, x, rows, cols))
         # equal matrices built different ways compare and hash equal
         same = m * identity(cols, EXACT)
         assert same == m and hash(same) == hash(m)
         prod = matrix_from_rows((m * y).to_lists(), EXACT, cols=rows)
         assert prod == m * y and hash(prod) == hash(m * y)
-    # Koszul differentials, over rational conjugators, with and without a shift
+    # Koszul differentials, over rational conjugators, with and without a
+    # shift, against the dense assembly of the shifted representation
     for seed, base in ((0, "H3"), (1, "F4"), (2, "Z3")):
         rep = lab.random_nilpotent_rep(seed, base, 4)
         s = _to_exact(_rand(random.Random(seed), 4, 4, "frac"), 4)
@@ -753,12 +790,53 @@ def test_exact_form_matches_entries_for_every_producer():
         L = rep.algebra
         shift = lc.character(L, [gr(Fraction(1, 2), Fraction(-3, 4))] + [gr(0)] * (L.n - 1))
         for p in range(1, L.n + 1):
-            for fs in ((), shift.coeffs):
+            for fs, shifted in (((), rep), (shift.coeffs, rp.shift(rep, shift))):
                 d = kz._differential(rep, p, fs)
-                _check_form(d)
+                _check_form(d, [[(e.re, e.im) for e in r] for r in _naive_differential(shifted, p)])
                 assert nm.zi_form(d)[1] > 1
                 rebuilt = matrix_from_rows(d.to_lists(), EXACT, cols=d.cols)
                 assert d == rebuilt and hash(d) == hash(rebuilt)
+
+
+@dataclass(frozen=True)
+class _DataclassMatrix:
+    """Matrix as the plain frozen dataclass it was before its entries were
+    filled on demand; only its repr text is used."""
+
+    rows: int
+    cols: int
+    entries: tuple
+    backend: str
+
+
+_DataclassMatrix.__qualname__ = "Matrix"
+
+
+def test_exact_equality_and_hash_are_equality_of_entries():
+    # each matrix twice: from entries, and by zi_matrix from a form that is
+    # not reduced (k*D over k*N), which must come out canonical
+    cases = [(rows, cols, x) for _, _, rows, cols, x in _cases(21, 120)]
+    neg = [(Fraction(1, 2), Fraction(-3)), (Fraction(0), Fraction(-1, 4))]
+    cases += [(0, 3, []), (3, 0, [[]] * 3), (2, 3, [[_C_ZERO] * 3] * 2), (1, 2, [neg]),
+              (1, 2, [[(Fraction(1, 2), Fraction(3)), neg[1]]])]
+    pool = []
+    for t, (rows, cols, x) in enumerate(cases):
+        want = tuple(gr(*e) for r in x for e in r)
+        denom = math.lcm(*[q.denominator for r in x for e in r for q in e])
+        k = 2 + t % 5
+        form = [{j: (int(a * denom) * k, int(b * denom) * k) for j, (a, b) in enumerate(r)
+                 if (a, b) != _C_ZERO} for r in x]
+        a, b = _to_exact(x, cols), nm.zi_matrix(rows, cols, form, k * denom)
+        assert b.entries == a.entries == want
+        assert a == b and b == a and hash(a) == hash(b) and not a != b
+        assert repr(a) == repr(b) == repr(_DataclassMatrix(rows, cols, want, EXACT))
+        pool += [a, b]
+    for p in pool:
+        for q in pool:
+            same = (p.rows, p.cols, p.entries) == (q.rows, q.cols, q.entries)
+            assert (p == q) is same and (p != q) is not same, (p, q)
+            assert not same or hash(p) == hash(q), (p, q)
+    assert sum(p == q for p in pool for q in pool) < len(pool) ** 2 / 4
 
 
 def test_kernel_within_matches_intersecting_with_the_kernel():

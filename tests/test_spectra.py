@@ -209,6 +209,46 @@ def test_exact_eigencharacters_intersect_no_subspaces(monkeypatch):
     assert calls["intersect_subspaces"] > 0, calls
 
 
+def test_exact_routes_fill_the_entries_of_the_returned_witnesses_only(monkeypatch):
+    # Every exact intermediate (the products and generalized inverses of
+    # weight_blocks, the kernel_within and sub_diagonal results) is read
+    # through its Z[i] form alone; only the witnesses handed to the caller
+    # are turned into Gaussian rationals, and only once something reads them.
+    rep = lab.random_nilpotent_rep(3, "F4", 6)
+    built, filled, filling, converted = [], [], [], []
+    honest_matrix, honest_entries, honest_gr = nm.zi_matrix, nm.Matrix.entries.fget, nm._gr_over
+
+    def recorded_matrix(*args):
+        built.append(honest_matrix(*args))
+        return built[-1]
+
+    def entries(m):
+        if m._entries is not None:
+            return m._entries
+        filled.append(m)
+        filling.append(m)
+        try:
+            return honest_entries(m)
+        finally:
+            filling.pop()
+
+    def gr_over(*parts):
+        if filling:
+            converted.append(filling[-1])
+        return honest_gr(*parts)
+
+    monkeypatch.setattr(nm, "zi_matrix", recorded_matrix)
+    monkeypatch.setattr(nm.Matrix, "entries", property(entries))
+    monkeypatch.setattr(nm, "_gr_over", gr_over)
+    sp.all_spectra(rep)
+    witnesses = [w for _, w in sp.joint_eigencharacters(rep)]
+    assert len(built) > 50 and filled == [] and converted == [], (len(built), len(filled))
+    for w in witnesses:
+        w.entries
+    assert len(filled) == len(witnesses) and all(a is b for a, b in zip(filled, witnesses))
+    assert converted and all(any(c is w for w in witnesses) for c in converted)
+
+
 def test_weight_candidates_need_solvable():
     # sl2 is not solvable: [e,f]=h, [h,e]=2e, [h,f]=-2f
     L = lc.lie_algebra(
