@@ -18,6 +18,17 @@ validate_complex checks explicitly.
 The differential is affine in the shift f, with E_(l,p) the signed operator
 terms and B_p the bracket scalars, both fixed by the algebra and p alone:
     d_p(rho - f) = sum_l E_(l,p) (x) rho(e_l) + (B_p - sum_l f_l E_(l,p)) (x) I_m.
+
+Homotopies.  For x = e_k, iota_q = W_q (x) I_m with W_q = e_k ^ . (left
+wedge), and theta_q = A_q (x) I_m + I (x) T with A_q = ad(e_k) acting as a
+derivation of the q-th exterior power and T = rho(e_k) - f_k I, Cartan's
+formula (Chevalley-Eilenberg 1948) reads d_(q+1) iota_q + iota_(q-1) d_q =
+theta_q.  theta commutes with d and iota; for nilpotent L each A_q is
+nilpotent, so when T is invertible h_q = theta_(q+1)^-1 iota_q = sum_j (-1)^j
+(A^j W_q) (x) T^-(j+1) is a finite series and a contracting homotopy.
+splitting_homotopy uses it for the first such k on exact input of a
+nilpotent algebra, and complex_splitting eliminates otherwise (every T
+singular, as at a member shift; float input; L not nilpotent).
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
-from .lie_core import Character, LieAlgebra, NotACharacter, is_character
+from .lie_core import Character, LieAlgebra, NotACharacter, NotNilpotent, is_character, is_nilpotent
 from .numeric import (
     EXACT,
     Matrix,
@@ -36,9 +47,12 @@ from .numeric import (
     VerificationFailure,
     generalized_inverse,
     identity_minus_product,
+    matrix_from_rows,
     rank,
     sc_is_zero,
+    sc_one,
     sc_zero,
+    sub_diagonal,
     zero_threshold,
     zeros,
     zi_form,
@@ -317,6 +331,59 @@ def complex_splitting(
     return h_p, g_a
 
 
+@lru_cache(maxsize=256)
+def _cartan_terms(L: LieAlgebra, k: int, q: int) -> Tuple[Matrix, ...]:
+    """A^j W for j = 0, 1, ... while nonzero (module docstring), for nilpotent
+    L; a series longer than dim Lambda^(q+1) raises VerificationFailure."""
+    if not is_nilpotent(L):
+        raise NotNilpotent("the Cartan homotopy needs a nilpotent algebra")
+    src, dst = exterior_basis(L.n, q), exterior_basis(L.n, q + 1)
+    index = {S: i for i, S in enumerate(dst)}
+    zero, one = sc_zero(L.backend), sc_one(L.backend)
+    a, w = [[zero] * len(dst) for _ in dst], [[zero] * len(src) for _ in dst]
+    for c, S in enumerate(dst):
+        # [e_k, e_s] in the place of e_s, then moved to its sorted position
+        for pos, s in enumerate(S):
+            for t, x in enumerate(L.structure(k, s)):
+                ins = _wedge_insert(t, S[:pos] + S[pos + 1 :])
+                if ins is not None:
+                    a[index[ins[1]]][c] += x if (pos + ins[0]) % 2 == 0 else -x
+    for c, S in enumerate(src):
+        ins = _wedge_insert(k, S)
+        if ins is not None:
+            w[index[ins[1]]][c] = one if ins[0] % 2 == 0 else -one
+    A, term = matrix_from_rows(a, L.backend, len(dst)), matrix_from_rows(w, L.backend, len(src))
+    terms: List[Matrix] = []
+    while not term.is_zero():
+        if len(terms) == len(dst):
+            raise VerificationFailure(f"ad(e_{k}) is not nilpotent on degree {q + 1}")
+        terms.append(term)
+        term = A * term
+    return tuple(terms)
+
+
+def _cartan_homotopy(L: LieAlgebra, k: int, q: int, powers: List[Matrix]) -> Matrix:
+    """h_q = sum_j (-1)^j (A^j W) (x) T^-(j+1), assembled in Z[i] over one
+    denominator; powers holds T^-1, T^-2, ... and is extended as needed."""
+    m, terms = powers[0].rows, [zi_form(t) for t in _cartan_terms(L, k, q)]
+    while len(powers) < len(terms):
+        powers.append(powers[-1] * powers[0])
+    forms = [zi_form(P) for P in powers[: len(terms)]]
+    D = math.lcm(*[c * e for (_, c), (_, e) in zip(terms, forms)])
+    zrows: List[Dict[int, Tuple[int, int]]] = [{} for _ in range(m * len(exterior_basis(L.n, q + 1)))]
+    for j, ((wrows, c), (prows, e)) in enumerate(zip(terms, forms)):
+        s = D // (c * e) * (-1) ** j
+        for r, wrow in enumerate(wrows):
+            for col, (ca, cb) in wrow.items():
+                ca, cb, c0 = ca * s, cb * s, col * m
+                for target, prow in zip(zrows[r * m : (r + 1) * m], prows):
+                    for b, (x, y) in prow.items():
+                        u, v = target.get(c0 + b, (0, 0))
+                        target[c0 + b] = (u + ca * x - cb * y, v + ca * y + cb * x)
+    zrows = [{j: v for j, v in row.items() if v[0] or v[1]} for row in zrows]
+    return zi_matrix(len(zrows), m * len(exterior_basis(L.n, q)), zrows, D)
+
+
 def splitting_homotopy(
     rep: Representation,
     f: Optional[Character] = None,
@@ -324,8 +391,20 @@ def splitting_homotopy(
     tol: Optional[float] = None,
 ) -> Tuple[Matrix, Matrix]:
     """Homotopy pair for the complex of rho - f at degree p, or NotSplit.
-    Only d_p and d_(p+1) are built, on degrees max(p-1, 0)..min(p+1, n)."""
-    n = rep.algebra.n
-    _check_degree(p, 0, n)
-    C = _truncated_complex(rep, f, tol, max(p - 1, 0), min(p + 1, n))
+    Only d_p and d_(p+1) are built, on degrees max(p-1, 0)..min(p+1, n).  The
+    Cartan pair (module docstring) is checked on Z[i] forms."""
+    L = rep.algebra
+    _check_degree(p, 0, L.n)
+    C = _truncated_complex(rep, f, tol, max(p - 1, 0), min(p + 1, L.n))
+    if rep.backend == EXACT and is_nilpotent(L):
+        # f was checked above: one of another algebra is zero
+        fs = f.coeffs if f is not None and f.algebra == L else L.zero_vector()
+        for k, mat in enumerate(rep.mats):
+            t_inv, r = generalized_inverse(sub_diagonal(mat, fs[k]))
+            if r == rep.m:
+                powers = [t_inv]
+                h_p, h_pm1 = _cartan_homotopy(L, k, p, powers), _cartan_homotopy(L, k, p - 1, powers)
+                if C.d(p + 1) * h_p != identity_minus_product(h_pm1, C.d(p)):
+                    raise VerificationFailure("homotopy identity failed verification")
+                return h_p, h_pm1
     return complex_splitting(C, p, tol)

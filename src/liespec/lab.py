@@ -144,64 +144,59 @@ def zero_representation(L: LieAlgebra, m: int) -> Representation:
     return Representation(L, m, tuple(zeros(m, m, L.backend) for _ in range(L.n)))
 
 
+# name -> representation builder and expected data of each pinned instance
+_CATALOG = {
+    "A1": (_a1_rep, dict(
+        taylor=((2,), (3,)),
+        eigenchars=((2,), (3,)),
+        chain_dims=(0, 1),
+        notes="one abelian generator acting as diag(2,3); the classical "
+        "single-operator sanity check",
+    )),
+    "H3": (_h3_rep, dict(
+        taylor=((0, 0, 0),),
+        eigenchars=((0, 0, 0),),
+        chain_dims=(0, 1, 2, 3),
+        notes="Heisenberg triple on C^3; both routes give only the zero "
+        "character",
+    )),
+    "S2": (_s2_rep, dict(
+        taylor=((0, 0), (2, 0)),
+        eigenchars=((1, 0),),
+        chain_dims=None,
+        notes="affine-line representation on C^2; the homology route gives "
+        "{(0,0),(2,0)} while the eigencharacter route gives {(1,0)}, so "
+        "the two descriptions genuinely part ways off the nilpotent case",
+    )),
+    "Z3": (lambda backend: zero_representation(_heisenberg(backend), 3), dict(
+        taylor=((0, 0, 0),),
+        eigenchars=((0, 0, 0),),
+        chain_dims=(0, 1, 2, 3),
+        notes="zero representation of the Heisenberg algebra; every "
+        "spectrum collapses to the zero character",
+    )),
+    "F4": (_f4_rep, dict(
+        taylor=((0, 0, 0, 0),),
+        eigenchars=((0, 0, 0, 0),),
+        chain_dims=(0, 1, 2, 3, 4),
+        notes="dimension-4 filiform algebra in its standard faithful "
+        "module; strictly upper-triangularizable, spectrum {0}",
+    )),
+}
+
+
 def catalog(backend: str = EXACT) -> List[Fixture]:
     """The pinned instances every other module is tested against."""
-    return [
-        Fixture(
-            "A1",
-            _a1_rep(backend),
-            taylor=((2,), (3,)),
-            eigenchars=((2,), (3,)),
-            chain_dims=(0, 1),
-            notes="one abelian generator acting as diag(2,3); the classical "
-            "single-operator sanity check",
-        ),
-        Fixture(
-            "H3",
-            _h3_rep(backend),
-            taylor=((0, 0, 0),),
-            eigenchars=((0, 0, 0),),
-            chain_dims=(0, 1, 2, 3),
-            notes="Heisenberg triple on C^3; both routes give only the zero "
-            "character",
-        ),
-        Fixture(
-            "S2",
-            _s2_rep(backend),
-            taylor=((0, 0), (2, 0)),
-            eigenchars=((1, 0),),
-            chain_dims=None,
-            notes="affine-line representation on C^2; the homology route gives "
-            "{(0,0),(2,0)} while the eigencharacter route gives {(1,0)}, so "
-            "the two descriptions genuinely part ways off the nilpotent case",
-        ),
-        Fixture(
-            "Z3",
-            zero_representation(_heisenberg(backend), 3),
-            taylor=((0, 0, 0),),
-            eigenchars=((0, 0, 0),),
-            chain_dims=(0, 1, 2, 3),
-            notes="zero representation of the Heisenberg algebra; every "
-            "spectrum collapses to the zero character",
-        ),
-        Fixture(
-            "F4",
-            _f4_rep(backend),
-            taylor=((0, 0, 0, 0),),
-            eigenchars=((0, 0, 0, 0),),
-            chain_dims=(0, 1, 2, 3, 4),
-            notes="dimension-4 filiform algebra in its standard faithful "
-            "module; strictly upper-triangularizable, spectrum {0}",
-        ),
-    ]
+    return [fixture(name, backend) for name in _CATALOG]
 
 
 def fixture(name: str, backend: str = EXACT) -> Fixture:
-    wanted = name.strip().lower()
-    for fix in catalog(backend):
-        if fix.name.lower() == wanted:
-            return fix
-    raise KeyError(f"unknown fixture {name!r}; catalog has A1, H3, S2, Z3, F4")
+    """The catalog instance of the given name (any case), built alone."""
+    wanted = name.strip().upper()
+    if wanted not in _CATALOG:
+        raise KeyError(f"unknown fixture {name!r}; catalog has A1, H3, S2, Z3, F4")
+    build, data = _CATALOG[wanted]
+    return Fixture(wanted, build(backend), **data)
 
 
 # --- generators -------------------------------------------------------------------

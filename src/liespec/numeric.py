@@ -471,10 +471,22 @@ def sub_diagonal(m: Matrix, lam: Scalar) -> Matrix:
 
 
 def hstack(mats: Sequence[Matrix]) -> Matrix:
+    """The matrices side by side; exact ones are joined on their Z[i] forms,
+    over the least common multiple of their denominators."""
     if not mats or any(m.rows != mats[0].rows or m.backend != mats[0].backend for m in mats):
         raise VerificationFailure("hstack needs one or more matrices of one row count and backend")
     rows = mats[0].rows
     backend = mats[0].backend
+    if backend == EXACT:
+        forms = [zi_form(m) for m in mats]
+        d = math.lcm(*[e for _, e in forms])
+        zrows: List[ZiRow] = [{} for _ in range(rows)]
+        offset = 0
+        for m, (mrows, e) in zip(mats, forms):
+            for target, row in zip(zrows, mrows):
+                target.update({offset + j: (a * (d // e), b * (d // e)) for j, (a, b) in row.items()})
+            offset += m.cols
+        return zi_matrix(rows, offset, zrows, d)
     out: List[Scalar] = []
     for i in range(rows):
         for m in mats:
@@ -848,8 +860,10 @@ def complement_columns(basis: Matrix, tol: Optional[float] = None) -> Matrix:
     """The standard vectors e_j, as the columns of one matrix in order of j,
     that extend the span of basis's columns to the whole space: every j that
     is no pivot of the echelon form of those columns.  The columns of basis
-    must be independent."""
+    must be independent.  An exact result is built as its Z[i] form."""
     comp = _free_columns(basis.rows, _pivot_columns(basis.transpose(), tol))
+    if basis.backend == EXACT:
+        return zi_matrix(len(comp), basis.rows, [{j: (1, 0)} for j in comp], 1).transpose()
     zero, one = sc_zero(basis.backend), sc_one(basis.backend)
     entries = tuple(one if i == j else zero for i in range(basis.rows) for j in comp)
     return Matrix(basis.rows, len(comp), entries, basis.backend)

@@ -381,6 +381,134 @@ def test_exact_complex_splitting_does_no_gaussian_rational_subtraction(monkeypat
     assert calls == []
 
 
+def _wedge(seq):
+    """(sign, sorted subset) of e_seq[0] ^ e_seq[1] ^ ..., sign 0 on a repeat."""
+    if len(set(seq)) < len(seq):
+        return 0, None
+    inversions = sum(1 for i, j in itertools.combinations(range(len(seq)), 2) if seq[i] > seq[j])
+    return (-1) ** inversions, tuple(sorted(seq))
+
+
+def _cartan_operators(rep, f, k, q, ad_sign=1):
+    """iota_q (e_k ^ . on the left) and theta_q (ad_sign * ad(e_k) on the
+    wedge plus rho(e_k) - f_k on X) in the subset-major basis, written out
+    entry by entry."""
+    L, m = rep.algebra, rep.m
+    zero = sc_zero(EXACT)
+    src = list(itertools.combinations(range(L.n), q)) if q >= 0 else []
+    dst = {S: i for i, S in enumerate(itertools.combinations(range(L.n), q + 1))}
+    iota = [[zero] * (m * len(src)) for _ in range(m * len(dst))]
+    for c, S in enumerate(src):
+        sign, T = _wedge((k,) + S)
+        for a in range(sign and m):
+            iota[dst[T] * m + a][c * m + a] = gr(sign)
+    here = {S: i for i, S in enumerate(src)}
+    theta = [[zero] * (m * len(src)) for _ in range(m * len(src))]
+    t_k = nm.sub_diagonal(rep.mats[k], f.coeffs[k])
+    for c, S in enumerate(src):
+        for a in range(m):
+            for b in range(m):
+                theta[c * m + a][c * m + b] += t_k.at(a, b)
+        for pos, s in enumerate(S):
+            for t, coeff in enumerate(L.structure(k, s)):
+                sign, T = _wedge(S[:pos] + (t,) + S[pos + 1:])
+                for a in range(sign and m):
+                    theta[here[T] * m + a][c * m + a] += coeff * gr(sign * ad_sign)
+    as_matrix = lambda rows, cols: nm.matrix_from_rows(rows, EXACT, cols=cols)
+    return as_matrix(iota, m * len(src)), as_matrix(theta, m * len(src))
+
+
+def _cartan_cases():
+    for name in ("H3", "F4", "Z3"):
+        yield pytest.param(name, lab.fixture(name).rep, id=name)
+    for base in ("H3", "F4"):
+        for seed in range(3):
+            name = f"{base}-seed{seed}"
+            yield pytest.param(name, lab.random_nilpotent_rep(seed, base), id=name)
+
+
+@pytest.mark.parametrize("name,rep", list(_cartan_cases()))
+def test_cartan_formula_pins_the_sign_convention(name, rep):
+    # d_(q+1) iota_q + iota_(q-1) d_q == theta_q for every e_k and degree q:
+    # the left wedge and +ad are the conventions the Cartan homotopy uses
+    L = rep.algebra
+    f = lab.random_character(random.Random(len(name)), L)
+    C = kz.build_complex(rep, f)
+    flipped = []
+    for k in range(L.n):
+        for q in range(L.n + 1):
+            iota, theta = _cartan_operators(rep, f, k, q)
+            iota_below, _ = _cartan_operators(rep, f, k, q - 1)
+            lhs = C.d(q + 1) * iota + iota_below * C.d(q)
+            assert lhs == theta, (name, k, q)
+            flipped.append(lhs == _cartan_operators(rep, f, k, q, ad_sign=-1)[1])
+    assert not all(flipped)
+
+
+def _far_shift(L):
+    # -7 on e_1 (on e_0 for A1), 0 elsewhere: e_0 has eigenvalue 0 on every
+    # block of the H3 and F4 inputs, and -7 lies outside every spectrum built
+    # from the catalog blocks and lab's small twists
+    return lc.character(L, [-7 if i == min(1, L.n - 1) else 0 for i in range(L.n)])
+
+
+def test_exact_nilpotent_homotopies_skip_elimination_and_entries(monkeypatch):
+    reps = [lab.fixture(name).rep for name in ("A1", "H3", "F4", "Z3")]
+    reps += [lab.random_nilpotent_rep(seed, base) for base in ("H3", "F4") for seed in range(3)]
+    filled, pairs, ks = [], [], []
+    honest_entries, honest_homotopy = nm.Matrix.entries.fget, kz._cartan_homotopy
+
+    def entries(m):
+        if m._entries is None:
+            filled.append(m)
+        return honest_entries(m)
+
+    def eliminating(*args):
+        raise AssertionError("complex_splitting on exact nilpotent input with an invertible T")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(nm.Matrix, "entries", property(entries))
+        patched.setattr(kz, "complex_splitting", eliminating)
+        patched.setattr(kz, "_cartan_homotopy",
+                        lambda L, k, *rest: ks.append(k) or honest_homotopy(L, k, *rest))
+        for rep in reps:
+            f = _far_shift(rep.algebra)
+            pairs += [(rep, f, p, kz.splitting_homotopy(rep, f, p)) for p in range(rep.algebra.n + 1)]
+    # the first e_k with rho(e_k) - f_k invertible: e_1, past the singular e_0
+    assert filled == [] and set(ks) == {0, 1} and ks.count(0) == 2 * 2  # A1: 2 degrees, 2 each
+    for rep, f, p, (h_p, h_pm1) in pairs:
+        C = kz.build_complex(rep, f)
+        lhs = C.d(p + 1) * h_p + h_pm1 * C.d(p)
+        assert lhs.to_lists() == identity(C.dims[p], EXACT).to_lists(), (rep.algebra.names, p)
+
+
+def test_splitting_homotopy_eliminates_off_the_cartan_route(monkeypatch):
+    calls = []
+    honest = kz.complex_splitting
+    monkeypatch.setattr(kz, "complex_splitting", lambda *args: calls.append(args[1]) or honest(*args))
+    # S2 is not nilpotent: elimination at every degree of its exact complex
+    s2 = lab.fixture("S2").rep
+    for p in range(3):
+        kz.splitting_homotopy(s2, ch(s2.algebra, [1, 0]), p)
+    assert calls == [0, 1, 2]
+    # float input eliminates too
+    calls.clear()
+    rep = rp.rep_from_json(rp.rep_to_json(h3_rep()), backend=FLOAT)
+    for p in range(4):
+        kz.splitting_homotopy(rep, lc.character(rep.algebra, [-7, 0, 0]), p)
+    assert calls == [0, 1, 2, 3]
+    # a member shift makes every rho(e_k) - f_k singular: elimination decides,
+    # and raises NotSplit where the homology is nonzero
+    calls.clear()
+    rep = lab.random_nilpotent_rep(1, "H3", 7)
+    member = lc.character(rep.algebra, [0, 0, 0])
+    assert all(kz.homology_dims(rep, member).h)
+    for p in range(4):
+        with pytest.raises(kz.NotSplit):
+            kz.splitting_homotopy(rep, member, p)
+    assert calls == [0, 1, 2, 3]
+
+
 # The residual check is what certifies a homotopy, and the shape checks keep
 # elimination from returning wrong-shaped results; both must survive python -O,
 # which strips assert statements.
@@ -418,11 +546,15 @@ _CORRUPTED_INVERSE_SCRIPT = textwrap.dedent(
     rep = rp.representation(L, [[[2, 0], [0, 3]]])
     C = kz.build_complex(rep, lc.character(L, [5]))
     report("homotopy", lambda: kz.complex_splitting(C, 0))
+    report("cartan homotopy", lambda: kz.splitting_homotopy(rep, lc.character(L, [5]), 0))
+    # on S2, ad(x) fixes x ^ y: past its nilpotency gate the series never ends
+    kz.is_nilpotent = lambda L: True
+    S2 = lc.lie_algebra(["x", "y"], {(0, 1): [0, 1]})
+    report("cartan series", lambda: kz._cartan_terms(S2, 0, 1))
 
     # a wrong root slipping through the eigenvalue search would surface as a
     # weight that is no character of [x, y] = y
     from liespec import spectra as sp
-    S2 = lc.lie_algebra(["x", "y"], {(0, 1): [0, 1]})
     s2 = rp.representation(S2, [[[1, 0], [0, 0]], [[0, 1], [0, 0]]])
     sp.triangular_weights = lambda rep, tol=None: [(gr(1), gr(1))]
     report("weight", lambda: sp.weight_candidates(s2))
@@ -457,9 +589,11 @@ def test_homotopy_check_survives_optimised_bytecode():
     assert lines[2] == "form 1 row for 2 raised: 1 sparse rows do not fit a 2x2 matrix", proc.stdout
     assert lines[3] == "form column 2 of 2 raised: 1 sparse rows do not fit a 1x2 matrix", proc.stdout
     assert lines[4] == "homotopy raised: homotopy identity failed verification", proc.stdout
-    assert lines[5].startswith("weight raised: non-character weight"), proc.stdout
-    assert lines[6].startswith("candidate raised: non-character candidate"), proc.stdout
-    assert lines[7] == "block raised: generalized weight space is not invariant", proc.stdout
+    assert lines[5] == "cartan homotopy raised: homotopy identity failed verification", proc.stdout
+    assert lines[6] == "cartan series raised: ad(e_0) is not nilpotent on degree 2", proc.stdout
+    assert lines[7].startswith("weight raised: non-character weight"), proc.stdout
+    assert lines[8].startswith("candidate raised: non-character candidate"), proc.stdout
+    assert lines[9] == "block raised: generalized weight space is not invariant", proc.stdout
 
 
 # Caller input is checked with ValueError and the finite-rank proxy's

@@ -61,6 +61,14 @@ def test_fixture_lookup():
         lab.fixture("so3")
 
 
+def test_fixture_builds_only_the_requested_instance(monkeypatch):
+    built = []
+    honest = lab.Fixture
+    monkeypatch.setattr(lab, "Fixture", lambda name, *rest, **data: built.append(name) or honest(name, *rest, **data))
+    assert lab.fixture(" z3 ") == lab.catalog()[3]
+    assert built == ["Z3", "A1", "H3", "S2", "Z3", "F4"]
+
+
 # --- random characters and conjugators --------------------------------------------
 
 

@@ -344,7 +344,8 @@ def test_cached_results_hold_no_mutable_container():
     assert {
         "liespec.lie_core.is_ideal", "liespec.lie_core.jordan_holder_chain",
         "liespec.spectra.homology_support", "liespec.koszul.exterior_basis",
-        "liespec.koszul._differential_pattern", "liespec.cli._build_parser",
+        "liespec.koszul._differential_pattern", "liespec.koszul._cartan_terms",
+        "liespec.cli._build_parser",
     } <= set(cached)
     calls = 0
     for backend in (EXACT, FLOAT):
@@ -352,7 +353,8 @@ def test_cached_results_hold_no_mutable_container():
             L = fix.rep.algebra
             subspaces = {lc.zero_subspace(L), lc.full_subspace(L), lc.derived_subalgebra(L)}
             subspaces |= set(lc.lower_central_series(L)) | set(lc.derived_series(L))
-            inputs = {"L": [L], "S": subspaces, "tol": [None], "n": [L.n], "p": range(1, L.n + 1)}
+            inputs = {"L": [L], "S": subspaces, "tol": [None], "n": [L.n], "p": range(1, L.n + 1),
+                      "k": range(L.n), "q": range(-1, L.n + 1)}
             for name, fn in sorted(cached.items()):
                 params = inspect.signature(fn).parameters
                 missing = set(params) - set(inputs)

@@ -249,6 +249,26 @@ def test_exact_routes_fill_the_entries_of_the_returned_witnesses_only(monkeypatc
     assert converted and all(any(c is w for w in witnesses) for c in converted)
 
 
+@pytest.mark.parametrize("rep", [lab.fixture("S2").rep, lab.random_nilpotent_rep(3, "F4", 6)],
+                         ids=["S2", "F4-seed3-m6"])
+def test_exact_weight_candidates_fill_no_entries(monkeypatch, rep):
+    # each quotient basis [v | e_j] of triangular_weights is joined and
+    # inverted on Z[i] forms: no matrix built from a form is read as entries.
+    # The algebra's cached series are echelon rows by design; warm them first.
+    lc.is_solvable(rep.algebra), lc.derived_subalgebra(rep.algebra, None)
+    filled = []
+    honest_entries = nm.Matrix.entries.fget
+
+    def entries(m):
+        if m._entries is None:
+            filled.append(m)
+        return honest_entries(m)
+
+    monkeypatch.setattr(nm.Matrix, "entries", property(entries))
+    weights = sp.weight_candidates(rep)
+    assert weights and filled == []
+
+
 def test_weight_candidates_need_solvable():
     # sl2 is not solvable: [e,f]=h, [h,e]=2e, [h,f]=-2f
     L = lc.lie_algebra(
