@@ -210,7 +210,8 @@ def random_character(rng: random.Random, L: LieAlgebra) -> Character:
     echelon basis of the derived subalgebra.
     """
     pivots: Dict[int, int] = {}
-    basis = derived_subalgebra(L).basis
+    # tol passed as is_character passes it, so both calls share one cache entry
+    basis = derived_subalgebra(L, None).basis
     for idx, row in enumerate(basis):
         lead = next(j for j, x in enumerate(row) if not sc_is_zero(x))
         pivots[lead] = idx

@@ -64,6 +64,8 @@ class LieAlgebra:
     _map: Dict[Tuple[int, int], Vector] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
+    # every memoised function of an algebra hashes it: hash the table once
+    _hash: Optional[int] = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         n = len(self.names)
@@ -77,6 +79,11 @@ class LieAlgebra:
                 raise ValueError(f"duplicate bracket ({i},{j})")
             seen[(i, j)] = coeffs
         object.__setattr__(self, "_map", seen)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.names, self.table, self.backend)))
+        return self._hash
 
     @property
     def n(self) -> int:

@@ -95,6 +95,12 @@ class GaussianRational:
             (self.im * other.re - self.re * other.im) / n,
         )
 
+    def __hash__(self) -> int:
+        # Fractions are in lowest terms with a positive denominator, so equal
+        # values have equal parts; cheaper than Fraction.__hash__
+        re, im = self.re, self.im
+        return hash((re.numerator, re.denominator, im.numerator, im.denominator))
+
     @property
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
@@ -378,13 +384,14 @@ class Matrix:
         if self.backend == EXACT:
             return _mul_exact(self, other)
         zero = sc_zero(self.backend)
+        cols = [other.entries[j::other.cols] for j in range(other.cols)]
         out = []
         for i in range(self.rows):
             ri = self.row(i)
-            for j in range(other.cols):
+            for col in cols:
                 acc = zero
-                for k in range(self.cols):
-                    acc = acc + ri[k] * other.at(k, j)
+                for a, b in zip(ri, col):
+                    acc = acc + a * b
                 out.append(acc)
         return Matrix(self.rows, other.cols, tuple(out), self.backend)
 
@@ -405,7 +412,9 @@ class Matrix:
     def maxnorm(self) -> float:
         if not self.entries:
             return 0.0
-        return max(sc_abs(a) for a in self.entries)
+        if self.backend == EXACT:
+            return max(sc_abs(a) for a in self.entries)
+        return max(map(abs, self.entries))
 
     def is_zero(self, thr: float = 0.0) -> bool:
         if self.backend == EXACT:
@@ -524,7 +533,7 @@ def _echelon(
         return zi_matrix(len(rows), m.cols, rows, d).to_lists(), pivots
     vecs = [list(v) for v in vectors]
     return _rref(vecs, zero_threshold(backend, tol, lambda: max(
-        (sc_abs(x) for v in vecs for x in v), default=0.0)))
+        (abs(x) for v in vecs for x in v), default=0.0)))
 
 
 def _rref(rows: List[List[complex]], thr: float) -> Tuple[List[List[complex]], List[int]]:
@@ -554,7 +563,7 @@ def _rref(rows: List[List[complex]], thr: float) -> Tuple[List[List[complex]], L
             if i == r:
                 continue
             f = rows[i][c]
-            if sc_is_zero(f, thr):
+            if abs(f) <= thr:
                 continue
             rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(c)

@@ -5,9 +5,12 @@ Two independent routes:
   * homology route: evaluate Betti numbers of the complex of rho - f over a
     finite candidate set, once per representation (homology_table), and
     read every spectrum kind off that one table as a union of per-degree
-    membership sets.  The cross-check and the projections reuse the same
+    membership sets.  Kinds with one degree range share one member set: in
+    finite dimension a split kind has the members of its plain kind, and
+    delta_n and pi_n those of taylor, so all_spectra reads the members once
+    per distinct range.  The cross-check and the projections reuse the same
     tables: a report needs one for the representation and one for its
-    restriction to an ideal;
+    restriction to an ideal, and compares each distinct projection once;
   * eigencharacter route: enumerate joint eigenvectors directly, narrowing
     a joint eigenspace V level by level to the kernel of rho(e_k) - lam
     within V, which the exact backend reads off the kernel of
@@ -538,12 +541,7 @@ class SpectrumReport:
         return tuple(f.coeffs for f in self.members)
 
 
-def _report_from_table(
-    rep: Representation,
-    kind: SpectrumKind,
-    table: Tuple[Tuple[Vector, BettiVector], ...],
-) -> SpectrumReport:
-    L = rep.algebra
+def _annotations(kind: SpectrumKind) -> Tuple[str, ...]:
     annotations: List[str] = []
     if kind.family == "pi":
         annotations.append(ANN_CLOSED_RANGE)
@@ -551,24 +549,9 @@ def _report_from_table(
             annotations.append(ANN_CLOSED_RANGE_READINGS)
     if kind.essential:
         annotations.append(ANN_ESSENTIAL)
-        return SpectrumReport(kind, (), (), "homology", (), tuple(annotations))
-    if kind.split:
+    elif kind.split:
         annotations.append(ANN_SPLIT)
-    degrees = kind.degree_range(L.n)
-    members = []
-    member_betti = []
-    for coeffs, betti in table:
-        if any(betti.h[p] != 0 for p in degrees):
-            members.append(Character(L, coeffs))
-            member_betti.append((coeffs, betti))
-    return SpectrumReport(
-        kind,
-        tuple(members),
-        tuple(member_betti),
-        "homology",
-        tuple(c for c, _ in table),
-        tuple(annotations),
-    )
+    return tuple(annotations)
 
 
 def all_spectra(
@@ -576,15 +559,29 @@ def all_spectra(
     kinds: Optional[Sequence[SpectrumKind]] = None,
     tol: Optional[float] = None,
 ) -> Dict[str, SpectrumReport]:
-    """Reports for many kinds off one shared homology table."""
+    """Reports for many kinds off one shared homology table.  The members
+    and their Betti vectors are read once per distinct degree range, and
+    every kind with that range gets the same tuples: a split kind has the
+    members of its plain kind, and delta_n and pi_n those of taylor.  Every
+    essential kind reports no members."""
+    L = rep.algebra
     if kinds is None:
-        kinds = all_kinds(rep.algebra.n)
-    table = None
-    if any(not k.essential for k in kinds):
-        table = homology_table(rep, tol)
+        kinds = all_kinds(L.n)
+    table = homology_table(rep, tol) if any(not k.essential for k in kinds) else ()
+    candidates = tuple(c for c, _ in table)
+    read: Dict[range, Tuple[Tuple[Character, ...], Tuple[Tuple[Vector, BettiVector], ...]]] = {}
     out = {}
     for kind in kinds:
-        out[kind.render()] = _report_from_table(rep, kind, table or ())
+        if kind.essential:
+            out[kind.render()] = SpectrumReport(kind, (), (), "homology", (), _annotations(kind))
+            continue
+        degrees = kind.degree_range(L.n)
+        if degrees not in read:
+            member_betti = tuple((c, b) for c, b in table if any(b.h[p] != 0 for p in degrees))
+            read[degrees] = tuple(Character(L, c) for c, _ in member_betti), member_betti
+        members, member_betti = read[degrees]
+        out[kind.render()] = SpectrumReport(
+            kind, members, member_betti, "homology", candidates, _annotations(kind))
     return out
 
 

@@ -602,6 +602,25 @@ def test_report_restricts_each_taylor_member_once(capsys, monkeypatch, name):
     assert sorted([scalar_to_json(c) for c in f] for f in restricted) == sorted(taylor)
 
 
+@pytest.mark.parametrize("name", ["a1", "h3", "z3", "f4"])
+def test_report_compares_each_distinct_projection_once(capsys, monkeypatch, name):
+    # a projection depends only on the kind's degree ranges in L and in the
+    # ideal: 2n + 1 distinct pairs among the 2 + 4(n + 1) non-essential kinds
+    compared = []
+    honest = cli._compare_projection
+
+    def counting(rep, big, small, restricted):
+        compared.append(big.kind.degree_range(rep.algebra.n))
+        return honest(rep, big, small, restricted)
+
+    monkeypatch.setattr(cli, "_compare_projection", counting)
+    code, out, _ = run(capsys, "report", "--fixture", name)
+    assert code == 0
+    n = lab.fixture(name).rep.algebra.n
+    assert len(json.loads(out)["projections"]) == 2 + 4 * (n + 1)
+    assert len(compared) == len(set(compared)) == 2 * n + 1
+
+
 def test_parser_is_built_once_per_process():
     assert cli._build_parser() is cli._build_parser()
 

@@ -97,6 +97,15 @@ def test_random_character_free_coordinates_nonzero():
         assert scalar_to_text(c) == "0"  # pinned by [L, L]
 
 
+def test_random_character_and_is_character_share_one_derived_subalgebra():
+    # a fresh algebra: no earlier call has cached its derived subalgebra
+    L = lc.lie_algebra(["p_once", "q_once", "r_once", "s_once"], {(0, 1): [0, 0, 1, 0]})
+    before = lc.derived_subalgebra.cache_info().misses
+    f = lab.random_character(random.Random(0), L)
+    assert lc.is_character(L, f.coeffs)
+    assert lc.derived_subalgebra.cache_info().misses - before == 1
+
+
 def test_unimodular_matrix_integer_inverse():
     rng = random.Random(3)
     for size in (2, 3, 5, 6):

@@ -8,6 +8,7 @@ Fixtures used throughout:
 
 import pytest
 
+from liespec import lab
 from liespec import lie_core as lc
 from liespec.numeric import EXACT, FLOAT, gr
 
@@ -246,6 +247,20 @@ def test_json_round_trip():
     assert back == L
     as_float = lc.algebra_from_json(obj, backend=FLOAT)
     assert as_float.structure(0, 1) == (0j, 0j, 1 + 0j)
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_algebra_hash_is_cached_and_agrees_with_equality(backend):
+    for fix in lab.catalog(backend):
+        L = fix.rep.algebra
+        back = lc.algebra_from_json(lc.algebra_to_json(L), backend)
+        assert back is not L and back._hash is None
+        assert back == L and hash(back) == hash(L)
+        assert back._hash == hash((L.names, L.table, L.backend))
+        # the cached value is in neither == nor repr
+        fresh = lc.algebra_from_json(lc.algebra_to_json(L), backend)
+        assert fresh._hash is None and fresh == back and repr(fresh) == repr(back)
+        assert "_hash" not in repr(back)
 
 
 def test_json_rejects_malformed():

@@ -883,3 +883,103 @@ def test_exact_product_clears_each_operand_once(monkeypatch):
     # new right operand, a fifth matrix built from entries
     products[0] * y.transpose()
     assert len(calls) <= 5, calls
+
+
+# --- the float kernel against its per-entry loops ---------------------------------
+
+
+def _old_float_mul(x, y):
+    out = []
+    for i in range(x.rows):
+        ri = x.row(i)
+        for j in range(y.cols):
+            acc = 0j
+            for k in range(x.cols):
+                acc = acc + ri[k] * y.at(k, j)
+            out.append(acc)
+    return out
+
+
+def _old_rref(rows, thr):
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        pivot_row = -1
+        best = thr
+        for i in range(r, nrows):
+            a = abs(rows[i][c])
+            if a > best:
+                best = a
+                pivot_row = i
+        if pivot_row < 0:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        piv = rows[r][c]
+        rows[r] = [x / piv for x in rows[r]]
+        for i in range(nrows):
+            if i == r:
+                continue
+            f = rows[i][c]
+            if nm.sc_is_zero(f, thr):
+                continue
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def _bits(values):
+    # hex keeps the sign of a zero, which == does not
+    return [(z.real.hex(), z.imag.hex()) for z in values]
+
+
+def _seeded_float_rows(rng, rows, cols):
+    # signed zeros, exact small integers, tiny entries near the threshold
+    pool = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 1 + 0j, -2 + 0j, 1j,
+            complex(1e-12, 0.0), complex(0.0, -3e-10)]
+    out = []
+    for _ in range(rows):
+        row = []
+        for _ in range(cols):
+            if rng.random() < 0.5:
+                row.append(rng.choice(pool))
+            else:
+                row.append(complex(rng.uniform(-3, 3), rng.choice([0.0, -0.0, rng.uniform(-1, 1)])))
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_float_kernel_is_bit_identical_to_its_per_entry_loops(seed):
+    rng = random.Random(seed)
+    a, b, c = (rng.randint(0, 5) for _ in range(3))
+    x = matrix_from_rows(_seeded_float_rows(rng, a, b), FLOAT, cols=b)
+    y = matrix_from_rows(_seeded_float_rows(rng, b, c), FLOAT, cols=c)
+    assert _bits((x * y).entries) == _bits(_old_float_mul(x, y))
+    old_norm = max((nm.sc_abs(v) for v in x.entries), default=0.0)
+    assert x.maxnorm().hex() == old_norm.hex()
+    rows = _seeded_float_rows(rng, a, b)
+    for tol in (None, 1e-6):
+        old_thr = nm.zero_threshold(FLOAT, tol, lambda: max(
+            (nm.sc_abs(v) for row in rows for v in row), default=0.0))
+        want_rows, want_pivots = _old_rref([list(r) for r in rows], old_thr)
+        got_rows, got_pivots = nm._echelon(rows, FLOAT, tol)
+        assert got_pivots == want_pivots
+        assert [_bits(r) for r in got_rows] == [_bits(r) for r in want_rows]
+        for thr in (0.0, old_thr, 0.5):
+            want = _old_rref([list(r) for r in rows], thr)
+            got = nm._rref([list(r) for r in rows], thr)
+            assert got[1] == want[1] and [_bits(r) for r in got[0]] == [_bits(r) for r in want[0]]
+
+
+def test_gaussian_rational_hash_agrees_with_equality():
+    half = GaussianRational(Fraction(2, 4), Fraction(0))
+    assert half == GaussianRational(Fraction(1, 2), Fraction(0)) == gr(Fraction(1, 2))
+    assert hash(half) == hash(GaussianRational(Fraction(1, 2), Fraction(0)))
+    assert hash(GaussianRational(Fraction(-6, -4), Fraction(3, -9))) == hash(gr(Fraction(3, 2), Fraction(-1, 3)))
+    assert hash(GaussianRational(1, 0)) == hash(gr(1))
+    assert len({gr(Fraction(1, 2), 1), GaussianRational(Fraction(2, 4), Fraction(3, 3)), gr(1, Fraction(1, 2))}) == 2

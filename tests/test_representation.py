@@ -4,11 +4,17 @@ E_{ij} below means the matrix unit with a single 1 in row i, column j
 (1-based in the comments, 0-based in code).
 """
 
+import random
+from fractions import Fraction
+
 import pytest
 
+from liespec import lab
 from liespec import lie_core as lc
 from liespec import representation as rp
-from liespec.numeric import EXACT, FLOAT, Matrix, gr, identity, matrix_from_rows
+from liespec.numeric import (
+    EXACT, FLOAT, Matrix, gr, identity, matrix_from_rows, scalar_from_text, zi_form, zi_matrix,
+)
 
 
 def h3_rep():
@@ -66,6 +72,81 @@ def test_apply_linear_combination():
     rep = h3_rep()
     mat = rep.apply((gr(1), gr(2), gr(0)))
     assert mat.at(0, 1) == gr(1) and mat.at(1, 2) == gr(2)
+
+
+def _fraction_apply(rep, coeffs):
+    """sum_k c_k rho(e_k) entry by entry, as (re, im) pairs of Fractions."""
+    out = [[(Fraction(0), Fraction(0))] * rep.m for _ in range(rep.m)]
+    for c, mat in zip(coeffs, rep.mats):
+        for i in range(rep.m):
+            for j in range(rep.m):
+                x = mat.at(i, j)
+                a, b = out[i][j]
+                out[i][j] = (a + c.re * x.re - c.im * x.im, b + c.re * x.im + c.im * x.re)
+    return out
+
+
+def _fraction_pairs(mat):
+    return [[(x.re, x.im) for x in mat.row(i)] for i in range(mat.rows)]
+
+
+def _watch_entry_fills(monkeypatch):
+    """Matrices whose entries are filled from their Z[i] form from now on."""
+    filled = []
+    honest = Matrix.entries.fget
+
+    def entries(m):
+        if m._entries is None:
+            filled.append(m)
+        return honest(m)
+
+    monkeypatch.setattr(Matrix, "entries", property(entries))
+    return filled
+
+
+def _seeded_matrices(seed, n, m):
+    # rational and Gaussian entries over unequal denominators, many zeros
+    rng = random.Random(seed)
+    pool = [0, 0, 0, 1, -2, Fraction(1, 2), Fraction(-3, 4), (Fraction(1, 3), 1), (0, Fraction(-2, 5)),
+            (Fraction(7, 6), Fraction(5, 9))]
+    return [[[rng.choice(pool) for _ in range(m)] for _ in range(m)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_exact_apply_sums_the_forms(monkeypatch, seed):
+    # apply is linear algebra on the matrices alone, so they need not be a
+    # homomorphism here
+    L = lc.lie_algebra(["x", "y", "z"], {(0, 1): [0, 0, 1]})
+    built = rp.representation(L, _seeded_matrices(seed, 3, 4))
+    # matrices that hold only their Z[i] form, as kernel results do
+    rep = rp.Representation(L, 4, tuple(zi_matrix(4, 4, *zi_form(mat)) for mat in built.mats))
+    rng = random.Random(100 + seed)
+    values = ["0", "1", "-1", "i", "1/2", "-3/7+2/5i", "5/3i"]
+    coeff_lists = [[scalar_from_text(rng.choice(values)) for _ in range(3)] for _ in range(8)]
+    coeff_lists += [[gr(0)] * 3, [gr(0), gr(0), gr(Fraction(2, 3), -1)]]
+    filled = _watch_entry_fills(monkeypatch)
+    results = [rep.apply(coeffs) for coeffs in coeff_lists]
+    assert filled == []
+    for coeffs, got in zip(coeff_lists, results):
+        assert _fraction_pairs(got) == _fraction_apply(rep, coeffs)
+
+
+@pytest.mark.parametrize("ideal_text", ["1,1,0;0,0,1", "1,i,0;0,0,1", "2,3,0;0,0,5", "1/2,3,0;0,0,1",
+                                        "0,0,1", "1,0,0;0,1,0;0,0,1"])
+@pytest.mark.parametrize("make", [lambda: lab.fixture("H3").rep, lambda: lab.random_nilpotent_rep(1, "H3", 5),
+                                  lambda: lab.random_nilpotent_rep(4, "H3", 7)], ids=["H3", "H3-5-1", "H3-7-4"])
+def test_exact_restrict_rep_on_forms(monkeypatch, make, ideal_text):
+    rep = make()  # fresh matrices: a filled entry tuple stays on its matrix
+    L = rep.algebra
+    ideal = lc.span(L, [[scalar_from_text(x) for x in v.split(",")] for v in ideal_text.split(";")])
+    lc.is_ideal(L, ideal, None)  # the algebra's cached echelon rows are filled by design
+    filled = _watch_entry_fills(monkeypatch)
+    sub = rp.restrict_rep(rep, ideal)
+    assert filled == []
+    assert sub.algebra.n == ideal.dim and sub.m == rep.m
+    for b, mat in zip(ideal.basis, sub.mats):
+        assert _fraction_pairs(mat) == _fraction_apply(rep, b)
+    assert rp.validate_representation(sub) == []
 
 
 def test_shift_diagonal():

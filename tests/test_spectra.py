@@ -487,6 +487,57 @@ def test_all_spectra_shares_candidates():
     assert all(r.candidates == non_essential[0].candidates for r in non_essential)
 
 
+def _direct_read(table, kind, n):
+    """A kind's members and member Betti read off the table on their own:
+    taylor is every degree 0..n, delta:k degrees 0..k, pi:k degrees
+    n-k..n; a split kind reads as its plain kind, an essential one is empty."""
+    if kind.essential:
+        return (), ()
+    k = n if kind.k is None else min(kind.k, n)
+    degrees = {"taylor": range(n + 1), "delta": range(k + 1), "pi": range(n - k, n + 1)}[kind.family]
+    betti = tuple((c, b) for c, b in table if any(b.h[p] != 0 for p in degrees))
+    return tuple(c for c, _ in betti), betti
+
+
+# the seeded float inputs whose triangularization succeeds (see the float
+# caveats in README); every exact one does
+SHARED_RANGE_INPUTS = (
+    [(f"{f.name}/{b}", f.rep) for b in (EXACT, FLOAT) for f in lab.catalog(b)]
+    + [(f"{base}-{m}-{seed}/{EXACT}", lab.random_nilpotent_rep(seed, base, m))
+       for base, m in (("H3", 5), ("A1", 5), ("Z3", 5), ("F4", 6)) for seed in range(3)]
+    + [(f"{base}-{m}-{seed}/{FLOAT}", lab.random_nilpotent_rep(seed, base, m, FLOAT))
+       for base, m, seeds in (("H3", 5, [2]), ("A1", 5, range(3)), ("Z3", 5, range(3)),
+                              ("F4", 6, [0, 2])) for seed in seeds]
+)
+
+
+@pytest.mark.parametrize("rep", [r for _, r in SHARED_RANGE_INPUTS],
+                         ids=[name for name, _ in SHARED_RANGE_INPUTS])
+def test_all_spectra_equals_a_direct_read_per_kind(rep):
+    n = rep.algebra.n
+    table = sp.homology_table(rep)
+    reports = sp.all_spectra(rep)
+    for kind in sp.all_kinds(n):
+        report = reports[kind.render()]
+        assert (report.member_coeffs, report.betti) == _direct_read(table, kind, n), kind.render()
+        assert all(f.algebra == rep.algebra for f in report.members)
+    # kinds of one degree range hand out the same tuples
+    by_range = {}
+    for kind in sp.all_kinds(n):
+        if not kind.essential:
+            first = by_range.setdefault(kind.degree_range(n), reports[kind.render()])
+            assert reports[kind.render()].members is first.members
+    assert len(by_range) == 2 * n + 1
+
+
+def test_shared_ranges_keep_delta_and_pi_apart():
+    # on S2, sigma_0 and sigma_n differ, so a key that merged delta:k with
+    # pi:k would change the members the direct read above compares
+    reports = sp.all_spectra(lab.fixture("S2").rep)
+    assert reports["delta:0"].member_coeffs != reports["pi:0"].member_coeffs
+    assert reports["delta:0"].member_coeffs == reports["split_delta:0"].member_coeffs
+
+
 def test_spectrum_zero_dim_algebra():
     L = lc.abelian_algebra([])
     rep = rp.representation(L, [], m=2)
