@@ -414,12 +414,22 @@ def test_lab_suite_catalog_only(capsys):
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
+def _assert_golden(capsys, golden, *argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    with open(os.path.join(DATA, golden), encoding="utf-8") as fh:
+        assert out == fh.read()
+
+
 @pytest.mark.parametrize("name", ["a1", "h3", "s2", "z3", "f4"])
 def test_report_matches_golden_output(capsys, name):
-    code, out, _ = run(capsys, "report", "--fixture", name, "--backend", "exact")
-    assert code == 0
-    with open(os.path.join(DATA, f"report_{name}_exact.json"), encoding="utf-8") as fh:
-        assert out == fh.read()
+    _assert_golden(capsys, f"report_{name}_exact.json", "report", "--fixture", name, "--backend", "exact")
+
+
+@pytest.mark.parametrize("name", ["a1", "h3", "s2", "z3", "f4"])
+def test_float_report_matches_golden_output(capsys, name):
+    # pins the float eigenvalues, witnesses and the JSON rendering of floats
+    _assert_golden(capsys, f"report_{name}_float.json", "report", "--fixture", name, "--backend", "float")
 
 
 @pytest.mark.parametrize("name, tables", [("f4", 2), ("s2", 1)])
@@ -465,7 +475,7 @@ def test_report_agrees_with_per_kind_checks(capsys, name):
 # --- exact eigenvalues: seeded goldens and a hostile input ------------------------
 
 
-@pytest.mark.parametrize("command", ["eigenchars", "crossval"])
+@pytest.mark.parametrize("command", ["eigenchars", "crossval", "report"])
 @pytest.mark.parametrize(
     "base, m, seed",
     [("H3", 5, 0), ("H3", 5, 1), ("F4", 6, 0), ("F4", 8, 0), ("A1", 4, 0), ("Z3", 5, 0)],
@@ -473,11 +483,8 @@ def test_report_agrees_with_per_kind_checks(capsys, name):
 def test_seeded_exact_output_matches_golden(capsys, tmp_path, command, base, m, seed):
     path = tmp_path / "rep.json"
     path.write_text(json.dumps(rep_to_json(lab.random_nilpotent_rep(seed, base, m))))
-    code, out, _ = run(capsys, command, str(path), "--backend", "exact")
-    assert code == 0
-    name = f"{command}_{base.lower()}_m{m}_s{seed}_exact.json"
-    with open(os.path.join(DATA, name), encoding="utf-8") as fh:
-        assert out == fh.read()
+    _assert_golden(capsys, f"{command}_{base.lower()}_m{m}_s{seed}_exact.json",
+                   command, str(path), "--backend", "exact")
 
 
 # --- float backend: known failures on seeded nilpotent input ----------------------
