@@ -180,13 +180,47 @@ def _table_lines(obj, indent: int = 0) -> List[str]:
     return lines
 
 
+_json_text = json.encoder.encode_basestring_ascii
+
+
+def _to_json(obj, pad: str = "\n") -> str:
+    """The text of json.dumps(obj, sort_keys=True, indent=2), with pad the
+    line break and indent before obj's nested lines.  It is joined from
+    strings here because json.dumps takes its pure-Python encoder whenever
+    indent is set.  Keys and strings are escaped as json escapes them; ints
+    and finite floats print as their repr, booleans and None as their JSON
+    words, and any other leaf is json.dumps of the leaf."""
+    kind = type(obj)
+    if kind is str:
+        return _json_text(obj)
+    if kind is int or (kind is float and math.isfinite(obj)):
+        return kind.__repr__(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        return "{" + inner + ("," + inner).join(
+            [_json_text(k if isinstance(k, str) else json.dumps(k)) + ": " + _to_json(v, inner)
+             for k, v in sorted(obj.items())]) + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join([_to_json(v, inner) for v in obj]) + pad + "]"
+    return json.dumps(obj)
+
+
 def _render(payload, args) -> str:
     fmt = args.format or getattr(args, "default_format", "json")
     if isinstance(payload, str):
         # preformatted output (CSV); --format json is handled by the command
         return payload.rstrip("\n")
     if fmt == "json":
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return _to_json(payload)
     return "\n".join(_table_lines(payload))
 
 

@@ -3,13 +3,15 @@
 Two interchangeable backends:
 
   * "exact"  -- Gaussian rationals (pairs of ``fractions.Fraction``).
-    The characteristic polynomial comes from the Faddeev-LeVerrier
-    recurrence on the matrix cleared to Gaussian integers, where every
-    division is exact.  Its roots are guessed, then verified on integers:
-    numpy roots of its exact square-free part are rounded to Gaussian
-    rationals and kept only where homogenised integer Horner evaluation
-    vanishes; a rational-root search over Gaussian-integer divisors, bounded
-    by a step budget, takes whatever the guesses miss.  Every exact matrix
+    The characteristic polynomial of the matrix cleared to Gaussian
+    integers comes from its power traces by Newton's identities, where
+    every division is exact.  Its roots stay Gaussian integers until they
+    are returned.  A pure power is read off its linear square-free part;
+    otherwise roots are guessed, then verified on integers: numpy roots of
+    the exact square-free part are rounded to Gaussian rationals and kept
+    only where homogenised integer Horner evaluation vanishes; a
+    rational-root search over Gaussian-integer divisors, bounded by a step
+    budget, takes whatever the guesses miss.  Every exact matrix
     is its Gaussian-integer form: sparse rows of nonzero integer (re, im)
     pairs over one positive common denominator, coprime to the numerators.
     A matrix built from entries clears them to that form once, on first
@@ -106,7 +108,11 @@ class GaussianRational:
         return self.re == 0 and self.im == 0
 
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        # the value of complex(re) + 1j * complex(im), signed zeros included:
+        # that sum turns an imaginary -0.0 into 0.0, and a real -0.0 into 0.0
+        # unless the imaginary part is negative
+        a, b = float(self.re), float(self.im)
+        return complex(a + 0.0 * b, b + 0.0)
 
     def __str__(self) -> str:
         return scalar_to_text(self)
@@ -915,41 +921,60 @@ def _column_echelon(m: Matrix, tol: Optional[float]) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-def char_poly(m: Matrix) -> List[GaussianRational]:
-    """Monic characteristic polynomial det(tI - M), leading coefficient
-    first, of an exact matrix.
+def char_poly(m: Matrix) -> Tuple[List[Tuple[int, int]], int]:
+    """(c, d) for an exact square matrix M: d is the denominator of M's Z[i]
+    form, so N = d*M has Gaussian-integer entries, and c = [c_0, ..., c_n]
+    are the Gaussian-integer coefficients, leading first, of
+    det(sI - N) = sum_k c_k s^(n-k).  The coefficient of t^(n-k) in
+    det(tI - M) is c_k / d^k.
 
-    Faddeev-LeVerrier on the Gaussian-integer matrix N = d*M, d the common
-    denominator: M_1 = I, c_k = -tr(N M_k) / k, M_(k+1) = N M_k + c_k I gives
-    det(sI - N) = sum_k c_k s^(n-k), whose c_k lie in Z[i], so every division
-    by k is exact.  The coefficient of t^(n-k) in det(tI - M) is c_k / d^k.
-    M_k is a polynomial in N, so N M_k = M_k N, formed row by row against
-    the sparse rows of N, which are m's Z[i] form.
+    Newton's identities k c_k = -sum_(i=1..k) c_(k-i) p_i give the c_k from
+    the power traces p_k = tr(N^k).  N, N^2, ..., N^h with h = ceil(n/2) are
+    formed row by row against the sparse rows of N (h - 1 products); for
+    k > h, p_k is read as sum_ab (N^h)_ab (N^(k-h))_ba without forming that
+    product.  The powers stop at the first zero one, since every later
+    trace is then zero.  Every c_k is a Gaussian integer, so a nonzero
+    remainder of the division by k raises VerificationFailure.
     """
     _check_square(m)
     if m.backend != EXACT:
         raise ValueError("char_poly needs an exact matrix")
     size = m.rows
     n_rows, d = zi_form(m)
-    mk: List[ZiRow] = [{i: (1, 0)} for i in range(size)]
-    coeffs = [GR_ONE]
-    dk = 1
+    half = (size + 1) // 2
+    powers = [n_rows]  # the sparse rows of N, N^2, ..., up to N^half or a zero power
+    while len(powers) < half and any(powers[-1]):
+        powers.append([_zi_sparse(*_zi_row_product(row, n_rows, size)) for row in powers[-1]])
+    traces = []
+    for rows in powers:
+        diag = [row.get(i, (0, 0)) for i, row in enumerate(rows)]
+        traces.append((sum(a for a, _ in diag), sum(b for _, b in diag)))
+    if len(powers) == half:
+        top = powers[-1]
+        for k in range(half + 1, size + 1):
+            other = powers[k - half - 1]
+            tr_re = tr_im = 0
+            for a, row in enumerate(top):
+                for b, (xa, xb) in row.items():
+                    y = other[b].get(a)
+                    if y is not None:
+                        tr_re += xa * y[0] - xb * y[1]
+                        tr_im += xa * y[1] + xb * y[0]
+            traces.append((tr_re, tr_im))
+    # a zero power N^j leaves p_k = 0 for every k >= j
+    traces += [(0, 0)] * (size - len(traces))
+    coeffs = [(1, 0)]
     for k in range(1, size + 1):
-        prod = [_zi_row_product(row, n_rows, size) for row in mk]
-        tr_re = sum(re[i] for i, (re, _) in enumerate(prod))
-        tr_im = sum(im[i] for i, (_, im) in enumerate(prod))
-        if tr_re % k or tr_im % k:
-            raise VerificationFailure(f"trace of N M_{k} is not divisible by {k}")
-        c_re, c_im = -tr_re // k, -tr_im // k
-        dk *= d
-        coeffs.append(_gr_over(c_re, c_im, dk))
-        if k < size:
-            mk = [_zi_sparse(re, im) for re, im in prod]
-            if c_re or c_im:
-                for i, row in enumerate(mk):
-                    a, b = row.get(i, (0, 0))
-                    row[i] = (a + c_re, b + c_im)
-    return coeffs
+        s_re = s_im = 0
+        for i in range(1, k + 1):
+            ca, cb = coeffs[k - i]
+            pa, pb = traces[i - 1]
+            s_re += ca * pa - cb * pb
+            s_im += ca * pb + cb * pa
+        if s_re % k or s_im % k:
+            raise VerificationFailure(f"Newton's identity for c_{k} is not divisible by {k}")
+        coeffs.append((-s_re // k, -s_im // k))
+    return coeffs, d
 
 
 # Budget, in loop steps, of the divisor-search fallback of one root search:
@@ -1022,7 +1047,10 @@ _UNITS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 # --- polynomials over the Gaussian integers ---------------------------------
 #
 # A polynomial is a list of Gaussian integers (a, b), leading coefficient
-# first, with a nonzero leading coefficient.
+# first, with a nonzero leading coefficient.  A candidate root x / e is the
+# pair (x, e) of a Gaussian integer x and a positive integer e.
+
+ZiRoot = Tuple[Tuple[int, int], int]
 
 
 def _zi_primitive(p: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
@@ -1091,8 +1119,8 @@ def _float_root_guesses(q: List[Tuple[int, int]]) -> List[complex]:
         return []
 
 
-def _guessed_roots(q: List[Tuple[int, int]]) -> List[GaussianRational]:
-    """Gaussian rationals that may be roots of q: its leading coefficient a
+def _guessed_roots(q: List[Tuple[int, int]]) -> List[ZiRoot]:
+    """Candidate roots x / a of q, as pairs (x, a): its leading coefficient a
     is a positive integer and Z[i] is integrally closed, so a*r is a
     Gaussian integer for every Gaussian-rational root r.  Each float root is
     rounded accordingly; nothing here is trusted without exact evaluation."""
@@ -1101,7 +1129,7 @@ def _guessed_roots(q: List[Tuple[int, int]]) -> List[GaussianRational]:
     for g in _float_root_guesses(q):
         x, y = a * g.real, a * g.imag
         if math.isfinite(x) and math.isfinite(y):
-            out.append(GaussianRational(Fraction(round(x), a), Fraction(round(y), a)))
+            out.append(((round(x), round(y)), a))
     return out
 
 
@@ -1131,15 +1159,16 @@ def _zi_deflate(p: List[Tuple[int, int]], x: Tuple[int, int], d: int) -> List[Tu
     return _zi_primitive(quo)
 
 
-def _newton_refined(q: List[Tuple[int, int]], x: GaussianRational) -> GaussianRational:
-    """x moved by exact Newton steps on the square-free q (so q' is nonzero
-    at its roots), a*x rounded to Z[i] after each, until q vanishes there.
+def _newton_refined(q: List[Tuple[int, int]], root: ZiRoot) -> ZiRoot:
+    """The candidate root x = n / d moved by exact Newton steps on the
+    square-free q (so q' is nonzero at its roots), a*x rounded to Z[i] after
+    each, until q vanishes there.
 
     With x = n / d, h = d^deg q(x) and s = d^(deg-1) q'(x), the step is
     x - h / (d*s), so a*x becomes a*(n*s - h) / (d*s)."""
     a, deg = q[0][0], len(q) - 1
     slope_q = [((deg - k) * re, (deg - k) * im) for k, (re, im) in enumerate(q[:-1])]
-    (n,), d = _clear_denominators([x])
+    n, d = root
     for _ in range(_NEWTON_STEPS):
         sa, sb = _zi_value(slope_q, n, d)
         if not (sa or sb):
@@ -1151,17 +1180,18 @@ def _newton_refined(q: List[Tuple[int, int]], x: GaussianRational) -> GaussianRa
         d = a
         if _zi_value(q, n, d) == (0, 0):
             break
-    return _gr_over(*n, d)
+    return n, d
 
 
-def _divisor_roots(q: List[Tuple[int, int]]) -> List[GaussianRational]:
-    """Every Gaussian-rational root of q with a nonzero constant term, by the
-    rational-root theorem over Z[i]: a root n/d in lowest terms has n | q(0)
-    and d | lead(q).  Raises ExactFactorizationFailure past the step budget."""
+def _divisor_roots(q: List[Tuple[int, int]]) -> List[ZiRoot]:
+    """Every Gaussian-rational root of q with a nonzero constant term, each
+    in lowest terms, by the rational-root theorem over Z[i]: a root n/d in
+    lowest terms has n | q(0) and d | lead(q).  Raises
+    ExactFactorizationFailure past the step budget."""
     budget = _StepBudget()
     nums = _gaussian_divisors(q[-1], budget)
     dens = _gaussian_divisors(q[0], budget)
-    found: List[GaussianRational] = []
+    found: List[ZiRoot] = []
     seen = set()
     for na, nb in nums:
         for da, db in dens:
@@ -1169,87 +1199,109 @@ def _divisor_roots(q: List[Tuple[int, int]]) -> List[GaussianRational]:
             for ua, ub in _UNITS:
                 # n*u/d == n*u*conj(d) / |d|^2
                 xa, xb = na * ua - nb * ub, na * ub + nb * ua
-                x = (xa * da + xb * db, xb * da - xa * db)
-                cand = _gr_over(*x, nd)
+                xa, xb = xa * da + xb * db, xb * da - xa * db
+                g = math.gcd(xa, xb, nd)
+                cand = ((xa // g, xb // g), nd // g)
                 if cand in seen:
                     continue
                 seen.add(cand)
                 budget.spend(len(q))
-                if _zi_value(q, x, nd) == (0, 0):
+                if _zi_value(q, *cand) == (0, 0):
                     found.append(cand)
                     if len(found) == len(q) - 1:
                         return found
     return found
 
 
-def _poly_roots_exact(coeffs: List[GaussianRational]) -> List[GaussianRational]:
-    """All roots (with multiplicity) over the Gaussian rationals, or raise.
+def _sorted_runs(runs: Sequence[Tuple[GaussianRational, int]]) -> List[GaussianRational]:
+    """The roots of (root, multiplicity) runs, each repeated, in scalar_key
+    order.  The sort is stable, so it gives the order a stable sort of the
+    repeated roots would, from one key per run."""
+    out: List[GaussianRational] = []
+    for root, k in sorted(runs, key=lambda run: scalar_key(run[0])):
+        out += [root] * k
+    return out
 
-    The coefficients are cleared to a Gaussian-integer polynomial p once.
-    Guess, then verify: float roots of the square-free part of p, rounded to
-    Gaussian rationals x / d, are kept only where the homogenised integer
-    Horner value d^deg p(x / d) vanishes, and pseudo-division by d*t - x
-    reads off each multiplicity.  A guess that is no root gets a few exact
-    Newton steps; a linear remainder gives its root directly.  The budgeted
-    divisor search takes whatever is left.
+
+def _poly_roots_exact(p: List[Tuple[int, int]], scale: int = 1) -> List[GaussianRational]:
+    """All roots, with multiplicity, of the Gaussian-integer polynomial p
+    (leading coefficient first), each divided by the positive integer scale
+    and sorted by scalar_key (equal keys in the order found), or raise.
+    eigenvalues passes char_poly's (c, d), which turns the roots of
+    det(sI - N) into those of det(tI - M).
+
+    Zero roots are stripped first.  When the square-free part q = p /
+    gcd(p, p') is linear, p is a pure power of (t - r), and r is read off q
+    with multiplicity deg p: no float guess, deflation or divisor search.
+    Otherwise: guess, then verify.  Float roots of q, rounded to Gaussian
+    rationals x / e, are kept only where the homogenised integer Horner
+    value e^deg p(x / e) vanishes, and pseudo-division by e*t - x reads off
+    each multiplicity.  A guess that is no root gets a few exact Newton
+    steps; a linear remainder gives its root directly.  The budgeted divisor
+    search takes whatever is left.  Each distinct root is built once, as one
+    Gaussian rational x / (e*scale).
     """
-    roots: List[GaussianRational] = []
-    cur = list(coeffs)
-    while len(cur) > 1 and cur[-1].is_zero:
-        roots.append(GR_ZERO)
-        cur = cur[:-1]
-    p = _clear_denominators(cur)[0]
+    n = len(p)
+    while len(p) > 1 and p[-1] == (0, 0):
+        p = p[:-1]
+    runs = [(GR_ZERO, n - len(p))] if len(p) < n else []
     if len(p) == 1:
-        return roots
+        return _sorted_runs(runs)
     q = _squarefree_part(p)
+    if len(q) == 2:
+        (a, _), (ba, bb) = q
+        return _sorted_runs(runs + [(_gr_over(-ba, -bb, a * scale), len(p) - 1)])
 
-    def take(candidates: Sequence[GaussianRational]) -> bool:
-        """Deflate p by each candidate while it stays a root; whether any was."""
+    def take(candidates: Sequence[ZiRoot]) -> bool:
+        """Deflate p by each candidate x / e while it stays a root; whether any was."""
         nonlocal p
         hit = False
-        for r in candidates:
-            (x,), d = _clear_denominators([r])
-            while len(p) > 1 and _zi_value(p, x, d) == (0, 0):
-                roots.append(r)
-                p = _zi_deflate(p, x, d)
+        for x, e in candidates:
+            k = 0
+            while len(p) > 1 and _zi_value(p, x, e) == (0, 0):
+                p = _zi_deflate(p, x, e)
+                k += 1
+            if k:
+                runs.append((_gr_over(x[0], x[1], e * scale), k))
                 hit = True
         return hit
 
     if len(p) > 2:
-        for g in _guessed_roots(q):
-            if not take([g]) and len(p) > 2:
-                take([_newton_refined(q, g)])
+        for guess in _guessed_roots(q):
+            if not take([guess]) and len(p) > 2:
+                take([_newton_refined(q, guess)])
     if len(p) == 2:
         # the root of c0*t + c1 is -c1*conj(c0) / |c0|^2
         (a0, b0), (a1, b1) = p
-        take([_gr_over(-a1 * a0 - b1 * b0, a1 * b0 - b1 * a0, a0 * a0 + b0 * b0)])
+        take([((-a1 * a0 - b1 * b0, a1 * b0 - b1 * a0), a0 * a0 + b0 * b0)])
     if len(p) > 1:
         take(_divisor_roots(q))
     if len(p) > 1:
         raise ExactFactorizationFailure(
             "characteristic polynomial has no Gaussian-rational root"
         )
-    return roots
+    return _sorted_runs(runs)
 
 
 def eigenvalues(m: Matrix, tol: Optional[float] = None) -> List[Scalar]:
     """Eigenvalue multiset, deterministically sorted.
 
-    Exact backend: characteristic polynomial, then float guesses for the
-    roots of its square-free part, each verified by exact evaluation and
-    deflated as often as it stays a root; a divisor search with a step
-    budget finds any root the guesses missed.  Raises
-    ExactFactorizationFailure when the polynomial does not split over the
-    Gaussian rationals or the divisor search exceeds its budget.  Float backend:
-    numpy eigenvalues deduplicated within TAU_CHAR after unit max-norm
-    scaling.
+    Exact backend: char_poly gives the Gaussian-integer polynomial
+    det(sI - N) of N = d*M, and _poly_roots_exact its roots divided by d,
+    in scalar_key order.  A pure power (linear square-free part) is read
+    off directly; otherwise float guesses for the roots of the square-free
+    part are verified by exact evaluation and deflated as often as they
+    stay roots, and a divisor search with a step budget finds any root the
+    guesses missed.  Raises ExactFactorizationFailure when the polynomial
+    does not split over the Gaussian rationals or the divisor search
+    exceeds its budget.  Float backend: numpy eigenvalues deduplicated
+    within TAU_CHAR after unit max-norm scaling.
     """
     _check_square(m)
     if m.rows == 0:
         return []
     if m.backend == EXACT:
-        roots = _poly_roots_exact(char_poly(m))
-        return sorted(roots, key=scalar_key)
+        return _poly_roots_exact(*char_poly(m))
     scale = m.maxnorm()
     if scale == 0.0:
         return [0j] * m.rows

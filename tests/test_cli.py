@@ -472,6 +472,42 @@ def test_report_agrees_with_per_kind_checks(capsys, name):
     }
 
 
+# --- the JSON writer: the text of json.dumps(..., sort_keys=True, indent=2) -------
+
+
+def _dumps(payload):
+    return json.dumps(payload, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("name", ["a1", "h3", "s2", "z3", "f4"])
+def test_json_writer_matches_json_dumps_on_command_payloads(name, backend):
+    for command in ("report", "crossval", "eigenchars", "info"):
+        args = cli._build_parser().parse_args([command, "--fixture", name, "--backend", backend])
+        code, payload = args.handler(args)
+        assert code == 0
+        assert cli._to_json(payload) == _dumps(payload), (command, name, backend)
+
+
+def test_json_writer_matches_json_dumps_on_edge_values():
+    import enum
+
+    class Flag(enum.IntEnum):
+        ON = 1
+
+    cases = [
+        [], {}, [[]], [{}], {"a": {}, "b": [], "c": [[], {}]}, [[[], {"x": [[]]}]],
+        "", "n\u00efve \u2713 \U0001d11e", "\x00\x01\x1f\x7f", "\n\t\r\b\f",
+        'a "quote", a \\ backslash and a / slash',
+        0.0, -0.0, 1e-320, -1e-320, 0.1, 1e300, -2.5e-7, float("nan"), float("inf"), float("-inf"),
+        0, -1, 10 ** 40, -(10 ** 40), True, False, None, Flag.ON,
+        {"\u00e9": 1, '"': 2, "\\": [None, True], "a\nb": -0.0, "": {}, "z": (1, (2, [3]))},
+        {1: "one", 2.5: "two and a half", -3: []}, {None: 0}, {True: False},
+    ]
+    for case in cases + [cases, {"all": cases}]:
+        assert cli._to_json(case) == _dumps(case), case
+
+
 # --- exact eigenvalues: seeded goldens and a hostile input ------------------------
 
 

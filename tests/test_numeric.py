@@ -261,10 +261,16 @@ def test_float_eigenvalue_dedup_snaps_cluster():
     assert vals[0] == vals[1]
 
 
+def _char_poly_of(m):
+    """det(tI - M), leading first: c_k / d^k from char_poly's (c, d)."""
+    coeffs, d = nm.char_poly(m)
+    return [nm._gr_over(a, b, d ** k) for k, (a, b) in enumerate(coeffs)]
+
+
 def test_char_poly_matches_trace_and_det():
     m = exact_mat([[1, 2], [3, 4]])
     # t^2 - 5t - 2
-    coeffs = nm.char_poly(m)
+    coeffs = _char_poly_of(m)
     assert coeffs == [gr(1), gr(-5), gr(-2)]
 
 
@@ -307,7 +313,7 @@ def _root_cases():
 
 def test_poly_roots_exact_on_products_of_linear_powers():
     for factors in _root_cases():
-        roots = nm._poly_roots_exact(_poly_from_factors(factors))
+        roots = nm._poly_roots_exact(nm._clear_denominators(_poly_from_factors(factors))[0])
         assert sorted(roots, key=nm.scalar_key) == _known_roots(factors), factors
 
 
@@ -315,7 +321,7 @@ def test_poly_roots_exact_fallback_gives_the_same_roots(monkeypatch):
     # every float guess is junk, so each root comes from the divisor search
     monkeypatch.setattr(nm, "_float_root_guesses", lambda q: [complex(1e6 + 0.5, -3.25)] * (len(q) - 1))
     for factors in _root_cases():
-        roots = nm._poly_roots_exact(_poly_from_factors(factors))
+        roots = nm._poly_roots_exact(nm._clear_denominators(_poly_from_factors(factors))[0])
         assert sorted(roots, key=nm.scalar_key) == _known_roots(factors), factors
 
 
@@ -324,7 +330,7 @@ def test_poly_roots_exact_raises_without_gaussian_root(monkeypatch, junk_guesses
     if junk_guesses:
         monkeypatch.setattr(nm, "_float_root_guesses", lambda q: [])
     with pytest.raises(ExactFactorizationFailure):
-        nm._poly_roots_exact([gr(1), gr(0), gr(-2)])  # t^2 - 2
+        nm._poly_roots_exact(nm._clear_denominators([gr(1), gr(0), gr(-2)])[0])  # t^2 - 2
 
 
 def test_roots_beyond_double_precision_are_found_exactly(monkeypatch):
@@ -336,7 +342,7 @@ def test_roots_beyond_double_precision_are_found_exactly(monkeypatch):
     monkeypatch.setattr(nm, "_divisor_roots", no_divisor_search)
     big = 10 ** 30
     assert nm.eigenvalues(Matrix(1, 1, (gr(big),), EXACT)) == [gr(big)]
-    assert nm._poly_roots_exact([gr(1), gr(10 ** 300)]) == [gr(-10 ** 300)]
+    assert nm._poly_roots_exact(nm._clear_denominators([gr(1), gr(10 ** 300)])[0]) == [gr(-10 ** 300)]
     diag = exact_mat([[big, 0], [0, 2 * big + 7]])
     assert nm.eigenvalues(diag) == [gr(big), gr(2 * big + 7)]
     # three such roots: two come from Newton steps, the last from the linear remainder
@@ -349,15 +355,16 @@ def test_one_newton_step_reaches_a_root_beyond_double_precision(monkeypatch):
     big = 10 ** 30
     q = [(1, 0), (-3 * big - 7, 0), (big * (2 * big + 7), 0)]  # (t - big)(t - 2 big - 7)
     for root in (big, 2 * big + 7):
-        guess = gr(round(float(root)))
-        assert guess != gr(root)
-        assert nm._newton_refined(q, guess) == gr(root)
+        guess = (round(float(root)), 0)
+        assert guess != (root, 0)
+        n, d = nm._newton_refined(q, (guess, 1))
+        assert nm._gr_over(*n, d) == gr(root)
 
 
 def test_divisor_fallback_stops_at_its_step_budget():
     # sqrt(9999990^2) divisor trials would be needed for t^2 - 9999990
     with pytest.raises(ExactFactorizationFailure, match="exceeded"):
-        nm._poly_roots_exact([gr(1), gr(0), gr(-9999990)])
+        nm._poly_roots_exact(nm._clear_denominators([gr(1), gr(0), gr(-9999990)])[0])
     with pytest.raises(nm.VerificationFailure):
         nm._gaussian_divisors((0, 0), nm._StepBudget())
 
@@ -594,7 +601,7 @@ def test_char_poly_matches_determinant_oracle():
             perm = rng.sample(range(n), n)
             a = [[a[perm[i]][perm[j]] if keep(perm[i], perm[j]) else _C_ZERO for j in range(n)]
                  for i in range(n)]
-        coeffs = [(c.re, c.im) for c in nm.char_poly(_to_exact(a, n))]
+        coeffs = [(c.re, c.im) for c in _char_poly_of(_to_exact(a, n))]
         assert len(coeffs) == n + 1 and coeffs[0] == _C_ONE, (kind, shape, a)
         for s in range(n + 1):
             value = _C_ZERO
@@ -609,6 +616,150 @@ def test_char_poly_matches_determinant_oracle():
 def test_char_poly_is_exact_only():
     with pytest.raises(ValueError):
         nm.char_poly(float_mat([[1, 2], [3, 4]]))
+
+
+def _faddeev_leverrier(m):
+    """det(tI - M), leading first, as Gaussian rationals, by the
+    Faddeev-LeVerrier loop on N = d*M: M_1 = I, c_k = -tr(N M_k) / k,
+    M_(k+1) = N M_k + c_k I, and c_k / d^k is the coefficient of t^(n-k)."""
+    size = m.rows
+    n_rows, d = nm.zi_form(m)
+    mk = [{i: (1, 0)} for i in range(size)]
+    coeffs = [gr(1)]
+    dk = 1
+    for k in range(1, size + 1):
+        prod = [nm._zi_row_product(row, n_rows, size) for row in mk]
+        tr_re = sum(re[i] for i, (re, _) in enumerate(prod))
+        tr_im = sum(im[i] for i, (_, im) in enumerate(prod))
+        assert tr_re % k == 0 and tr_im % k == 0
+        c_re, c_im = -tr_re // k, -tr_im // k
+        dk *= d
+        coeffs.append(nm._gr_over(c_re, c_im, dk))
+        if k < size:
+            mk = [nm._zi_sparse(re, im) for re, im in prod]
+            if c_re or c_im:
+                for i, row in enumerate(mk):
+                    a, b = row.get(i, (0, 0))
+                    row[i] = (a + c_re, b + c_im)
+    return coeffs
+
+
+def _reference_eigenvalues(m):
+    """Roots of the Faddeev-LeVerrier polynomial of M itself (not of d*M),
+    sorted by scalar_key one root at a time; ExactFactorizationFailure when
+    they are not all Gaussian rationals."""
+    if m.rows == 0:
+        return []
+    roots = nm._poly_roots_exact(nm._clear_denominators(_faddeev_leverrier(m))[0])
+    return sorted(roots, key=nm.scalar_key)
+
+
+def _outcome(eig, m):
+    try:
+        return eig(m)
+    except ExactFactorizationFailure:
+        return ExactFactorizationFailure
+
+
+def _conjugated(rng, rows, n):
+    """U A U^-1 for a random unimodular U, as an exact matrix."""
+    from liespec import lab
+
+    if n == 0:
+        return _to_exact(rows, 0)
+    u = lab.unimodular_matrix(rng, n, EXACT)
+    return u * _to_exact(rows, n) * nm.inverse(u)
+
+
+def _jordan_like(rng, lam, n, kind):
+    """lam*I plus a random strictly upper triangular part, as (re, im) rows."""
+    return [[lam if i == j else (_entry(rng, kind) if i < j else _C_ZERO) for j in range(n)]
+            for i in range(n)]
+
+
+def _direct_sum(blocks, n):
+    out = [[_C_ZERO] * n for _ in range(n)]
+    at = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            out[at + i][at:at + len(row)] = row
+        at += len(block)
+    return out
+
+
+def _eigen_cases():
+    """(shape, matrix, eigenvalues or None) on seeded matrices of sizes 0-9."""
+    rng = random.Random(1840)
+    for t in range(320):
+        n, kind = t % 10, ("int", "frac", "imag", "mixed")[t // 10 % 4]
+        shape = ("dense", "jordan", "diagonal", "sum")[t // 40 % 4]
+        lams = [_entry(rng, kind) for _ in range(3)]
+        if shape == "dense":
+            yield shape, _to_exact(_rand(rng, n, n, kind), n), None
+        elif shape == "jordan":
+            yield shape, _conjugated(rng, _jordan_like(rng, lams[0], n, kind), n), [lams[0]] * n
+        elif shape == "diagonal":
+            values = [rng.choice(lams) for _ in range(n)]
+            yield shape, _to_exact([[values[i] if i == j else _C_ZERO for j in range(n)]
+                                    for i in range(n)], n), values
+        else:
+            sizes = [n // 3, (n + 1) // 3, n - n // 3 - (n + 1) // 3]
+            blocks = [_jordan_like(rng, lam, k, kind) for lam, k in zip(lams, sizes)]
+            values = [lam for lam, k in zip(lams, sizes) for _ in range(k)]
+            yield shape, _conjugated(rng, _direct_sum(blocks, n), n), values
+
+
+def test_exact_eigenvalues_match_the_faddeev_leverrier_reference():
+    seen = {"dense": 0, "jordan": 0, "diagonal": 0, "sum": 0}
+    factored = 0
+    for shape, m, values in _eigen_cases():
+        got = _outcome(nm.eigenvalues, m)
+        assert got == _outcome(_reference_eigenvalues, m), (shape, m)
+        if values is not None:
+            assert got == sorted((gr(*v) for v in values), key=nm.scalar_key), (shape, m)
+        seen[shape] += 1
+        factored += got is not ExactFactorizationFailure
+    # dense matrices mostly have irrational eigenvalues, where both raise
+    assert min(seen.values()) == 80 and factored > 250
+
+
+def test_pure_powers_skip_guesses_deflation_and_divisor_search(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a pure power reached the general root search")
+
+    for name in ("_float_root_guesses", "_zi_deflate", "_divisor_roots"):
+        monkeypatch.setattr(nm, name, unreachable)
+    rng = random.Random(1976)
+    for t in range(120):
+        n, kind = 1 + t % 9, ("int", "frac", "imag", "mixed")[t % 4]
+        lam = _entry(rng, kind)
+        m = _conjugated(rng, _jordan_like(rng, lam, n, kind), n)
+        assert nm.eigenvalues(m) == [gr(*lam)] * n
+        # zero roots are stripped first, so 0 (+) lam I + nilpotent is one too
+        zero = _jordan_like(rng, _C_ZERO, t % 3, kind)
+        m = _conjugated(rng, _direct_sum([zero, _jordan_like(rng, lam, n, kind)], n + t % 3), n + t % 3)
+        assert nm.eigenvalues(m) == sorted([gr(0)] * (t % 3) + [gr(*lam)] * n, key=nm.scalar_key)
+
+
+def test_to_complex_is_the_complex_sum_bit_for_bit():
+    import struct
+
+    def bits(z):
+        return struct.pack("<dd", z.real, z.imag)
+
+    tiny = Fraction(1, 10 ** 400)  # a part that underflows to a signed 0.0
+    parts = [Fraction(0), Fraction(3, 7), Fraction(-3, 7), Fraction(-5), tiny, -tiny,
+             Fraction(10 ** 300, 3), -Fraction(10 ** 300, 3)]
+    for re in parts:
+        for im in parts:
+            want = complex(re) + 1j * complex(im)
+            assert bits(GaussianRational(re, im).to_complex()) == bits(want), (re, im)
+    huge = Fraction(10 ** 400)
+    for re, im in ((huge, Fraction(1)), (Fraction(1), -huge), (-huge, tiny)):
+        with pytest.raises(OverflowError):
+            complex(re) + 1j * complex(im)
+        with pytest.raises(OverflowError):
+            GaussianRational(re, im).to_complex()
 
 
 def test_exact_eigenvalues_do_no_gaussian_rational_arithmetic(monkeypatch):
