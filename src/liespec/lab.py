@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .koszul import (
     BettiVector,
@@ -50,7 +50,6 @@ from .numeric import (
     make_scalar,
     matrix_from_rows,
     rank,
-    sc_is_zero,
     sc_zero,
     zeros,
 )
@@ -59,16 +58,18 @@ from .representation import (
     conjugate_representation,
     direct_sum,
     representation,
+    restrict_rep,
     shift,
     validate_representation,
 )
 from .spectra import (
+    _compare_projection,
     _compare_routes,
+    _restrictions,
     all_spectra,
     char_subset,
     dedup_characters,
     joint_eigencharacters,
-    projection_check,
     same_character_sets,
     spectral_candidates,
     spectrum,
@@ -209,24 +210,20 @@ def random_character(rng: random.Random, L: LieAlgebra) -> Character:
     duplicate the base block), pinned coordinates are solved from the
     echelon basis of the derived subalgebra.
     """
-    pivots: Dict[int, int] = {}
     # tol passed as is_character passes it, so both calls share one cache entry
-    basis = derived_subalgebra(L, None).basis
-    for idx, row in enumerate(basis):
-        lead = next(j for j, x in enumerate(row) if not sc_is_zero(x))
-        pivots[lead] = idx
+    derived = derived_subalgebra(L, None)
     coeffs: List[Scalar] = [sc_zero(L.backend)] * L.n
     for j in range(L.n):
-        if j in pivots:
+        if j in derived.pivots:
             continue
         v = rng.randint(0, 2)
         while v == 0:
             v = rng.randint(0, 2)
         coeffs[j] = make_scalar(v, L.backend)
     # reduced echelon rows: pivot entry 1, zero at the other pivots
-    for lead, idx in pivots.items():
+    for lead, row in zip(derived.pivots, derived.basis):
         acc = sc_zero(L.backend)
-        for j, x in enumerate(basis[idx]):
+        for j, x in enumerate(row):
             if j != lead:
                 acc = acc + x * coeffs[j]
         coeffs[lead] = -acc
@@ -489,13 +486,15 @@ def _check_routes(rep: Representation, reports) -> Optional[str]:
     return None
 
 
-def _check_projection(rep: Representation) -> Optional[str]:
+def _check_projection(rep: Representation, reports) -> Optional[str]:
     L = rep.algebra
     if not is_nilpotent(L) or L.n < 2:
         return None
     ideal = jordan_holder_chain(L)[L.n - 1]
-    report = projection_check(rep, ideal, taylor_kind())
-    if not report.equal:
+    # the suite's own Taylor report against one restricted spectrum, as in cli report
+    taylor = reports["taylor"]
+    small = spectrum(restrict_rep(rep, ideal), taylor.kind)
+    if not _compare_projection(rep, taylor, small, _restrictions(taylor.members, ideal, None)).equal:
         return "projection onto the codimension-one chain ideal failed"
     return None
 
@@ -552,5 +551,5 @@ def run_property_suite(
         run(name, seed, "structure", lambda: _check_structure(rep, reports))
         run(name, seed, "soundness", lambda: _check_soundness(rep, reports))
         run(name, seed, "routes", lambda: _check_routes(rep, reports))
-        run(name, seed, "projection", lambda: _check_projection(rep))
+        run(name, seed, "projection", lambda: _check_projection(rep, reports))
     return SuiteSummary(len(instances), checks, tuple(failures))

@@ -3,7 +3,9 @@
 An algebra is a basis (names) plus the coefficient vector of [e_i, e_j] for
 every i < j; antisymmetry is synthesized by the accessor, so inconsistent
 input cannot be expressed.  Subspaces keep their bases in reduced echelon
-form, which makes equality of spans a tuple comparison.
+form, which makes equality of spans a tuple comparison, and the pivot of
+each row as the elimination found it: coordinates are read there, never
+by scanning a row (a float row may keep negligible entries left of it).
 
 Chain terminology below: a full flag of ideals L_0 ⊂ L_1 ⊂ ... ⊂ L_n with
 dim L_i = i and [L_i, L_j] ⊆ L_{i-1} for i < j.  Such flags exist exactly
@@ -135,10 +137,12 @@ def abelian_algebra(names: Sequence[str], backend: str = EXACT) -> LieAlgebra:
 @dataclass(frozen=True)
 class Subspace:
     """Span inside the coefficient space of the parent algebra, basis in
-    reduced echelon form (canonical: equal spans compare equal)."""
+    reduced echelon form (canonical: equal spans compare equal); pivots[r]
+    is the pivot column of basis[r], from numeric.echelon_vectors."""
 
     algebra: LieAlgebra
     basis: Tuple[Vector, ...]
+    pivots: Tuple[int, ...]
 
     @property
     def dim(self) -> int:
@@ -146,16 +150,15 @@ class Subspace:
 
 
 def span(L: LieAlgebra, vectors: Sequence[Sequence[Scalar]], tol: Optional[float] = None) -> Subspace:
-    ech = echelon_vectors([tuple(v) for v in vectors], L.backend, tol)
-    return Subspace(L, ech)
+    return Subspace(L, *echelon_vectors([tuple(v) for v in vectors], L.backend, tol))
 
 
 def zero_subspace(L: LieAlgebra) -> Subspace:
-    return Subspace(L, ())
+    return Subspace(L, (), ())
 
 
 def full_subspace(L: LieAlgebra) -> Subspace:
-    return Subspace(L, tuple(_basis_vector(L, j) for j in range(L.n)))
+    return Subspace(L, tuple(_basis_vector(L, j) for j in range(L.n)), tuple(range(L.n)))
 
 
 def _membership_threshold(S: Subspace, vec: Sequence[Scalar], tol: Optional[float]) -> float:
@@ -169,8 +172,7 @@ def reduce_mod(S: Subspace, vec: Sequence[Scalar], tol: Optional[float] = None) 
     coordinates of S."""
     thr = _membership_threshold(S, vec, tol)
     out = list(vec)
-    for row in S.basis:
-        p = next(k for k, x in enumerate(row) if not sc_is_zero(x, thr))
+    for row, p in zip(S.basis, S.pivots):
         c = out[p]
         if not sc_is_zero(c, thr):
             out = [a - c * b for a, b in zip(out, row)]
@@ -402,8 +404,9 @@ def induced_algebra(ideal: Subspace, names: Optional[Sequence[str]] = None,
                     tol: Optional[float] = None) -> LieAlgebra:
     """The ideal as an algebra in its own echelon basis.
 
-    Coordinates of [b_i, b_j] are read off the reduced form: each echelon
-    basis vector contributes its pivot coordinate.
+    Coordinates of [b_i, b_j] are read off the reduced form: the
+    coefficient on b_k is the coordinate at the pivot of b_k, zero when at
+    or below the membership threshold of reduce_mod.
     """
     L = ideal.algebra
     if not is_ideal(L, ideal, tol):
@@ -411,16 +414,13 @@ def induced_algebra(ideal: Subspace, names: Optional[Sequence[str]] = None,
     d = ideal.dim
     if names is None:
         names = [f"b{k}" for k in range(d)]
-    pivots = []
-    for row in ideal.basis:
-        pivots.append(next(k for k, x in enumerate(row) if not sc_is_zero(x)))
+    zero = sc_zero(L.backend)
     brackets = {}
     for i in range(d):
         for j in range(i + 1, d):
             w = bracket(L, ideal.basis[i], ideal.basis[j])
-            # reduced echelon basis: coefficient on b_k is the pivot coordinate
-            coeffs = tuple(w[p] for p in pivots)
-            brackets[(i, j)] = coeffs
+            thr = _membership_threshold(ideal, w, tol)
+            brackets[(i, j)] = tuple(zero if sc_is_zero(w[p], thr) else w[p] for p in ideal.pivots)
     return lie_algebra(names, brackets, L.backend)
 
 

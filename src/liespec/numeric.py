@@ -120,6 +120,10 @@ class GaussianRational:
 
 Scalar = Union[GaussianRational, complex]
 
+# the distinct eigenvalues of a matrix with their multiplicities, as
+# (value, multiplicity) runs in scalar_key order (see eigenvalues)
+EigenRuns = List[Tuple[Scalar, int]]
+
 GR_ZERO = GaussianRational(Fraction(0), Fraction(0))
 GR_ONE = GaussianRational(Fraction(1), Fraction(0))
 
@@ -524,21 +528,13 @@ def submatrix(m: Matrix, rows: range, cols: range) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-def _echelon(
-    vectors: Sequence[Sequence[Scalar]], backend: str, tol: Optional[float]
-) -> Tuple[List[List[Scalar]], List[int]]:
-    """Reduced echelon rows of the given rows, and the pivot columns; the
-    first len(pivots) rows span them (exact rows are only those).  Float
-    pivots count above tol (default TAU) relative to the largest entry
-    magnitude."""
-    if backend == EXACT:
-        if not vectors:
-            return [], []
-        m = matrix_from_rows(vectors, EXACT)
-        rows, d, pivots = _zi_reduced(zi_form(m)[0], m.cols)
-        return zi_matrix(len(rows), m.cols, rows, d).to_lists(), pivots
+def _echelon(vectors: Sequence[Sequence[complex]],
+             tol: Optional[float]) -> Tuple[List[List[complex]], List[int]]:
+    """Float reduced echelon rows of the given rows, and the pivot columns;
+    the first len(pivots) rows span them.  Pivots count above tol (default
+    TAU) relative to the largest entry magnitude."""
     vecs = [list(v) for v in vectors]
-    return _rref(vecs, zero_threshold(backend, tol, lambda: max(
+    return _rref(vecs, zero_threshold(FLOAT, tol, lambda: max(
         (abs(x) for v in vecs for x in v), default=0.0)))
 
 
@@ -760,7 +756,7 @@ def _zi_reduced(rows: Sequence[ZiRow], ncols: int,
 def _pivot_columns(m: Matrix, tol: Optional[float]) -> List[int]:
     if m.backend == EXACT:
         return _rref_zi(zi_form(m)[0], m.cols)[1]
-    return _echelon(m.to_lists(), m.backend, tol)[1]
+    return _echelon(m.to_lists(), tol)[1]
 
 
 def rank(m: Matrix, tol: Optional[float] = None) -> int:
@@ -790,7 +786,7 @@ def nullspace_basis(m: Matrix, tol: Optional[float] = None) -> Matrix:
         for row, pc in zip(rows, pivots):
             out[pc] = {t: (-row[j][0], -row[j][1]) for t, j in enumerate(free) if j in row}
         return zi_matrix(m.cols, len(free), out, d)
-    rows, pivots = _echelon(m.to_lists(), m.backend, tol)
+    rows, pivots = _echelon(m.to_lists(), tol)
     free = _free_columns(m.cols, pivots)
     out = [[sc_zero(FLOAT)] * len(free) for _ in range(m.cols)]
     for t, j in enumerate(free):
@@ -801,26 +797,17 @@ def nullspace_basis(m: Matrix, tol: Optional[float] = None) -> Matrix:
 
 
 def solve_matrix(a: Matrix, b: Matrix, tol: Optional[float] = None) -> Optional[Matrix]:
-    """One solution X of A X = B, or None when inconsistent.
-
-    Free variables are set to zero, so the result is deterministic.
-    """
+    """One solution X of A X = B, or None when inconsistent: X = G B for the
+    generalized inverse G of A, so free variables are zero and the result
+    is deterministic.  X is kept when the residual A X - B is zero; float
+    residual entries count as zero within tol (default TAU) times the
+    largest entry magnitude of B and A X, or 1."""
     if a.rows != b.rows:
         raise VerificationFailure(f"A has {a.rows} rows but B has {b.rows}")
-    if a.cols == 0:
-        thr0 = zero_threshold(a.backend, tol, lambda: max(1.0, b.maxnorm()))
-        return zeros(0, b.cols, a.backend) if b.is_zero(thr0) else None
-    aug = hstack([a, b]) if a.rows else Matrix(0, a.cols + b.cols, (), a.backend)
-    rows, pivots = _echelon(aug.to_lists(), a.backend, tol)
-    for r, pc in enumerate(pivots):
-        if pc >= a.cols:
-            return None  # pivot in the right-hand block: inconsistent
-    zero = sc_zero(a.backend)
-    out = [[zero] * b.cols for _ in range(a.cols)]
-    for r, pc in enumerate(pivots):
-        for j in range(b.cols):
-            out[pc][j] = rows[r][a.cols + j]
-    return matrix_from_rows(out, a.backend, cols=b.cols)
+    x = generalized_inverse(a, tol)[0] * b
+    image = a * x
+    thr = zero_threshold(a.backend, tol, lambda: max(1.0, b.maxnorm(), image.maxnorm()))
+    return x if (image - b).is_zero(thr) else None
 
 
 def _check_square(m: Matrix):
@@ -846,7 +833,7 @@ def generalized_inverse(m: Matrix, tol: Optional[float] = None) -> Tuple[Matrix,
         for row, pc in zip(rows, pivots):
             out[pc] = row
         return zi_matrix(k, m.rows, out, e), len(pivots)
-    rows, pivots = _echelon(hstack([m, identity(m.rows, m.backend)]).to_lists(), m.backend, tol)
+    rows, pivots = _echelon(hstack([m, identity(m.rows, m.backend)]).to_lists(), tol)
     pivots = [c for c in pivots if c < k]
     out = [[sc_zero(m.backend)] * m.rows for _ in range(k)]
     for r, pc in enumerate(pivots):
@@ -864,11 +851,20 @@ def inverse(m: Matrix, tol: Optional[float] = None) -> Matrix:
 
 def echelon_vectors(
     vectors: Sequence[Sequence[Scalar]], backend: str, tol: Optional[float] = None
-) -> Tuple[Tuple[Scalar, ...], ...]:
-    """Canonical reduced-echelon basis of the span of the given coefficient
-    vectors (rows).  Identical spans give identical output."""
-    rows, pivots = _echelon(vectors, backend, tol)
-    return tuple(tuple(rows[r]) for r in range(len(pivots)))
+) -> Tuple[Tuple[Tuple[Scalar, ...], ...], Tuple[int, ...]]:
+    """(rows, pivots): the canonical reduced-echelon basis of the span of the
+    given coefficient vectors (rows), identical for identical spans, and
+    the pivot column of each row from _zi_reduced or _rref.  An exact row
+    is 1 at its pivot and 0 left of it; a float row may keep entries at or
+    below the pivot threshold there, so read pivots here, not off a row."""
+    if backend != EXACT:
+        rows, pivots = _echelon(vectors, tol)
+        return tuple(tuple(rows[r]) for r in range(len(pivots))), tuple(pivots)
+    if not vectors:
+        return (), ()
+    m = matrix_from_rows(vectors, EXACT)
+    rows, d, pivots = _zi_reduced(zi_form(m)[0], m.cols)
+    return tuple(map(tuple, zi_matrix(len(rows), m.cols, rows, d).to_lists())), tuple(pivots)
 
 
 def complement_columns(basis: Matrix, tol: Optional[float] = None) -> Matrix:
@@ -910,7 +906,7 @@ def _column_echelon(m: Matrix, tol: Optional[float]) -> Matrix:
     """The canonical echelon basis of m's column span, as columns in echelon
     order; an exact one is reduced in Z[i] and built from its form."""
     if m.backend != EXACT:
-        ech = echelon_vectors(m.transpose().to_lists(), m.backend, tol)
+        ech = echelon_vectors(m.transpose().to_lists(), m.backend, tol)[0]
         return matrix_from_rows(ech, m.backend, cols=m.rows).transpose()
     rows, d, _ = _zi_reduced(_zi_transposed(zi_form(m)[0], m.cols), m.rows)
     return zi_matrix(m.rows, len(rows), _zi_transposed(rows, m.rows), d)
@@ -1213,20 +1209,16 @@ def _divisor_roots(q: List[Tuple[int, int]]) -> List[ZiRoot]:
     return found
 
 
-def _sorted_runs(runs: Sequence[Tuple[GaussianRational, int]]) -> List[GaussianRational]:
-    """The roots of (root, multiplicity) runs, each repeated, in scalar_key
-    order.  The sort is stable, so it gives the order a stable sort of the
-    repeated roots would, from one key per run."""
-    out: List[GaussianRational] = []
-    for root, k in sorted(runs, key=lambda run: scalar_key(run[0])):
-        out += [root] * k
-    return out
+def _sorted_runs(runs: Sequence[Tuple[GaussianRational, int]]) -> List[Tuple[GaussianRational, int]]:
+    """The runs in scalar_key order of their roots, stably sorted."""
+    return sorted(runs, key=lambda run: scalar_key(run[0]))
 
 
-def _poly_roots_exact(p: List[Tuple[int, int]], scale: int = 1) -> List[GaussianRational]:
-    """All roots, with multiplicity, of the Gaussian-integer polynomial p
-    (leading coefficient first), each divided by the positive integer scale
-    and sorted by scalar_key (equal keys in the order found), or raise.
+def _poly_roots_exact(p: List[Tuple[int, int]], scale: int = 1) -> List[Tuple[GaussianRational, int]]:
+    """The distinct roots of the Gaussian-integer polynomial p (leading
+    coefficient first), each divided by the positive integer scale, as
+    (root, multiplicity) runs sorted by scalar_key (equal keys in the order
+    found), or raise.
     eigenvalues passes char_poly's (c, d), which turns the roots of
     det(sI - N) into those of det(tI - M).
 
@@ -1283,19 +1275,22 @@ def _poly_roots_exact(p: List[Tuple[int, int]], scale: int = 1) -> List[Gaussian
     return _sorted_runs(runs)
 
 
-def eigenvalues(m: Matrix, tol: Optional[float] = None) -> List[Scalar]:
-    """Eigenvalue multiset, deterministically sorted.
+def eigenvalues(m: Matrix, tol: Optional[float] = None) -> EigenRuns:
+    """The distinct eigenvalues with their multiplicities, as (value,
+    multiplicity) runs in scalar_key order; the multiplicities sum to the
+    size of m.
 
     Exact backend: char_poly gives the Gaussian-integer polynomial
-    det(sI - N) of N = d*M, and _poly_roots_exact its roots divided by d,
-    in scalar_key order.  A pure power (linear square-free part) is read
-    off directly; otherwise float guesses for the roots of the square-free
+    det(sI - N) of N = d*M, and _poly_roots_exact the runs of its roots
+    divided by d.  A pure power (linear square-free part) is read off
+    directly; otherwise float guesses for the roots of the square-free
     part are verified by exact evaluation and deflated as often as they
     stay roots, and a divisor search with a step budget finds any root the
     guesses missed.  Raises ExactFactorizationFailure when the polynomial
     does not split over the Gaussian rationals or the divisor search
-    exceeds its budget.  Float backend: numpy eigenvalues deduplicated
-    within TAU_CHAR after unit max-norm scaling.
+    exceeds its budget.  Float backend: numpy eigenvalues in (re, im)
+    order; one within TAU_CHAR (after unit max-norm scaling) of the first
+    value of the current run is counted in that run.
     """
     _check_square(m)
     if m.rows == 0:
@@ -1304,14 +1299,14 @@ def eigenvalues(m: Matrix, tol: Optional[float] = None) -> List[Scalar]:
         return _poly_roots_exact(*char_poly(m))
     scale = m.maxnorm()
     if scale == 0.0:
-        return [0j] * m.rows
+        return [(0j, m.rows)]
     arr = np.array([[m.at(i, j) for j in range(m.cols)] for i in range(m.rows)], dtype=complex)
     vals = sorted(np.linalg.eigvals(arr).tolist(), key=lambda z: (z.real, z.imag))
     thr = (TAU_CHAR if tol is None else tol) * scale
-    out: List[complex] = []
+    runs: EigenRuns = []
     for v in vals:
-        if out and abs(v - out[-1]) <= thr:
-            out.append(out[-1])  # snap to the cluster representative
+        if runs and abs(v - runs[-1][0]) <= thr:
+            runs[-1] = (runs[-1][0], runs[-1][1] + 1)
         else:
-            out.append(v)
-    return out
+            runs.append((v, 1))
+    return runs

@@ -55,6 +55,7 @@ from .lie_core import (
 from .koszul import BettiVector, homology_dims
 from .numeric import (
     EXACT,
+    EigenRuns,
     Matrix,
     Scalar,
     VerificationFailure,
@@ -256,7 +257,7 @@ def char_subset(a: Sequence[Vector], b: Sequence[Vector], backend: str) -> bool:
 def _joint_eigenvectors(
     rep: Representation,
     tol: Optional[float],
-    multisets: Optional[List[Optional[List[Scalar]]]] = None,
+    multisets: Optional[List[Optional[EigenRuns]]] = None,
 ) -> Iterator[Tuple[Vector, Matrix]]:
     """Joint eigenvalue tuples with one joint eigenvector each, an m x 1
     matrix.
@@ -272,23 +273,15 @@ def _joint_eigenvectors(
     module of a solvable algebra has a joint eigenvector, so finding none
     raises NotSolvable.
 
-    multisets[k] is the sorted eigenvalue multiset of rep.mats[k]; an entry
-    that is None is computed the first time level k is reached and stored
-    back, so every matrix is factored at most once per search and the
-    caller can reuse the result.
+    multisets[k] is the eigenvalue multiset of rep.mats[k], as the
+    (value, multiplicity) runs of numeric.eigenvalues; an entry that is
+    None is computed the first time level k is reached and stored back, so
+    every matrix is factored at most once per search and the caller can
+    reuse the result.
     """
     L, backend = rep.algebra, rep.backend
     if multisets is None:
         multisets = [None] * L.n
-
-    def unique_eigenvalues(k: int) -> List[Scalar]:
-        if multisets[k] is None:
-            multisets[k] = eigenvalues(rep.mats[k], tol)
-        out: List[Scalar] = []
-        for v in multisets[k]:
-            if not out or out[-1] != v:
-                out.append(v)
-        return out
 
     def descend(k: int, space: Matrix, lams: Tuple[Scalar, ...]):
         if not space.cols:
@@ -296,7 +289,9 @@ def _joint_eigenvectors(
         if k == L.n:
             yield lams, submatrix(space, range(space.rows), range(1))
             return
-        for lam in unique_eigenvalues(k):
+        if multisets[k] is None:
+            multisets[k] = eigenvalues(rep.mats[k], tol)
+        for lam, _ in multisets[k]:
             shifted = sub_diagonal(rep.mats[k], lam)
             # the kernel of rho(e_k) - lam, restricted unless space is still everything
             if space.cols == rep.m:
@@ -351,7 +346,7 @@ def triangular_weights(rep: Representation, tol: Optional[float] = None) -> List
     backend = rep.backend
     work = rep
     weights: List[Vector] = []
-    multisets: List[Optional[List[Scalar]]] = [None] * L.n
+    multisets: List[Optional[EigenRuns]] = [None] * L.n
     while work.m > 0:
         lams, v = next(_joint_eigenvectors(work, tol, multisets))
         weights.append(lams)
@@ -379,9 +374,15 @@ def triangular_weights(rep: Representation, tol: Optional[float] = None) -> List
     return weights
 
 
-def _drop_one(values: List[Scalar], value: Scalar) -> List[Scalar]:
-    out = list(values)
-    out.remove(value)
+def _drop_one(runs: EigenRuns, value: Scalar) -> EigenRuns:
+    """The runs with one copy of value taken out: its run shortened, or
+    dropped when it held one copy."""
+    out = []
+    for v, k in runs:
+        if v == value:
+            k -= 1
+        if k:
+            out.append((v, k))
     return out
 
 
@@ -431,13 +432,11 @@ def weight_blocks(rep: Representation) -> List[Tuple[Vector, Representation]]:
         split = []
         for w, block in blocks:
             mat = block.mats[k]
-            counts: Dict[Scalar, int] = {}
-            for lam in eigenvalues(mat):
-                counts[lam] = counts.get(lam, 0) + 1
-            if len(counts) == 1:  # the whole block is one weight space
-                split.append((w + tuple(counts), block))
+            runs = eigenvalues(mat)
+            if len(runs) == 1:  # the whole block is one weight space
+                split.append((w + (runs[0][0],), block))
                 continue
-            for lam, mu in counts.items():
+            for lam, mu in runs:
                 # ker N^mu = ker N^j for every j >= mu: square until past mu
                 power, j = sub_diagonal(mat, lam), 1
                 while j < mu:

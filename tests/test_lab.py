@@ -237,6 +237,23 @@ def test_property_suite_catalog_and_generated_pass():
     assert summary.checks == 6 * summary.instances
 
 
+def test_property_suite_builds_one_homology_table_per_representation(monkeypatch):
+    # the projection check reads the suite's own reports and builds a table
+    # only for the restriction to the chain ideal
+    honest = sp.homology_table
+    tables = []
+
+    def counted(rep, tol=None):
+        tables.append(rep)
+        return honest(rep, tol)
+
+    monkeypatch.setattr(sp, "homology_table", counted)
+    summary = lab.run_property_suite(8)
+    assert summary.ok
+    # 13 instances, 9 of them nilpotent with a chain ideal to restrict to
+    assert len(tables) == len(set(tables)) == 13 + 9
+
+
 def test_property_suite_catalog_only():
     summary = lab.run_property_suite(0)
     assert summary.instances == 5

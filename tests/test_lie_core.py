@@ -6,10 +6,14 @@ Fixtures used throughout:
   ab2     abelian on two generators.
 """
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from liespec import lab
 from liespec import lie_core as lc
+from liespec import numeric as nm
 from liespec.numeric import EXACT, FLOAT, gr
 
 
@@ -223,6 +227,107 @@ def test_induced_algebra_full():
     L = h3()
     sub = lc.induced_algebra(lc.full_subspace(L))
     assert sub.structure(0, 1) == (gr(0), gr(0), gr(1))
+
+
+# --- echelon pivots ------------------------------------------------------------
+
+
+def _in_seeded_basis(L, seed, backend):
+    """The exact algebra L rewritten in the basis f_i = P e_i, for a seeded
+    unimodular P: [f_i, f_j] = P^-1 [P e_i, P e_j], on the given backend.
+    Fresh basis names keep every structural cache cold."""
+    p = lab.unimodular_matrix(random.Random(seed), L.n, EXACT)
+    p_inv = nm.inverse(p)
+    cols = [tuple(p.at(k, i) for k in range(L.n)) for i in range(L.n)]
+    brackets = {}
+    for i in range(L.n):
+        for j in range(i + 1, L.n):
+            w = nm.matrix_from_rows([[x] for x in lc.bracket(L, cols[i], cols[j])], EXACT)
+            brackets[(i, j)] = list((p_inv * w).entries)
+    return lc.lie_algebra([f"s{seed}_{k}" for k in range(L.n)], brackets, backend)
+
+
+def _recorded_spans(monkeypatch):
+    """Every (vectors, tol, subspace) that span returns, on both backends,
+    while the structure of the catalog algebras in seeded bases is computed,
+    and on seeded rational vectors and a skewed basis of F4, where some
+    float echelon rows keep entries near 1e-17 left of their pivots."""
+    honest = lc.span
+    spans = []
+
+    def recording(L, vectors, tol=None):
+        S = honest(L, vectors, tol)
+        spans.append((list(vectors), tol, S))
+        return S
+
+    monkeypatch.setattr(lc, "span", recording)
+    skewed = "4/5,2/3,1,1/5;-5/3,1,-3/4,1/3;-2/3,2/5,1/3,-5/4;0,-1/3,-3/4,0"
+    for backend in (EXACT, FLOAT):
+        rng = random.Random(21)
+        for fix in lab.catalog(backend):
+            for seed in range(4):
+                L = _in_seeded_basis(lab.fixture(fix.name).rep.algebra, seed, backend)
+                lc.derived_subalgebra(L)
+                lc.derived_series(L)
+                lc.lower_central_series(L)
+                if lc.is_nilpotent(L):
+                    for S in lc.jordan_holder_chain(L):
+                        lc.is_ideal(L, S)
+            L = fix.rep.algebra
+            for _ in range(100):
+                lc.span(L, [[nm.make_scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 5)), backend)
+                             for _ in range(L.n)] for _ in range(rng.randint(1, L.n + 1))])
+        lc.span(lab.fixture("F4", backend).rep.algebra,
+                [[nm.make_scalar(nm.scalar_from_text(x), backend) for x in row.split(",")]
+                 for row in skewed.split(";")])
+    return spans
+
+
+def test_span_pivots_are_the_elimination_pivots(monkeypatch):
+    spans = _recorded_spans(monkeypatch)
+    for vectors, tol, S in spans:
+        n = S.algebra.n
+        assert len(S.pivots) == S.dim
+        if S.algebra.backend == EXACT:
+            form = nm.zi_form(nm.matrix_from_rows(vectors, EXACT, cols=n))[0]
+            assert list(S.pivots) == nm._rref_zi(form, n)[1], vectors
+            for row, p in zip(S.basis, S.pivots):
+                assert row[p] == gr(1) and all(x.is_zero for x in row[:p]), (vectors, row)
+        else:
+            thr = nm.zero_threshold(FLOAT, tol, lambda: max(
+                (abs(x) for v in vectors for x in v), default=0.0))
+            assert list(S.pivots) == nm._rref([list(v) for v in vectors], thr)[1], vectors
+    # float rows that a scan for the first nonzero entry would misread: the
+    # skewed basis of F4 alone has two
+    assert sum(any(x != 0 for x in row[:p]) for _, _, S in spans if S.algebra.backend == FLOAT
+               for row, p in zip(S.basis, S.pivots)) >= 2
+
+
+def _scanning_reduce_mod(S, vec, tol=None):
+    """reduce_mod as it was before subspaces carried their pivots: each
+    row's pivot is its first entry above the membership threshold."""
+    thr = lc._membership_threshold(S, vec, tol)
+    out = list(vec)
+    for row in S.basis:
+        p = next(k for k, x in enumerate(row) if not nm.sc_is_zero(x, thr))
+        c = out[p]
+        if not nm.sc_is_zero(c, thr):
+            out = [a - c * b for a, b in zip(out, row)]
+    return tuple(out)
+
+
+def test_reduce_mod_is_bit_identical_to_scanning_for_pivots(monkeypatch):
+    checked = 0
+    for vectors, tol, S in _recorded_spans(monkeypatch):
+        L = S.algebra
+        probes = [tuple(v) for v in vectors] + [L.structure(i, j) for i in range(L.n)
+                                                 for j in range(L.n)]
+        for vec in probes:
+            got, want = lc.reduce_mod(S, vec, tol), _scanning_reduce_mod(S, vec, tol)
+            # repr keeps the sign of a float zero, which == does not
+            assert [repr(x) for x in got] == [repr(x) for x in want], (S, vec)
+            checked += 1
+    assert checked > 1000
 
 
 # --- opposite algebra and JSON -----------------------------------------------

@@ -183,6 +183,15 @@ def test_solve_matrix_consistent_and_inconsistent():
     assert x2 is not None and (wide * x2 - exact_mat([[3]])).is_zero()
 
 
+def test_float_solve_matrix_checks_its_residual():
+    a = float_mat([[1, 2], [2, 4.000001]])
+    x = nm.solve_matrix(a, float_mat([[3], [6.000001]]))
+    assert x is not None and (a * x - float_mat([[3], [6.000001]])).is_zero(1e-9)
+    sing = float_mat([[1, 2], [2, 4]])
+    assert nm.solve_matrix(sing, float_mat([[1], [0]])) is None
+    assert nm.solve_matrix(sing, float_mat([[1], [2]])) is not None
+
+
 def test_inverse_round_trip():
     m = exact_mat([[1, 2], [3, 5]])
     inv = nm.inverse(m)
@@ -214,30 +223,35 @@ def test_intersect_subspaces_disjoint_and_nested():
 
 
 def test_echelon_vectors_canonical_for_equal_spans():
-    a = nm.echelon_vectors([[gr(1), gr(2)], [gr(0), gr(1)]], EXACT)
-    b = nm.echelon_vectors([[gr(3), gr(7)], [gr(1), gr(3)]], EXACT)
+    a = nm.echelon_vectors([[gr(1), gr(2)], [gr(0), gr(1)]], EXACT)[0]
+    b = nm.echelon_vectors([[gr(3), gr(7)], [gr(1), gr(3)]], EXACT)[0]
     assert a == b == ((gr(1), gr(0)), (gr(0), gr(1)))
 
 
 # --- eigenvalues ----------------------------------------------------------------
 
 
+def _multiset(runs):
+    """The values of (value, multiplicity) runs, each repeated by its multiplicity."""
+    return [v for v, k in runs for _ in range(k)]
+
+
 def test_eigenvalues_diagonal():
     m = exact_mat([[2, 0], [0, 3]])
-    assert nm.eigenvalues(m) == [gr(2), gr(3)]
+    assert _multiset(nm.eigenvalues(m)) == [gr(2), gr(3)]
     mf = float_mat([[2, 0], [0, 3]])
-    vals = nm.eigenvalues(mf)
+    vals = _multiset(nm.eigenvalues(mf))
     assert vals[0] == pytest.approx(2) and vals[1] == pytest.approx(3)
 
 
 def test_eigenvalues_nilpotent_multiplicity():
     m = exact_mat([[0, 1], [0, 0]])
-    assert nm.eigenvalues(m) == [nm.GR_ZERO, nm.GR_ZERO]
+    assert _multiset(nm.eigenvalues(m)) == [nm.GR_ZERO, nm.GR_ZERO]
 
 
 def test_eigenvalues_rotation_gives_gaussian_pair():
     m = exact_mat([[0, -1], [1, 0]])
-    assert nm.eigenvalues(m) == [gr(0, -1), gr(0, 1)]
+    assert _multiset(nm.eigenvalues(m)) == [gr(0, -1), gr(0, 1)]
 
 
 def test_eigenvalues_irrational_raises_exact_only():
@@ -245,19 +259,35 @@ def test_eigenvalues_irrational_raises_exact_only():
     m = exact_mat([[0, -1], [1, -1]])
     with pytest.raises(ExactFactorizationFailure):
         nm.eigenvalues(m)
-    vals = nm.eigenvalues(m.to_float())
+    vals = _multiset(nm.eigenvalues(m.to_float()))
     assert len(vals) == 2
     assert vals[0] == pytest.approx(complex(-0.5, -3 ** 0.5 / 2))
 
 
 def test_eigenvalues_rational_entries():
     m = exact_mat([[Fraction(1, 2), 0], [5, Fraction(1, 2)]])
-    assert nm.eigenvalues(m) == [gr(Fraction(1, 2)), gr(Fraction(1, 2))]
+    assert _multiset(nm.eigenvalues(m)) == [gr(Fraction(1, 2)), gr(Fraction(1, 2))]
+
+
+def test_eigenvalues_are_distinct_runs_in_scalar_key_order():
+    from liespec import lab
+
+    mats = [m for backend in (EXACT, FLOAT) for fix in lab.catalog(backend) for m in fix.rep.mats]
+    mats += [m for s in range(12) for m in lab.random_nilpotent_rep(s, ("H3", "F4", "Z3")[s % 3], 7).mats]
+    for m in mats:
+        runs = nm.eigenvalues(m)
+        values = [v for v, _ in runs]
+        assert all(k >= 1 for _, k in runs) and sum(k for _, k in runs) == m.rows
+        assert len(set(map(nm.scalar_key, values))) == len(values)
+        assert values == sorted(values, key=nm.scalar_key)
+    # a float cluster is one run, counted on its first value
+    assert nm.eigenvalues(float_mat([[1.0, 0.0], [0.0, 1.0 + 1e-9]])) == [(1 + 0j, 2)]
+    assert nm.eigenvalues(float_mat([[0, 0], [0, 0]])) == [(0j, 2)]
 
 
 def test_float_eigenvalue_dedup_snaps_cluster():
     mf = float_mat([[1.0, 0.0], [0.0, 1.0 + 1e-9]])
-    vals = nm.eigenvalues(mf)
+    vals = _multiset(nm.eigenvalues(mf))
     assert vals[0] == vals[1]
 
 
@@ -313,7 +343,7 @@ def _root_cases():
 
 def test_poly_roots_exact_on_products_of_linear_powers():
     for factors in _root_cases():
-        roots = nm._poly_roots_exact(nm._clear_denominators(_poly_from_factors(factors))[0])
+        roots = _multiset(nm._poly_roots_exact(nm._clear_denominators(_poly_from_factors(factors))[0]))
         assert sorted(roots, key=nm.scalar_key) == _known_roots(factors), factors
 
 
@@ -321,7 +351,7 @@ def test_poly_roots_exact_fallback_gives_the_same_roots(monkeypatch):
     # every float guess is junk, so each root comes from the divisor search
     monkeypatch.setattr(nm, "_float_root_guesses", lambda q: [complex(1e6 + 0.5, -3.25)] * (len(q) - 1))
     for factors in _root_cases():
-        roots = nm._poly_roots_exact(nm._clear_denominators(_poly_from_factors(factors))[0])
+        roots = _multiset(nm._poly_roots_exact(nm._clear_denominators(_poly_from_factors(factors))[0]))
         assert sorted(roots, key=nm.scalar_key) == _known_roots(factors), factors
 
 
@@ -341,13 +371,13 @@ def test_roots_beyond_double_precision_are_found_exactly(monkeypatch):
 
     monkeypatch.setattr(nm, "_divisor_roots", no_divisor_search)
     big = 10 ** 30
-    assert nm.eigenvalues(Matrix(1, 1, (gr(big),), EXACT)) == [gr(big)]
-    assert nm._poly_roots_exact(nm._clear_denominators([gr(1), gr(10 ** 300)])[0]) == [gr(-10 ** 300)]
+    assert _multiset(nm.eigenvalues(Matrix(1, 1, (gr(big),), EXACT))) == [gr(big)]
+    assert _multiset(nm._poly_roots_exact(nm._clear_denominators([gr(1), gr(10 ** 300)])[0])) == [gr(-10 ** 300)]
     diag = exact_mat([[big, 0], [0, 2 * big + 7]])
-    assert nm.eigenvalues(diag) == [gr(big), gr(2 * big + 7)]
+    assert _multiset(nm.eigenvalues(diag)) == [gr(big), gr(2 * big + 7)]
     # three such roots: two come from Newton steps, the last from the linear remainder
     diag3 = exact_mat([[big, 0, 0], [0, 2 * big + 7, 0], [0, 0, -3 * big + 11]])
-    assert nm.eigenvalues(diag3) == [gr(-3 * big + 11), gr(big), gr(2 * big + 7)]
+    assert _multiset(nm.eigenvalues(diag3)) == [gr(-3 * big + 11), gr(big), gr(2 * big + 7)]
 
 
 def test_one_newton_step_reaches_a_root_beyond_double_precision(monkeypatch):
@@ -523,10 +553,10 @@ def test_exact_nullspace_and_echelon_match_fraction_reference():
         assert k.rows == cols
         got = [[(k.at(i, t).re, k.at(i, t).im) for i in range(cols)] for t in range(k.cols)]
         assert got == _ref_nullspace(x, cols), (kind, x)
-        ech = nm.echelon_vectors([[gr(*e) for e in r] for r in x], EXACT)
+        ech, ech_pivots = nm.echelon_vectors([[gr(*e) for e in r] for r in x], EXACT)
         want, pivots = _ref_rref(x, cols)
         assert [[(e.re, e.im) for e in r] for r in ech] == want, (kind, x)
-        assert nm._echelon([[gr(*e) for e in r] for r in x], EXACT, None)[1] == pivots
+        assert list(ech_pivots) == pivots
 
 
 def test_exact_inverse_matches_fraction_reference():
@@ -650,7 +680,7 @@ def _reference_eigenvalues(m):
     they are not all Gaussian rationals."""
     if m.rows == 0:
         return []
-    roots = nm._poly_roots_exact(nm._clear_denominators(_faddeev_leverrier(m))[0])
+    roots = _multiset(nm._poly_roots_exact(nm._clear_denominators(_faddeev_leverrier(m))[0]))
     return sorted(roots, key=nm.scalar_key)
 
 
@@ -713,7 +743,7 @@ def test_exact_eigenvalues_match_the_faddeev_leverrier_reference():
     seen = {"dense": 0, "jordan": 0, "diagonal": 0, "sum": 0}
     factored = 0
     for shape, m, values in _eigen_cases():
-        got = _outcome(nm.eigenvalues, m)
+        got = _outcome(lambda m: _multiset(nm.eigenvalues(m)), m)
         assert got == _outcome(_reference_eigenvalues, m), (shape, m)
         if values is not None:
             assert got == sorted((gr(*v) for v in values), key=nm.scalar_key), (shape, m)
@@ -734,11 +764,11 @@ def test_pure_powers_skip_guesses_deflation_and_divisor_search(monkeypatch):
         n, kind = 1 + t % 9, ("int", "frac", "imag", "mixed")[t % 4]
         lam = _entry(rng, kind)
         m = _conjugated(rng, _jordan_like(rng, lam, n, kind), n)
-        assert nm.eigenvalues(m) == [gr(*lam)] * n
+        assert _multiset(nm.eigenvalues(m)) == [gr(*lam)] * n
         # zero roots are stripped first, so 0 (+) lam I + nilpotent is one too
         zero = _jordan_like(rng, _C_ZERO, t % 3, kind)
         m = _conjugated(rng, _direct_sum([zero, _jordan_like(rng, lam, n, kind)], n + t % 3), n + t % 3)
-        assert nm.eigenvalues(m) == sorted([gr(0)] * (t % 3) + [gr(*lam)] * n, key=nm.scalar_key)
+        assert _multiset(nm.eigenvalues(m)) == sorted([gr(0)] * (t % 3) + [gr(*lam)] * n, key=nm.scalar_key)
 
 
 def test_to_complex_is_the_complex_sum_bit_for_bit():
@@ -773,7 +803,7 @@ def test_exact_eigenvalues_do_no_gaussian_rational_arithmetic(monkeypatch):
         honest = getattr(GaussianRational, name)
         monkeypatch.setattr(GaussianRational, name,
                             lambda x, y, honest=honest, name=name: calls.append(name) or honest(x, y))
-    assert len(nm.eigenvalues(m)) == 8
+    assert len(_multiset(nm.eigenvalues(m))) == 8
     assert calls == []
 
 
@@ -815,7 +845,7 @@ def test_sub_diagonal_matches_subtracting_a_scaled_identity():
     for backend in (EXACT, FLOAT):
         for fix in lab.catalog(backend):
             for mat in fix.rep.mats:
-                lams = nm.eigenvalues(mat) + [nm.sc_one(backend), nm.make_scalar(gr(-3, 2), backend)]
+                lams = _multiset(nm.eigenvalues(mat)) + [nm.sc_one(backend), nm.make_scalar(gr(-3, 2), backend)]
                 for m in (mat, -mat):
                     for lam in lams:
                         check(m, lam)
@@ -1118,7 +1148,7 @@ def test_float_kernel_is_bit_identical_to_its_per_entry_loops(seed):
         old_thr = nm.zero_threshold(FLOAT, tol, lambda: max(
             (nm.sc_abs(v) for row in rows for v in row), default=0.0))
         want_rows, want_pivots = _old_rref([list(r) for r in rows], old_thr)
-        got_rows, got_pivots = nm._echelon(rows, FLOAT, tol)
+        got_rows, got_pivots = nm._echelon(rows, tol)
         assert got_pivots == want_pivots
         assert [_bits(r) for r in got_rows] == [_bits(r) for r in want_rows]
         for thr in (0.0, old_thr, 0.5):

@@ -13,7 +13,8 @@ from liespec import lab
 from liespec import lie_core as lc
 from liespec import representation as rp
 from liespec.numeric import (
-    EXACT, FLOAT, Matrix, gr, identity, matrix_from_rows, scalar_from_text, zi_form, zi_matrix,
+    EXACT, FLOAT, Matrix, gr, identity, make_scalar, matrix_from_rows, scalar_from_text, zi_form,
+    zi_matrix,
 )
 
 
@@ -193,6 +194,28 @@ def test_restrict_rep_to_abelian_ideal():
     assert sub.mats[0].at(1, 2) == gr(1)  # rho(y) = E23
     assert sub.mats[1].at(0, 2) == gr(1)  # rho(z) = E13
     assert rp.validate_representation(sub) == []
+
+
+def test_float_restriction_reads_the_pivots_the_echelon_form_carries():
+    # all of F4, spanned by a skewed basis: the float echelon rows keep
+    # entries near 1e-17 left of their pivots, and brackets keep such
+    # entries at the pivots of other rows
+    skewed = "4/5,2/3,1,1/5;-5/3,1,-3/4,1/3;-2/3,2/5,1/3,-5/4;0,-1/3,-3/4,0"
+    subs = {}
+    for backend in (EXACT, FLOAT):
+        f4 = lab.fixture("F4", backend).rep
+        L = f4.algebra
+        rep = rp.direct_sum(f4, rp.shift(f4, lc.character(L, [-1, 2, 0, 0])))
+        vectors = [[make_scalar(scalar_from_text(x), backend) for x in row.split(",")]
+                   for row in skewed.split(";")]
+        subs[backend] = rp.restrict_rep(rep, lc.span(L, vectors))
+    exact, flt = subs[EXACT].algebra, subs[FLOAT].algebra
+    assert exact.table != ()
+    for i in range(exact.n):
+        for j in range(i + 1, exact.n):
+            got, want = flt.structure(i, j), exact.structure(i, j)
+            assert all(abs(g - w.to_complex()) <= 1e-9 for g, w in zip(got, want)), (i, j, got)
+    assert rp.validate_representation(subs[FLOAT]) == []
 
 
 def test_restrict_rep_to_full_algebra_is_identity():

@@ -166,8 +166,7 @@ def intersected_leaves(rep):
         if k == rep.algebra.n:
             yield lams, nm.Matrix(space.rows, 1, space.entries[:: space.cols], rep.backend)
             return
-        values = nm.eigenvalues(rep.mats[k])
-        for lam in [v for i, v in enumerate(values) if i == 0 or values[i - 1] != v]:
+        for lam, _ in nm.eigenvalues(rep.mats[k]):
             kernel = nm.nullspace_basis(nm.sub_diagonal(rep.mats[k], lam))
             nxt = kernel if space.cols == rep.m else nm.intersect_subspaces(space, kernel)
             yield from descend(k + 1, nxt, lams + (lam,))
