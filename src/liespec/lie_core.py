@@ -3,9 +3,10 @@
 An algebra is a basis (names) plus the coefficient vector of [e_i, e_j] for
 every i < j; antisymmetry is synthesized by the accessor, so inconsistent
 input cannot be expressed.  Subspaces keep their bases in reduced echelon
-form, which makes equality of spans a tuple comparison, and the pivot of
-each row as the elimination found it: coordinates are read there, never
-by scanning a row (a float row may keep negligible entries left of it).
+form, which on exact input makes equality of spans a tuple comparison, and
+the pivot of each row as the elimination found it: coordinates are read
+there, never by scanning a row (a float row may keep negligible entries
+left of its pivot).
 
 Chain terminology below: a full flag of ideals L_0 ⊂ L_1 ⊂ ... ⊂ L_n with
 dim L_i = i and [L_i, L_j] ⊆ L_{i-1} for i < j.  Such flags exist exactly
@@ -137,8 +138,9 @@ def abelian_algebra(names: Sequence[str], backend: str = EXACT) -> LieAlgebra:
 @dataclass(frozen=True)
 class Subspace:
     """Span inside the coefficient space of the parent algebra, basis in
-    reduced echelon form (canonical: equal spans compare equal); pivots[r]
-    is the pivot column of basis[r], from numeric.echelon_vectors."""
+    reduced echelon form (canonical on exact input: equal spans compare
+    equal); pivots[r] is the pivot column of basis[r], from
+    numeric.echelon_vectors."""
 
     algebra: LieAlgebra
     basis: Tuple[Vector, ...]

@@ -852,11 +852,11 @@ def inverse(m: Matrix, tol: Optional[float] = None) -> Matrix:
 def echelon_vectors(
     vectors: Sequence[Sequence[Scalar]], backend: str, tol: Optional[float] = None
 ) -> Tuple[Tuple[Tuple[Scalar, ...], ...], Tuple[int, ...]]:
-    """(rows, pivots): the canonical reduced-echelon basis of the span of the
-    given coefficient vectors (rows), identical for identical spans, and
-    the pivot column of each row from _zi_reduced or _rref.  An exact row
-    is 1 at its pivot and 0 left of it; a float row may keep entries at or
-    below the pivot threshold there, so read pivots here, not off a row."""
+    """(rows, pivots): the reduced-echelon basis of the span of the given
+    coefficient vectors (rows), canonical on exact input, and the pivot
+    column of each row from _zi_reduced or _rref.  An exact row is 1 at its
+    pivot and 0 left of it; a float row may keep entries at or below the
+    pivot threshold there, so read pivots here, not off a row."""
     if backend != EXACT:
         rows, pivots = _echelon(vectors, tol)
         return tuple(tuple(rows[r]) for r in range(len(pivots))), tuple(pivots)

@@ -12,6 +12,7 @@ import pytest
 from liespec import lab
 from liespec import lie_core as lc
 from liespec import representation as rp
+from liespec import spectra as sp
 from liespec.numeric import (
     EXACT, FLOAT, Matrix, gr, identity, make_scalar, matrix_from_rows, scalar_from_text, zi_form,
     zi_matrix,
@@ -215,7 +216,11 @@ def test_float_restriction_reads_the_pivots_the_echelon_form_carries():
         for j in range(i + 1, exact.n):
             got, want = flt.structure(i, j), exact.structure(i, j)
             assert all(abs(g - w.to_complex()) <= 1e-9 for g, w in zip(got, want)), (i, j, got)
+            # a residue left where the bracket vanishes makes the float
+            # triangularization of the induced algebra's adjoint fail
+            assert all(g == 0 for g, w in zip(got, want) if w.is_zero), (i, j, got)
     assert rp.validate_representation(subs[FLOAT]) == []
+    assert len(sp.homology_support(flt)) == 1
 
 
 def test_restrict_rep_to_full_algebra_is_identity():
