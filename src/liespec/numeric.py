@@ -513,9 +513,9 @@ def hstack(mats: Sequence[Matrix]) -> Matrix:
     return Matrix(rows, sum(m.cols for m in mats), tuple(out), backend)
 
 
-def submatrix(m: Matrix, rows: range, cols: range) -> Matrix:
-    """The block of m on the given ranges of rows and columns; an exact
-    block is sliced from m's Z[i] form."""
+def submatrix(m: Matrix, rows: Sequence[int], cols: range) -> Matrix:
+    """The block of m on the given rows, in their order, and range of
+    columns; an exact block is sliced from m's Z[i] form."""
     if m.backend == EXACT:
         zrows, d = zi_form(m)
         return zi_matrix(len(rows), len(cols), [
@@ -686,11 +686,17 @@ def identity_minus_product(x: Matrix, y: Matrix) -> Matrix:
     return zi_matrix(x.rows, y.cols, out, d)
 
 
-def _rref_zi(rows: Sequence[ZiRow], ncols: int) -> Tuple[List[ZiRow], List[int]]:
+def _rref_zi(rows: Sequence[ZiRow], ncols: int,
+             reduced: bool = True) -> Tuple[List[ZiRow], List[int]]:
     """Reduced row echelon form of sparse Z[i] rows: (pivot rows, pivot
     columns), where the reduced row r is pivot row r divided by its entry
     at pivots[r].  The first nonzero pivot per column is taken, so the
-    result is deterministic for a given input."""
+    result is deterministic for a given input.
+
+    With reduced=False only the rows below each pivot are eliminated: the
+    rows are an echelon form, not the reduced one, and the pivot columns
+    are the same, since the pivot at column c is chosen among rows r and
+    below, which eliminating above it does not change."""
     # Fraction-free Gauss-Jordan.  Scaling a row leaves the reduced echelon
     # form unchanged, so rows are eliminated with row <- p*row - f*pivot_row
     # and kept primitive by dividing out their integer content.  New rows
@@ -708,7 +714,7 @@ def _rref_zi(rows: Sequence[ZiRow], ncols: int) -> Tuple[List[ZiRow], List[int]]
         work[r], work[pivot_row] = work[pivot_row], work[r]
         prow = work[r]
         pa, pb = prow[c]
-        for i in range(nrows):
+        for i in range(0 if reduced else r + 1, nrows):
             row = work[i]
             if i == r or c not in row:
                 continue
@@ -754,14 +760,17 @@ def _zi_reduced(rows: Sequence[ZiRow], ncols: int,
 
 
 def _pivot_columns(m: Matrix, tol: Optional[float]) -> List[int]:
+    """The pivot columns of m's reduced echelon form; exact ones by forward
+    elimination alone, which finds the same pivots."""
     if m.backend == EXACT:
-        return _rref_zi(zi_form(m)[0], m.cols)[1]
+        return _rref_zi(zi_form(m)[0], m.cols, reduced=False)[1]
     return _echelon(m.to_lists(), tol)[1]
 
 
 def rank(m: Matrix, tol: Optional[float] = None) -> int:
-    """Rank of m: the pivot count of its reduced echelon form, float pivots
-    above tol (default TAU) relative to the largest entry magnitude."""
+    """Rank of m: the pivot count of its echelon form, exact by forward
+    elimination alone, float pivots above tol (default TAU) relative to the
+    largest entry magnitude."""
     return len(_pivot_columns(m, tol))
 
 
@@ -777,6 +786,13 @@ def nullspace_basis(m: Matrix, tol: Optional[float] = None) -> Matrix:
     1 at row j_t, minus entry j_t of echelon row r at the r-th pivot
     column, and 0 elsewhere.  An exact kernel is built as one Z[i] form,
     each of its pivot rows one echelon row divided by its pivot entry."""
+    return _kernel_with_free_rows(m, tol)[0]
+
+
+def _kernel_with_free_rows(m: Matrix, tol: Optional[float] = None) -> Tuple[Matrix, List[int]]:
+    """(V, F): V = nullspace_basis(m) and F = [j_0, j_1, ...], the free
+    columns of m from the elimination that built V.  V[F, :] is the
+    identity, so the only R with V R == X, if any, is the rows F of X."""
     if m.backend == EXACT:
         rows, d, pivots = _zi_reduced(zi_form(m)[0], m.cols)
         free = _free_columns(m.cols, pivots)
@@ -785,7 +801,7 @@ def nullspace_basis(m: Matrix, tol: Optional[float] = None) -> Matrix:
             out[j] = {t: (d, 0)}
         for row, pc in zip(rows, pivots):
             out[pc] = {t: (-row[j][0], -row[j][1]) for t, j in enumerate(free) if j in row}
-        return zi_matrix(m.cols, len(free), out, d)
+        return zi_matrix(m.cols, len(free), out, d), free
     rows, pivots = _echelon(m.to_lists(), tol)
     free = _free_columns(m.cols, pivots)
     out = [[sc_zero(FLOAT)] * len(free) for _ in range(m.cols)]
@@ -793,7 +809,7 @@ def nullspace_basis(m: Matrix, tol: Optional[float] = None) -> Matrix:
         out[j][t] = sc_one(FLOAT)
     for row, pc in zip(rows, pivots):
         out[pc] = [-row[j] for j in free]
-    return matrix_from_rows(out, FLOAT, cols=len(free))
+    return matrix_from_rows(out, FLOAT, cols=len(free)), free
 
 
 def solve_matrix(a: Matrix, b: Matrix, tol: Optional[float] = None) -> Optional[Matrix]:
@@ -1209,6 +1225,28 @@ def _divisor_roots(q: List[Tuple[int, int]]) -> List[ZiRoot]:
     return found
 
 
+def _pure_power_root(p: List[Tuple[int, int]]) -> Optional[ZiRoot]:
+    """The root x / e of p when p = c0 (t - r)^n with n = deg p >= 1, else
+    None.  Such an r is -c1 / (n c0), read off the trace, and p is that
+    power when c_k (n c0)^k == c0 C(n, k) c1^k for every k, compared in
+    Z[i] from k = 2 up: no gcd with p' is needed."""
+    n = len(p) - 1
+    (a0, b0), (a1, b1) = p[0], p[1]
+    ua, ub = n * a0, n * b0  # n c0
+    # (n c0)^k and c0 C(n, k) c1^k, with k = 1
+    pa, pb = ua, ub
+    wa, wb = n * (a0 * a1 - b0 * b1), n * (a0 * b1 + b0 * a1)
+    for k in range(2, n + 1):
+        pa, pb = pa * ua - pb * ub, pa * ub + pb * ua
+        wa, wb = wa * a1 - wb * b1, wa * b1 + wb * a1
+        wa, wb = wa * (n - k + 1) // k, wb * (n - k + 1) // k
+        ca, cb = p[k]
+        if (ca * pa - cb * pb, ca * pb + cb * pa) != (wa, wb):
+            return None
+    # -c1 / (n c0) == -c1 conj(c0) / (n |c0|^2)
+    return (-a1 * a0 - b1 * b0, a1 * b0 - b1 * a0), n * (a0 * a0 + b0 * b0)
+
+
 def _sorted_runs(runs: Sequence[Tuple[GaussianRational, int]]) -> List[Tuple[GaussianRational, int]]:
     """The runs in scalar_key order of their roots, stably sorted."""
     return sorted(runs, key=lambda run: scalar_key(run[0]))
@@ -1222,16 +1260,17 @@ def _poly_roots_exact(p: List[Tuple[int, int]], scale: int = 1) -> List[Tuple[Ga
     eigenvalues passes char_poly's (c, d), which turns the roots of
     det(sI - N) into those of det(tI - M).
 
-    Zero roots are stripped first.  When the square-free part q = p /
-    gcd(p, p') is linear, p is a pure power of (t - r), and r is read off q
-    with multiplicity deg p: no float guess, deflation or divisor search.
-    Otherwise: guess, then verify.  Float roots of q, rounded to Gaussian
-    rationals x / e, are kept only where the homogenised integer Horner
-    value e^deg p(x / e) vanishes, and pseudo-division by e*t - x reads off
-    each multiplicity.  A guess that is no root gets a few exact Newton
-    steps; a linear remainder gives its root directly.  The budgeted divisor
-    search takes whatever is left.  Each distinct root is built once, as one
-    Gaussian rational x / (e*scale).
+    Zero roots are stripped first.  When p is a pure power c0 (t - r)^n,
+    found by _pure_power_root, r = -c1 / (n c0) is read off the trace with
+    multiplicity n: no gcd, float guess, deflation or divisor search.
+    Otherwise, with the square-free part q = p / gcd(p, p'): guess, then
+    verify.  Float roots of q, rounded to Gaussian rationals x / e, are
+    kept only where the homogenised integer Horner value e^deg p(x / e)
+    vanishes, and pseudo-division by e*t - x reads off each multiplicity.
+    A guess that is no root gets a few exact Newton steps; a linear
+    remainder gives its root directly.  The budgeted divisor search takes
+    whatever is left.  Each distinct root is built once, as one Gaussian
+    rational x / (e*scale).
     """
     n = len(p)
     while len(p) > 1 and p[-1] == (0, 0):
@@ -1239,10 +1278,11 @@ def _poly_roots_exact(p: List[Tuple[int, int]], scale: int = 1) -> List[Tuple[Ga
     runs = [(GR_ZERO, n - len(p))] if len(p) < n else []
     if len(p) == 1:
         return _sorted_runs(runs)
+    root = _pure_power_root(p)
+    if root is not None:
+        (xa, xb), e = root
+        return _sorted_runs(runs + [(_gr_over(xa, xb, e * scale), len(p) - 1)])
     q = _squarefree_part(p)
-    if len(q) == 2:
-        (a, _), (ba, bb) = q
-        return _sorted_runs(runs + [(_gr_over(-ba, -bb, a * scale), len(p) - 1)])
 
     def take(candidates: Sequence[ZiRoot]) -> bool:
         """Deflate p by each candidate x / e while it stays a root; whether any was."""
@@ -1282,7 +1322,7 @@ def eigenvalues(m: Matrix, tol: Optional[float] = None) -> EigenRuns:
 
     Exact backend: char_poly gives the Gaussian-integer polynomial
     det(sI - N) of N = d*M, and _poly_roots_exact the runs of its roots
-    divided by d.  A pure power (linear square-free part) is read off
+    divided by d.  A pure power is read off its trace
     directly; otherwise float guesses for the roots of the square-free
     part are verified by exact evaluation and deflated as often as they
     stay roots, and a divisor search with a step budget finds any root the

@@ -59,9 +59,9 @@ from .numeric import (
     Matrix,
     Scalar,
     VerificationFailure,
+    _kernel_with_free_rows,
     complement_columns,
     eigenvalues,
-    generalized_inverse,
     hstack,
     identity,
     inverse,
@@ -421,8 +421,9 @@ def weight_blocks(rep: Representation) -> List[Tuple[Vector, Representation]]:
     than one eigenvalue is cut into the kernels of (rho(e_k) - lam)^mu, mu
     the multiplicity of lam.  Each kernel has dimension mu and, L being
     nilpotent, is invariant under every rho(e_j).  Both are verified, the
-    invariance as V R == M V for each restricted matrix R = G M V, with G a
-    generalized inverse of the kernel basis V; a failure raises
+    invariance as V R == M V for each restricted matrix R.  The kernel
+    basis V is the identity on its free rows F, so R is the rows F of M V,
+    the one solution of V R == M V when there is one.  A failure raises
     VerificationFailure.
     """
     if not _splits_by_weight(rep):
@@ -441,17 +442,16 @@ def weight_blocks(rep: Representation) -> List[Tuple[Vector, Representation]]:
                 power, j = sub_diagonal(mat, lam), 1
                 while j < mu:
                     power, j = power * power, 2 * j
-                v = nullspace_basis(power)
+                v, free = _kernel_with_free_rows(power)
                 if v.cols != mu:
                     raise VerificationFailure(
                         f"generalized eigenspace of dimension {v.cols} for an "
                         f"eigenvalue of multiplicity {mu}"
                     )
-                g = generalized_inverse(v)[0]
                 mats = []
                 for other in block.mats:
                     moved = other * v
-                    restricted = g * moved
+                    restricted = submatrix(moved, free, range(mu))
                     if v * restricted != moved:
                         raise VerificationFailure("generalized weight space is not invariant")
                     mats.append(restricted)

@@ -561,8 +561,15 @@ _CORRUPTED_INVERSE_SCRIPT = textwrap.dedent(
     sp.weight_candidates = lambda rep, tol=None: ((gr(1), gr(1)),)
     report("candidate", lambda: sp.spectral_candidates(s2))
 
-    # a weight block restricted through a wrong inverse fails its invariance check
-    sp.generalized_inverse = corrupted_inverse
+    # a weight block restricted through the wrong free rows of its kernel
+    # basis fails its invariance check
+    honest_kernel = sp._kernel_with_free_rows
+
+    def shifted_free_rows(m, tol=None):
+        v, free = honest_kernel(m, tol)
+        return v, [(j + 1) % v.rows for j in free]
+
+    sp._kernel_with_free_rows = shifted_free_rows
     report("block", lambda: sp.weight_blocks(rep))
     """
 )

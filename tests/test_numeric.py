@@ -559,6 +559,47 @@ def test_exact_nullspace_and_echelon_match_fraction_reference():
         assert list(ech_pivots) == pivots
 
 
+def test_exact_pivot_columns_match_fraction_reference_positions():
+    for _, kind, rows, cols, x in _cases(15, 300):
+        m = _to_exact(x, cols)
+        pivots = _ref_rref(x, cols)[1]
+        assert nm._pivot_columns(m, None) == pivots, (kind, x)
+        assert nm.rank(m) == len(pivots)
+        # the complement of a kernel basis: the standard vectors off the
+        # pivots of the reference echelon form of its columns
+        basis = nm.nullspace_basis(m)
+        kernel_pivots = _ref_rref(_ref_nullspace(x, cols), cols)[1]
+        want = [[_C_ONE if i == j else _C_ZERO for j in range(cols) if j not in kernel_pivots]
+                for i in range(cols)]
+        comp = nm.complement_columns(basis)
+        assert (comp.rows, comp.cols) == (cols, cols - len(kernel_pivots))
+        assert _pairs(comp) == want, (kind, x)
+
+
+def test_exact_rank_eliminates_below_pivots_only(monkeypatch):
+    # an upper triangular matrix with a nonzero diagonal is an echelon form
+    # already: forward elimination hands its rows back as they are
+    rng = random.Random(16)
+    for n in range(1, 6):
+        x = [[_entry(rng, "mixed") if j > i else (Fraction(j + 1), Fraction(1)) if j == i else _C_ZERO
+              for j in range(n)] for i in range(n)]
+        form = nm.zi_form(_to_exact(x, n))[0]
+        rows, pivots = nm._rref_zi(form, n, reduced=False)
+        assert pivots == list(range(n))
+        assert all(a is b for a, b in zip(rows, form))
+    calls = []
+    honest = nm._rref_zi
+
+    def recorded(rows, ncols, reduced=True):
+        calls.append(reduced)
+        return honest(rows, ncols, reduced)
+
+    monkeypatch.setattr(nm, "_rref_zi", recorded)
+    nm.rank(_to_exact(x, n))
+    nm.complement_columns(_to_exact(x, n))
+    assert calls == [False, False]
+
+
 def test_exact_inverse_matches_fraction_reference():
     singular = 0
     for _, kind, n, _, x in _cases(13, 300):
@@ -769,6 +810,37 @@ def test_pure_powers_skip_guesses_deflation_and_divisor_search(monkeypatch):
         zero = _jordan_like(rng, _C_ZERO, t % 3, kind)
         m = _conjugated(rng, _direct_sum([zero, _jordan_like(rng, lam, n, kind)], n + t % 3), n + t % 3)
         assert _multiset(nm.eigenvalues(m)) == sorted([gr(0)] * (t % 3) + [gr(*lam)] * n, key=nm.scalar_key)
+
+
+def test_pure_power_root_from_the_trace_agrees_with_the_square_free_path():
+    def via_trace(p):
+        root = nm._pure_power_root(p)
+        return None if root is None else gr(Fraction(root[0][0], root[1]), Fraction(root[0][1], root[1]))
+
+    def via_square_free(p):
+        q = nm._squarefree_part(p)
+        if len(q) != 2:
+            return None
+        (a, _), (ba, bb) = q
+        return gr(Fraction(-ba, a), Fraction(-bb, a))
+
+    rng = random.Random(1977)
+    misses = 0
+    for t in range(160):
+        n = 1 + t % 8
+        d, c = (rng.randint(1, 6), rng.randint(-3, 3)), (rng.randint(-9, 9), rng.randint(-9, 9))
+        p = nm._clear_denominators(_poly_from_factors([(d, c, n)]))[0]
+        assert via_trace(p) == via_square_free(p) == gr(*c) / gr(*d), (d, c, n)
+        assert nm._poly_roots_exact(p) == [(gr(*c) / gr(*d), n)]
+        # one coefficient moved by a unit: a pure power no more, bar chance
+        k = rng.randrange(n + 1)
+        bumped = list(p)
+        bumped[k] = tuple(a + b for a, b in zip(p[k], rng.choice(nm._UNITS)))
+        if bumped[0] == (0, 0):
+            continue
+        assert via_trace(bumped) == via_square_free(bumped), (bumped, k)
+        misses += via_trace(bumped) is None
+    assert misses > 100
 
 
 def test_to_complex_is_the_complex_sum_bit_for_bit():

@@ -338,6 +338,53 @@ def test_block_dimensions_are_the_weight_multiplicities():
         assert sorted(with_multiplicity, key=key) == sorted(sp.triangular_weights(rep), key=key)
 
 
+def _blocks_through_generalized_inverses(rep):
+    """weight_blocks with each block restricted as G M V, for the kernel
+    basis V of (rho(e_k) - lam)^mu and G from generalized_inverse(V)."""
+    blocks = [((), rep)]
+    for k in range(rep.algebra.n):
+        split = []
+        for w, block in blocks:
+            runs = nm.eigenvalues(block.mats[k])
+            if len(runs) == 1:
+                split.append((w + (runs[0][0],), block))
+                continue
+            for lam, mu in runs:
+                shifted = nm.sub_diagonal(block.mats[k], lam)
+                power = shifted
+                for _ in range(mu - 1):
+                    power = power * shifted
+                v = nm.nullspace_basis(power)
+                g = nm.generalized_inverse(v)[0]
+                mats = tuple(g * (other * v) for other in block.mats)
+                split.append((w + (lam,), rp.Representation(block.algebra, mu, mats)))
+        blocks = split
+    return blocks
+
+
+def test_blocks_restricted_through_free_rows_equal_the_generalized_inverse_restriction():
+    fixtures = [fx.rep for fx in lab.catalog() if lc.is_nilpotent(fx.rep.algebra)]
+    assert len(fixtures) >= 3
+    for rep in block_instances() + fixtures:
+        got = sp.weight_blocks(rep)
+        want = _blocks_through_generalized_inverses(rep)
+        assert [w for w, _ in got] == [w for w, _ in want]
+        for (_, block), (_, ref) in zip(got, want):
+            assert block.m == ref.m
+            # exact == compares the canonical Z[i] forms
+            assert block.mats == ref.mats
+
+
+def test_weight_blocks_take_no_generalized_inverse(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("generalized_inverse called")
+
+    instances = block_instances()  # conjugating them takes inverses
+    monkeypatch.setattr(nm, "generalized_inverse", refuse)
+    assert not hasattr(sp, "generalized_inverse")
+    assert sum(len(sp.weight_blocks(rep)) > 1 for rep in instances) >= 10
+
+
 def test_candidate_route_does_not_read_the_blocks(monkeypatch):
     # the candidates the table is built on, recomputed by triangularization
     # alone: an independent route for the soundness check
