@@ -912,7 +912,10 @@ def kernel_within(m: Matrix, space: Matrix, tol: Optional[float] = None) -> Matr
     intersect_subspaces(space, nullspace_basis(m)).  An exact result is
     spanned by space times a kernel of m * space; the columns of that
     product are reduced in Z[i] and the result is built from its form.  A
-    float result is that intersection itself."""
+    float result is that intersection itself.  The joint eigenvector search
+    calls it where the space need not be invariant under m: on float input,
+    and on exact levels past its ideal order (an invariant space restricts
+    m instead)."""
     if m.backend != EXACT:
         return intersect_subspaces(space, nullspace_basis(m, tol), tol)
     return _column_echelon(space * nullspace_basis(m * space), tol)

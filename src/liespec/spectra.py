@@ -13,10 +13,14 @@ Two independent routes:
     restriction to an ideal, and compares each distinct projection once;
   * eigencharacter route: enumerate joint eigenvectors directly, narrowing
     a joint eigenspace V level by level to the kernel of rho(e_k) - lam
-    within V, which the exact backend reads off the kernel of
-    (rho(e_k) - lam) V instead of intersecting V with the whole kernel.
-    For nilpotent algebras the two routes agree; for merely solvable ones
-    they can differ, and cross_validate reports how.
+    within V.  Exact input takes the basis in an ideal order, each prefix
+    spanning an ideal, so V is rho(L)-invariant (Lie's invariance lemma)
+    and each level factors and takes kernels of rho(e_k) restricted to V,
+    a dim V x dim V matrix, after checking the invariance.  Float input,
+    and exact levels past the longest such prefix, take the kernel within
+    V (numeric.kernel_within) of the whole rho(e_k) - lam.  For nilpotent
+    algebras the two routes agree; for merely solvable ones they can
+    differ, and cross_validate reports how.
 
 The candidate set is {w - g} where w runs over the triangularization
 weights of rho and g over the homology support of the algebra's
@@ -59,6 +63,7 @@ from .numeric import (
     Matrix,
     Scalar,
     VerificationFailure,
+    _column_echelon,
     _kernel_with_free_rows,
     complement_columns,
     eigenvalues,
@@ -68,10 +73,12 @@ from .numeric import (
     kernel_within,
     nullspace_basis,
     sc_abs,
+    sc_is_zero,
     scalar_key,
     sub_diagonal,
     scalar_to_json,
     submatrix,
+    zi_form,
 )
 from .representation import Representation, adjoint_action, restrict_rep
 
@@ -254,6 +261,38 @@ def char_subset(a: Sequence[Vector], b: Sequence[Vector], backend: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=256)
+def _ideal_order(L: LieAlgebra) -> Tuple[int, ...]:
+    """Basis indices i_0, i_1, ... such that e_(i_0), ..., e_(i_j) span an
+    ideal of L for every j: greedily the lowest index i with every
+    [e_i, e_j] in the span of the indices chosen so far and i, read off the
+    zero pattern of the structure constants.  Choosing more indices only
+    makes the test easier to pass, so the greedy reaches all n indices
+    whenever some order does; otherwise it stops at the longest such prefix
+    (possibly empty).  Cached per algebra."""
+    reach: List[set] = [set() for _ in range(L.n)]
+    for i, j, coeffs in L.table:
+        support = {k for k, c in enumerate(coeffs) if not sc_is_zero(c)}
+        reach[i] |= support
+        reach[j] |= support
+    order: List[int] = []
+    while True:
+        chosen = set(order)
+        i = next((i for i in range(L.n)
+                  if i not in chosen and reach[i] <= chosen | {i}), None)
+        if i is None:
+            return tuple(order)
+        order.append(i)
+
+
+def _is_scalar(mat: Matrix) -> bool:
+    """Whether an exact square matrix is c I, c = 0 included, read off its
+    Z[i] form."""
+    zrows = zi_form(mat)[0]
+    c = zrows[0].get(0) if zrows else None
+    return all(row == ({} if c is None else {i: c}) for i, row in enumerate(zrows))
+
+
 def _joint_eigenvectors(
     rep: Representation,
     tol: Optional[float],
@@ -262,48 +301,92 @@ def _joint_eigenvectors(
     """Joint eigenvalue tuples with one joint eigenvector each, an m x 1
     matrix.
 
-    Exhaustive branch over per-matrix eigenvalues, narrowing the joint
-    eigenspace (a basis, as the columns of one matrix) at each level, leaves
-    in deterministic branch order; a leaf's vector is the first basis
-    column.  Level k takes the kernel of rho(e_k) - lam: the whole kernel
-    while the space is still everything, else the canonical echelon basis
-    of the kernel within the space (numeric.kernel_within), which an exact
-    search finds from the small kernel of (rho(e_k) - lam) V instead of
-    intersecting V with the whole m x m kernel.  By Lie's theorem a nonzero
-    module of a solvable algebra has a joint eigenvector, so finding none
-    raises NotSolvable.
+    Exhaustive branch over eigenvalues, narrowing the joint eigenspace V (a
+    basis, as the columns of one matrix) by one basis element e_k per
+    level, leaves in deterministic branch order.  By Lie's theorem a
+    nonzero module of a solvable algebra has a joint eigenvector, so
+    finding none raises NotSolvable.
 
-    multisets[k] is the eigenvalue multiset of rep.mats[k], as the
-    (value, multiplicity) runs of numeric.eigenvalues; an entry that is
-    None is computed the first time level k is reached and stored back, so
-    every matrix is factored at most once per search and the caller can
+    Exact input walks the basis in _ideal_order.  While the levels so far
+    span an ideal I, V is a joint eigenspace of I, hence rho(L)-invariant
+    (Lie's invariance lemma), and V carries rows P on which it is the
+    identity.  Such a level factors only R = (rho(e_k) V)[P, :], the
+    restriction of rho(e_k) to V, checked as V R == rho(e_k) V (a failure
+    raises VerificationFailure), branches over the eigenvalues of R, and
+    moves to V K, K the kernel of R - lam, with rows P[F] for the free rows
+    F of K.  While V is everything R is rho(e_k) itself, and a K with every
+    column leaves V as it is.  A leaf's vector is the first column of the
+    canonical echelon basis of V.
+
+    Float input, exact levels past the ideal prefix, and exact input whose
+    rho(e_0), ..., rho(e_(n-2)) are all scalar keep basis order and branch
+    over the eigenvalues of the whole rho(e_k), taking its whole kernel
+    while V is still everything, else numeric.kernel_within.  A leaf's
+    vector is then the first column of V as found.  The scalar exception
+    keeps that vector when the last level is the only one that narrows V:
+    it is a free-variable kernel basis vector, not an echelon one.
+
+    multisets[k] is the eigenvalue multiset of the whole rep.mats[k], as
+    the (value, multiplicity) runs of numeric.eigenvalues; an entry that is
+    None is computed the first time the whole matrix is factored and stored
+    back, so each is factored at most once per search and the caller can
     reuse the result.
     """
-    L, backend = rep.algebra, rep.backend
+    L, m = rep.algebra, rep.m
+    if m == 0:
+        return
     if multisets is None:
         multisets = [None] * L.n
+    prefix: Tuple[int, ...] = ()
+    if rep.backend == EXACT and not all(_is_scalar(rep.mats[k]) for k in range(L.n - 1)):
+        prefix = _ideal_order(L)
+    order = prefix + tuple(k for k in range(L.n) if k not in prefix)
+    position = [order.index(k) for k in range(L.n)]
 
-    def descend(k: int, space: Matrix, lams: Tuple[Scalar, ...]):
-        if not space.cols:
-            return
-        if k == L.n:
-            yield lams, submatrix(space, range(space.rows), range(1))
-            return
+    def whole_runs(k: int) -> EigenRuns:
         if multisets[k] is None:
             multisets[k] = eigenvalues(rep.mats[k], tol)
-        for lam, _ in multisets[k]:
-            shifted = sub_diagonal(rep.mats[k], lam)
-            # the kernel of rho(e_k) - lam, restricted unless space is still everything
-            if space.cols == rep.m:
-                nxt = nullspace_basis(shifted, tol)
-            else:
-                nxt = kernel_within(shifted, space, tol)
-            yield from descend(k + 1, nxt, lams + (lam,))
+        return multisets[k]
 
-    if rep.m == 0:
-        return
+    def descend(j: int, space: Matrix, rows: Sequence[int], lams: Tuple[Scalar, ...]):
+        if not space.cols:
+            return
+        if j == L.n:
+            if prefix and space.cols < m:
+                space = _column_echelon(space, tol)
+            yield tuple(lams[p] for p in position), submatrix(space, range(m), range(1))
+            return
+        k = order[j]
+        mat = rep.mats[k]
+        if j >= len(prefix):
+            for lam, _ in whole_runs(k):
+                shifted = sub_diagonal(mat, lam)
+                # the kernel of rho(e_k) - lam, restricted unless space is still everything
+                if space.cols == m:
+                    nxt = nullspace_basis(shifted, tol)
+                else:
+                    nxt = kernel_within(shifted, space, tol)
+                yield from descend(j + 1, nxt, rows, lams + (lam,))
+            return
+        if space.cols == m:
+            restricted, runs = mat, whole_runs(k)
+        else:
+            moved = mat * space
+            restricted = submatrix(moved, rows, range(space.cols))
+            if space * restricted != moved:
+                raise VerificationFailure("joint eigenspace is not invariant")
+            runs = eigenvalues(restricted)
+        for lam, _ in runs:
+            kernel, free = _kernel_with_free_rows(sub_diagonal(restricted, lam))
+            if kernel.cols == restricted.cols:
+                yield from descend(j + 1, space, rows, lams + (lam,))
+            elif space.cols == m:
+                yield from descend(j + 1, kernel, free, lams + (lam,))
+            else:
+                yield from descend(j + 1, space * kernel, [rows[f] for f in free], lams + (lam,))
+
     found = False
-    for leaf in descend(0, identity(rep.m, backend), ()):
+    for leaf in descend(0, identity(m, rep.backend), range(m), ()):
         found = True
         yield leaf
     if not found:
@@ -366,9 +449,10 @@ def triangular_weights(rep: Representation, tol: Optional[float] = None) -> List
             sub_mats.append(submatrix(inv * mat * basis, range(1, work.m), range(1, work.m)))
         work = Representation(L, work.m - 1, tuple(sub_mats))
         if backend == EXACT:
-            # the first leaf reached every level, so every multiset is known;
-            # the quotient's rho(e_k) keeps all of it but one copy of lams[k]
-            multisets = [_drop_one(ms, lam) for ms, lam in zip(multisets, lams)]
+            # the quotient's rho(e_k) keeps all of a known multiset but one
+            # copy of lams[k]
+            multisets = [None if ms is None else _drop_one(ms, lam)
+                         for ms, lam in zip(multisets, lams)]
         else:
             multisets = [None] * L.n
     return weights

@@ -571,6 +571,13 @@ _CORRUPTED_INVERSE_SCRIPT = textwrap.dedent(
 
     sp._kernel_with_free_rows = shifted_free_rows
     report("block", lambda: sp.weight_blocks(rep))
+
+    # x alone spans no ideal of H3, so a search that restricts rho(y) to the
+    # kernel of rho(x) finds that kernel not invariant
+    from liespec import lab
+    sp._kernel_with_free_rows = honest_kernel
+    sp._ideal_order = lambda L: tuple(range(L.n))
+    report("eigen", lambda: sp.joint_eigencharacters(lab.fixture("H3").rep))
     """
 )
 
@@ -601,6 +608,7 @@ def test_homotopy_check_survives_optimised_bytecode():
     assert lines[7].startswith("weight raised: non-character weight"), proc.stdout
     assert lines[8].startswith("candidate raised: non-character candidate"), proc.stdout
     assert lines[9] == "block raised: generalized weight space is not invariant", proc.stdout
+    assert lines[10] == "eigen raised: joint eigenspace is not invariant", proc.stdout
 
 
 # Caller input is checked with ValueError and the finite-rank proxy's

@@ -187,6 +187,79 @@ def test_restricted_kernels_give_the_intersected_leaves():
             assert v.entries == w.entries
 
 
+def permuted_algebra(L, perm):
+    """L in the basis e_(perm[0]), e_(perm[1]), ..."""
+    n = L.n
+    brackets = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            c = L.structure(perm[a], perm[b])
+            brackets[(a, b)] = [c[perm[t]] for t in range(n)]
+    return lc.lie_algebra([L.names[i] for i in perm], brackets, L.backend)
+
+
+def test_ideal_order_prefixes_span_ideals():
+    catalog = {"H3": (2, 0, 1), "F4": (3, 2, 0, 1), "S2": (1, 0), "A1": (0,), "Z3": (2, 0, 1)}
+    algebras = []
+    for name, want in catalog.items():
+        L = lab.fixture(name).rep.algebra
+        assert sp._ideal_order(L) == want, name
+        algebras.append(L)
+    rng = random.Random(23)
+    for name in ("H3", "F4", "S2"):
+        L = lab.fixture(name).rep.algebra
+        for _ in range(8):
+            perm = list(range(L.n))
+            rng.shuffle(perm)
+            algebras.append(permuted_algebra(L, perm))
+    for L in algebras:
+        order = sp._ideal_order(L)
+        assert sorted(order) == list(range(L.n)), (L.names, order)
+        for j in range(1, L.n + 1):
+            ideal = lc.span(L, [lc._basis_vector(L, i) for i in order[:j]])
+            assert lc.is_ideal(L, ideal), (L.names, order[:j])
+
+
+def skewed_h3_rep():
+    """H3 in the basis (x, y, w = x + z), where [x, y] = w - x and
+    [y, w] = x - w: no basis element spans an ideal."""
+    L = lc.lie_algebra(["x", "y", "w"], {(0, 1): [-1, 0, 1], (1, 2): [1, 0, -1]})
+    x, y, z = h3_rep().mats
+    return rp.Representation(L, 3, (x, y, x + z))
+
+
+def test_search_without_a_full_ideal_order_gives_the_intersected_leaves():
+    rng = random.Random(29)
+    skew = skewed_h3_rep()
+    L = skew.algebra
+    assert lc.validate_lie_algebra(L) == [] and rp.validate_representation(skew) == []
+    assert sp._ideal_order(L) == ()
+    none = rp.direct_sum(skew, rp.shift(skew, lc.Character(L, (gr(1), gr(-2), gr(1)))))
+    # with a central u acting by 2 on the H3 part and by 5 on one more line,
+    # only (u,) spans an ideal
+    Lu = lc.lie_algebra(["x", "y", "w", "u"], {(0, 1): [-1, 0, 1, 0], (1, 2): [1, 0, -1, 0]})
+
+    def pad(mat, c):
+        return [[mat.at(i, j) for j in range(3)] + [0] for i in range(3)] + [[0, 0, 0, c]]
+
+    partial = rp.representation(Lu, [pad(m, 0) for m in skew.mats] + [
+        [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 5]]])
+    assert rp.validate_representation(partial) == []
+    assert sp._ideal_order(Lu) == (3,)
+    # every rho(e_k) but the last scalar: basis order keeps the free-variable
+    # kernel basis vector of the last level, which is no echelon vector
+    scalar = rp.representation(lc.abelian_algebra(["a", "b"]), [[[0, 0], [0, 0]], [[1, 1], [1, 1]]])
+    conjugated = [rp.conjugate_representation(rep, lab.unimodular_matrix(rng, rep.m, EXACT))
+                  for rep in (none, partial)]
+    for rep in conjugated + [scalar]:
+        got = list(sp._joint_eigenvectors(rep, None))
+        want = intersected_leaves(rep)
+        assert len(got) > 1 and [lams for lams, _ in got] == [lams for lams, _ in want]
+        for (_, v), (_, w) in zip(got, want):
+            assert v.entries == w.entries
+    assert [w.entries for _, w in got] == [(gr(-1), gr(1)), (gr(1), gr(1))]
+
+
 def test_exact_eigencharacters_intersect_no_subspaces(monkeypatch):
     calls = {"intersect_subspaces": 0, "kernel_within": 0}
 
@@ -201,7 +274,19 @@ def test_exact_eigencharacters_intersect_no_subspaces(monkeypatch):
     for name in calls:
         monkeypatch.setattr(nm, name, counted(name))
     monkeypatch.setattr(sp, "kernel_within", nm.kernel_within)
-    sp.joint_eigencharacters(lab.random_nilpotent_rep(1, "F4", 8))
+    # an ideal-ordered search restricts each rho(e_k) to the joint eigenspace
+    # and takes kernels there: no kernel within a space, no intersection
+    rep = lab.random_nilpotent_rep(1, "F4", 8)
+    assert sp._ideal_order(rep.algebra) == (3, 2, 0, 1)
+    assert len(sp.joint_eigencharacters(rep)) > 1
+    assert calls == {"intersect_subspaces": 0, "kernel_within": 0}, calls
+    # with no ideal prefix the search keeps kernels within the space, and
+    # still intersects nothing
+    skew = skewed_h3_rep()
+    skew = rp.conjugate_representation(
+        rp.direct_sum(skew, rp.shift(skew, lc.Character(skew.algebra, (gr(1), gr(0), gr(1))))),
+        lab.unimodular_matrix(random.Random(5), 6, EXACT))
+    sp.joint_eigencharacters(skew)
     assert calls["intersect_subspaces"] == 0 and calls["kernel_within"] > 0, calls
     # the float search still intersects, and the count sees it
     sp.joint_eigencharacters(float_copy(h3_rep()))
@@ -280,16 +365,65 @@ def test_weight_candidates_need_solvable():
         sp.weight_candidates(rep)
 
 
+def restricted_node_dims(rep, first_leaf_only=False):
+    """The dimension of the joint eigenspace at every node of an
+    ideal-ordered search, in depth-first order, by subspace intersection."""
+    order, m = sp._ideal_order(rep.algebra), rep.m
+    assert len(order) == rep.algebra.n
+    dims = []
+
+    def descend(j, space):
+        if j == len(order):
+            return True
+        dims.append(space.cols)
+        mat = rep.mats[order[j]]
+        for lam, _ in nm.eigenvalues(mat):
+            kernel = nm.nullspace_basis(nm.sub_diagonal(mat, lam))
+            nxt = kernel if space.cols == m else nm.intersect_subspaces(space, kernel)
+            if nxt.cols and descend(j + 1, nxt) and first_leaf_only:
+                return True
+        return False
+
+    descend(0, nm.identity(m, rep.backend))
+    return dims
+
+
 @pytest.mark.parametrize("route", ["triangular_weights", "joint_eigencharacters"])
 def test_each_input_matrix_is_factored_once(monkeypatch, route):
-    # one search factors each rho(e_k) once; the quotients of the
-    # triangularization reuse the parent's eigenvalue multisets
+    # one full m x m factorization at level 0; every later one is the
+    # restriction of rho(e_k) to its node's joint eigenspace, s x s.  The
+    # quotients of the triangularization reuse the eigenvalue multisets of
+    # the whole matrices they share with their parent.
     rep = lab.random_nilpotent_rep(1, "F4", 8)
-    calls = []
-    honest = nm.char_poly
+    calls, searches = [], []
+    honest, honest_search = nm.char_poly, sp._joint_eigenvectors
+
+    def search(work, tol, *rest):
+        searches.append((work, len(calls)))
+        return honest_search(work, tol, *rest)
+
     monkeypatch.setattr(nm, "char_poly", lambda m: calls.append(m) or honest(m))
+    monkeypatch.setattr(sp, "_joint_eigenvectors", search)
     getattr(sp, route)(rep)
-    assert 0 < len(calls) <= rep.algebra.n
+    monkeypatch.undo()
+    assert calls[0] is rep.mats[sp._ideal_order(rep.algebra)[0]]
+    assert sum(m.rows == rep.m for m in calls) == 1
+    if route == "joint_eigencharacters":
+        assert [m.rows for m in calls] == restricted_node_dims(rep)
+        return
+    assert len(searches) == rep.m
+    whole = 0
+    for i, (work, start) in enumerate(searches):
+        stop = searches[i + 1][1] if i + 1 < len(searches) else len(calls)
+        sizes = [m.rows for m in calls[start:stop]]
+        whole += sum(size == work.m for size in sizes)
+        assert all(size <= work.m for size in sizes)
+        if work.m > 1:
+            # the nodes on the first leaf's path below the whole space
+            want = restricted_node_dims(work, first_leaf_only=True)
+            assert [s for s in sizes if s < work.m] == [d for d in want if d < work.m], i
+    # each whole rho(e_k) is factored at most once over all the quotients
+    assert whole <= rep.algebra.n
 
 
 def test_homology_support_nilpotent_is_zero():
