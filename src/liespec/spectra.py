@@ -307,7 +307,8 @@ def _joint_eigenvectors(
     nonzero module of a solvable algebra has a joint eigenvector, so
     finding none raises NotSolvable.
 
-    Exact input walks the basis in _ideal_order.  While the levels so far
+    Exact input, but for the scalar exception below, walks the basis in
+    _ideal_order.  While the levels so far
     span an ideal I, V is a joint eigenspace of I, hence rho(L)-invariant
     (Lie's invariance lemma), and V carries rows P on which it is the
     identity.  Such a level factors only R = (rho(e_k) V)[P, :], the
@@ -318,13 +319,15 @@ def _joint_eigenvectors(
     column leaves V as it is.  A leaf's vector is the first column of the
     canonical echelon basis of V.
 
-    Float input, exact levels past the ideal prefix, and exact input whose
-    rho(e_0), ..., rho(e_(n-2)) are all scalar keep basis order and branch
-    over the eigenvalues of the whole rho(e_k), taking its whole kernel
-    while V is still everything, else numeric.kernel_within.  A leaf's
-    vector is then the first column of V as found.  The scalar exception
-    keeps that vector when the last level is the only one that narrows V:
-    it is a free-variable kernel basis vector, not an echelon one.
+    The other levels branch over the eigenvalues of the whole rho(e_k) and
+    take its whole kernel while V is still everything, else
+    numeric.kernel_within: exact levels past the ideal prefix, which follow
+    it in basis order, and every level of float input and of exact input
+    whose rho(e_0), ..., rho(e_(n-2)) are all scalar.  With no
+    prefix a leaf's vector is the first column of V as found.  The scalar
+    exception keeps that vector when the last level is the only one that
+    narrows V: it is a free-variable kernel basis vector, not an echelon
+    one.
 
     multisets[k] is the eigenvalue multiset of the whole rep.mats[k], as
     the (value, multiplicity) runs of numeric.eigenvalues; an entry that is
