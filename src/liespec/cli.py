@@ -268,8 +268,20 @@ def cmd_info(args) -> Tuple[int, dict]:
     return 0, payload
 
 
-def cmd_koszul(args) -> Tuple[int, dict]:
+def _load_representation(args):
+    """The input, refused when rho is not a homomorphism: the Koszul
+    complexes of such input have d_(p-1) d_p != 0, so their Betti numbers
+    are not homology."""
     rep = _load_rep(args)
+    bad = validate_representation(rep, args.tol)
+    if bad:
+        pairs = ", ".join(f"({i}, {j})" for (i, j), _ in bad)
+        raise VerificationFailure(f"input is not a representation: homomorphism violation at {pairs}")
+    return rep
+
+
+def cmd_koszul(args) -> Tuple[int, dict]:
+    rep = _load_representation(args)
     f = None
     if args.shift is not None:
         n = rep.algebra.n
@@ -288,7 +300,7 @@ def cmd_koszul(args) -> Tuple[int, dict]:
 
 
 def cmd_spectrum(args) -> Tuple[int, dict]:
-    rep = _load_rep(args)
+    rep = _load_representation(args)
     try:
         kind = parse_kind(args.kind)
     except ValueError as e:

@@ -195,7 +195,7 @@ def _exact_differential(rep: Representation, ops, diag: Dict[Tuple[int, int], Sc
     denominators of the rho(e_l) forms and of the diagonal scalars."""
     m = rep.m
     forms = [zi_form(mat) for mat in rep.mats]
-    D = math.lcm(*[d for _, d in forms], *[q.denominator for c in diag.values() for q in (c.re, c.im)])
+    D = math.lcm(*[d for _, d in forms], *[c.d for c in diag.values()])
     zrows: List[Dict[int, Tuple[int, int]]] = [{} for _ in range(rows)]
     blocks: Dict[Tuple[int, int], List[List[Tuple[int, Tuple[int, int]]]]] = {}
     for ti, si, l, sign in ops:
@@ -211,7 +211,7 @@ def _exact_differential(rep: Representation, ops, diag: Dict[Tuple[int, int], Sc
             for b, v in row:
                 target[c0 + b] = v
     for (ti, si), c in diag.items():
-        ca, cb = c.re.numerator * (D // c.re.denominator), c.im.numerator * (D // c.im.denominator)
+        ca, cb = c.a * (D // c.d), c.b * (D // c.d)
         if not (ca or cb):
             continue
         for a in range(m):

@@ -2,7 +2,9 @@
 
 Two interchangeable backends:
 
-  * "exact"  -- Gaussian rationals (pairs of ``fractions.Fraction``).
+  * "exact"  -- Gaussian rationals, each held as three Python ints (a, b, d)
+    for (a + b*i) / d with d > 0 and gcd(a, b, d) = 1, normalised as the
+    Gaussian-integer form of a matrix (below) is.
     The characteristic polynomial of the matrix cleared to Gaussian
     integers comes from its power traces by Newton's identities, where
     every division is exact.  Its roots stay Gaussian integers until they
@@ -35,8 +37,9 @@ from __future__ import annotations
 
 import math
 import re as _re
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
+from numbers import Rational
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -66,56 +69,121 @@ class VerificationFailure(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
 class GaussianRational:
-    """Exact complex scalar a + b*i with rational a, b."""
+    """Exact complex scalar (a + b*i) / d, held as three Python ints with
+    d > 0 and gcd(a, b, d) == 1: the normalisation of a Z[i] row over its
+    denominator, so equal values have equal triples and == and hash compare
+    them.  Arithmetic takes one gcd per result.  Immutable; re and im are
+    read as Fractions, and the constructor takes ints or Fractions."""
 
-    re: Fraction
-    im: Fraction
+    __slots__ = ("a", "b", "d")
+
+    def __new__(cls, re: Union[int, Fraction], im: Union[int, Fraction]):
+        p, q = _num_den(re)
+        r, s = _num_den(im)
+        return _gr_over(p * s, r * q, q * s)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _gr_over, (self.a, self.b, self.d)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        d, f = self.d, other.d
+        if d == f:
+            return _gr_over(self.a + other.a, self.b + other.b, d)
+        return _gr_over(self.a * f + other.a * d, self.b * f + other.b * d, d * f)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        d, f = self.d, other.d
+        if d == f:
+            return _gr_over(self.a - other.a, self.b - other.b, d)
+        return _gr_over(self.a * f - other.a * d, self.b * f - other.b * d, d * f)
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _gr_triple(-self.a, -self.b, self.d)
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, e = self.a, self.b, other.a, other.b
+        return _gr_over(a * c - b * e, a * e + b * c, self.d * other.d)
 
     def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
-        n = other.re * other.re + other.im * other.im
+        # (a + bi)/d over (c + ei)/f is (a + bi)(c - ei) f / (d (c^2 + e^2))
+        c, e = other.a, other.b
+        n = c * c + e * e
         if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        a, b, f = self.a * other.d, self.b * other.d, self.d * n
+        return _gr_over(a * c + b * e, b * c - a * e, f)
+
+    def __eq__(self, other):
+        if other.__class__ is GaussianRational:
+            return self.a == other.a and self.b == other.b and self.d == other.d
+        return NotImplemented
 
     def __hash__(self) -> int:
-        # Fractions are in lowest terms with a positive denominator, so equal
-        # values have equal parts; cheaper than Fraction.__hash__
-        re, im = self.re, self.im
-        return hash((re.numerator, re.denominator, im.numerator, im.denominator))
+        return hash((self.a, self.b, self.d))
+
+    def __repr__(self) -> str:
+        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
 
     @property
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self.a or self.b)
 
     def to_complex(self) -> complex:
-        # the value of complex(re) + 1j * complex(im), signed zeros included:
-        # that sum turns an imaginary -0.0 into 0.0, and a real -0.0 into 0.0
-        # unless the imaginary part is negative
-        a, b = float(self.re), float(self.im)
+        # int true division rounds correctly, as float(Fraction) does; the
+        # value is complex(re) + 1j * complex(im), signed zeros included:
+        # that sum turns an imaginary -0.0 into 0.0, and a real -0.0 into
+        # 0.0 unless the imaginary part is negative
+        a, b = self.a / self.d, self.b / self.d
         return complex(a + 0.0 * b, b + 0.0)
 
     def __str__(self) -> str:
         return scalar_to_text(self)
+
+
+_new_object = object.__new__
+_set_a, _set_b, _set_d = (getattr(GaussianRational, f).__set__ for f in GaussianRational.__slots__)
+
+
+def _num_den(x: Union[int, Fraction]) -> Tuple[int, int]:
+    """(numerator, positive denominator) of an int or a Fraction; anything
+    else (a float, a string) is read through Fraction, as gr always did."""
+    if type(x) is not int:
+        if not isinstance(x, Rational):
+            x = Fraction(x)
+        return x.numerator, x.denominator
+    return x, 1
+
+
+def _gr_triple(a: int, b: int, d: int) -> GaussianRational:
+    """The scalar of a triple that is already normalised."""
+    x = _new_object(GaussianRational)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_d(x, d)
+    return x
+
+
+def _gr_over(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i) / d for d > 0, normalised with one gcd."""
+    g = math.gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _gr_triple(a, b, d)
 
 
 Scalar = Union[GaussianRational, complex]
@@ -124,12 +192,12 @@ Scalar = Union[GaussianRational, complex]
 # (value, multiplicity) runs in scalar_key order (see eigenvalues)
 EigenRuns = List[Tuple[Scalar, int]]
 
-GR_ZERO = GaussianRational(Fraction(0), Fraction(0))
-GR_ONE = GaussianRational(Fraction(1), Fraction(0))
+GR_ZERO = _gr_triple(0, 0, 1)
+GR_ONE = _gr_triple(1, 0, 1)
 
 
 def gr(re: Union[int, Fraction], im: Union[int, Fraction] = 0) -> GaussianRational:
-    return GaussianRational(Fraction(re), Fraction(im))
+    return GaussianRational(re, im)
 
 
 def sc_zero(backend: str) -> Scalar:
@@ -148,7 +216,7 @@ def make_scalar(value, backend: str) -> Scalar:
         if isinstance(value, (int, Fraction)):
             return gr(value)
         if isinstance(value, tuple) and len(value) == 2:
-            return gr(Fraction(value[0]), Fraction(value[1]))
+            return gr(value[0], value[1])
         raise TypeError(f"cannot build exact scalar from {value!r}")
     if isinstance(value, GaussianRational):
         return value.to_complex()
@@ -194,61 +262,73 @@ def sc_to_complex(x: Scalar) -> complex:
 # omitted, unit imaginary coefficients render as "i"/"-i", zero as "0".
 
 _FRAC = r"\d+(?:/\d+)?"
-# the lookahead keeps the real group from eating the imaginary coefficient
+# the lookahead keeps the real group from eating the imaginary coefficient,
+# or any leading part of it: "12i" is 12i, not 1 + 2i
 _SCALAR_RE = _re.compile(
-    rf"^(?P<re>[+-]?{_FRAC}(?!i))?(?P<im>[+-]?(?:{_FRAC})?i)?$"
+    rf"^(?P<re>[+-]?{_FRAC}(?![\d/i]))?(?P<im>[+-]?(?:{_FRAC})?i)?$"
 )
 
 
-def _frac_text(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+def _ratio_text(n: int, d: int) -> str:
+    """n / d in lowest terms, for d > 0; an integer drops the denominator."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def scalar_to_text(x: Scalar) -> str:
     if isinstance(x, complex):
         # float scalars are serialized as [re, im] pairs, not text
         return f"[{x.real!r}, {x.imag!r}]"
-    if x.is_zero:
+    a, b, d = x.a, x.b, x.d
+    if not (a or b):
         return "0"
     parts = []
-    if x.re != 0:
-        parts.append(_frac_text(x.re))
-    if x.im != 0:
-        if x.im == 1:
+    if a:
+        parts.append(_ratio_text(a, d))
+    if b:
+        if b == d:
             imtxt = "i"
-        elif x.im == -1:
+        elif b == -d:
             imtxt = "-i"
         else:
-            imtxt = _frac_text(x.im) + "i"
+            imtxt = _ratio_text(b, d) + "i"
         if parts and not imtxt.startswith("-"):
             imtxt = "+" + imtxt
         parts.append(imtxt)
     return "".join(parts)
 
 
+def _parse_ratio(text: str, part: str) -> Tuple[int, int]:
+    """(numerator, denominator) of a signed "n" or "n/m" matched by _FRAC."""
+    num, _, den = part.partition("/")
+    if not den:
+        return int(num), 1
+    q = int(den)
+    if q == 0:
+        raise ValueError(f"zero denominator in scalar text: {text!r}")
+    return int(num), q
+
+
 def scalar_from_text(text: str) -> GaussianRational:
-    """Parse the exact scalar syntax; raises ValueError on malformed input."""
+    """Parse the exact scalar syntax into the integer triple; raises
+    ValueError on malformed input."""
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError("empty scalar text")
     m = _SCALAR_RE.match(s)
     if m is None or (m.group("re") is None and m.group("im") is None):
         raise ValueError(f"malformed scalar text: {text!r}")
-    re_part = Fraction(0)
-    im_part = Fraction(0)
-    if m.group("re"):
-        re_part = Fraction(m.group("re"))
+    p, q = _parse_ratio(text, m.group("re")) if m.group("re") else (0, 1)
+    r, t = 0, 1
     if m.group("im"):
         body = m.group("im")[:-1]  # strip the trailing i
         if body in ("", "+"):
-            im_part = Fraction(1)
+            r = 1
         elif body == "-":
-            im_part = Fraction(-1)
+            r = -1
         else:
-            im_part = Fraction(body)
-    return GaussianRational(re_part, im_part)
+            r, t = _parse_ratio(text, body)
+    return _gr_over(p * t, r * q, q * t)
 
 
 def scalar_key(x: Scalar) -> Tuple[float, float]:
@@ -589,19 +669,8 @@ def _clear_denominators(values: Sequence[GaussianRational]) -> Tuple[List[Tuple[
     """(pairs, d) with values[k] == (pairs[k][0] + pairs[k][1]*i) / d, where d
     is the least common multiple of every denominator (so d and the pairs
     are coprime)."""
-    parts = [(x.re, x.im) for x in values]
-    d = math.lcm(*[q.denominator for pair in parts for q in pair])
-    return [(a.numerator * (d // a.denominator), b.numerator * (d // b.denominator))
-            for a, b in parts], d
-
-
-def _gr_over(a: int, b: int, d: int) -> GaussianRational:
-    """(a + b*i) / d with each part reduced once."""
-    if not (a or b):
-        return GR_ZERO
-    if d == 1:
-        return GaussianRational(Fraction(a), Fraction(b))
-    return GaussianRational(Fraction(a, d), Fraction(b, d))
+    d = math.lcm(*[x.d for x in values])
+    return [(x.a * (k := d // x.d), x.b * k) for x in values], d
 
 
 def zi_form(m: Matrix) -> ZiForm:
@@ -1174,6 +1243,13 @@ def _zi_deflate(p: List[Tuple[int, int]], x: Tuple[int, int], d: int) -> List[Tu
     return _zi_primitive(quo)
 
 
+def _round_div(n: int, d: int) -> int:
+    """n / d for d > 0 rounded to the nearest integer, ties to even, as
+    round(Fraction(n, d)) does."""
+    q, r = divmod(n, d)
+    return q + (2 * r > d or (2 * r == d and q & 1))
+
+
 def _newton_refined(q: List[Tuple[int, int]], root: ZiRoot) -> ZiRoot:
     """The candidate root x = n / d moved by exact Newton steps on the
     square-free q (so q' is nonzero at its roots), a*x rounded to Z[i] after
@@ -1191,7 +1267,7 @@ def _newton_refined(q: List[Tuple[int, int]], root: ZiRoot) -> ZiRoot:
         ha, hb = _zi_value(q, n, d)
         ua, ub = a * (n[0] * sa - n[1] * sb - ha), a * (n[0] * sb + n[1] * sa - hb)
         den = d * (sa * sa + sb * sb)
-        n = (round(Fraction(ua * sa + ub * sb, den)), round(Fraction(ub * sa - ua * sb, den)))
+        n = (_round_div(ua * sa + ub * sb, den), _round_div(ub * sa - ua * sb, den))
         d = a
         if _zi_value(q, n, d) == (0, 0):
             break

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from liespec import cli, lab, spectra
+from liespec import koszul as kz
 from liespec import lie_core as lc
 from liespec import representation as rp
 from liespec.cli import main
@@ -55,6 +56,32 @@ def test_validate_file_input(capsys, h3_file):
     code, out, _ = run(capsys, "validate", h3_file)
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_koszul_and_spectrum_refuse_input_that_is_not_a_representation(
+        capsys, monkeypatch, tmp_path, backend):
+    # rho(z) = 0 on H3: [rho(x), rho(y)] != rho(z), so the Koszul complex has
+    # d d != 0 at degrees 2 and 3 and its Betti numbers are not homology
+    obj = rep_to_json(lab.fixture("h3").rep)
+    obj["matrices"][2] = [["0"] * 3 for _ in range(3)]
+    path = tmp_path / "not_a_rep.json"
+    path.write_text(json.dumps(obj))
+    assert kz.validate_complex(kz.build_complex(rp.rep_from_json(obj))) == [2, 3]
+    want = "error: input is not a representation: homomorphism violation at (0, 1)\n"
+    for argv in (["koszul"], ["spectrum"], ["spectrum", "--route", "eigenchar"]):
+        assert run(capsys, *argv, str(path), "--backend", backend) == (1, "", want), argv
+    # report pays for no homomorphism check; on exact input its eigencharacter
+    # route refuses the same input
+    checks = []
+    honest = cli.validate_representation
+    monkeypatch.setattr(cli, "validate_representation",
+                        lambda *args: checks.append(1) or honest(*args))
+    code, out, err = run(capsys, "report", str(path), "--backend", backend)
+    if backend == "exact":
+        assert (code, out, err) == (1, "", "error: joint eigenspace is not invariant\n")
+    assert run(capsys, "report", "--fixture", "h3", "--backend", backend)[0] == 0
+    assert checks == []
 
 
 def test_truncated_json_exits_2(capsys, tmp_path):

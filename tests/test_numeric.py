@@ -5,7 +5,9 @@ and double-checked against the plain Fraction Gauss elimination oracle in
 _oracle_rank, which shares no code with the implementation.
 """
 
+import copy
 import math
+import pickle
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -1236,3 +1238,124 @@ def test_gaussian_rational_hash_agrees_with_equality():
     assert hash(GaussianRational(Fraction(-6, -4), Fraction(3, -9))) == hash(gr(Fraction(3, 2), Fraction(-1, 3)))
     assert hash(GaussianRational(1, 0)) == hash(gr(1))
     assert len({gr(Fraction(1, 2), 1), GaussianRational(Fraction(2, 4), Fraction(3, 3)), gr(1, Fraction(1, 2))}) == 2
+
+
+def _checked_triple(x):
+    """x, after checking it is held as ints (a, b, d) with d > 0 and gcd 1."""
+    assert type(x) is GaussianRational
+    assert all(type(v) is int for v in (x.a, x.b, x.d)), x
+    assert x.d > 0 and math.gcd(x.a, x.b, x.d) == 1, (x.a, x.b, x.d)
+    return x
+
+
+def _ref_text(re, im):
+    """The canonical text of re + im*i, written from the Fraction parts."""
+    def frac(q):
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    if re == 0 and im == 0:
+        return "0"
+    out = frac(re) if re != 0 else ""
+    if im != 0:
+        imtxt = {1: "i", -1: "-i"}.get(im) or frac(im) + "i"
+        out += imtxt if not out or imtxt.startswith("-") else "+" + imtxt
+    return out
+
+
+def test_gaussian_rational_matches_a_fraction_pair_reference():
+    import struct
+
+    def bits(z):
+        return struct.pack("<dd", z.real, z.imag)
+
+    rng = random.Random(24)
+
+    def part():
+        size = 10 ** rng.choice((1, 2, 25))
+        return Fraction(rng.randint(-size, size), rng.randint(1, size)) if rng.random() < 0.85 else Fraction(0)
+
+    zero_divisions = 0
+    for _ in range(1500):
+        p, q = (part(), part()), (part(), part())
+        x, y = _checked_triple(GaussianRational(*p)), _checked_triple(GaussianRational(*q))
+        assert (x.re, x.im) == p and (y.re, y.im) == q
+        results = [
+            (x + y, (p[0] + q[0], p[1] + q[1])),
+            (x - y, (p[0] - q[0], p[1] - q[1])),
+            (x * y, (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0])),
+            (-x, (-p[0], -p[1])),
+        ]
+        n = q[0] * q[0] + q[1] * q[1]
+        if n:
+            results.append((x / y, ((p[0] * q[0] + p[1] * q[1]) / n, (p[1] * q[0] - p[0] * q[1]) / n)))
+        else:
+            zero_divisions += 1
+            with pytest.raises(ZeroDivisionError):
+                x / y
+        for z, want in results + [(x, p)]:
+            _checked_triple(z)
+            assert (z.re, z.im) == want
+            # an equal value built from an unreduced triple, and from text
+            k = rng.randint(2, 50)
+            same = nm._gr_over(z.a * k, z.b * k, z.d * k)
+            assert same == z and hash(same) == hash(z) and same is not z
+            assert (z == GaussianRational(want[0] + 1, want[1])) is False
+            assert z.is_zero == (want == (0, 0))
+            text = scalar_to_text(z)
+            assert text == _ref_text(*want)
+            assert _checked_triple(scalar_from_text(text)) == z
+            assert bits(z.to_complex()) == bits(complex(want[0]) + 1j * complex(want[1]))
+        assert (x == y) == (p == q)
+    assert zero_divisions > 0
+    x = gr(Fraction(1, 2), -3)
+    for name in ("a", "b", "d", "re", "im"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert (x.a, x.b, x.d) == (1, -6, 2)
+    assert repr(x) == "GaussianRational(re=Fraction(1, 2), im=Fraction(-3, 1))"
+    assert pickle.loads(pickle.dumps(x)) == copy.deepcopy(x) == x
+
+
+def test_scalar_text_parses_into_the_triple_without_fractions(monkeypatch):
+    calls = []
+    honest = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__",
+                        staticmethod(lambda cls, *args, **kw: calls.append(args) or honest(cls, *args, **kw)))
+    cases = {"-6/4+10/-i": None, "4/6-8/12i": (2, -2, 3), "+12/8": (3, 0, 2), "-i": (0, -1, 1),
+             "0/7": (0, 0, 1), "5/5i": (0, 1, 1), "7": (7, 0, 1), "12i": (0, 12, 1),
+             "95/18i": (0, 95, 18), "-1/2+34/56i": (-14, 17, 28), "10/4-21/3i": (5, -14, 2)}
+    for text, triple in cases.items():
+        if triple is None:
+            with pytest.raises(ValueError):
+                scalar_from_text(text)
+            continue
+        x = _checked_triple(scalar_from_text(text))
+        assert (x.a, x.b, x.d) == triple, text
+    with pytest.raises(ValueError):
+        scalar_from_text("1/0")
+    assert calls == []
+
+
+def test_exact_routes_build_no_fraction(monkeypatch):
+    # every exact scalar of both spectrum routes and of the splitting
+    # homotopies is an integer triple: no Fraction is made on the way
+    from liespec import koszul as kz
+    from liespec import lab
+    from liespec import lie_core as lc
+    from liespec import spectra as sp
+
+    rep = lab.random_nilpotent_rep(2, "H3", 7)
+    outside = lc.character(rep.algebra, [7, 0, 0])
+    calls = []
+    honest = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__",
+                        staticmethod(lambda cls, *args, **kw: calls.append(args) or honest(cls, *args, **kw)))
+    taylor = sp.all_spectra(rep)["taylor"]
+    pairs = sp.joint_eigencharacters(rep)
+    homotopies = [kz.splitting_homotopy(rep, outside, p) for p in range(rep.algebra.n + 1)]
+    assert calls == []
+    assert taylor.members and len(pairs) == len(taylor.members) and len(homotopies) == 4
+    assert outside.coeffs not in taylor.member_coeffs
+    Fraction(1, 2)
+    assert calls == [(1, 2)]
