@@ -144,7 +144,7 @@ class GaussianRational:
         return not (self.a or self.b)
 
     def to_complex(self) -> complex:
-        # int true division rounds correctly, as float(Fraction) does; the
+        # int true division rounds correctly, as float(Fraction) does.  The
         # value is complex(re) + 1j * complex(im), signed zeros included:
         # that sum turns an imaginary -0.0 into 0.0, and a real -0.0 into
         # 0.0 unless the imaginary part is negative
@@ -551,7 +551,7 @@ def sub_diagonal(m: Matrix, lam: Scalar) -> Matrix:
     n = m.rows
     if m.backend == EXACT:
         zrows, d = zi_form(m)
-        ((xa, xb),), e = _clear_denominators([lam])
+        xa, xb, e = lam.a, lam.b, lam.d
         out = []
         for i, row in enumerate(zrows):
             new = {j: (a * e, b * e) for j, (a, b) in row.items() if j != i}

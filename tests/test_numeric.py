@@ -1359,3 +1359,11 @@ def test_exact_routes_build_no_fraction(monkeypatch):
     assert outside.coeffs not in taylor.member_coeffs
     Fraction(1, 2)
     assert calls == [(1, 2)]
+
+
+def test_round_div_rounds_half_to_even_as_round_of_a_fraction():
+    rng = random.Random(7)
+    cases = [(n, d) for d in (1, 2, 3, 4, 10) for n in range(-25, 26)]
+    cases += [(rng.randint(-10 ** 40, 10 ** 40), rng.randint(1, 10 ** 20)) for _ in range(500)]
+    for n, d in cases:
+        assert nm._round_div(n, d) == round(Fraction(n, d)), (n, d)
