@@ -550,6 +550,16 @@ def test_seeded_exact_output_matches_golden(capsys, tmp_path, command, base, m, 
                    command, str(path), "--backend", "exact")
 
 
+@pytest.mark.parametrize("index, name", [(0, "none"), (1, "partial")])
+def test_witnesses_of_bases_without_a_full_ideal_order_match_golden(capsys, tmp_path, index, name):
+    from test_spectra import no_ideal_order_reps
+
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(rep_to_json(no_ideal_order_reps()[index])))
+    _assert_golden(capsys, f"eigenchars_skewed_h3_{name}_exact.json",
+                   "eigenchars", str(path), "--backend", "exact")
+
+
 # --- float backend: known failures on seeded nilpotent input ----------------------
 # Each answers correctly on the exact backend; strict, so a fix shows up as XPASS.
 

@@ -228,15 +228,14 @@ def skewed_h3_rep():
     return rp.Representation(L, 3, (x, y, x + z))
 
 
-def test_search_without_a_full_ideal_order_gives_the_intersected_leaves():
+def no_ideal_order_reps():
+    """(none, partial): conjugated sums over skewed H3, whose basis has no
+    ideal prefix, and over skewed H3 plus a central u, where only (u,) spans
+    an ideal."""
     rng = random.Random(29)
     skew = skewed_h3_rep()
-    L = skew.algebra
-    assert lc.validate_lie_algebra(L) == [] and rp.validate_representation(skew) == []
-    assert sp._ideal_order(L) == ()
-    none = rp.direct_sum(skew, rp.shift(skew, lc.Character(L, (gr(1), gr(-2), gr(1)))))
-    # with a central u acting by 2 on the H3 part and by 5 on one more line,
-    # only (u,) spans an ideal
+    none = rp.direct_sum(skew, rp.shift(skew, lc.Character(skew.algebra, (gr(1), gr(-2), gr(1)))))
+    # u acts by 2 on the H3 part and by 5 on one more line
     Lu = lc.lie_algebra(["x", "y", "w", "u"], {(0, 1): [-1, 0, 1, 0], (1, 2): [1, 0, -1, 0]})
 
     def pad(mat, c):
@@ -244,14 +243,20 @@ def test_search_without_a_full_ideal_order_gives_the_intersected_leaves():
 
     partial = rp.representation(Lu, [pad(m, 0) for m in skew.mats] + [
         [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 5]]])
-    assert rp.validate_representation(partial) == []
-    assert sp._ideal_order(Lu) == (3,)
-    # every rho(e_k) but the last scalar: basis order keeps the free-variable
+    return tuple(rp.conjugate_representation(rep, lab.unimodular_matrix(rng, rep.m, EXACT))
+                 for rep in (none, partial))
+
+
+def test_search_without_a_full_ideal_order_gives_the_intersected_leaves():
+    skew = skewed_h3_rep()
+    assert lc.validate_lie_algebra(skew.algebra) == [] and rp.validate_representation(skew) == []
+    conjugated = no_ideal_order_reps()
+    assert [sp._ideal_order(rep.algebra) for rep in conjugated] == [(), (3,)]
+    assert all(rp.validate_representation(rep) == [] for rep in conjugated)
+    # every rho(e_k) but the last scalar: the leaf keeps the free-variable
     # kernel basis vector of the last level, which is no echelon vector
     scalar = rp.representation(lc.abelian_algebra(["a", "b"]), [[[0, 0], [0, 0]], [[1, 1], [1, 1]]])
-    conjugated = [rp.conjugate_representation(rep, lab.unimodular_matrix(rng, rep.m, EXACT))
-                  for rep in (none, partial)]
-    for rep in conjugated + [scalar]:
+    for rep in list(conjugated) + [scalar]:
         got = list(sp._joint_eigenvectors(rep, None))
         want = intersected_leaves(rep)
         assert len(got) > 1 and [lams for lams, _ in got] == [lams for lams, _ in want]
