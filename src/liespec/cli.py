@@ -326,7 +326,7 @@ def cmd_spectrum(args) -> Tuple[int, dict]:
 
 
 def cmd_eigenchars(args) -> Tuple[int, dict]:
-    rep = _load_rep(args)
+    rep = _load_representation(args)
     pairs = joint_eigencharacters(rep, args.tol)
     payload = {
         "eigencharacters": [_coeffs_json(f.coeffs) for f, _ in pairs],
@@ -338,7 +338,7 @@ def cmd_eigenchars(args) -> Tuple[int, dict]:
 
 
 def cmd_crossval(args) -> Tuple[int, dict]:
-    rep = _load_rep(args)
+    rep = _load_representation(args)
     cv = cross_validate(rep, tol=args.tol)
     payload = {
         "nilpotent": cv.nilpotent,
@@ -376,7 +376,7 @@ def _resolve_ideal(args, rep) -> Subspace:
 
 
 def cmd_project(args) -> Tuple[int, dict]:
-    rep = _load_rep(args)
+    rep = _load_representation(args)
     ideal = _resolve_ideal(args, rep)
     try:
         report = projection_check(rep, ideal, args.kind, tol=args.tol)

@@ -345,7 +345,9 @@ def scalar_to_json(x: Scalar):
 
 
 def scalar_from_json(value, backend: str) -> Scalar:
-    """Accepts canonical text, plain numbers, or [re, im] pairs."""
+    """Accepts canonical text, plain numbers, or [re, im] pairs.  JSON
+    Infinity, -Infinity, NaN and overflowing numbers such as 1e400 load as
+    non-finite floats and are refused on both backends."""
     if isinstance(value, str):
         g = scalar_from_text(value)
         return g if backend == EXACT else g.to_complex()
@@ -353,6 +355,9 @@ def scalar_from_json(value, backend: str) -> Scalar:
         raise ValueError(f"not a scalar: {value!r}")
     if isinstance(value, int):
         return make_scalar(value, backend)
+    parts = value if isinstance(value, (list, tuple)) else (value,)
+    if any(isinstance(part, float) and not math.isfinite(part) for part in parts):
+        raise ValueError(f"not a finite number: {value!r}")
     if isinstance(value, float):
         if backend == EXACT:
             if value != int(value):
@@ -973,21 +978,6 @@ def intersect_subspaces(a: Matrix, b: Matrix, tol: Optional[float] = None) -> Ma
     times the top a.cols rows of that kernel spans the intersection."""
     kernel = nullspace_basis(hstack([a, -b]), tol)
     return _column_echelon(a * submatrix(kernel, range(a.cols), range(kernel.cols)), tol)
-
-
-def kernel_within(m: Matrix, space: Matrix, tol: Optional[float] = None) -> Matrix:
-    """Basis of {v in the column span of space : m v == 0}, as the columns
-    of one matrix: the same canonical echelon basis as
-    intersect_subspaces(space, nullspace_basis(m)).  An exact result is
-    spanned by space times a kernel of m * space; the columns of that
-    product are reduced in Z[i] and the result is built from its form.  A
-    float result is that intersection itself.  The joint eigenvector search
-    calls it where the space need not be invariant under m: on float input,
-    and on exact levels past its ideal order (an invariant space restricts
-    m instead)."""
-    if m.backend != EXACT:
-        return intersect_subspaces(space, nullspace_basis(m, tol), tol)
-    return _column_echelon(space * nullspace_basis(m * space), tol)
 
 
 def _column_echelon(m: Matrix, tol: Optional[float]) -> Matrix:

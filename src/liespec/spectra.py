@@ -13,14 +13,14 @@ Two independent routes:
     restriction to an ideal, and compares each distinct projection once;
   * eigencharacter route: enumerate joint eigenvectors directly, narrowing
     a joint eigenspace V level by level to the kernel of rho(e_k) - lam
-    within V.  Exact input takes the basis in an ideal order, each prefix
-    spanning an ideal, so V is rho(L)-invariant (Lie's invariance lemma)
-    and each level factors and takes kernels of rho(e_k) restricted to V,
-    a dim V x dim V matrix, after checking the invariance.  Float input,
-    and exact levels past the longest such prefix, take the kernel within
-    V (numeric.kernel_within) of the whole rho(e_k) - lam.  For nilpotent
-    algebras the two routes agree; for merely solvable ones they can
-    differ, and cross_validate reports how.
+    within V.  Exact input takes the basis in an ideal order.  While the
+    levels so far span an ideal, V is rho(L)-invariant (Lie's invariance
+    lemma), and a level factors and takes kernels of rho(e_k) restricted
+    to V, a dim V x dim V matrix, after checking the invariance; past the
+    longest such prefix a level takes the kernel of (rho(e_k) - lam) V.
+    Float input intersects V with the whole kernel of rho(e_k) - lam.  For
+    nilpotent algebras the two routes agree; for merely solvable ones they
+    can differ, and cross_validate reports how.
 
 The candidate set is {w - g} where w runs over the triangularization
 weights of rho and g over the homology support of the algebra's
@@ -69,8 +69,8 @@ from .numeric import (
     eigenvalues,
     hstack,
     identity,
+    intersect_subspaces,
     inverse,
-    kernel_within,
     nullspace_basis,
     sc_abs,
     sc_is_zero,
@@ -293,6 +293,19 @@ def _is_scalar(mat: Matrix) -> bool:
     return all(row == ({} if c is None else {i: c}) for i, row in enumerate(zrows))
 
 
+def _restricted(mat: Matrix, space: Matrix, rows: Sequence[int], what: str) -> Matrix:
+    """R = the rows `rows` of mat * space, for an exact basis space that is
+    the identity on those rows: the restriction of mat to the column span
+    of space, the one solution of space R == mat space when there is one.
+    That equation is checked; a failure raises VerificationFailure saying
+    that `what` is not invariant."""
+    moved = mat * space
+    restricted = submatrix(moved, rows, range(space.cols))
+    if space * restricted != moved:
+        raise VerificationFailure(f"{what} is not invariant")
+    return restricted
+
+
 def _joint_eigenvectors(
     rep: Representation,
     tol: Optional[float],
@@ -307,27 +320,24 @@ def _joint_eigenvectors(
     nonzero module of a solvable algebra has a joint eigenvector, so
     finding none raises NotSolvable.
 
-    Exact input, but for the scalar exception below, walks the basis in
-    _ideal_order.  While the levels so far
-    span an ideal I, V is a joint eigenspace of I, hence rho(L)-invariant
-    (Lie's invariance lemma), and V carries rows P on which it is the
-    identity.  Such a level factors only R = (rho(e_k) V)[P, :], the
-    restriction of rho(e_k) to V, checked as V R == rho(e_k) V (a failure
-    raises VerificationFailure), branches over the eigenvalues of R, and
-    moves to V K, K the kernel of R - lam, with rows P[F] for the free rows
-    F of K.  While V is everything R is rho(e_k) itself, and a K with every
-    column leaves V as it is.  A leaf's vector is the first column of the
-    canonical echelon basis of V.
+    Exact input walks the basis in _ideal_order, the longest prefix that
+    spans ideals first, and V carries rows P on which it is the identity.
+    While the levels so far span an ideal I, V is a joint eigenspace of I,
+    hence rho(L)-invariant (Lie's invariance lemma), so a prefix level with
+    V not yet everything branches over the eigenvalues of R =
+    _restricted(rho(e_k), V, P), a dim V x dim V matrix, and takes K, the
+    kernel of R - lam.  Every other level branches over the eigenvalues of
+    the whole rho(e_k) and takes K, the kernel of (rho(e_k) - lam) V, or of
+    rho(e_k) - lam while V is everything.  Either way V moves to V K, with
+    rows P[F] for the free rows F of K; a K with every column leaves V as it
+    is.  A leaf's vector is the first column of the canonical echelon basis
+    of V, unless rho(e_0), ..., rho(e_(n-2)) are all scalar: then only one
+    level narrows V, from everything, and the leaf keeps the first column
+    of that free-variable kernel basis.
 
-    The other levels branch over the eigenvalues of the whole rho(e_k) and
-    take its whole kernel while V is still everything, else
-    numeric.kernel_within: exact levels past the ideal prefix, which follow
-    it in basis order, and every level of float input and of exact input
-    whose rho(e_0), ..., rho(e_(n-2)) are all scalar.  With no
-    prefix a leaf's vector is the first column of V as found.  The scalar
-    exception keeps that vector when the last level is the only one that
-    narrows V: it is a free-variable kernel basis vector, not an echelon
-    one.
+    Float input walks the basis in order, takes the whole kernel of
+    rho(e_k) - lam intersected with V, and reads a leaf's vector off V as
+    found.
 
     multisets[k] is the eigenvalue multiset of the whole rep.mats[k], as
     the (value, multiplicity) runs of numeric.eigenvalues; an entry that is
@@ -340,11 +350,11 @@ def _joint_eigenvectors(
         return
     if multisets is None:
         multisets = [None] * L.n
-    prefix: Tuple[int, ...] = ()
-    if rep.backend == EXACT and not all(_is_scalar(rep.mats[k]) for k in range(L.n - 1)):
-        prefix = _ideal_order(L)
+    exact = rep.backend == EXACT
+    prefix = _ideal_order(L) if exact else ()
     order = prefix + tuple(k for k in range(L.n) if k not in prefix)
     position = [order.index(k) for k in range(L.n)]
+    echelon_leaf = exact and not all(_is_scalar(rep.mats[k]) for k in range(L.n - 1))
 
     def whole_runs(k: int) -> EigenRuns:
         if multisets[k] is None:
@@ -355,33 +365,28 @@ def _joint_eigenvectors(
         if not space.cols:
             return
         if j == L.n:
-            if prefix and space.cols < m:
+            if echelon_leaf and space.cols < m:
                 space = _column_echelon(space, tol)
             yield tuple(lams[p] for p in position), submatrix(space, range(m), range(1))
             return
         k = order[j]
         mat = rep.mats[k]
-        if j >= len(prefix):
+        if not exact:
             for lam, _ in whole_runs(k):
-                shifted = sub_diagonal(mat, lam)
-                # the kernel of rho(e_k) - lam, restricted unless space is still everything
-                if space.cols == m:
-                    nxt = nullspace_basis(shifted, tol)
-                else:
-                    nxt = kernel_within(shifted, space, tol)
+                nxt = nullspace_basis(sub_diagonal(mat, lam), tol)
+                if space.cols < m:
+                    nxt = intersect_subspaces(space, nxt, tol)
                 yield from descend(j + 1, nxt, rows, lams + (lam,))
             return
-        if space.cols == m:
-            restricted, runs = mat, whole_runs(k)
-        else:
-            moved = mat * space
-            restricted = submatrix(moved, rows, range(space.cols))
-            if space * restricted != moved:
-                raise VerificationFailure("joint eigenspace is not invariant")
-            runs = eigenvalues(restricted)
-        for lam, _ in runs:
-            kernel, free = _kernel_with_free_rows(sub_diagonal(restricted, lam))
-            if kernel.cols == restricted.cols:
+        restrict = j < len(prefix) and space.cols < m
+        if restrict:
+            mat = _restricted(mat, space, rows, "joint eigenspace")
+        for lam, _ in eigenvalues(mat) if restrict else whole_runs(k):
+            shifted = sub_diagonal(mat, lam)
+            if not restrict and space.cols < m:
+                shifted = shifted * space
+            kernel, free = _kernel_with_free_rows(shifted)
+            if kernel.cols == space.cols:
                 yield from descend(j + 1, space, rows, lams + (lam,))
             elif space.cols == m:
                 yield from descend(j + 1, kernel, free, lams + (lam,))
@@ -535,14 +540,9 @@ def weight_blocks(rep: Representation) -> List[Tuple[Vector, Representation]]:
                         f"generalized eigenspace of dimension {v.cols} for an "
                         f"eigenvalue of multiplicity {mu}"
                     )
-                mats = []
-                for other in block.mats:
-                    moved = other * v
-                    restricted = submatrix(moved, free, range(mu))
-                    if v * restricted != moved:
-                        raise VerificationFailure("generalized weight space is not invariant")
-                    mats.append(restricted)
-                split.append((w + (lam,), Representation(block.algebra, mu, tuple(mats))))
+                mats = tuple(_restricted(other, v, free, "generalized weight space")
+                             for other in block.mats)
+                split.append((w + (lam,), Representation(block.algebra, mu, mats)))
         blocks = split
     return blocks
 

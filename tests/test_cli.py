@@ -69,7 +69,8 @@ def test_koszul_and_spectrum_refuse_input_that_is_not_a_representation(
     path.write_text(json.dumps(obj))
     assert kz.validate_complex(kz.build_complex(rp.rep_from_json(obj))) == [2, 3]
     want = "error: input is not a representation: homomorphism violation at (0, 1)\n"
-    for argv in (["koszul"], ["spectrum"], ["spectrum", "--route", "eigenchar"]):
+    for argv in (["koszul"], ["spectrum"], ["spectrum", "--route", "eigenchar"],
+                 ["eigenchars"], ["crossval"], ["project", "--chain", "1"]):
         assert run(capsys, *argv, str(path), "--backend", backend) == (1, "", want), argv
     # report pays for no homomorphism check; on exact input its eigencharacter
     # route refuses the same input
@@ -101,6 +102,23 @@ def test_schema_error_names_offending_path(capsys, tmp_path):
     code, _, err = run(capsys, "validate", str(path))
     assert code == 2
     assert "matrices[1]" in err
+
+
+@pytest.mark.parametrize("where", ["representation.matrices[0][0]", "algebra.brackets[0].coeffs"])
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN", "1e400", "[0, -Infinity]"])
+def test_non_finite_number_exits_2_naming_its_path(capsys, tmp_path, where, backend, value):
+    # json.load takes these as float infinities and NaN
+    obj = rep_to_json(lab.fixture("h3").rep)
+    if where.startswith("representation"):
+        obj["matrices"][0][0][1] = "@"
+    else:
+        obj["algebra"]["brackets"][0]["coeffs"][2] = "@"
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(obj).replace('"@"', value))
+    code, out, err = run(capsys, "report", str(path), "--backend", backend)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: {where}: not a finite number: "), err
 
 
 def test_missing_input_exits_2(capsys):

@@ -996,14 +996,6 @@ def _ref_generalized_inverse(x, rows, cols):
     return out
 
 
-def _ref_kernel_within(y, x, rows, cols):
-    """The reduced echelon basis, as columns, of the span of x's columns
-    intersected with the kernel of y: spanned by x times a kernel of y x."""
-    kernel = _ref_nullspace(_ref_mul(y, x, rows, cols), cols)
-    span = _ref_mul(x, _ref_transpose(kernel, cols), cols, len(kernel))
-    return _ref_transpose(_ref_rref(_ref_transpose(span, len(kernel)), rows)[0], rows)
-
-
 def test_exact_form_matches_entries_for_every_producer():
     from liespec import koszul as kz
     from liespec import lab
@@ -1030,7 +1022,6 @@ def test_exact_form_matches_entries_for_every_producer():
             _check_form(nm.sub_diagonal(m, gr(*lam)),
                         [[_c_sub(e, lam) if i == j else e for j, e in enumerate(r)]
                          for i, r in enumerate(x)])
-        _check_form(nm.kernel_within(y, m), _ref_kernel_within(yx, x, rows, cols))
         # equal matrices built different ways compare and hash equal
         same = m * identity(cols, EXACT)
         assert same == m and hash(same) == hash(m)
@@ -1092,32 +1083,6 @@ def test_exact_equality_and_hash_are_equality_of_entries():
             assert (p == q) is same and (p != q) is not same, (p, q)
             assert not same or hash(p) == hash(q), (p, q)
     assert sum(p == q for p in pool for q in pool) < len(pool) ** 2 / 4
-
-
-def test_kernel_within_matches_intersecting_with_the_kernel():
-    rng = random.Random(123)
-    empty = whole = 0
-    for t, (_, kind, n, r, x) in enumerate(_cases(19, 300)):
-        space = _to_exact(x, r)
-        rows = rng.randint(0, 5)
-        if t % 4 == 0:  # m vanishes on the space, or on a kernel of its own
-            m = _to_exact(_rand(rng, rows, n, "zero"), n)
-        else:
-            make = _rand_deficient if t % 4 == 1 else _rand
-            m = _to_exact(make(rng, rows, n, _KINDS[(t // 5) % len(_KINDS)]), n)
-            if t % 4 == 3:
-                space = nm.nullspace_basis(m)
-        for mm, ss in ((m.to_float(), space.to_float()), (m, space)):
-            got = nm.kernel_within(mm, ss)
-            want = nm.intersect_subspaces(ss, nm.nullspace_basis(mm))
-            assert (got.rows, got.cols, got.backend) == (want.rows, want.cols, want.backend)
-            assert _entrywise(got) == _entrywise(want), (kind, m, space)
-        span = nm.rank(space)  # the exact result is the last one checked
-        empty += span > 0 and got.cols == 0
-        whole += span > 0 and got.cols == span
-    assert empty >= 10 and whole >= 60, (empty, whole)
-    with pytest.raises(nm.VerificationFailure):
-        nm.kernel_within(exact_mat([[1, 2]]), exact_mat([[1], [0], [0]]))
 
 
 def test_exact_product_clears_each_operand_once(monkeypatch):

@@ -266,7 +266,7 @@ def test_search_without_a_full_ideal_order_gives_the_intersected_leaves():
 
 
 def test_exact_eigencharacters_intersect_no_subspaces(monkeypatch):
-    calls = {"intersect_subspaces": 0, "kernel_within": 0}
+    calls = {"intersect_subspaces": 0, "_column_echelon": 0}
 
     def counted(name):
         honest = getattr(nm, name)
@@ -276,23 +276,18 @@ def test_exact_eigencharacters_intersect_no_subspaces(monkeypatch):
             return honest(*args)
         return call
 
-    for name in calls:
+    for name in calls:  # watched through the numeric and the spectra binding
         monkeypatch.setattr(nm, name, counted(name))
-    monkeypatch.setattr(sp, "kernel_within", nm.kernel_within)
-    # an ideal-ordered search restricts each rho(e_k) to the joint eigenspace
-    # and takes kernels there: no kernel within a space, no intersection
+        monkeypatch.setattr(sp, name, getattr(nm, name))
+    # restricted levels on an ideal prefix, product kernels past it: no
+    # intersection, and no echelon pass but the one that reads a leaf
     rep = lab.random_nilpotent_rep(1, "F4", 8)
     assert sp._ideal_order(rep.algebra) == (3, 2, 0, 1)
-    assert len(sp.joint_eigencharacters(rep)) > 1
-    assert calls == {"intersect_subspaces": 0, "kernel_within": 0}, calls
-    # with no ideal prefix the search keeps kernels within the space, and
-    # still intersects nothing
-    skew = skewed_h3_rep()
-    skew = rp.conjugate_representation(
-        rp.direct_sum(skew, rp.shift(skew, lc.Character(skew.algebra, (gr(1), gr(0), gr(1))))),
-        lab.unimodular_matrix(random.Random(5), 6, EXACT))
-    sp.joint_eigencharacters(skew)
-    assert calls["intersect_subspaces"] == 0 and calls["kernel_within"] > 0, calls
+    for rep in (rep,) + no_ideal_order_reps():
+        calls.update(intersect_subspaces=0, _column_echelon=0)
+        leaves = len(list(sp._joint_eigenvectors(rep, None)))
+        assert leaves > 1 and calls["intersect_subspaces"] == 0, calls
+        assert calls["_column_echelon"] <= leaves, (calls, leaves)
     # the float search still intersects, and the count sees it
     sp.joint_eigencharacters(float_copy(h3_rep()))
     assert calls["intersect_subspaces"] > 0, calls
@@ -300,7 +295,7 @@ def test_exact_eigencharacters_intersect_no_subspaces(monkeypatch):
 
 def test_exact_routes_fill_the_entries_of_the_returned_witnesses_only(monkeypatch):
     # Every exact intermediate (the products and generalized inverses of
-    # weight_blocks, the kernel_within and sub_diagonal results) is read
+    # weight_blocks, the search's kernels and sub_diagonal results) is read
     # through its Z[i] form alone; only the witnesses handed to the caller
     # are turned into Gaussian rationals, and only once something reads them.
     rep = lab.random_nilpotent_rep(3, "F4", 6)
