@@ -16,8 +16,10 @@ repeated-index terms.  These conventions make d o d = 0 an identity, which
 validate_complex checks explicitly.
 
 The differential is affine in the shift f, with E_(l,p) the signed operator
-terms and B_p the bracket scalars, both fixed by the algebra and p alone:
+terms and B_p the bracket scalars, matrices fixed by the algebra and p alone:
     d_p(rho - f) = sum_l E_(l,p) (x) rho(e_l) + (B_p - sum_l f_l E_(l,p)) (x) I_m.
+_differential hands these terms to numeric.kron_sum as they stand, B_p (x) I_m
+and each -f_l E_(l,p) (x) I_m being one term.
 
 Homotopies.  For x = e_k, iota_q = W_q (x) I_m with W_q = e_k ^ . (left
 wedge), and theta_q = A_q (x) I_m + I (x) T with A_q = ad(e_k) acting as a
@@ -25,8 +27,8 @@ derivation of the q-th exterior power and T = rho(e_k) - f_k I, Cartan's
 formula (Chevalley-Eilenberg 1948) reads d_(q+1) iota_q + iota_(q-1) d_q =
 theta_q.  theta commutes with d and iota; for nilpotent L each A_q is
 nilpotent, so when T is invertible h_q = theta_(q+1)^-1 iota_q = sum_j (-1)^j
-(A^j W_q) (x) T^-(j+1) is a finite series and a contracting homotopy.
-splitting_homotopy uses it for the first such k on exact input of a
+(A^j W_q) (x) T^-(j+1) is a finite series and a contracting homotopy,
+again one kron_sum.  splitting_homotopy uses it for the first such k on exact input of a
 nilpotent algebra, and complex_splitting eliminates otherwise (every T
 singular, as at a member shift; float input; L not nilpotent).
 """
@@ -37,7 +39,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .lie_core import Character, LieAlgebra, NotACharacter, NotNilpotent, is_character, is_nilpotent
 from .numeric import (
@@ -46,7 +48,9 @@ from .numeric import (
     Scalar,
     VerificationFailure,
     generalized_inverse,
+    identity,
     identity_minus_product,
+    kron_sum,
     matrix_from_rows,
     rank,
     sc_is_zero,
@@ -55,8 +59,6 @@ from .numeric import (
     sub_diagonal,
     zero_threshold,
     zeros,
-    zi_form,
-    zi_matrix,
 )
 from .representation import Representation
 
@@ -117,40 +119,29 @@ class BettiVector:
         return sum(self.h)
 
 
-def _wedge_insert(t: int, rest: Tuple[int, ...]) -> Optional[Tuple[int, Tuple[int, ...]]]:
-    """e_t ^ e_rest -> (sign exponent, sorted subset), None if t repeats."""
-    if t in rest:
-        return None
-    smaller = sum(1 for u in rest if u < t)
-    merged = tuple(sorted(rest + (t,)))
-    return smaller, merged
-
-
 @lru_cache(maxsize=256)
-def _differential_pattern(L: LieAlgebra, p: int):
-    """Block pattern of d_p for every representation and shift: (dst block, src
-    block, l, +-1) per operator term, (dst block, src block, B_p scalar)."""
-    dst_index = {s: i for i, s in enumerate(exterior_basis(L.n, p - 1))}
+def _differential_pattern(L: LieAlgebra, p: int) -> Tuple[Tuple[Matrix, ...], Matrix]:
+    """(E_(0,p), ..., E_(n-1,p)), B_p: the matrices of the module docstring,
+    dim Lambda^(p-1) x dim Lambda^p, fixed by the algebra and p alone.
+    E_(l,p) contracts e_l^*: e_S goes to (-1)^i e_(S - l), for l at place i
+    of S counted from 0.  The bracket terms remove the s-th and then the u-th
+    element and put [e_s, e_u] in front: B_p = sum_(s<u) sum_t [e_s, e_u]_t
+    E_(t,p-1)^T E_(u,p-1) E_(s,p)."""
+    dst, src = exterior_basis(L.n, p - 1), exterior_basis(L.n, p)
+    index = {S: i for i, S in enumerate(dst)}
+    zero, one, unit = sc_zero(L.backend), sc_one(L.backend), identity(1, L.backend)
     ops = []
-    brackets: Dict[Tuple[int, int], Scalar] = {}
-    for si, S in enumerate(exterior_basis(L.n, p)):
-        # operator terms: remove the k-th index (k counted from 1)
-        for k_pos, l in enumerate(S):
-            ops.append((dst_index[S[:k_pos] + S[k_pos + 1 :]], si, l, 1 - 2 * (k_pos % 2)))
-        # bracket terms: remove positions i < j, prepend [l_i, l_j]
-        for i_pos in range(len(S)):
-            for j_pos in range(i_pos + 1, len(S)):
-                rest = tuple(x for t, x in enumerate(S) if t not in (i_pos, j_pos))
-                for t, c in enumerate(L.structure(S[i_pos], S[j_pos])):
-                    ins = _wedge_insert(t, rest)
-                    if ins is None or sc_is_zero(c):
-                        continue
-                    exp, merged = ins
-                    # (-1)^(i+j-1) with 1-based positions, times the wedge parity
-                    term = c if (i_pos + j_pos + 1 + exp) % 2 == 0 else -c
-                    key = (dst_index[merged], si)
-                    brackets[key] = brackets[key] + term if key in brackets else term
-    return tuple(ops), tuple((ti, si, c) for (ti, si), c in brackets.items() if not sc_is_zero(c))
+    for l in range(L.n):
+        rows = [[zero] * len(src) for _ in dst]
+        for si, S in enumerate(src):
+            if l in S:
+                rows[index[tuple(x for x in S if x != l)]][si] = -one if S.index(l) % 2 else one
+        ops.append(matrix_from_rows(rows, L.backend, len(src)))
+    below = _differential_pattern(L, p - 1)[0] if p > 0 else ()
+    brackets = [(c, unit, below[t].transpose() * below[u] * ops[s])
+                for s, u in itertools.combinations(range(len(below)), 2)
+                for t, c in enumerate(L.structure(s, u)) if not sc_is_zero(c)]
+    return tuple(ops), kron_sum(brackets, len(dst), len(src), L.backend)
 
 
 def _check_degree(p: int, lo: int, hi: int):
@@ -159,69 +150,20 @@ def _check_degree(p: int, lo: int, hi: int):
 
 
 def _differential(rep: Representation, p: int, fs: Tuple[Scalar, ...]) -> Matrix:
-    """d_p of rho - f: copies of +-rho(e_l), plus each scalar of B_p - sum_l
-    f_l E_(l,p) on the m diagonal entries of its block (fs = () for f = 0)."""
-    L, m, zero = rep.algebra, rep.m, sc_zero(rep.backend)
+    """d_p of rho - f, the Kronecker sum of the module docstring (fs = () for
+    f = 0).  Float terms are summed in order, the scalar ones first, so that
+    a diagonal entry adds B_p - f_l to the entry of rho(e_l); an exact sum
+    does not depend on the order, and its scalar terms come last, so that
+    each block of rho(e_l) is written outright."""
+    L, m, backend = rep.algebra, rep.m, rep.backend
     _check_degree(p, 1, L.n)
-    ops, brackets = _differential_pattern(L, p)
-    rows, cols = m * math.comb(L.n, p - 1), m * math.comb(L.n, p)
-    diag = {(ti, si): c for ti, si, c in brackets}
-    if fs:
-        for ti, si, l, sign in ops:
-            if not sc_is_zero(fs[l]):
-                c = diag.get((ti, si), zero)
-                diag[(ti, si)] = c - fs[l] if sign > 0 else c + fs[l]
-    if rep.backend == EXACT:
-        return _exact_differential(rep, ops, diag, rows, cols)
-    flat = [zero] * (rows * cols)
-    # offset inside a block, 0 + v and 0 - v per nonzero entry v of rho(e_l),
-    # whose zero parts stay unsigned
-    nonzero = [[(a * cols + b, (zero + v, zero - v)) for a in range(m)
-                for b, v in enumerate(mat.row(a)) if not sc_is_zero(v)] for mat in rep.mats]
-    for ti, si, l, sign in ops:
-        base = m * (ti * cols + si)
-        for k, v in nonzero[l]:
-            flat[base + k] = v[sign < 0]
-    for (ti, si), c in diag.items():
-        base = m * (ti * cols + si)
-        for k in range(base, base + m * (cols + 1), cols + 1):
-            flat[k] = flat[k] + c
-    return Matrix(rows, cols, tuple(flat), rep.backend)
-
-
-def _exact_differential(rep: Representation, ops, diag: Dict[Tuple[int, int], Scalar],
-                        rows: int, cols: int) -> Matrix:
-    """The exact d_p built in Z[i], over the least common multiple D of the
-    denominators of the rho(e_l) forms and of the diagonal scalars."""
-    m = rep.m
-    forms = [zi_form(mat) for mat in rep.mats]
-    D = math.lcm(*[d for _, d in forms], *[c.d for c in diag.values()])
-    zrows: List[Dict[int, Tuple[int, int]]] = [{} for _ in range(rows)]
-    blocks: Dict[Tuple[int, int], List[List[Tuple[int, Tuple[int, int]]]]] = {}
-    for ti, si, l, sign in ops:
-        block = blocks.get((l, sign))
-        if block is None:
-            # D / d_l times +-rho(e_l), as (column, value) per row
-            mat_rows, d = forms[l]
-            s = sign * (D // d)
-            block = blocks[(l, sign)] = [[(b, (x * s, y * s)) for b, (x, y) in row.items()]
-                                         for row in mat_rows]
-        c0 = si * m
-        for target, row in zip(zrows[ti * m : (ti + 1) * m], block):
-            for b, v in row:
-                target[c0 + b] = v
-    for (ti, si), c in diag.items():
-        ca, cb = c.a * (D // c.d), c.b * (D // c.d)
-        if not (ca or cb):
-            continue
-        for a in range(m):
-            target, k = zrows[ti * m + a], si * m + a
-            x, y = target.get(k, (0, 0))
-            if x + ca or y + cb:
-                target[k] = (x + ca, y + cb)
-            else:
-                del target[k]
-    return zi_matrix(rows, cols, zrows, D)
+    ops, scalars = _differential_pattern(L, p)
+    one, eye = sc_one(backend), identity(m, backend)
+    terms = [] if scalars.is_zero() else [(one, scalars, eye)]
+    terms += [(-f, e, eye) for e, f in zip(ops, fs) if not sc_is_zero(f)]
+    rho = [(one, e, mat) for e, mat in zip(ops, rep.mats)]
+    return kron_sum(terms + rho if backend != EXACT else rho + terms,
+                    m * scalars.rows, m * scalars.cols, backend)
 
 
 def check_entry_budget(n: int, m: int, lo: int, hi: int) -> None:
@@ -333,55 +275,32 @@ def complex_splitting(
 
 @lru_cache(maxsize=256)
 def _cartan_terms(L: LieAlgebra, k: int, q: int) -> Tuple[Matrix, ...]:
-    """A^j W for j = 0, 1, ... while nonzero (module docstring), for nilpotent
-    L; a series longer than dim Lambda^(q+1) raises VerificationFailure."""
+    """(-1)^j A^j W = (-A)^j W for j = 0, 1, ... while nonzero (module
+    docstring), for nilpotent L; a series longer than dim Lambda^(q+1)
+    raises VerificationFailure.  E_(l,q+1) contracts e_l^*, so the wedge W
+    is the transpose of E_(k,q+1) and A = sum_(s,t) [e_k, e_s]_t E_(t,q+1)^T E_(s,q+1)."""
     if not is_nilpotent(L):
         raise NotNilpotent("the Cartan homotopy needs a nilpotent algebra")
-    src, dst = exterior_basis(L.n, q), exterior_basis(L.n, q + 1)
-    index = {S: i for i, S in enumerate(dst)}
-    zero, one = sc_zero(L.backend), sc_one(L.backend)
-    a, w = [[zero] * len(dst) for _ in dst], [[zero] * len(src) for _ in dst]
-    for c, S in enumerate(dst):
-        # [e_k, e_s] in the place of e_s, then moved to its sorted position
-        for pos, s in enumerate(S):
-            for t, x in enumerate(L.structure(k, s)):
-                ins = _wedge_insert(t, S[:pos] + S[pos + 1 :])
-                if ins is not None:
-                    a[index[ins[1]]][c] += x if (pos + ins[0]) % 2 == 0 else -x
-    for c, S in enumerate(src):
-        ins = _wedge_insert(k, S)
-        if ins is not None:
-            w[index[ins[1]]][c] = one if ins[0] % 2 == 0 else -one
-    A, term = matrix_from_rows(a, L.backend, len(dst)), matrix_from_rows(w, L.backend, len(src))
-    terms: List[Matrix] = []
+    ops, dim = _differential_pattern(L, q + 1)[0], len(exterior_basis(L.n, q + 1))
+    minus_a = kron_sum([(-x, identity(1, L.backend), ops[t].transpose() * ops[s]) for s in range(L.n)
+                        for t, x in enumerate(L.structure(k, s)) if not sc_is_zero(x)], dim, dim, L.backend)
+    term, terms = ops[k].transpose(), []
     while not term.is_zero():
-        if len(terms) == len(dst):
+        if len(terms) == dim:
             raise VerificationFailure(f"ad(e_{k}) is not nilpotent on degree {q + 1}")
         terms.append(term)
-        term = A * term
+        term = minus_a * term
     return tuple(terms)
 
 
 def _cartan_homotopy(L: LieAlgebra, k: int, q: int, powers: List[Matrix]) -> Matrix:
-    """h_q = sum_j (-1)^j (A^j W) (x) T^-(j+1), assembled in Z[i] over one
-    denominator; powers holds T^-1, T^-2, ... and is extended as needed."""
-    m, terms = powers[0].rows, [zi_form(t) for t in _cartan_terms(L, k, q)]
+    """h_q = sum_j (-1)^j (A^j W) (x) T^-(j+1) (module docstring); powers holds
+    T^-1, T^-2, ... and is extended as needed."""
+    m, terms = powers[0].rows, _cartan_terms(L, k, q)
     while len(powers) < len(terms):
         powers.append(powers[-1] * powers[0])
-    forms = [zi_form(P) for P in powers[: len(terms)]]
-    D = math.lcm(*[c * e for (_, c), (_, e) in zip(terms, forms)])
-    zrows: List[Dict[int, Tuple[int, int]]] = [{} for _ in range(m * len(exterior_basis(L.n, q + 1)))]
-    for j, ((wrows, c), (prows, e)) in enumerate(zip(terms, forms)):
-        s = D // (c * e) * (-1) ** j
-        for r, wrow in enumerate(wrows):
-            for col, (ca, cb) in wrow.items():
-                ca, cb, c0 = ca * s, cb * s, col * m
-                for target, prow in zip(zrows[r * m : (r + 1) * m], prows):
-                    for b, (x, y) in prow.items():
-                        u, v = target.get(c0 + b, (0, 0))
-                        target[c0 + b] = (u + ca * x - cb * y, v + ca * y + cb * x)
-    zrows = [{j: v for j, v in row.items() if v[0] or v[1]} for row in zrows]
-    return zi_matrix(len(zrows), m * len(exterior_basis(L.n, q)), zrows, D)
+    return kron_sum([(sc_one(L.backend), t, power) for t, power in zip(terms, powers)],
+                    m * len(exterior_basis(L.n, q + 1)), m * len(exterior_basis(L.n, q)), L.backend)
 
 
 def splitting_homotopy(

@@ -455,6 +455,8 @@ def algebra_from_json(obj: dict, backend: str = EXACT) -> LieAlgebra:
         names = obj["basis"]
     except KeyError as e:
         raise ValueError(f"algebra: missing field {e.args[0]!r}") from None
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValueError("algebra.dim: expected a nonnegative integer")
     if not isinstance(names, list) or len(names) != n:
         raise ValueError("algebra.basis: expected a list of dim names")
     brackets = {}
@@ -463,7 +465,7 @@ def algebra_from_json(obj: dict, backend: str = EXACT) -> LieAlgebra:
             i, j, coeffs = entry["i"], entry["j"], entry["coeffs"]
         except (KeyError, TypeError) as e:
             raise ValueError(f"algebra.brackets[{idx}]: malformed entry") from None
-        if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < j < n):
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in (i, j)) or not 0 <= i < j < n:
             raise ValueError(f"algebra.brackets[{idx}]: need 0 <= i < j < dim")
         if not isinstance(coeffs, list) or len(coeffs) != n:
             raise ValueError(f"algebra.brackets[{idx}].coeffs: expected {n} scalars")

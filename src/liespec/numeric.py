@@ -19,8 +19,9 @@ Two interchangeable backends:
     A matrix built from entries clears them to that form once, on first
     use; the kernel routines build their results from the form alone, and
     such a result fills its entries on first read.  The form is canonical,
-    so == and hash compare it.  Products and elimination read only the
-    form.  Elimination is fraction-free: Gauss-Jordan with
+    so == and hash compare it; no module but this one reads or builds it.
+    Products, Kronecker sums and elimination read only the form.
+    Elimination is fraction-free: Gauss-Jordan with
     row <- p*row - f*pivot_row and division by the row's integer content,
     one reduced echelon routine for ranks, kernels, solutions and the
     generalized inverse.  No rounding anywhere; equality means equality.
@@ -29,8 +30,11 @@ Two interchangeable backends:
     scale taken from the entry magnitudes at hand, so ranks and kernels
     are reproducible for a fixed input.
 
-Matrices are small and dense (desk scale), stored row-major.  All functions
-are pure; the one write is a matrix caching its own integer form or entries.
+Matrices are small and dense (desk scale), stored row-major.  kron_sum
+assembles the sum of c (A (x) B) over (c, A, B) terms on either backend: the
+Koszul differentials, the Cartan homotopies and rho(x) are such sums.  All
+functions are pure; the one write is a matrix caching its own integer form
+or entries.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ import math
 import re as _re
 from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from numbers import Rational
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -345,39 +350,29 @@ def scalar_to_json(x: Scalar):
 
 
 def scalar_from_json(value, backend: str) -> Scalar:
-    """Accepts canonical text, plain numbers, or [re, im] pairs.  JSON
-    Infinity, -Infinity, NaN and overflowing numbers such as 1e400 load as
-    non-finite floats and are refused on both backends."""
-    if isinstance(value, str):
-        g = scalar_from_text(value)
-        return g if backend == EXACT else g.to_complex()
-    if isinstance(value, bool):
-        raise ValueError(f"not a scalar: {value!r}")
-    if isinstance(value, int):
-        return make_scalar(value, backend)
-    parts = value if isinstance(value, (list, tuple)) else (value,)
-    if any(isinstance(part, float) and not math.isfinite(part) for part in parts):
-        raise ValueError(f"not a finite number: {value!r}")
-    if isinstance(value, float):
-        if backend == EXACT:
-            if value != int(value):
-                raise ValueError(
-                    f"non-integral float {value!r} not accepted on the exact backend; "
-                    "use \"a/b\" text"
-                )
-            return gr(int(value))
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        a, b = value
-        if backend == EXACT:
-            for part in (a, b):
-                if isinstance(part, float) and part != int(part):
-                    raise ValueError(
-                        f"non-integral float in {value!r} not accepted on the exact backend"
-                    )
-            return gr(int(a), int(b))
-        return complex(float(a), float(b))
-    raise ValueError(f"not a scalar: {value!r}")
+    """Accepts canonical text, plain numbers, or [re, im] pairs of numbers;
+    a boolean is no number.  JSON Infinity, -Infinity, NaN and overflowing
+    numbers such as 1e400 load as non-finite floats and are refused on both
+    backends, as is a value too large for a double on the float backend."""
+    pair = isinstance(value, (list, tuple))
+    parts = value if pair else (value,)
+    try:
+        if isinstance(value, str):
+            g = scalar_from_text(value)
+            return g if backend == EXACT else g.to_complex()
+        if any(isinstance(part, float) and not math.isfinite(part) for part in parts):
+            raise ValueError(f"not a finite number: {value!r}")
+        if len(parts) != 1 + pair or any(type(part) not in (int, float) for part in parts):
+            raise ValueError(f"not a scalar: {value!r}")
+        if backend != EXACT:
+            return complex(*map(float, parts))
+    except OverflowError:
+        raise ValueError(f"too large for a double: {value!r}") from None
+    if any(isinstance(part, float) and part != int(part) for part in parts):
+        raise ValueError(f"non-integral float in {value!r} not accepted on the exact backend"
+                         if pair else f"non-integral float {value!r} not accepted on the "
+                         "exact backend; use \"a/b\" text")
+    return gr(*map(int, parts))
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +517,10 @@ class Matrix:
         return Matrix(self.rows, self.cols, tuple(a.to_complex() for a in self.entries), FLOAT)
 
 
+_set_rows, _set_cols, _set_entries, _set_backend, _set_zi = (
+    getattr(Matrix, f).__set__ for f in ("rows", "cols", "_entries", "backend", "_zi"))
+
+
 def matrix_from_rows(rows: Sequence[Sequence[Scalar]], backend: str, cols: Optional[int] = None) -> Matrix:
     nrows = len(rows)
     if nrows == 0:
@@ -543,8 +542,23 @@ def zeros(rows: int, cols: int, backend: str) -> Matrix:
 
 
 def identity(n: int, backend: str) -> Matrix:
-    z, o = sc_zero(backend), sc_one(backend)
-    return Matrix(n, n, tuple(o if i == j else z for i in range(n) for j in range(n)), backend)
+    """The n x n identity, one shared matrix per size and backend."""
+    return _identities(n)[backend != EXACT]
+
+
+@lru_cache(maxsize=64)
+def _identities(n: int) -> Tuple[Matrix, Matrix]:
+    """The n x n identity on the exact backend, built as its Z[i] form, and float."""
+    z, o = sc_zero(FLOAT), sc_one(FLOAT)
+    return (zi_matrix(n, n, [{i: (1, 0)} for i in range(n)], 1),
+            Matrix(n, n, tuple(o if i == j else z for i in range(n) for j in range(n)), FLOAT))
+
+
+def is_scalar_matrix(m: Matrix) -> bool:
+    """Whether an exact square matrix is c I, c = 0 included."""
+    zrows = zi_form(m)[0]
+    c = zrows[0].get(0) if zrows else None
+    return all(row == ({} if c is None else {i: c}) for i, row in enumerate(zrows))
 
 
 def sub_diagonal(m: Matrix, lam: Scalar) -> Matrix:
@@ -606,6 +620,68 @@ def submatrix(m: Matrix, rows: Sequence[int], cols: range) -> Matrix:
         return zi_matrix(len(rows), len(cols), [
             {j - cols.start: v for j, v in zrows[i].items() if j in cols} for i in rows], d)
     return Matrix(len(rows), len(cols), tuple(m.at(i, j) for i in rows for j in cols), m.backend)
+
+
+def kron_sum(terms: Sequence[Tuple[Scalar, Matrix, Matrix]], rows: int, cols: int,
+             backend: str) -> Matrix:
+    """The rows x cols sum of c (A (x) B) over the (c, A, B) terms, block
+    (i, j) of A (x) B being A[i, j] B; the A share one shape, and so do the
+    B.  Float terms are summed entry by entry, in term order, from 0j.
+    Exact ones are summed in Z[i] over the lcm of their denominators, those
+    of c and of the forms of A and B.  A block that no earlier term touched
+    is written outright, as a copy of B's numerators when its factor is 1."""
+    if not terms:
+        return zeros(rows, cols, backend)
+    _, a, b = terms[0]
+    ar, ac, bm, bn = a.rows, a.cols, b.rows, b.cols
+    shape = (ar, ac, bm, bn, backend, backend)
+    if (ar * bm, ac * bn) != (rows, cols) or any(
+            (a.rows, a.cols, b.rows, b.cols, a.backend, b.backend) != shape for _, a, b in terms):
+        raise VerificationFailure(f"terms of unequal shapes or backends, or no {rows}x{cols} "
+                                  f"{backend} Kronecker sum")
+    if backend != EXACT:
+        flat = [sc_zero(FLOAT)] * (rows * cols)
+        for c, a, b in terms:
+            # offset inside a block of each nonzero entry of B
+            nonzero = [(k * cols + j, v) for k in range(bm) for j, v in enumerate(b.row(k)) if v]
+            for t, x in enumerate(a.entries):
+                if x:
+                    cx, base = c * x, (t // ac) * bm * cols + (t % ac) * bn
+                    for k, v in nonzero:
+                        flat[base + k] += cx * v
+        return Matrix(rows, cols, tuple(flat), FLOAT)
+    touched = bytearray(ar * ac)
+    forms = [(c, zi_form(a), zi_form(b)) for c, a, b in terms if not c.is_zero]
+    d = math.lcm(*[c.d * e * f for c, (_, e), (_, f) in forms])
+    out: List[ZiRow] = [{} for _ in range(rows)]
+    for c, (arows, e), (brows, f) in forms:
+        s = d // (c.d * e * f)
+        ca, cb = c.a * s, c.b * s
+        for i, arow in enumerate(arows):
+            for j, (xa, xb) in arow.items():
+                # y = s c x times B; nonzero where B is: Z[i] has no zero divisors
+                ya, yb = ca * xa - cb * xb, ca * xb + cb * xa
+                c0, t, targets = j * bn, i * ac + j, out[i * bm : (i + 1) * bm]
+                if touched[t]:
+                    for target, brow in zip(targets, brows):
+                        for col, (p, q) in brow.items():
+                            u, w = target.get(c0 + col, (0, 0))
+                            u, w = u + ya * p - yb * q, w + ya * q + yb * p
+                            if u or w:
+                                target[c0 + col] = (u, w)
+                            else:
+                                del target[c0 + col]
+                    continue
+                touched[t] = 1
+                if (ya, yb) == (1, 0):
+                    for target, brow in zip(targets, brows):
+                        for col, v in brow.items():
+                            target[c0 + col] = v
+                    continue
+                for target, brow in zip(targets, brows):
+                    for col, (p, q) in brow.items():
+                        target[c0 + col] = (ya * p - yb * q, ya * q + yb * p)
+    return zi_matrix(rows, cols, out, d)
 
 
 # ---------------------------------------------------------------------------
@@ -697,15 +773,21 @@ def zi_matrix(rows: int, cols: int, zrows: Sequence[ZiRow], d: int) -> Matrix:
     is divided out; its entries are filled on first read (equal entries
     share one Gaussian rational).  Rows that do not fit a rows x cols
     matrix raise VerificationFailure."""
-    if len(zrows) != rows or max((max(row) for row in zrows if row), default=-1) >= cols:
+    if len(zrows) != rows or max(map(max, filter(None, zrows)), default=-1) >= cols:
         raise VerificationFailure(f"{len(zrows)} sparse rows do not fit a {rows}x{cols} matrix")
-    # a denominator of 1 has no common factor to divide out
-    g = math.gcd(d, *[v for row in zrows for pair in row.values() for v in pair]) if d > 1 else 1
+    # the common factor of d and every numerator; one row often shows it is 1
+    g = math.gcd(d, *[v for pair in next(filter(None, zrows), {}).values() for v in pair])
+    if g > 1:
+        g = math.gcd(g, *[v for row in zrows for pair in row.values() for v in pair])
     if g > 1:
         zrows = [{j: (a // g, b // g) for j, (a, b) in row.items()} for row in zrows]
         d //= g
-    m = Matrix(rows, cols, None, EXACT)
-    object.__setattr__(m, "_zi", (tuple(zrows), d))
+    m = _new_object(Matrix)  # the checks are done: fields set through their slots
+    _set_rows(m, rows)
+    _set_cols(m, cols)
+    _set_entries(m, None)
+    _set_backend(m, EXACT)
+    _set_zi(m, (tuple(zrows), d))
     return m
 
 

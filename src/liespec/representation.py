@@ -7,7 +7,6 @@ Everything downstream (complexes, spectra) consumes this type.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -29,9 +28,9 @@ from .numeric import (
     Matrix,
     Scalar,
     VerificationFailure,
-    ZiRow,
-    _clear_denominators,
+    identity,
     inverse,
+    kron_sum,
     make_scalar,
     matrix_from_rows,
     scalar_from_json,
@@ -40,8 +39,6 @@ from .numeric import (
     sub_diagonal,
     zero_threshold,
     zeros,
-    zi_form,
-    zi_matrix,
 )
 
 
@@ -66,29 +63,11 @@ class Representation:
         return self.algebra.backend
 
     def apply(self, coeffs: Sequence[Scalar]) -> Matrix:
-        """Matrix of the algebra element with the given coordinates.  An
-        exact one is summed on the matrices' Z[i] forms: with the nonzero
-        coefficients c_k = x_k / e over one denominator and rho(e_k) =
-        N_k / d_k, it is the sum of x_k (d / d_k) N_k over e d, d the lcm of
-        the d_k."""
-        if self.backend != EXACT:
-            acc = zeros(self.m, self.m, self.backend)
-            for c, mat in zip(coeffs, self.mats):
-                if not sc_is_zero(c):
-                    acc = acc + mat.scale(c)
-            return acc
-        terms = [(c, zi_form(mat)) for c, mat in zip(coeffs, self.mats) if not c.is_zero]
-        pairs, e = _clear_denominators([c for c, _ in terms])
-        d = math.lcm(*[dk for _, (_, dk) in terms])
-        acc_rows: List[ZiRow] = [{} for _ in range(self.m)]
-        for (xa, xb), (_, (zrows, dk)) in zip(pairs, terms):
-            xa, xb = xa * (d // dk), xb * (d // dk)
-            for acc_row, zrow in zip(acc_rows, zrows):
-                for j, (a, b) in zrow.items():
-                    ra, rb = acc_row.get(j, (0, 0))
-                    acc_row[j] = (ra + xa * a - xb * b, rb + xa * b + xb * a)
-        return zi_matrix(self.m, self.m, [{j: v for j, v in row.items() if v[0] or v[1]}
-                                          for row in acc_rows], e * d)
+        """Matrix of the algebra element with the given coordinates x_k: the
+        Kronecker sum of the x_k (I_1 (x) rho(e_k))."""
+        one = identity(1, self.backend)
+        return kron_sum([(c, one, mat) for c, mat in zip(coeffs, self.mats) if not sc_is_zero(c)],
+                        self.m, self.m, self.backend)
 
 
 def representation(L: LieAlgebra, mats: Sequence[Sequence[Sequence]], m: Optional[int] = None) -> Representation:
@@ -219,7 +198,7 @@ def rep_from_json(obj: dict, backend: str = EXACT) -> Representation:
     except KeyError as e:
         raise ValueError(f"representation: missing field {e.args[0]!r}") from None
     L = algebra_from_json(alg_obj, backend)
-    if not isinstance(m, int) or m < 0:
+    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
         raise ValueError("representation.dimX: expected a nonnegative integer")
     if not isinstance(raw_mats, list) or len(raw_mats) != L.n:
         raise ValueError(f"representation.matrices: expected {L.n} matrices")

@@ -71,6 +71,7 @@ from .numeric import (
     identity,
     intersect_subspaces,
     inverse,
+    is_scalar_matrix,
     nullspace_basis,
     sc_abs,
     sc_is_zero,
@@ -78,7 +79,6 @@ from .numeric import (
     sub_diagonal,
     scalar_to_json,
     submatrix,
-    zi_form,
 )
 from .representation import Representation, adjoint_action, restrict_rep
 
@@ -285,14 +285,6 @@ def _ideal_order(L: LieAlgebra) -> Tuple[int, ...]:
         order.append(i)
 
 
-def _is_scalar(mat: Matrix) -> bool:
-    """Whether an exact square matrix is c I, c = 0 included, read off its
-    Z[i] form."""
-    zrows = zi_form(mat)[0]
-    c = zrows[0].get(0) if zrows else None
-    return all(row == ({} if c is None else {i: c}) for i, row in enumerate(zrows))
-
-
 def _restricted(mat: Matrix, space: Matrix, rows: Sequence[int], what: str) -> Matrix:
     """R = the rows `rows` of mat * space, for an exact basis space that is
     the identity on those rows: the restriction of mat to the column span
@@ -354,7 +346,7 @@ def _joint_eigenvectors(
     prefix = _ideal_order(L) if exact else ()
     order = prefix + tuple(k for k in range(L.n) if k not in prefix)
     position = [order.index(k) for k in range(L.n)]
-    echelon_leaf = exact and not all(_is_scalar(rep.mats[k]) for k in range(L.n - 1))
+    echelon_leaf = exact and not all(is_scalar_matrix(rep.mats[k]) for k in range(L.n - 1))
 
     def whole_runs(k: int) -> EigenRuns:
         if multisets[k] is None:

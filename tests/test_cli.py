@@ -121,6 +121,64 @@ def test_non_finite_number_exits_2_naming_its_path(capsys, tmp_path, where, back
     assert err.startswith(f"error: {path}: {where}: not a finite number: "), err
 
 
+def _h3_with(tmp_path, where, value):
+    """The H3 fixture's JSON text with the raw JSON value at the given path."""
+    obj = rep_to_json(lab.fixture("h3").rep)
+    if where.startswith("representation"):
+        obj["matrices"][0][0][1] = "@"
+    else:
+        obj["algebra"]["brackets"][0]["coeffs"][2] = "@"
+    path = tmp_path / "h3.json"
+    path.write_text(json.dumps(obj).replace('"@"', value))
+    return path
+
+
+@pytest.mark.parametrize("where", ["representation.matrices[0][0]", "algebra.brackets[0].coeffs"])
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("value", ["[null, 1]", "[[1], 0]", "[true, false]", '["1", 2]', "[1, 2, 3]", "{}"])
+def test_scalar_pair_parts_must_be_numbers(capsys, tmp_path, where, backend, value):
+    path = _h3_with(tmp_path, where, value)
+    code, out, err = run(capsys, "report", str(path), "--backend", backend)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: {where}: not a scalar: "), err
+
+
+@pytest.mark.parametrize("where", ["representation.matrices[0][0]", "algebra.brackets[0].coeffs"])
+@pytest.mark.parametrize("value", ["1" + "0" * 400, "[0, -1" + "0" * 400 + "]", '"1' + "0" * 400 + '/3"'])
+def test_number_too_large_for_a_double_exits_2_on_float(capsys, tmp_path, where, value):
+    path = _h3_with(tmp_path, where, value)
+    code, out, err = run(capsys, "validate", str(path), "--backend", "float")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: {where}: too large for a double: "), err
+    # the exact backend reads the same file
+    code, _, err = run(capsys, "validate", str(path))
+    assert code in (0, 1) and err == ""
+
+
+@pytest.mark.parametrize("field,where", [
+    ("dim", "algebra.dim"), ("dimX", "representation.dimX"),
+    ("i", "algebra.brackets[0]"), ("j", "algebra.brackets[0]"),
+])
+def test_booleans_are_not_integers(capsys, tmp_path, field, where):
+    obj = rep_to_json(lab.fixture("a1").rep)
+    obj["algebra"] = {"dim": 2, "basis": ["x", "y"], "brackets": [{"i": 0, "j": 1, "coeffs": ["0", "1"]}]}
+    obj["matrices"] = [[["0"]], [["0"]]]
+    if field == "dim":
+        obj["algebra"] = {"dim": True, "basis": ["x"], "brackets": []}
+        obj["matrices"] = [[["2"]]]
+    elif field == "dimX":
+        obj["algebra"] = {"dim": 1, "basis": ["x"], "brackets": []}
+        obj["dimX"], obj["matrices"] = True, [[["2"]]]
+    else:
+        obj["algebra"]["brackets"][0][field] = field == "j"  # i = False is 0, j = True is 1
+    path = tmp_path / "bools.json"
+    path.write_text(json.dumps(obj))
+    for backend in ("exact", "float"):
+        code, out, err = run(capsys, "spectrum", str(path), "--backend", backend)
+        assert (code, out) == (2, ""), err
+        assert err.startswith(f"error: {path}: {where}"), err
+
+
 def test_missing_input_exits_2(capsys):
     code, _, err = run(capsys, "validate")
     assert code == 2

@@ -728,6 +728,22 @@ def test_only_numeric_names_the_float_tolerance():
     assert found == []
 
 
+_ZI_INTERNALS = {"zi_form", "zi_matrix", "ZiRow", "ZiForm", "_clear_denominators"}
+
+
+def test_only_numeric_names_the_gaussian_integer_form():
+    # the Z[i] form is numeric's own: every other module goes through its
+    # matrix routines, kron_sum among them
+    def names(node):
+        return {getattr(node, field, None) for field in ("id", "name", "attr")} - {None}
+
+    found = [
+        f"{name}:{getattr(node, 'lineno', '?')}:{sorted(names(node))}" for name, node in _package_nodes()
+        if name != "numeric.py" and any(n in _ZI_INTERNALS or n.startswith("_zi_") for n in names(node))
+    ]
+    assert found == []
+
+
 def test_negative_homology_raises_typed_error():
     # d_1 of rank 2 into a 1-dimensional degree 0 is no chain complex
     C = kz.ChainComplex(EXACT, (1, 2), (identity(2, EXACT),))

@@ -957,6 +957,109 @@ def test_identity_minus_product_matches_subtracting_the_product():
         nm.identity_minus_product(exact_mat([[1, 2]]), exact_mat([[1, 2]]))
 
 
+def _ref_kron_sum(terms, bm, bn, rows, cols):
+    """sum c (A (x) B) over (c, A, B) terms of Fraction pairs, B being bm x
+    bn, written out as a dense grid: entry (i bm + k, j bn + l) adds c A[i][j]
+    B[k][l]."""
+    grid = [[_C_ZERO] * cols for _ in range(rows)]
+    for c, a, b in terms:
+        for i, arow in enumerate(a):
+            for j, x in enumerate(arow):
+                for k, brow in enumerate(b):
+                    for l, y in enumerate(brow):
+                        p = _c_mul(_c_mul(c, x), y)
+                        e = grid[i * bm + k][j * bn + l]
+                        grid[i * bm + k][j * bn + l] = (e[0] + p[0], e[1] + p[1])
+    return grid
+
+
+def _float_kron_sum(terms, rows, cols):
+    """The float sum entry by entry from 0j, in term order, each term adding
+    (c a) b for every entry a of A and b of B, zeros included."""
+    grid = [[0j] * cols for _ in range(rows)]
+    for c, a, b in terms:
+        for i in range(a.rows):
+            for j in range(a.cols):
+                for k in range(b.rows):
+                    for l in range(b.cols):
+                        r, s = i * b.rows + k, j * b.cols + l
+                        grid[r][s] = grid[r][s] + (c * a.at(i, j)) * b.at(k, l)
+    return tuple(repr(x) for row in grid for x in row)
+
+
+def test_kron_sum_matches_a_dense_kronecker_sum():
+    # up to four terms of one A shape and one B shape, each with a
+    # coefficient of the same kind as the entries, or 1
+    rng = random.Random(121)
+    for t in range(300):
+        kind = _KINDS[t % len(_KINDS)]
+        ar, ac, bm, bn = (rng.randint(0, 3) for _ in range(4))
+        raw = [(_entry(rng, kind) if rng.random() < 0.8 else _C_ONE,
+                _rand(rng, ar, ac, kind), _rand(rng, bm, bn, kind)) for _ in range(rng.randint(1, 4))]
+        terms = [(gr(*c), _to_exact(a, ac), _to_exact(b, bn)) for c, a, b in raw]
+        got = nm.kron_sum(terms, ar * bm, ac * bn, EXACT)
+        assert (got.rows, got.cols) == (ar * bm, ac * bn)
+        assert _pairs(got) == _ref_kron_sum(raw, bm, bn, ar * bm, ac * bn), (kind, raw)
+        floats = [(c.to_complex(), a.to_float(), b.to_float()) for c, a, b in terms]
+        got = nm.kron_sum(floats, ar * bm, ac * bn, FLOAT)
+        assert _entrywise(got) == _float_kron_sum(floats, ar * bm, ac * bn), (kind, raw)
+
+
+def test_float_kron_sum_keeps_the_order_of_its_terms_bit_for_bit():
+    # signed zeros, tiny and large parts: the sum runs entry by entry from 0j
+    # in term order, so a reordering or a skipped zero that flips a sign
+    # shows in the repr of the entries
+    rng = random.Random(122)
+    parts = [0.0, -0.0, 1.0, -1.0, 1e-17, -3e-9, 2.5, 1e16]
+    for _ in range(200):
+        ar, ac, bm, bn = (rng.randint(1, 3) for _ in range(4))
+        mat = lambda r, c: Matrix(r, c, tuple(complex(rng.choice(parts), rng.choice(parts))
+                                              for _ in range(r * c)), FLOAT)
+        terms = [(complex(rng.choice(parts), rng.choice(parts)), mat(ar, ac), mat(bm, bn))
+                 for _ in range(rng.randint(1, 4))]
+        got = nm.kron_sum(terms, ar * bm, ac * bn, FLOAT)
+        assert _entrywise(got) == _float_kron_sum(terms, ar * bm, ac * bn)
+
+
+def test_kron_sum_edge_cases():
+    a = exact_mat([[1, 2], [0, gr(0, 1)]])
+    b = exact_mat([[gr(Fraction(1, 2)), 0], [3, gr(Fraction(1, 3), -1)]])
+    # terms that cancel to zero, in part and in whole
+    half = nm.kron_sum([(gr(1), a, b), (gr(-1), a, b)], 4, 4, EXACT)
+    assert half.is_zero() and nm.zi_form(half) == (({},) * 4, 1)
+    part = nm.kron_sum([(gr(1), a, b), (gr(-1), exact_mat([[1, 0], [0, 0]]), b)], 4, 4, EXACT)
+    assert part.to_lists() == nm.kron_sum([(gr(1), exact_mat([[0, 2], [0, gr(0, 1)]]), b)], 4, 4,
+                                          EXACT).to_lists()
+    _check_form(part, [[(e.re, e.im) for e in r] for r in part.to_lists()])
+    # mixed denominators and Gaussian entries, over the lcm of them all
+    c = gr(Fraction(2, 7), Fraction(-1, 5))
+    mixed = nm.kron_sum([(c, a, b), (gr(Fraction(1, 6)), b, a)], 4, 4, EXACT)
+    want = _ref_kron_sum([((c.re, c.im), _pairs(a), _pairs(b)),
+                          ((Fraction(1, 6), Fraction(0)), _pairs(b), _pairs(a))], 2, 2, 4, 4)
+    _check_form(mixed, want)
+    # 1 x 1 left factors: a linear combination, on both backends
+    one = identity(1, EXACT)
+    combo = nm.kron_sum([(gr(3), one, a), (gr(0, -1), one, b)], 2, 2, EXACT)
+    assert combo == a.scale(gr(3)) + b.scale(gr(0, -1))
+    fone = identity(1, FLOAT)
+    fcombo = nm.kron_sum([(3 + 0j, fone, a.to_float()), (-1j, fone, b.to_float())], 2, 2, FLOAT)
+    assert fcombo.entries == combo.to_float().entries
+    # no terms: the zero matrix of the given shape
+    for backend in (EXACT, FLOAT):
+        empty = nm.kron_sum([], 3, 0, backend)
+        assert (empty.rows, empty.cols, empty.backend) == (3, 0, backend)
+        assert nm.kron_sum([], 2, 3, backend) == nm.zeros(2, 3, backend)
+    # terms of unequal shapes, backends, or a wrong total shape
+    for terms, rows, cols, backend in (
+        ([(gr(1), a, b), (gr(1), b, exact_mat([[1]]))], 4, 4, EXACT),
+        ([(gr(1), a, b)], 4, 5, EXACT),
+        ([(gr(1), a, b.to_float())], 4, 4, EXACT),
+        ([(1 + 0j, a.to_float(), b.to_float())], 4, 4, EXACT),
+    ):
+        with pytest.raises(nm.VerificationFailure):
+            nm.kron_sum(terms, rows, cols, backend)
+
+
 def test_exact_rank_matches_fraction_reference_pivot_count():
     for _, kind, rows, cols, x in _cases(15, 300):
         assert nm.rank(_to_exact(x, cols)) == len(_ref_rref(x, cols)[1]), (kind, x)
@@ -1014,6 +1117,9 @@ def test_exact_form_matches_entries_for_every_producer():
         _check_form(nm.identity_minus_product(m, y),
                     [[_c_sub(_C_ONE if i == j else _C_ZERO, e) for j, e in enumerate(r)]
                      for i, r in enumerate(xy)])
+        c = _entry(random.Random(t), kind)  # its own stream: the draws below stay as they were
+        _check_form(nm.kron_sum([(gr(*c), m, y), (gr(1), m, y)], rows * cols, cols * rows, EXACT),
+                    _ref_kron_sum([(c, x, yx), (_C_ONE, x, yx)], cols, rows, rows * cols, cols * rows))
         g, _ = nm.generalized_inverse(m)
         _check_form(g, _ref_generalized_inverse(x, rows, cols), handed_over=rows > 0 and cols > 0)
         _check_form(nm.nullspace_basis(m), _ref_transpose(_ref_nullspace(x, cols), cols))
