@@ -28,9 +28,10 @@ formula (Chevalley-Eilenberg 1948) reads d_(q+1) iota_q + iota_(q-1) d_q =
 theta_q.  theta commutes with d and iota; for nilpotent L each A_q is
 nilpotent, so when T is invertible h_q = theta_(q+1)^-1 iota_q = sum_j (-1)^j
 (A^j W_q) (x) T^-(j+1) is a finite series and a contracting homotopy,
-again one kron_sum.  splitting_homotopy uses it for the first such k on exact input of a
-nilpotent algebra, and complex_splitting eliminates otherwise (every T
-singular, as at a member shift; float input; L not nilpotent).
+again one kron_sum.  splitting_homotopy uses it for the first such k on
+exact input of a nilpotent algebra, and complex_splitting eliminates
+otherwise (every T singular, as at a member shift; float input; L not
+nilpotent).
 """
 
 from __future__ import annotations
@@ -278,7 +279,8 @@ def _cartan_terms(L: LieAlgebra, k: int, q: int) -> Tuple[Matrix, ...]:
     """(-1)^j A^j W = (-A)^j W for j = 0, 1, ... while nonzero (module
     docstring), for nilpotent L; a series longer than dim Lambda^(q+1)
     raises VerificationFailure.  E_(l,q+1) contracts e_l^*, so the wedge W
-    is the transpose of E_(k,q+1) and A = sum_(s,t) [e_k, e_s]_t E_(t,q+1)^T E_(s,q+1)."""
+    is the transpose of E_(k,q+1), and
+    A = sum_(s,t) [e_k, e_s]_t E_(t,q+1)^T E_(s,q+1)."""
     if not is_nilpotent(L):
         raise NotNilpotent("the Cartan homotopy needs a nilpotent algebra")
     ops, dim = _differential_pattern(L, q + 1)[0], len(exterior_basis(L.n, q + 1))

@@ -874,6 +874,22 @@ def test_build_complex_matches_shift_then_naive_assembly(backend, rep):
             assert C.d(p).to_lists() == _naive_differential(shifted, p), (p, f)
 
 
+def test_float_differential_folds_the_shift_into_the_bracket_scalar_first():
+    # on S2, [x, y] = y puts the bracket scalar c of B_2 and the shift -f_x of
+    # E_(x,2) on one block of d_2: a float diagonal entry there is v + (c - f),
+    # with c - f rounded before rho(x)'s entry v is added
+    L = lc.lie_algebra(["x", "y"], {(0, 1): [0, 1]}, FLOAT)
+    v = 2.0 ** 53 + 2  # one ulp is 2 here, so each order of the two sums rounds differently
+    rep = rp.Representation(L, 1, (nm.matrix_from_rows([[complex(v)]], FLOAT),
+                                   nm.matrix_from_rows([[0j]], FLOAT)))
+    ops, scalars = kz._differential_pattern(L, 2)
+    c = scalars.at(1, 0)  # the block of d_2 from x ^ y to y
+    f = complex(c.real) if c.real else 1 + 0j
+    assert ops[0].at(1, 0) == 1 and c != 0
+    got = kz._differential(rep, 2, (f, 0j)).at(1, 0)
+    assert got == v + (c - f) and got not in ((v + c) - f, (v - f) + c), (got, c, f)
+
+
 def test_build_complex_rejects_non_characters():
     rep = s2_rep()  # [x, y] = y, so a character vanishes on y
     not_a_character = lc.Character(rep.algebra, (gr(0), gr(1)))
