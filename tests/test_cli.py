@@ -155,22 +155,19 @@ def test_number_too_large_for_a_double_exits_2_on_float(capsys, tmp_path, where,
     assert code in (0, 1) and err == ""
 
 
-@pytest.mark.parametrize("field,where", [
-    ("dim", "algebra.dim"), ("dimX", "representation.dimX"),
-    ("i", "algebra.brackets[0]"), ("j", "algebra.brackets[0]"),
+def _two_dim(i, j):
+    return {"algebra": {"dim": 2, "basis": ["x", "y"], "brackets": [{"i": i, "j": j, "coeffs": ["0", "1"]}]},
+            "dimX": 1, "matrices": [[["0"]], [["0"]]]}
+
+
+@pytest.mark.parametrize("obj,where", [
+    ({"algebra": {"dim": True, "basis": ["x"], "brackets": []}, "dimX": True, "matrices": [[[2]]]}, "algebra.dim"),
+    ({"algebra": {"dim": 1, "basis": ["x"], "brackets": []}, "dimX": True, "matrices": [[[2]]]},
+     "representation.dimX"),
+    (_two_dim(False, 1), "algebra.brackets[0]"),
+    (_two_dim(0, True), "algebra.brackets[0]"),
 ])
-def test_booleans_are_not_integers(capsys, tmp_path, field, where):
-    obj = rep_to_json(lab.fixture("a1").rep)
-    obj["algebra"] = {"dim": 2, "basis": ["x", "y"], "brackets": [{"i": 0, "j": 1, "coeffs": ["0", "1"]}]}
-    obj["matrices"] = [[["0"]], [["0"]]]
-    if field == "dim":
-        obj["algebra"] = {"dim": True, "basis": ["x"], "brackets": []}
-        obj["matrices"] = [[["2"]]]
-    elif field == "dimX":
-        obj["algebra"] = {"dim": 1, "basis": ["x"], "brackets": []}
-        obj["dimX"], obj["matrices"] = True, [[["2"]]]
-    else:
-        obj["algebra"]["brackets"][0][field] = field == "j"  # i = False is 0, j = True is 1
+def test_booleans_are_not_integers(capsys, tmp_path, obj, where):
     path = tmp_path / "bools.json"
     path.write_text(json.dumps(obj))
     for backend in ("exact", "float"):
