@@ -8,12 +8,13 @@ Two interchangeable backends:
     The characteristic polynomial of the matrix cleared to Gaussian
     integers comes from its power traces by Newton's identities, where
     every division is exact.  Its roots stay Gaussian integers until they
-    are returned.  A pure power is read off its linear square-free part;
-    otherwise roots are guessed, then verified on integers: numpy roots of
-    the exact square-free part are rounded to Gaussian rationals and kept
-    only where homogenised integer Horner evaluation vanishes; a
-    rational-root search over Gaussian-integer divisors, bounded by a step
-    budget, takes whatever the guesses miss.  Every exact matrix
+    are returned.  A pure power is read off its trace; otherwise roots are
+    guessed, then verified on integers: numpy roots of the exact
+    square-free part are rounded to Gaussian rationals and kept only where
+    homogenised integer Horner evaluation vanishes.  p-adic lifting (Loos
+    1983) takes whatever the guesses miss: it finds every Gaussian-rational
+    root, with no budget, so a polynomial that does not split over the
+    Gaussian rationals is the only failure.  Every exact matrix
     is its Gaussian-integer form: sparse rows of nonzero integer (re, im)
     pairs over one positive common denominator, coprime to the numerators.
     A matrix built from entries clears them to that form once, on first
@@ -39,6 +40,7 @@ or entries.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re as _re
 from dataclasses import FrozenInstanceError, dataclass, field
@@ -1133,73 +1135,6 @@ def char_poly(m: Matrix) -> Tuple[List[Tuple[int, int]], int]:
     return coeffs, d
 
 
-# Budget, in loop steps, of the divisor-search fallback of one root search:
-# divisor enumeration steps plus one step per coefficient of every exact
-# candidate test.  Guessed roots cost nothing against it.
-_DIVISOR_BUDGET = 10 ** 6
-
-
-class _StepBudget:
-    def __init__(self):
-        self.left = _DIVISOR_BUDGET
-
-    def spend(self, steps: int):
-        self.left -= steps
-        if self.left < 0:
-            raise ExactFactorizationFailure(
-                f"divisor search for a Gaussian-rational root exceeded {_DIVISOR_BUDGET} steps"
-            )
-
-
-def _int_divisors(n: int, budget: _StepBudget) -> List[int]:
-    n = abs(n)
-    budget.spend(math.isqrt(n))
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
-def _gaussian_divides(d: Tuple[int, int], g: Tuple[int, int]) -> bool:
-    da, db = d
-    nd = da * da + db * db
-    if nd == 0:
-        return False
-    ga, gb = g
-    qa = ga * da + gb * db
-    qb = gb * da - ga * db
-    return qa % nd == 0 and qb % nd == 0
-
-
-def _gaussian_divisors(g: Tuple[int, int], budget: _StepBudget) -> List[Tuple[int, int]]:
-    """Divisors of a nonzero Gaussian integer, one per unit class."""
-    ga, gb = g
-    norm = ga * ga + gb * gb
-    if norm == 0:
-        raise VerificationFailure("divisor search on the Gaussian integer 0")
-    found = []
-    for nd in _int_divisors(norm, budget):
-        budget.spend(math.isqrt(nd) + 1)
-        x = 0
-        while x * x <= nd:
-            y2 = nd - x * x
-            y = math.isqrt(y2)
-            if y * y == y2:
-                cand = (x, y)
-                if cand != (0, 0) and _gaussian_divides(cand, g):
-                    found.append(cand)
-            x += 1
-    return found
-
-
-_UNITS = ((1, 0), (-1, 0), (0, 1), (0, -1))
-
-
 # --- polynomials over the Gaussian integers ---------------------------------
 #
 # A polynomial is a list of Gaussian integers (a, b), leading coefficient
@@ -1289,11 +1224,6 @@ def _guessed_roots(q: List[Tuple[int, int]]) -> List[ZiRoot]:
     return out
 
 
-# Exact Newton steps given to a rounded guess that is no root: enough to
-# reach roots beyond double precision from a float guess.
-_NEWTON_STEPS = 3
-
-
 def _zi_value(q: List[Tuple[int, int]], x: Tuple[int, int], d: int) -> Tuple[int, int]:
     """d^deg * q(x / d), for a positive integer d, by Horner on the
     homogenised polynomial sum_k q_k x^(deg-k) d^k: zero exactly where
@@ -1315,64 +1245,141 @@ def _zi_deflate(p: List[Tuple[int, int]], x: Tuple[int, int], d: int) -> List[Tu
     return _zi_primitive(quo)
 
 
-def _round_div(n: int, d: int) -> int:
-    """n / d for d > 0 rounded to the nearest integer, ties to even, as
-    round(Fraction(n, d)) does."""
-    q, r = divmod(n, d)
-    return q + (2 * r > d or (2 * r == d and q & 1))
+# --- polynomials over Z/m, for the p-adic root search -----------------------
+#
+# A polynomial is a list of residues, leading coefficient first; a divisor
+# is monic.  Over a prime m = p every nonzero residue is a unit.
 
 
-def _newton_refined(q: List[Tuple[int, int]], root: ZiRoot) -> ZiRoot:
-    """The candidate root x = n / d moved by exact Newton steps on the
-    square-free q (so q' is nonzero at its roots), a*x rounded to Z[i] after
-    each, until q vanishes there.
+def _fp_mul(a: List[int], b: List[int], p: int) -> List[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return [v % p for v in out]
 
-    With x = n / d, h = d^deg q(x) and s = d^(deg-1) q'(x), the step is
-    x - h / (d*s), so a*x becomes a*(n*s - h) / (d*s)."""
+
+def _fp_sub(a: List[int], b: List[int], p: int) -> List[int]:
+    n = max(len(a), len(b))
+    a, b = [0] * (n - len(a)) + a, [0] * (n - len(b)) + b
+    return [(x - y) % p for x, y in zip(a, b)]
+
+
+def _fp_divmod(a: List[int], b: List[int], p: int) -> Tuple[List[int], List[int]]:
+    """(q, r) with a == q*b + r mod p, any modulus, for a monic b and a
+    reduced a; r keeps any leading zeros."""
+    r, q = list(a), []
+    for k in range(len(a) - len(b) + 1):
+        t = r[k]
+        q.append(t)
+        if t:
+            for j in range(1, len(b)):
+                r[k + j] = (r[k + j] - t * b[j]) % p
+    return q, r[len(q):]
+
+
+def _fp_monic(a: List[int], p: int) -> List[int]:
+    """a over GF(p) with its leading zeros stripped and made monic; [] for 0."""
+    while a and a[0] % p == 0:
+        a = a[1:]
+    inv = pow(a[0], -1, p) if a else 0
+    return [x * inv % p for x in a]
+
+
+def _fp_gcd(a: List[int], b: List[int], p: int) -> List[int]:
+    """The monic gcd over GF(p) of a and b, not both 0."""
+    a, b = _fp_monic(a, p), _fp_monic(b, p)
+    while b:
+        a, b = b, _fp_monic(_fp_divmod(a, b, p)[1], p)
+    return a
+
+
+def _fp_powmod(base: List[int], e: int, f: List[int], p: int) -> List[int]:
+    """base^e mod the monic f over GF(p), by repeated squaring."""
+    out = [1]
+    while e:
+        if e & 1:
+            out = _fp_divmod(_fp_mul(out, base, p), f, p)[1]
+        base = _fp_divmod(_fp_mul(base, base, p), f, p)[1]
+        e >>= 1
+    return out
+
+
+def _fp_roots(g: List[int], p: int) -> List[int]:
+    """The roots over GF(p), p an odd prime, of the monic g, a product of
+    distinct linear factors.  gcd(g, (y + c)^((p-1)/2) - 1) takes the roots r
+    with r + c a nonzero square, so c = 0, 1, 2, ... in turn splits g
+    (Cantor-Zassenhaus 1981): for two roots, half the c < p tell them apart."""
+    if len(g) <= 2:
+        return [-g[1] % p] if len(g) == 2 else []
+    c, h = 0, g
+    while len(h) in (1, len(g)):
+        h = _fp_gcd(g, _fp_sub(_fp_powmod([1, c], (p - 1) // 2, g, p), [1], p), p)
+        c += 1
+    return _fp_roots(h, p) + _fp_roots(_fp_divmod(g, h, p)[0], p)
+
+
+def _newton_step(c: List[int], r: int, m: int) -> int:
+    """r - c(r) / c'(r) mod m, for a unit c'(r): c = (y - r) h + c(r) by
+    Horner, and c'(r) = h(r)."""
+    h, [value] = _fp_divmod(c, [1, -r], m)
+    return (r - value * pow(_fp_divmod(h, [1, -r], m)[1][0], -1, m)) % m
+
+
+def _zi_mod(x: Tuple[int, int], g: Tuple[int, int]) -> Tuple[int, int]:
+    """x - g*round(x / g) in Z[i], each part rounded to nearest: the element
+    of least norm in x + g Z[i], of norm at most N(g) / 2."""
+    (xa, xb), (ga, gb) = x, g
+    n = ga * ga + gb * gb
+    # x / g == x * conj(g) / n
+    qa = (2 * (xa * ga + xb * gb) + n) // (2 * n)
+    qb = (2 * (xb * ga - xa * gb) + n) // (2 * n)
+    return xa - qa * ga + qb * gb, xb - qa * gb - qb * ga
+
+
+def _lifted_roots(q: List[Tuple[int, int]]) -> List[ZiRoot]:
+    """Every Gaussian-rational root of the square-free q, whose leading
+    coefficient a is a positive integer, as pairs (x, a), by p-adic expansion
+    (Loos 1983).
+
+    The roots of the monic Q(y) = a^(deg-1) q(y / a) are the a*r, Gaussian
+    integers with |y| <= B = 1 + max |Q_k| (Cauchy).  The prime p is the
+    first p = 1 (mod 4) above 2^20 where Q, with i read as a root s of
+    y^2 + 1 mod p, has only simple roots mod p, so distinct roots of Q stay
+    distinct mod p.  Those roots are the roots of gcd(Q, y^p - y), split by
+    _fp_roots.  Newton's step lifts each of them, and s, to a root mod
+    P = p^(2^k) > 8 B^2.  The u + v*i with u + v*s = 0 (mod P) are the ideal
+    g Z[i], g = gcd(P, s - i), and Euclid in Z[i] is Lagrange's reduction of
+    that lattice; so a root y of Q is the element of least norm congruent to
+    its lifted root mod g.  Only candidates where q vanishes exactly are kept.
+    """
     a, deg = q[0][0], len(q) - 1
-    slope_q = [((deg - k) * re, (deg - k) * im) for k, (re, im) in enumerate(q[:-1])]
-    n, d = root
-    for _ in range(_NEWTON_STEPS):
-        sa, sb = _zi_value(slope_q, n, d)
-        if not (sa or sb):
+    monic = [(1, 0)] + [(re * a ** k, im * a ** k) for k, (re, im) in enumerate(q[1:])]
+    bound = 1 + max(abs(re) + abs(im) for re, im in monic[1:])
+    for p in itertools.count(2 ** 20 + 1, 4):
+        if not all(p % k for k in range(3, math.isqrt(p) + 1, 2)):
+            continue
+        s = _fp_roots([1, 0, 1], p)[0]
+        poly = [(re + im * s) % p for re, im in monic]
+        slope = [(deg - k) * c for k, c in enumerate(poly[:-1])]
+        g = _fp_gcd(poly, _fp_sub(_fp_powmod([1, 0], p, poly, p), [1, 0], p), p)
+        if len(_fp_gcd(g, slope, p)) == 1:
             break
-        ha, hb = _zi_value(q, n, d)
-        ua, ub = a * (n[0] * sa - n[1] * sb - ha), a * (n[0] * sb + n[1] * sa - hb)
-        den = d * (sa * sa + sb * sb)
-        n = (_round_div(ua * sa + ub * sb, den), _round_div(ub * sa - ua * sb, den))
-        d = a
-        if _zi_value(q, n, d) == (0, 0):
-            break
-    return n, d
-
-
-def _divisor_roots(q: List[Tuple[int, int]]) -> List[ZiRoot]:
-    """Every Gaussian-rational root of q with a nonzero constant term, each
-    in lowest terms, by the rational-root theorem over Z[i]: a root n/d in
-    lowest terms has n | q(0) and d | lead(q).  Raises
-    ExactFactorizationFailure past the step budget."""
-    budget = _StepBudget()
-    nums = _gaussian_divisors(q[-1], budget)
-    dens = _gaussian_divisors(q[0], budget)
-    found: List[ZiRoot] = []
-    seen = set()
-    for na, nb in nums:
-        for da, db in dens:
-            nd = da * da + db * db
-            for ua, ub in _UNITS:
-                # n*u/d == n*u*conj(d) / |d|^2
-                xa, xb = na * ua - nb * ub, na * ub + nb * ua
-                xa, xb = xa * da + xb * db, xb * da - xa * db
-                g = math.gcd(xa, xb, nd)
-                cand = ((xa // g, xb // g), nd // g)
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                budget.spend(len(q))
-                if _zi_value(q, *cand) == (0, 0):
-                    found.append(cand)
-                    if len(found) == len(q) - 1:
-                        return found
+    roots, m = _fp_roots(g, p), p
+    while m <= 8 * bound * bound:
+        m *= m
+        s = _newton_step([1, 0, 1], s, m)
+        poly = [(re + im * s) % m for re, im in monic]
+        roots = [_newton_step(poly, r, m) for r in roots]
+    g, h = (m, 0), (s, -1)
+    while h != (0, 0):
+        g, h = h, _zi_mod(g, h)
+    found = []
+    for r in roots:
+        x = _zi_mod((r, 0), g)
+        if _zi_value(q, x, a) == (0, 0):
+            found.append((x, a))
     return found
 
 
@@ -1413,15 +1420,15 @@ def _poly_roots_exact(p: List[Tuple[int, int]], scale: int = 1) -> List[Tuple[Ga
 
     Zero roots are stripped first.  When p is a pure power c0 (t - r)^n,
     found by _pure_power_root, r = -c1 / (n c0) is read off the trace with
-    multiplicity n: no gcd, float guess, deflation or divisor search.
-    Otherwise, with the square-free part q = p / gcd(p, p'): guess, then
-    verify.  Float roots of q, rounded to Gaussian rationals x / e, are
-    kept only where the homogenised integer Horner value e^deg p(x / e)
-    vanishes, and pseudo-division by e*t - x reads off each multiplicity.
-    A guess that is no root gets a few exact Newton steps; a linear
-    remainder gives its root directly.  The budgeted divisor search takes
-    whatever is left.  Each distinct root is built once, as one Gaussian
-    rational x / (e*scale).
+    multiplicity n: no gcd, float guess, deflation or lifting.  Otherwise,
+    with the square-free part q = p / gcd(p, p'): guess, then verify.  Float
+    roots of q, rounded to Gaussian rationals x / e, are kept only where the
+    homogenised integer Horner value e^deg p(x / e) vanishes, and
+    pseudo-division by e*t - x reads off each multiplicity.  When a root is
+    left, _lifted_roots gives every Gaussian-rational root of q, and
+    ExactFactorizationFailure is raised only when p still has a factor with
+    none.  Each distinct root is built once, as one Gaussian rational
+    x / (e*scale).
     """
     n = len(p)
     while len(p) > 1 and p[-1] == (0, 0):
@@ -1435,10 +1442,9 @@ def _poly_roots_exact(p: List[Tuple[int, int]], scale: int = 1) -> List[Tuple[Ga
         return _sorted_runs(runs + [(_gr_over(xa, xb, e * scale), len(p) - 1)])
     q = _squarefree_part(p)
 
-    def take(candidates: Sequence[ZiRoot]) -> bool:
-        """Deflate p by each candidate x / e while it stays a root; whether any was."""
+    def take(candidates: Sequence[ZiRoot]):
+        """Deflate p by each candidate x / e while it stays a root."""
         nonlocal p
-        hit = False
         for x, e in candidates:
             k = 0
             while len(p) > 1 and _zi_value(p, x, e) == (0, 0):
@@ -1446,19 +1452,10 @@ def _poly_roots_exact(p: List[Tuple[int, int]], scale: int = 1) -> List[Tuple[Ga
                 k += 1
             if k:
                 runs.append((_gr_over(x[0], x[1], e * scale), k))
-                hit = True
-        return hit
 
-    if len(p) > 2:
-        for guess in _guessed_roots(q):
-            if not take([guess]) and len(p) > 2:
-                take([_newton_refined(q, guess)])
-    if len(p) == 2:
-        # the root of c0*t + c1 is -c1*conj(c0) / |c0|^2
-        (a0, b0), (a1, b1) = p
-        take([((-a1 * a0 - b1 * b0, a1 * b0 - b1 * a0), a0 * a0 + b0 * b0)])
+    take(_guessed_roots(q))
     if len(p) > 1:
-        take(_divisor_roots(q))
+        take(_lifted_roots(q))
     if len(p) > 1:
         raise ExactFactorizationFailure(
             "characteristic polynomial has no Gaussian-rational root"
@@ -1476,12 +1473,11 @@ def eigenvalues(m: Matrix, tol: Optional[float] = None) -> EigenRuns:
     divided by d.  A pure power is read off its trace
     directly; otherwise float guesses for the roots of the square-free
     part are verified by exact evaluation and deflated as often as they
-    stay roots, and a divisor search with a step budget finds any root the
-    guesses missed.  Raises ExactFactorizationFailure when the polynomial
-    does not split over the Gaussian rationals or the divisor search
-    exceeds its budget.  Float backend: numpy eigenvalues in (re, im)
-    order; one within TAU_CHAR (after unit max-norm scaling) of the first
-    value of the current run is counted in that run.
+    stay roots, and p-adic lifting finds every root the guesses missed.
+    Raises ExactFactorizationFailure exactly when the polynomial does not
+    split over the Gaussian rationals.  Float backend: numpy eigenvalues
+    in (re, im) order; one within TAU_CHAR (after unit max-norm scaling) of
+    the first value of the current run is counted in that run.
     """
     _check_square(m)
     if m.rows == 0:

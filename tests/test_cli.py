@@ -633,6 +633,35 @@ def test_witnesses_of_bases_without_a_full_ideal_order_match_golden(capsys, tmp_
                    "eigenchars", str(path), "--backend", "exact")
 
 
+def _close_roots_file(tmp_path, superdiagonal):
+    # A1 acting on C^3 by diag(9999/10, 9999999/10000, 999999999/1000000), with
+    # the superdiagonal filled in: float root guesses of its characteristic
+    # polynomial, whose coefficients have 27 digits, miss the three close roots
+    rows = [["9999/10", "0", "0"], ["0", "9999999/10000", "0"], ["0", "0", "999999999/1000000"]]
+    for k in range(2):
+        rows[k][k + 1] = str(superdiagonal)
+    path = tmp_path / "close.json"
+    path.write_text(json.dumps({"algebra": {"dim": 1, "basis": ["x"], "brackets": []},
+                                "dimX": 3, "matrices": [rows]}))
+    return str(path)
+
+
+CLOSE_ROOTS = [["9999/10"], ["9999999/10000"], ["999999999/1000000"]]
+
+
+@pytest.mark.parametrize("superdiagonal", [0, 1])
+def test_exact_close_eigenvalues_are_found(capsys, tmp_path, superdiagonal):
+    path = _close_roots_file(tmp_path, superdiagonal)
+    code, out, err = run(capsys, "eigenchars", path, "--backend", "exact")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["eigencharacters"] == CLOSE_ROOTS
+    code, out, err = run(capsys, "report", path, "--backend", "exact")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["cross_validation"]["equal"] is True
+    assert report["spectra"]["taylor"]["members"] == CLOSE_ROOTS
+
+
 # --- float backend: known failures on seeded nilpotent input ----------------------
 # Each answers correctly on the exact backend; strict, so a fix shows up as XPASS.
 
@@ -671,6 +700,13 @@ def test_float_lab_proxy_default_config(capsys):
     code, out, err = run(capsys, "lab", "proxy", "--backend", "float", "--format", "json")
     assert code == 0, err
     assert [r["m"] for r in json.loads(out)["rows"]] == [6, 10, 14]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="float eigenvalues 999.9999 and 999.999999 fall in one run")
+def test_float_report_of_close_eigenvalues(capsys, tmp_path):
+    code, _, err = run(capsys, "report", _close_roots_file(tmp_path, 0), "--backend", "float")
+    assert code == 0, err
 
 
 @pytest.mark.parametrize("command", ["spectrum", "report", "crossval"])

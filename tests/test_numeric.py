@@ -306,7 +306,7 @@ def test_char_poly_matches_trace_and_det():
     assert coeffs == [gr(1), gr(-5), gr(-2)]
 
 
-# --- exact root search: guess, verify, budgeted divisor fallback --------------
+# --- exact root search: guess, verify, p-adic lifting fallback ----------------
 
 
 def _poly_from_factors(factors):
@@ -350,7 +350,7 @@ def test_poly_roots_exact_on_products_of_linear_powers():
 
 
 def test_poly_roots_exact_fallback_gives_the_same_roots(monkeypatch):
-    # every float guess is junk, so each root comes from the divisor search
+    # every float guess is junk, so each root comes from the p-adic lifting
     monkeypatch.setattr(nm, "_float_root_guesses", lambda q: [complex(1e6 + 0.5, -3.25)] * (len(q) - 1))
     for factors in _root_cases():
         roots = _multiset(nm._poly_roots_exact(nm._clear_denominators(_poly_from_factors(factors))[0]))
@@ -365,40 +365,82 @@ def test_poly_roots_exact_raises_without_gaussian_root(monkeypatch, junk_guesses
         nm._poly_roots_exact(nm._clear_denominators([gr(1), gr(0), gr(-2)])[0])  # t^2 - 2
 
 
-def test_roots_beyond_double_precision_are_found_exactly(monkeypatch):
-    # a rounded double misses these roots; the divisor search would exceed its
-    # budget on them, so it must not be reached
-    def no_divisor_search(q):
-        raise AssertionError("divisor search reached")
-
-    monkeypatch.setattr(nm, "_divisor_roots", no_divisor_search)
+def test_roots_beyond_double_precision_are_found_exactly():
+    # a rounded double misses these roots
     big = 10 ** 30
     assert _multiset(nm.eigenvalues(Matrix(1, 1, (gr(big),), EXACT))) == [gr(big)]
     assert _multiset(nm._poly_roots_exact(nm._clear_denominators([gr(1), gr(10 ** 300)])[0])) == [gr(-10 ** 300)]
     diag = exact_mat([[big, 0], [0, 2 * big + 7]])
     assert _multiset(nm.eigenvalues(diag)) == [gr(big), gr(2 * big + 7)]
-    # three such roots: two come from Newton steps, the last from the linear remainder
     diag3 = exact_mat([[big, 0, 0], [0, 2 * big + 7, 0], [0, 0, -3 * big + 11]])
     assert _multiset(nm.eigenvalues(diag3)) == [gr(-3 * big + 11), gr(big), gr(2 * big + 7)]
 
 
-def test_one_newton_step_reaches_a_root_beyond_double_precision(monkeypatch):
-    monkeypatch.setattr(nm, "_NEWTON_STEPS", 1)
-    big = 10 ** 30
-    q = [(1, 0), (-3 * big - 7, 0), (big * (2 * big + 7), 0)]  # (t - big)(t - 2 big - 7)
-    for root in (big, 2 * big + 7):
-        guess = (round(float(root)), 0)
-        assert guess != (root, 0)
-        n, d = nm._newton_refined(q, (guess, 1))
-        assert nm._gr_over(*n, d) == gr(root)
-
-
-def test_divisor_fallback_stops_at_its_step_budget():
-    # sqrt(9999990^2) divisor trials would be needed for t^2 - 9999990
-    with pytest.raises(ExactFactorizationFailure, match="exceeded"):
+def test_constant_term_with_many_divisors_raises_no_gaussian_rational_root():
+    # t^2 - 9999990: a divisor search would try about 10^7 candidates
+    with pytest.raises(ExactFactorizationFailure, match="no Gaussian-rational root"):
         nm._poly_roots_exact(nm._clear_denominators([gr(1), gr(0), gr(-9999990)])[0])
-    with pytest.raises(nm.VerificationFailure):
-        nm._gaussian_divisors((0, 0), nm._StepBudget())
+
+
+
+def test_close_roots_with_long_coefficients_are_found_exactly():
+    # the float guesses miss these roots by more than their rounding step
+    roots = [gr(Fraction(9999, 10)), gr(Fraction(9999999, 10000)), gr(Fraction(999999999, 1000000))]
+    for superdiagonal in (0, 1):
+        rows = [[roots[i] if i == j else gr(superdiagonal if j == i + 1 else 0) for j in range(3)]
+                for i in range(3)]
+        assert nm.eigenvalues(exact_mat(rows)) == [(r, 1) for r in roots]
+
+
+# 1048589 is the first prime = 1 (mod 4) above 2^20, the first the lifting tries
+_FIRST_PRIME = 1048589
+
+
+def test_lifting_moves_past_a_prime_where_two_roots_meet(monkeypatch):
+    primes = []
+    fp_roots = nm._fp_roots
+
+    def spy(g, p):
+        primes.append(p)
+        return fp_roots(g, p)
+
+    monkeypatch.setattr(nm, "_fp_roots", spy)
+    # 1 + 2i and 1 + 2i + 1048589 are one root mod 1048589, a double one
+    factors = [((1, 0), (1, 2), 1), ((1, 0), (1 + _FIRST_PRIME, 2), 1)]
+    q = nm._clear_denominators(_poly_from_factors(factors))[0]
+    found = [nm._gr_over(*x, a) for x, a in nm._lifted_roots(q)]
+    assert sorted(found, key=nm.scalar_key) == _known_roots(factors)
+    assert primes[0] == _FIRST_PRIME and primes[-1] > _FIRST_PRIME
+
+
+def test_lifting_finds_large_non_real_roots_over_a_leading_coefficient(monkeypatch):
+    monkeypatch.setattr(nm, "_float_root_guesses", lambda q: [])
+    # (3t - 10^40 - 7i)^2 (5t + 2 - 10^35 i)
+    factors = [((3, 0), (10 ** 40, 7), 2), ((5, 0), (-2, 10 ** 35), 1)]
+    p = nm._clear_denominators(_poly_from_factors(factors))[0]
+    assert p[0] == (45, 0)
+    assert _multiset(nm._poly_roots_exact(p)) == _known_roots(factors)
+
+
+@pytest.mark.parametrize("c, spurious", [(2, 0), (5, 2)])
+def test_lifting_keeps_only_roots_that_evaluate_to_zero(monkeypatch, c, spurious):
+    monkeypatch.setattr(nm, "_float_root_guesses", lambda q: [])
+    # (2t - 3 - 5i)(t^2 - c): 5 is a square mod 1048589 and 2 is not, so only
+    # t^2 - 5 has roots there, whose lifts are no roots of q
+    assert pow(c, (_FIRST_PRIME - 1) // 2, _FIRST_PRIME) == (1 if spurious else _FIRST_PRIME - 1)
+    q = [(2, 0), (-3, -5), (-2 * c, 0), (3 * c, 5 * c)]
+    tried = []
+    zi_value = nm._zi_value
+
+    def spy(p, x, d):
+        tried.append(x)
+        return zi_value(p, x, d)
+
+    monkeypatch.setattr(nm, "_zi_value", spy)
+    assert nm._lifted_roots(q) == [((3, 5), 2)]
+    assert len(tried) == 1 + spurious
+    with pytest.raises(ExactFactorizationFailure, match="no Gaussian-rational root"):
+        nm._poly_roots_exact(q)
 
 
 # --- matrix algebra ----------------------------------------------------------
@@ -800,7 +842,7 @@ def test_pure_powers_skip_guesses_deflation_and_divisor_search(monkeypatch):
     def unreachable(*args):
         raise AssertionError("a pure power reached the general root search")
 
-    for name in ("_float_root_guesses", "_zi_deflate", "_divisor_roots"):
+    for name in ("_float_root_guesses", "_zi_deflate", "_lifted_roots"):
         monkeypatch.setattr(nm, name, unreachable)
     rng = random.Random(1976)
     for t in range(120):
@@ -826,6 +868,7 @@ def test_pure_power_root_from_the_trace_agrees_with_the_square_free_path():
         (a, _), (ba, bb) = q
         return gr(Fraction(-ba, a), Fraction(-bb, a))
 
+    units = ((1, 0), (-1, 0), (0, 1), (0, -1))
     rng = random.Random(1977)
     misses = 0
     for t in range(160):
@@ -837,7 +880,7 @@ def test_pure_power_root_from_the_trace_agrees_with_the_square_free_path():
         # one coefficient moved by a unit: a pure power no more, bar chance
         k = rng.randrange(n + 1)
         bumped = list(p)
-        bumped[k] = tuple(a + b for a, b in zip(p[k], rng.choice(nm._UNITS)))
+        bumped[k] = tuple(a + b for a, b in zip(p[k], rng.choice(units)))
         if bumped[0] == (0, 0):
             continue
         assert via_trace(bumped) == via_square_free(bumped), (bumped, k)
@@ -1431,10 +1474,3 @@ def test_exact_routes_build_no_fraction(monkeypatch):
     Fraction(1, 2)
     assert calls == [(1, 2)]
 
-
-def test_round_div_rounds_half_to_even_as_round_of_a_fraction():
-    rng = random.Random(7)
-    cases = [(n, d) for d in (1, 2, 3, 4, 10) for n in range(-25, 26)]
-    cases += [(rng.randint(-10 ** 40, 10 ** 40), rng.randint(1, 10 ** 20)) for _ in range(500)]
-    for n, d in cases:
-        assert nm._round_div(n, d) == round(Fraction(n, d)), (n, d)
