@@ -1310,7 +1310,7 @@ def _fp_roots(g: List[int], p: int) -> List[int]:
     """The roots over GF(p), p an odd prime, of the monic g, a product of
     distinct linear factors.  gcd(g, (y + c)^((p-1)/2) - 1) takes the roots r
     with r + c a nonzero square, so c = 0, 1, 2, ... in turn splits g
-    (Cantor-Zassenhaus 1981): for two roots, half the c < p tell them apart."""
+    (Cantor-Zassenhaus 1981): about half the c < p tell two roots apart."""
     if len(g) <= 2:
         return [-g[1] % p] if len(g) == 2 else []
     c, h = 0, g
