@@ -397,18 +397,18 @@ def cmd_report(args) -> Tuple[int, dict]:
     L = rep.algebra
     algebra = {"dim": L.n, "basis": list(L.names), **_structure(L, args.tol)}
 
-    kinds = all_kinds(L.n)
-    reports = all_spectra(rep, kinds, tol=args.tol)
+    reports = all_spectra(rep, tol=args.tol)
     # kinds with one degree range share one member set (all_spectra), and
     # every essential kind has none: one members list per distinct range
     members_json = {}
     spectra = {}
-    for name, kind in sorted((kind.render(), kind) for kind in kinds):
+    for name, report in sorted(reports.items()):
+        kind = report.kind
         degrees = None if kind.essential else kind.degree_range(L.n)
         if degrees not in members_json:
-            members_json[degrees] = [_coeffs_json(c) for c in reports[name].member_coeffs]
+            members_json[degrees] = [_coeffs_json(c) for c in report.member_coeffs]
         spectra[name] = {"members": members_json[degrees],
-                         "annotations": list(reports[name].annotations)}
+                         "annotations": list(report.annotations)}
 
     cv = _compare_routes(rep, reports["taylor"], joint_eigencharacters(rep, args.tol))
     crossval = {
@@ -422,7 +422,7 @@ def cmd_report(args) -> Tuple[int, dict]:
     notes: List[str] = []
     if algebra["nilpotent"] and L.n >= 1:
         ideal = jordan_holder_chain(L, args.tol)[L.n - 1]  # the codimension-one chain ideal
-        kinds = [kind for kind in kinds if not kind.essential]
+        kinds = [kind for kind in all_kinds(L.n) if not kind.essential]
         restricted = all_spectra(restrict_rep(rep, ideal, args.tol), kinds, tol=args.tol)
         # every non-essential kind's members are Taylor members
         restriction = _restrictions(reports["taylor"].members, ideal, args.tol)

@@ -556,11 +556,16 @@ def _identities(n: int) -> Tuple[Matrix, Matrix]:
             Matrix(n, n, tuple(o if i == j else z for i in range(n) for j in range(n)), FLOAT))
 
 
-def is_scalar_matrix(m: Matrix) -> bool:
-    """Whether an exact square matrix is c I, c = 0 included."""
-    zrows = zi_form(m)[0]
+def scalar_of(m: Matrix) -> Optional[GaussianRational]:
+    """The c with m == c I for an exact square matrix, GR_ZERO for the zero
+    matrix, or None when m is not scalar.  Read off m's Z[i] form: no entry
+    of m is filled."""
+    _check_square(m)
+    zrows, d = zi_form(m)
     c = zrows[0].get(0) if zrows else None
-    return all(row == ({} if c is None else {i: c}) for i, row in enumerate(zrows))
+    if any(row != ({} if c is None else {i: c}) for i, row in enumerate(zrows)):
+        return None
+    return GR_ZERO if c is None else _gr_over(c[0], c[1], d)
 
 
 def sub_diagonal(m: Matrix, lam: Scalar) -> Matrix:

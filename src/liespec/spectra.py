@@ -38,6 +38,16 @@ hence no homology, unless w = f (Dixmier).  So the Betti vector of rho - f
 is that of rho restricted to X^f, minus f, on a complex of dim X^f copies of
 the exterior algebra instead of m.  Float and merely solvable input keep the
 full complexes over the triangularization candidates.
+
+Often every rho(e_l) acts on X^w as the scalar w_l, as on a zero pad or a
+diagonal block.  Then X^w is mu = dim X^w copies of the one-dimensional
+module C_w, d_p(rho - w) on X^w is B_p (x) I_mu, and its Betti vector is mu
+times that of H_*(L; C), the homology of the zero one-dimensional module
+(Chevalley-Eilenberg 1948), computed once per algebra (_trivial_betti).  No
+complex is built for such a block; its entry budget is still checked.  A
+scalar matrix c I, read off its Z[i] form (numeric.scalar_of), is not
+factored either: the block split takes it as the one run (c, dim), and a
+search level descends once with lam = c.
 """
 
 from __future__ import annotations
@@ -56,7 +66,7 @@ from .lie_core import (
     is_solvable,
     restrict_character,
 )
-from .koszul import BettiVector, homology_dims
+from .koszul import BettiVector, check_entry_budget, homology_dims
 from .numeric import (
     EXACT,
     EigenRuns,
@@ -71,11 +81,11 @@ from .numeric import (
     identity,
     intersect_subspaces,
     inverse,
-    is_scalar_matrix,
     nullspace_basis,
     sc_abs,
     sc_is_zero,
     scalar_key,
+    scalar_of,
     sub_diagonal,
     scalar_to_json,
     submatrix,
@@ -191,8 +201,9 @@ def parse_kind(text: str) -> SpectrumKind:
     )
 
 
-def all_kinds(n: int) -> List[SpectrumKind]:
-    """Every kind meaningful for an n-dimensional algebra."""
+@lru_cache(maxsize=64)
+def all_kinds(n: int) -> Tuple[SpectrumKind, ...]:
+    """Every kind meaningful for an n-dimensional algebra; cached per n."""
     kinds = [
         SpectrumKind("taylor", False, False, None),
         SpectrumKind("taylor", False, True, None),
@@ -204,7 +215,7 @@ def all_kinds(n: int) -> List[SpectrumKind]:
             for ess in (False, True):
                 for k in range(n + 1):
                     kinds.append(SpectrumKind(family, split, ess, k))
-    return kinds
+    return tuple(kinds)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +338,11 @@ def _joint_eigenvectors(
     level narrows V, from everything, and the leaf keeps the first column
     of that free-variable kernel basis.
 
+    A level whose matrix, whole or restricted, is scalar c I does not
+    factor it or take a kernel: V is already the eigenspace of c, and the
+    level descends once with lam = c, to the same leaves as the kernel of
+    the zero matrix would give.
+
     Float input walks the basis in order, takes the whole kernel of
     rho(e_k) - lam intersected with V, and reads a leaf's vector off V as
     found.
@@ -335,7 +351,8 @@ def _joint_eigenvectors(
     the (value, multiplicity) runs of numeric.eigenvalues; an entry that is
     None is computed the first time the whole matrix is factored and stored
     back, so each is factored at most once per search and the caller can
-    reuse the result.
+    reuse the result.  A scalar whole matrix is never factored, and its
+    entry stays None.
     """
     L, m = rep.algebra, rep.m
     if m == 0:
@@ -346,7 +363,7 @@ def _joint_eigenvectors(
     prefix = _ideal_order(L) if exact else ()
     order = prefix + tuple(k for k in range(L.n) if k not in prefix)
     position = [order.index(k) for k in range(L.n)]
-    echelon_leaf = exact and not all(is_scalar_matrix(rep.mats[k]) for k in range(L.n - 1))
+    echelon_leaf = exact and any(scalar_of(rep.mats[k]) is None for k in range(L.n - 1))
 
     def whole_runs(k: int) -> EigenRuns:
         if multisets[k] is None:
@@ -373,6 +390,10 @@ def _joint_eigenvectors(
         restrict = j < len(prefix) and space.cols < m
         if restrict:
             mat = _restricted(mat, space, rows, "joint eigenspace")
+        c = scalar_of(mat)
+        if c is not None:  # V is already the eigenspace of c
+            yield from descend(j + 1, space, rows, lams + (c,))
+            return
         for lam, _ in eigenvalues(mat) if restrict else whole_runs(k):
             shifted = sub_diagonal(mat, lam)
             if not restrict and space.cols < m:
@@ -501,11 +522,13 @@ def weight_blocks(rep: Representation) -> List[Tuple[Vector, Representation]]:
     ker(rho(e_k) - w_k)^m, as (w, rho restricted to X^w); the weights are
     distinct and the block dimensions sum to m.
 
-    Split level by level, k = 0..n-1: a block on which rho(e_k) has more
-    than one eigenvalue is cut into the kernels of (rho(e_k) - lam)^mu, mu
-    the multiplicity of lam.  Each kernel has dimension mu and, L being
-    nilpotent, is invariant under every rho(e_j).  Both are verified, the
-    invariance as V R == M V for each restricted matrix R.  The kernel
+    Split level by level, k = 0..n-1: a block on which rho(e_k) is scalar
+    c I keeps c as its one eigenvalue, with no characteristic polynomial.
+    A block on which rho(e_k) has more than one eigenvalue is cut into the
+    kernels of (rho(e_k) - lam)^mu, mu the multiplicity of lam.  Each
+    kernel has dimension mu and, L being nilpotent, is invariant under every
+    rho(e_j).  Both are verified, the invariance as V R == M V for each
+    restricted matrix R.  The kernel
     basis V is the identity on its free rows F, so R is the rows F of M V,
     the one solution of V R == M V when there is one.  A failure raises
     VerificationFailure.
@@ -517,7 +540,8 @@ def weight_blocks(rep: Representation) -> List[Tuple[Vector, Representation]]:
         split = []
         for w, block in blocks:
             mat = block.mats[k]
-            runs = eigenvalues(mat)
+            c = scalar_of(mat)
+            runs = eigenvalues(mat) if c is None else [(c, block.m)]
             if len(runs) == 1:  # the whole block is one weight space
                 split.append((w + (runs[0][0],), block))
                 continue
@@ -570,6 +594,13 @@ def homology_support(L: LieAlgebra, tol: Optional[float] = None) -> Tuple[Vector
     return dedup_characters(support, L.backend)
 
 
+@lru_cache(maxsize=64)
+def _trivial_betti(L: LieAlgebra) -> BettiVector:
+    """H_*(L; C): the Betti vector of the zero one-dimensional module,
+    cached per algebra."""
+    return homology_dims(_one_dim_rep(L, L.zero_vector()))
+
+
 def spectral_candidates(rep: Representation, tol: Optional[float] = None) -> Tuple[Vector, ...]:
     """Finite superset of every homology spectrum: weights minus support."""
     weights = weight_candidates(rep, tol)
@@ -595,14 +626,28 @@ def homology_table(
 ) -> Tuple[Tuple[Vector, BettiVector], ...]:
     """Betti vectors of rho - f over the full candidate set, sorted.  On
     exact nilpotent input the candidates are the weights, and each complex
-    is built on its own weight block (see the module docstring)."""
+    is built on its own weight block, except that a block on which every
+    rho(e_l) is scalar takes mu times the algebra's own Betti vector (see
+    the module docstring)."""
     L = rep.algebra
     if _splits_by_weight(rep):
         blocks = dict(weight_blocks(rep))
-        return tuple((w, homology_dims(blocks[w], Character(L, w), tol))
+        return tuple((w, _block_betti(blocks[w], w, tol))
                      for w in _checked_weights(rep, list(blocks), tol))
     return tuple((c, homology_dims(rep, Character(L, c), tol))
                  for c in spectral_candidates(rep, tol))
+
+
+def _block_betti(block: Representation, w: Vector, tol: Optional[float]) -> BettiVector:
+    """The Betti vector of rho - w on the weight block X^w.  When every
+    rho(e_l) is the scalar w_l there, d_p(rho - w) is B_p (x) I_mu, so the
+    Betti vector is mu times that of the zero one-dimensional module; the
+    entry budget is checked as building the complex would."""
+    L, mu = block.algebra, block.m
+    if any(scalar_of(mat) is None for mat in block.mats):
+        return homology_dims(block, Character(L, w), tol)
+    check_entry_budget(L.n, mu, 0, L.n)
+    return BettiVector(tuple(mu * h for h in _trivial_betti(L).h))
 
 
 @dataclass(frozen=True)
@@ -632,34 +677,47 @@ def _annotations(kind: SpectrumKind) -> Tuple[str, ...]:
     return tuple(annotations)
 
 
+# one kind as all_spectra reads it: (kind, its name, its degree range or
+# None for an essential kind, its annotations)
+KindPlan = Tuple[Tuple[SpectrumKind, str, Optional[range], Tuple[str, ...]], ...]
+
+
+def _plan(kinds: Sequence[SpectrumKind], n: int) -> KindPlan:
+    return tuple((kind, kind.render(), None if kind.essential else kind.degree_range(n),
+                  _annotations(kind)) for kind in kinds)
+
+
+@lru_cache(maxsize=64)
+def _kind_plan(n: int) -> KindPlan:
+    """The plan of all_kinds(n), cached per algebra dimension."""
+    return _plan(all_kinds(n), n)
+
+
 def all_spectra(
     rep: Representation,
     kinds: Optional[Sequence[SpectrumKind]] = None,
     tol: Optional[float] = None,
 ) -> Dict[str, SpectrumReport]:
-    """Reports for many kinds off one shared homology table.  The members
-    and their Betti vectors are read once per distinct degree range, and
-    every kind with that range gets the same tuples: a split kind has the
-    members of its plain kind, and delta_n and pi_n those of taylor.  Every
-    essential kind reports no members."""
+    """Reports for many kinds, all_kinds by default, off one shared homology
+    table.  The members and their Betti vectors are read once per distinct
+    degree range, and every kind with that range gets the same tuples: a
+    split kind has the members of its plain kind, and delta_n and pi_n those
+    of taylor.  Every essential kind reports no members."""
     L = rep.algebra
-    if kinds is None:
-        kinds = all_kinds(L.n)
-    table = homology_table(rep, tol) if any(not k.essential for k in kinds) else ()
+    plan = _kind_plan(L.n) if kinds is None else _plan(kinds, L.n)
+    table = homology_table(rep, tol) if any(degrees is not None for _, _, degrees, _ in plan) else ()
     candidates = tuple(c for c, _ in table)
     read: Dict[range, Tuple[Tuple[Character, ...], Tuple[Tuple[Vector, BettiVector], ...]]] = {}
     out = {}
-    for kind in kinds:
-        if kind.essential:
-            out[kind.render()] = SpectrumReport(kind, (), (), "homology", (), _annotations(kind))
+    for kind, name, degrees, annotations in plan:
+        if degrees is None:
+            out[name] = SpectrumReport(kind, (), (), "homology", (), annotations)
             continue
-        degrees = kind.degree_range(L.n)
         if degrees not in read:
             member_betti = tuple((c, b) for c, b in table if any(b.h[p] != 0 for p in degrees))
             read[degrees] = tuple(Character(L, c) for c, _ in member_betti), member_betti
         members, member_betti = read[degrees]
-        out[kind.render()] = SpectrumReport(
-            kind, members, member_betti, "homology", candidates, _annotations(kind))
+        out[name] = SpectrumReport(kind, members, member_betti, "homology", candidates, annotations)
     return out
 
 

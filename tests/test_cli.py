@@ -449,6 +449,25 @@ def test_lab_proxy_schedule_over_the_entry_budget_exits_1_fast(capsys, tmp_path)
     assert "1000x3000" in err
 
 
+def test_report_of_an_oversized_scalar_block_exits_1(capsys, tmp_path, monkeypatch):
+    # the zero representation of H3 on C^600 is one scalar weight block: its
+    # Betti vector is read off the algebra's, but the entry budget of the
+    # complex it stands for still applies, and nothing is factored
+    path = tmp_path / "zero600.json"
+    obj = rep_to_json(lab.fixture("h3").rep)
+    obj["dimX"], obj["matrices"] = 600, [[["0"] * 600 for _ in range(600)] for _ in range(3)]
+    path.write_text(json.dumps(obj))
+    factored = []
+    honest = spectra.eigenvalues
+    monkeypatch.setattr(spectra, "eigenvalues", lambda m, *rest: factored.append(m) or honest(m, *rest))
+    code, out, err = run(capsys, "report", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == ("error: d_1 would have 600x1800 = 1080000 entries, over the budget of "
+                   "1000000 entries per differential\n")
+    assert factored == []
+
+
 def test_lab_proxy_default_schedule_csv(capsys):
     code, out, _ = run(capsys, "lab", "proxy")
     assert code == 0

@@ -984,6 +984,17 @@ def test_sub_diagonal_matches_subtracting_a_scaled_identity():
         nm.sub_diagonal(exact_mat([[1, 2, 3]]), gr(1))
 
 
+def test_scalar_of_reads_c_off_the_form_alone():
+    for n, c in ((3, gr(-5, 7) / gr(6)), (2, gr(0)), (1, gr(4)), (0, gr(0))):
+        m = nm.zi_matrix(n, n, *nm.zi_form(identity(n, EXACT).scale(c)))
+        assert nm.scalar_of(m) == c and m._entries is None
+    assert nm.scalar_of(nm.zeros(2, 2, EXACT)) is nm.GR_ZERO
+    for rows in ([[1, 0], [0, 2]], [[1, 1], [0, 1]], [[0, 0], [1, 0]], [[0, 0], [0, 1]]):
+        assert nm.scalar_of(exact_mat(rows)) is None, rows
+    with pytest.raises(nm.VerificationFailure):
+        nm.scalar_of(exact_mat([[1, 0]]))
+
+
 def test_identity_minus_product_matches_subtracting_the_product():
     rng = random.Random(118)
     for t in range(300):

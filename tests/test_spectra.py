@@ -366,8 +366,10 @@ def test_weight_candidates_need_solvable():
 
 
 def restricted_node_dims(rep, first_leaf_only=False):
-    """The dimension of the joint eigenspace at every node of an
-    ideal-ordered search, in depth-first order, by subspace intersection."""
+    """The dimension of the joint eigenspace V at every node of an
+    ideal-ordered search where rho(e_k) is not scalar on V, in depth-first
+    order, by subspace intersection.  A node where some lam has V inside
+    ker(rho(e_k) - lam) is left out: V is already that eigenspace."""
     order, m = sp._ideal_order(rep.algebra), rep.m
     assert len(order) == rep.algebra.n
     dims = []
@@ -375,11 +377,14 @@ def restricted_node_dims(rep, first_leaf_only=False):
     def descend(j, space):
         if j == len(order):
             return True
-        dims.append(space.cols)
         mat = rep.mats[order[j]]
+        nexts = []
         for lam, _ in nm.eigenvalues(mat):
             kernel = nm.nullspace_basis(nm.sub_diagonal(mat, lam))
-            nxt = kernel if space.cols == m else nm.intersect_subspaces(space, kernel)
+            nexts.append(kernel if space.cols == m else nm.intersect_subspaces(space, kernel))
+        if all(nxt.cols < space.cols for nxt in nexts):
+            dims.append(space.cols)
+        for nxt in nexts:
             if nxt.cols and descend(j + 1, nxt) and first_leaf_only:
                 return True
         return False
@@ -560,6 +565,86 @@ def test_exact_nilpotent_table_is_built_on_the_blocks(monkeypatch):
     sp.all_spectra(rep)
     assert triangular == []
     assert len(built) == len(dims) and dict(built) == dims
+
+
+def scalar_rep(L, values, m):
+    """rho(e_k) = values[k] I on C^m."""
+    eye = nm.identity(m, EXACT)
+    return rp.Representation(L, m, tuple(eye.scale(c) for c in values))
+
+
+def gaussian_pad_rep():
+    """H3's fixture block plus a 2-dim block where x, y, z act as 1+2i, -3i
+    and 0."""
+    block = h3_rep()
+    return rp.direct_sum(block, scalar_rep(block.algebra, (gr(1, 2), gr(0, -3), gr(0)), 2))
+
+
+def scalar_block_instances():
+    """Seeded exact inputs with scalar weight blocks: zero pads, A1's
+    diagonal blocks, and the Gaussian pad, plain and conjugated."""
+    pad = gaussian_pad_rep()
+    conjugated = rp.conjugate_representation(pad, lab.unimodular_matrix(random.Random(5), pad.m, EXACT))
+    seeded = [lab.random_nilpotent_rep(400 + s, base, m)
+              for s, (base, m) in enumerate([("H3", 4), ("H3", 5), ("F4", 5), ("F4", 6),
+                                              ("Z3", 4), ("A1", 3), ("A1", 5), ("A1", 6)])]
+    return seeded + [pad, conjugated]
+
+
+def is_scalar_block(block):
+    return all(nm.scalar_of(mat) is not None for mat in block.mats)
+
+
+def test_scalar_block_betti_equals_full_complex_betti():
+    scalar = other = 0
+    for rep in scalar_block_instances():
+        kinds = [is_scalar_block(block) for _, block in sp.weight_blocks(rep)]
+        scalar, other = scalar + sum(kinds), other + len(kinds) - sum(kinds)
+        for c, betti in sp.homology_table(rep):
+            assert betti == kz.homology_dims(rep, lc.Character(rep.algebra, c)), c
+    assert scalar >= 10 and other >= 5, (scalar, other)
+    table = dict(sp.homology_table(gaussian_pad_rep()))
+    assert {c: b.h for c, b in table.items()} == {
+        (gr(0), gr(0), gr(0)): (1, 2, 2, 1),
+        (gr(1, 2), gr(0, -3), gr(0)): (2, 4, 4, 2),
+    }
+
+
+def test_all_scalar_table_builds_no_differential(monkeypatch):
+    L = h3_rep().algebra
+    rep = rp.direct_sum(lab.zero_representation(L, 2), scalar_rep(L, (gr(1, 2), gr(0, -3), gr(0)), 3))
+    rep = rp.conjugate_representation(rep, lab.unimodular_matrix(random.Random(2), rep.m, EXACT))
+    assert all(is_scalar_block(block) for _, block in sp.weight_blocks(rep))
+    sp._trivial_betti(L)
+    built = []
+    honest = kz._differential
+    monkeypatch.setattr(kz, "_differential", lambda *args: built.append(args) or honest(*args))
+    table = sp.homology_table(rep)
+    assert built == []
+    assert [b.h for _, b in table] == [(2, 4, 4, 2), (3, 6, 6, 3)]
+
+
+def test_scalar_search_levels_factor_nothing(monkeypatch):
+    factored, kernels = [], []
+    honest_poly, honest_kernel = nm.char_poly, sp._kernel_with_free_rows
+    monkeypatch.setattr(nm, "char_poly", lambda m: factored.append(m) or honest_poly(m))
+    monkeypatch.setattr(sp, "_kernel_with_free_rows",
+                        lambda m, *rest: kernels.append(m) or honest_kernel(m, *rest))
+    # every level scalar: one leaf, read off the scalars
+    L = h3_rep().algebra
+    rep = scalar_rep(L, (gr(1, 2), gr(0, -3), gr(0)), 3)
+    rep = rp.conjugate_representation(rep, lab.unimodular_matrix(random.Random(3), rep.m, EXACT))
+    factored.clear()
+    leaves = list(sp._joint_eigenvectors(rep, None))
+    assert [lams for lams, _ in leaves] == [(gr(1, 2), gr(0, -3), gr(0))]
+    assert factored == [] and kernels == []
+    # elsewhere, no factored matrix is scalar and no kernel is of a zero one
+    for rep in scalar_block_instances():
+        assert len(sp._ideal_order(rep.algebra)) == rep.algebra.n
+        factored.clear(), kernels.clear()
+        assert list(sp._joint_eigenvectors(rep, None))
+        assert all(nm.scalar_of(m) is None for m in factored)
+        assert not any(m.is_zero() for m in kernels)
 
 
 # --- homology route -----------------------------------------------------------------
