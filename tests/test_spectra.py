@@ -625,21 +625,20 @@ def test_all_scalar_table_builds_no_differential(monkeypatch):
 
 
 def test_scalar_search_levels_factor_nothing(monkeypatch):
+    rep = scalar_rep(h3_rep().algebra, (gr(1, 2), gr(0, -3), gr(0)), 3)
+    rep = rp.conjugate_representation(rep, lab.unimodular_matrix(random.Random(3), rep.m, EXACT))
+    instances = scalar_block_instances()
     factored, kernels = [], []
     honest_poly, honest_kernel = nm.char_poly, sp._kernel_with_free_rows
     monkeypatch.setattr(nm, "char_poly", lambda m: factored.append(m) or honest_poly(m))
     monkeypatch.setattr(sp, "_kernel_with_free_rows",
                         lambda m, *rest: kernels.append(m) or honest_kernel(m, *rest))
     # every level scalar: one leaf, read off the scalars
-    L = h3_rep().algebra
-    rep = scalar_rep(L, (gr(1, 2), gr(0, -3), gr(0)), 3)
-    rep = rp.conjugate_representation(rep, lab.unimodular_matrix(random.Random(3), rep.m, EXACT))
-    factored.clear()
     leaves = list(sp._joint_eigenvectors(rep, None))
     assert [lams for lams, _ in leaves] == [(gr(1, 2), gr(0, -3), gr(0))]
     assert factored == [] and kernels == []
     # elsewhere, no factored matrix is scalar and no kernel is of a zero one
-    for rep in scalar_block_instances():
+    for rep in instances:
         assert len(sp._ideal_order(rep.algebra)) == rep.algebra.n
         factored.clear(), kernels.clear()
         assert list(sp._joint_eigenvectors(rep, None))
