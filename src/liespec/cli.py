@@ -26,6 +26,7 @@ from .lie_core import (
     NotNilpotent,
     Subspace,
     character,
+    coeffs_json,
     derived_subalgebra,
     is_nilpotent,
     is_solvable,
@@ -130,10 +131,6 @@ def _char_label(coeffs, backend: str) -> str:
     return ",".join(_scalar_label(c, backend) for c in coeffs)
 
 
-def _coeffs_json(coeffs) -> list:
-    return [scalar_to_json(c) for c in coeffs]
-
-
 def _matrix_json(m: Matrix) -> list:
     return [[scalar_to_json(m.at(i, j)) for j in range(m.cols)] for i in range(m.rows)]
 
@@ -236,7 +233,7 @@ def cmd_validate(args) -> Tuple[int, dict]:
     payload = {
         "ok": not alg_bad and not rep_bad,
         "algebra_violations": [
-            {"triple": list(t), "residual": _coeffs_json(vec)} for t, vec in alg_bad
+            {"triple": list(t), "residual": coeffs_json(vec)} for t, vec in alg_bad
         ],
         "homomorphism_violations": [
             {"pair": list(p), "residual": _matrix_json(m)} for p, m in rep_bad
@@ -291,7 +288,7 @@ def cmd_koszul(args) -> Tuple[int, dict]:
     dims, ranks, betti = complex_profile(C, args.tol)
     coeffs = f.coeffs if f is not None else rep.algebra.zero_vector()
     payload = {
-        "f": _coeffs_json(coeffs),
+        "f": coeffs_json(coeffs),
         "dims": list(dims),
         "ranks": list(ranks),
         "betti": list(betti.h),
@@ -316,7 +313,7 @@ def cmd_spectrum(args) -> Tuple[int, dict]:
     payload = {
         "kind": report.kind.render(),
         "route": report.route,
-        "members": [_coeffs_json(c) for c in report.member_coeffs],
+        "members": [coeffs_json(c) for c in report.member_coeffs],
         "betti": {
             _char_label(coeffs, rep.backend): list(b.h) for coeffs, b in report.betti
         },
@@ -329,10 +326,8 @@ def cmd_eigenchars(args) -> Tuple[int, dict]:
     rep = _load_representation(args)
     pairs = joint_eigencharacters(rep, args.tol)
     payload = {
-        "eigencharacters": [_coeffs_json(f.coeffs) for f, _ in pairs],
-        "witnesses": [
-            [scalar_to_json(x) for x in w.entries] for _, w in pairs
-        ],
+        "eigencharacters": [coeffs_json(f.coeffs) for f, _ in pairs],
+        "witnesses": [coeffs_json(w.entries) for _, w in pairs],
     }
     return 0, payload
 
@@ -342,8 +337,8 @@ def cmd_crossval(args) -> Tuple[int, dict]:
     cv = cross_validate(rep, tol=args.tol)
     payload = {
         "nilpotent": cv.nilpotent,
-        "homology_members": [_coeffs_json(c) for c in cv.homology_members],
-        "eigen_members": [_coeffs_json(c) for c in cv.eigen_members],
+        "homology_members": [coeffs_json(c) for c in cv.homology_members],
+        "eigen_members": [coeffs_json(c) for c in cv.eigen_members],
         "equal": cv.equal,
         "eigen_contained": cv.eigen_contained,
         "strict_containment": cv.strict,
@@ -385,8 +380,8 @@ def cmd_project(args) -> Tuple[int, dict]:
     payload = {
         "kind": report.kind.render(),
         "ideal_dim": ideal.dim,
-        "projected": [_coeffs_json(c) for c in report.projected],
-        "restricted": [_coeffs_json(c) for c in report.restricted],
+        "projected": [coeffs_json(c) for c in report.projected],
+        "restricted": [coeffs_json(c) for c in report.restricted],
         "equal": report.equal,
     }
     return (0 if report.equal else 1), payload
@@ -406,7 +401,7 @@ def cmd_report(args) -> Tuple[int, dict]:
         kind = report.kind
         degrees = None if kind.essential else kind.degree_range(L.n)
         if degrees not in members_json:
-            members_json[degrees] = [_coeffs_json(c) for c in report.member_coeffs]
+            members_json[degrees] = [coeffs_json(c) for c in report.member_coeffs]
         spectra[name] = {"members": members_json[degrees],
                          "annotations": list(report.annotations)}
 
@@ -415,7 +410,7 @@ def cmd_report(args) -> Tuple[int, dict]:
         "equal": cv.equal,
         "eigen_contained": cv.eigen_contained,
         "strict_containment": cv.strict,
-        "eigen_members": [_coeffs_json(c) for c in cv.eigen_members],
+        "eigen_members": [coeffs_json(c) for c in cv.eigen_members],
     }
 
     projections = []

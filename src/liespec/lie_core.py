@@ -20,6 +20,7 @@ come back as tuples, so no caller can change a cached value.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -387,10 +388,15 @@ def is_character(L: LieAlgebra, coeffs: Sequence[Scalar], tol: Optional[float] =
     return True
 
 
+def coeffs_json(coeffs: Sequence[Scalar]) -> list:
+    """Coordinates as the CLI writes them: one scalar_to_json each."""
+    return [scalar_to_json(c) for c in coeffs]
+
+
 def character(L: LieAlgebra, values: Sequence, tol: Optional[float] = None) -> Character:
     coeffs = tuple(make_scalar(v, L.backend) for v in values)
     if not is_character(L, coeffs, tol):
-        raise NotACharacter(f"functional {values!r} does not vanish on [L, L]")
+        raise NotACharacter(f"functional {json.dumps(coeffs_json(coeffs))} does not vanish on [L, L]")
     return Character(L, coeffs)
 
 

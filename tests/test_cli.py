@@ -846,6 +846,31 @@ def test_crossval_route_disagreement_exits_1(capsys, monkeypatch):
     assert issubclass(spectra.RouteDisagreement, VerificationFailure)
 
 
+ROUTE_DISAGREEMENT = {
+    "exact": 'homology [["2"], ["3"]] vs eigencharacters [["3"]]',
+    "float": "homology [[[2.0, 0.0]], [[3.0, 0.0]]] vs eigencharacters [[[3.0, 0.0]]]",
+}
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_route_disagreement_prints_characters_as_json(capsys, monkeypatch, backend):
+    honest = spectra.joint_eigencharacters
+    monkeypatch.setattr(spectra, "joint_eigencharacters", lambda rep, tol=None: honest(rep, tol)[1:])
+    code, out, err = run(capsys, "crossval", "--fixture", "a1", "--backend", backend)
+    assert (code, out) == (1, "")
+    assert err == ("error: dual-route disagreement on a nilpotent algebra: "
+                   f"{ROUTE_DISAGREEMENT[backend]}\n")
+
+
+@pytest.mark.parametrize("backend, functional",
+                         [("exact", '["0", "1"]'), ("float", "[[0.0, 0.0], [1.0, 0.0]]")],
+                         ids=["exact", "float"])
+def test_non_character_shift_prints_scalars_as_json(capsys, backend, functional):
+    code, out, err = run(capsys, "koszul", "--fixture", "s2", "--shift", "0,1", "--backend", backend)
+    assert (code, out) == (1, "")
+    assert err == f"error: functional {functional} does not vanish on [L, L]\n"
+
+
 def test_internal_errors_propagate_with_traceback(monkeypatch):
     def broken(rep, tol=None):
         raise RuntimeError("an internal bug")

@@ -353,6 +353,26 @@ def test_exact_weight_candidates_fill_no_entries(monkeypatch, rep):
     assert weights and filled == []
 
 
+@pytest.mark.parametrize("backend, weight, candidate", [
+    (EXACT, '["1", "1"]', '["2", "1"]'),
+    (FLOAT, "[[1.0, 0.0], [1.0, 0.0]]", "[[1.0, 0.0], [1.0, 0.0]]"),
+], ids=[EXACT, FLOAT])
+def test_non_character_errors_print_scalars_as_json(monkeypatch, backend, weight, candidate):
+    # (1, 1) is no character of [x, y] = y; each error names it, or its first
+    # candidate (1, 1) - g over the support, as the CLI writes a character:
+    # one scalar_to_json per coordinate
+    rep = s2_rep() if backend == EXACT else float_copy(s2_rep())
+    w = (nm.make_scalar(1, backend),) * 2
+    with pytest.raises(nm.VerificationFailure) as raised:
+        sp._checked_weights(rep, [w], None)
+    assert str(raised.value) == f"non-character weight {weight}"
+    sp.homology_support(rep.algebra, None)  # cached before the weights are faked
+    monkeypatch.setattr(sp, "weight_candidates", lambda rep, tol=None: (w,))
+    with pytest.raises(nm.VerificationFailure) as raised:
+        sp.spectral_candidates(rep)
+    assert str(raised.value) == f"non-character candidate {candidate}"
+
+
 def test_weight_candidates_need_solvable():
     # sl2 is not solvable: [e,f]=h, [h,e]=2e, [h,f]=-2f
     L = lc.lie_algebra(
@@ -396,9 +416,7 @@ def restricted_node_dims(rep, first_leaf_only=False):
 @pytest.mark.parametrize("route", ["triangular_weights", "joint_eigencharacters"])
 def test_each_input_matrix_is_factored_once(monkeypatch, route):
     # one full m x m factorization at level 0; every later one is the
-    # restriction of rho(e_k) to its node's joint eigenspace, s x s.  The
-    # quotients of the triangularization reuse the eigenvalue multisets of
-    # the whole matrices they share with their parent.
+    # restriction of rho(e_k) to its node's joint eigenspace, s x s.
     rep = lab.random_nilpotent_rep(1, "F4", 8)
     calls, searches = [], []
     honest, honest_search = nm.char_poly, sp._joint_eigenvectors
@@ -417,18 +435,29 @@ def test_each_input_matrix_is_factored_once(monkeypatch, route):
         assert [m.rows for m in calls] == restricted_node_dims(rep)
         return
     assert len(searches) == rep.m
-    whole = 0
     for i, (work, start) in enumerate(searches):
         stop = searches[i + 1][1] if i + 1 < len(searches) else len(calls)
         sizes = [m.rows for m in calls[start:stop]]
-        whole += sum(size == work.m for size in sizes)
         assert all(size <= work.m for size in sizes)
         if work.m > 1:
             # the nodes on the first leaf's path below the whole space
             want = restricted_node_dims(work, first_leaf_only=True)
             assert [s for s in sizes if s < work.m] == [d for d in want if d < work.m], i
-    # each whole rho(e_k) is factored at most once over all the quotients
-    assert whole <= rep.algebra.n
+
+
+def test_each_search_factors_each_whole_matrix_once(monkeypatch):
+    # with no full ideal order, levels past the ideal prefix branch over the
+    # eigenvalues of the whole rho(e_k) at every node; the search's own cache
+    # factors each of them once, however many nodes reach its level
+    calls = []
+    honest = sp.eigenvalues
+    monkeypatch.setattr(sp, "eigenvalues", lambda m, tol=None: calls.append(m) or honest(m, tol))
+    for rep in no_ideal_order_reps():
+        calls.clear()
+        assert len(list(sp._joint_eigenvectors(rep, None))) > 1
+        whole = [m for m in calls if m.rows == rep.m]
+        assert all(any(m is mat for mat in rep.mats) for m in whole)
+        assert len({id(m) for m in whole}) == len(whole) <= rep.algebra.n, len(whole)
 
 
 def test_homology_support_nilpotent_is_zero():
