@@ -36,6 +36,7 @@ from .lie_core import (
     LieAlgebra,
     abelian_algebra,
     character,
+    coeffs_text,
     derived_subalgebra,
     is_nilpotent,
     jordan_holder_chain,
@@ -474,7 +475,7 @@ def _check_soundness(rep: Representation, reports) -> Optional[str]:
         zero = BettiVector((0,) * (rep.algebra.n + 1))
         for c in taylor.candidates:
             if homology_dims(rep, Character(rep.algebra, c)) != table.get(c, zero):
-                return f"weight-block homology differs from the full complex at {c!r}"
+                return f"weight-block homology differs from the full complex at {coeffs_text(c)}"
     return None
 
 

@@ -393,10 +393,16 @@ def coeffs_json(coeffs: Sequence[Scalar]) -> list:
     return [scalar_to_json(c) for c in coeffs]
 
 
+def coeffs_text(coeffs: Sequence[Scalar]) -> str:
+    """Coordinates as an error line writes them: the JSON list the CLI
+    prints for them."""
+    return json.dumps(coeffs_json(coeffs))
+
+
 def character(L: LieAlgebra, values: Sequence, tol: Optional[float] = None) -> Character:
     coeffs = tuple(make_scalar(v, L.backend) for v in values)
     if not is_character(L, coeffs, tol):
-        raise NotACharacter(f"functional {json.dumps(coeffs_json(coeffs))} does not vanish on [L, L]")
+        raise NotACharacter(f"functional {coeffs_text(coeffs)} does not vanish on [L, L]")
     return Character(L, coeffs)
 
 
@@ -447,7 +453,7 @@ def algebra_to_json(L: LieAlgebra) -> dict:
         "dim": L.n,
         "basis": list(L.names),
         "brackets": [
-            {"i": i, "j": j, "coeffs": [scalar_to_json(c) for c in coeffs]}
+            {"i": i, "j": j, "coeffs": coeffs_json(coeffs)}
             for i, j, coeffs in L.table
         ],
     }

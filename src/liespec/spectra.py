@@ -52,7 +52,6 @@ search level descends once with lam = c.
 
 from __future__ import annotations
 
-import json
 import re as _re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -62,7 +61,7 @@ from .lie_core import (
     Character,
     LieAlgebra,
     Subspace,
-    coeffs_json,
+    coeffs_text,
     is_character,
     is_nilpotent,
     is_solvable,
@@ -71,6 +70,7 @@ from .lie_core import (
 from .koszul import BettiVector, check_entry_budget, homology_dims
 from .numeric import (
     EXACT,
+    EigenRuns,
     Matrix,
     Scalar,
     VerificationFailure,
@@ -310,7 +310,11 @@ def _restricted(mat: Matrix, space: Matrix, rows: Sequence[int], what: str) -> M
     return restricted
 
 
-def _joint_eigenvectors(rep: Representation, tol: Optional[float]) -> Iterator[Tuple[Vector, Matrix]]:
+def _joint_eigenvectors(
+    rep: Representation,
+    tol: Optional[float],
+    multisets: Optional[List[Optional[EigenRuns]]] = None,
+) -> Iterator[Tuple[Vector, Matrix]]:
     """Joint eigenvalue tuples with one joint eigenvector each, an m x 1
     matrix.
 
@@ -344,20 +348,28 @@ def _joint_eigenvectors(rep: Representation, tol: Optional[float]) -> Iterator[T
     rho(e_k) - lam intersected with V, and reads a leaf's vector off V as
     found.
 
-    Each search keeps its own cache of the eigenvalue runs of the whole
-    rho(e_k), so each is factored at most once per search, and an exact
-    scalar one never.
+    multisets[k] is the eigenvalue multiset of the whole rep.mats[k], as
+    the (value, multiplicity) runs of numeric.eigenvalues; an entry that is
+    None is computed the first time the whole matrix is factored and stored
+    back, so each is factored at most once per search and the caller can
+    reuse the result.  A scalar whole matrix is never factored, and its
+    entry stays None.
     """
     L, m = rep.algebra, rep.m
     if m == 0:
         return
+    if multisets is None:
+        multisets = [None] * L.n
     exact = rep.backend == EXACT
     prefix = _ideal_order(L) if exact else ()
     order = prefix + tuple(k for k in range(L.n) if k not in prefix)
     position = [order.index(k) for k in range(L.n)]
     echelon_leaf = exact and any(scalar_of(rep.mats[k]) is None for k in range(L.n - 1))
 
-    whole_runs = lru_cache(maxsize=None)(lambda k: eigenvalues(rep.mats[k], tol))
+    def whole_runs(k: int) -> EigenRuns:
+        if multisets[k] is None:
+            multisets[k] = eigenvalues(rep.mats[k], tol)
+        return multisets[k]
 
     def descend(j: int, space: Matrix, rows: Sequence[int], lams: Tuple[Scalar, ...]):
         if not space.cols:
@@ -432,15 +444,16 @@ def joint_eigencharacters(
 
 def triangular_weights(rep: Representation, tol: Optional[float] = None) -> List[Vector]:
     """Diagonal weight tuples of a simultaneous triangularization, with
-    multiplicity: repeated eigenvector extraction and quotient, each quotient
-    searched afresh, with nothing passed from one quotient to the next."""
+    multiplicity, obtained by repeated eigenvector extraction and quotient."""
     L = rep.algebra
     if not is_solvable(L):
         raise NotSolvable("simultaneous triangularization needs a solvable algebra")
+    backend = rep.backend
     work = rep
     weights: List[Vector] = []
+    multisets: List[Optional[EigenRuns]] = [None] * L.n
     while work.m > 0:
-        lams, v = next(_joint_eigenvectors(work, tol))
+        lams, v = next(_joint_eigenvectors(work, tol, multisets))
         weights.append(lams)
         if work.m == 1:
             break
@@ -457,7 +470,26 @@ def triangular_weights(rep: Representation, tol: Optional[float] = None) -> List
         for mat in work.mats:
             sub_mats.append(submatrix(inv * mat * basis, range(1, work.m), range(1, work.m)))
         work = Representation(L, work.m - 1, tuple(sub_mats))
+        if backend == EXACT:
+            # the quotient's rho(e_k) keeps all of a known multiset but one
+            # copy of lams[k]
+            multisets = [None if ms is None else _drop_one(ms, lam)
+                         for ms, lam in zip(multisets, lams)]
+        else:
+            multisets = [None] * L.n
     return weights
+
+
+def _drop_one(runs: EigenRuns, value: Scalar) -> EigenRuns:
+    """The runs with one copy of value taken out: its run shortened, or
+    dropped when it held one copy."""
+    out = []
+    for v, k in runs:
+        if v == value:
+            k -= 1
+        if k:
+            out.append((v, k))
+    return out
 
 
 def weight_candidates(rep: Representation, tol: Optional[float] = None) -> Tuple[Vector, ...]:
@@ -471,7 +503,7 @@ def _checked_weights(rep: Representation, found: Sequence[Vector],
     weights = dedup_characters(found, rep.backend)
     for w in weights:
         if not is_character(rep.algebra, w, tol):
-            raise VerificationFailure(f"non-character weight {json.dumps(coeffs_json(w))}")
+            raise VerificationFailure(f"non-character weight {coeffs_text(w)}")
     return weights
 
 
@@ -579,7 +611,7 @@ def spectral_candidates(rep: Representation, tol: Optional[float] = None) -> Tup
         for g in support:
             c = tuple(a - b for a, b in zip(w, g))
             if not is_character(rep.algebra, c, tol):
-                raise VerificationFailure(f"non-character candidate {json.dumps(coeffs_json(c))}")
+                raise VerificationFailure(f"non-character candidate {coeffs_text(c)}")
             out.append(c)
     return dedup_characters(out, rep.backend)
 
@@ -778,8 +810,8 @@ def _compare_routes(
     if nilp and not equal:
         raise RouteDisagreement(
             "dual-route disagreement on a nilpotent algebra: "
-            f"homology {json.dumps([coeffs_json(c) for c in hom])} "
-            f"vs eigencharacters {json.dumps([coeffs_json(c) for c in eig])}"
+            f"homology [{', '.join(map(coeffs_text, hom))}] "
+            f"vs eigencharacters [{', '.join(map(coeffs_text, eig))}]"
         )
     return CrossValidation(nilp, hom, eig, equal, contained, strict)
 

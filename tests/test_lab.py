@@ -297,3 +297,19 @@ def test_soundness_check_compares_block_and_full_complex_homology(monkeypatch):
     # the catalog's exact nilpotent fixtures; s2 is solvable only
     assert failed == {(name, "soundness") for name in ("A1", "H3", "Z3", "F4")}
     assert all("weight-block homology differs" in f.detail for f in summary.failures)
+
+
+@pytest.mark.parametrize("backend, failures", [
+    (EXACT, [("A1", "soundness",
+              'weight-block homology differs from the full complex at ["2"]')]),
+    (FLOAT, []),
+], ids=[EXACT, FLOAT])
+def test_soundness_failure_prints_the_character_as_json(monkeypatch, backend, failures):
+    # the first candidate whose full complex disagrees with the table is named
+    # as the CLI writes a character; float input has no block table to check
+    a1 = lab.fixture("A1", backend)
+    monkeypatch.setattr(lab, "catalog", lambda backend: [a1])
+    monkeypatch.setattr(lab, "homology_dims",
+                        lambda rep, f, tol=None: kz.BettiVector((9,) * (rep.algebra.n + 1)))
+    summary = lab.run_property_suite(0, backend=backend)
+    assert [(f.instance, f.check, f.detail) for f in summary.failures] == failures

@@ -415,7 +415,9 @@ def restricted_node_dims(rep, first_leaf_only=False):
 @pytest.mark.parametrize("route", ["triangular_weights", "joint_eigencharacters"])
 def test_each_input_matrix_is_factored_once(monkeypatch, route):
     # one full m x m factorization at level 0; every later one is the
-    # restriction of rho(e_k) to its node's joint eigenspace, s x s.
+    # restriction of rho(e_k) to its node's joint eigenspace, s x s.  The
+    # quotients of the triangularization reuse the eigenvalue multisets of
+    # the whole matrices they share with their parent.
     rep = lab.random_nilpotent_rep(1, "F4", 8)
     calls, searches = [], []
     honest, honest_search = nm.char_poly, sp._joint_eigenvectors
@@ -434,14 +436,18 @@ def test_each_input_matrix_is_factored_once(monkeypatch, route):
         assert [m.rows for m in calls] == restricted_node_dims(rep)
         return
     assert len(searches) == rep.m
+    whole = 0
     for i, (work, start) in enumerate(searches):
         stop = searches[i + 1][1] if i + 1 < len(searches) else len(calls)
         sizes = [m.rows for m in calls[start:stop]]
+        whole += sum(size == work.m for size in sizes)
         assert all(size <= work.m for size in sizes)
         if work.m > 1:
             # the nodes on the first leaf's path below the whole space
             want = restricted_node_dims(work, first_leaf_only=True)
             assert [s for s in sizes if s < work.m] == [d for d in want if d < work.m], i
+    # each whole rho(e_k) is factored at most once over all the quotients
+    assert whole <= rep.algebra.n
 
 
 def test_each_search_factors_each_whole_matrix_once(monkeypatch):
