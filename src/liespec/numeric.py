@@ -849,6 +849,40 @@ def identity_minus_product(x: Matrix, y: Matrix) -> Matrix:
     return zi_matrix(x.rows, y.cols, out, d)
 
 
+def restrict_to_span(m: Matrix, space: Matrix, rows: Sequence[int], what: str) -> Matrix:
+    """R with space R == m space: the square exact m restricted to the
+    column span V of space, an m.rows x s basis that is the identity on
+    rows P = rows, row P[t] being e_t.
+
+    Formed from the Z[i] rows of the one product m V, over its denominator:
+    R is rows P of that product, and every other row i is checked as
+    V[i] R == (m V)[i] on integers, with the denominators cleared.  On rows
+    P, V R is R itself, so the checks are V R == m V on every row.  Rows P
+    on which V is not the identity, or a row that fails its check, raise
+    VerificationFailure saying that `what` is not invariant.  Float input
+    and shapes that do not fit raise VerificationFailure as well."""
+    if m.backend != EXACT or space.backend != EXACT:
+        raise VerificationFailure("restriction to a span needs exact input")
+    s = space.cols
+    if m.rows != m.cols or m.cols != space.rows or len(rows) != s or any(
+            not 0 <= p < space.rows for p in rows):
+        raise VerificationFailure(f"no restriction of a {m.rows}x{m.cols} matrix to "
+                                  f"{s} columns of {space.rows} rows on rows {list(rows)}")
+    vrows, dv = zi_form(space)
+    if any(vrows[p] != {t: (dv, 0)} for t, p in enumerate(rows)):
+        raise VerificationFailure(f"{what} is not invariant")
+    moved, d = _zi_product_rows(m, space)
+    restricted = [_zi_sparse(*moved[p]) for p in rows]
+    on_p = set(rows)
+    for i, vrow in enumerate(vrows):
+        if i not in on_p:
+            re, im = _zi_row_product(vrow, restricted, s)
+            mre, mim = moved[i]
+            if re != [dv * a for a in mre] or im != [dv * b for b in mim]:
+                raise VerificationFailure(f"{what} is not invariant")
+    return zi_matrix(s, s, restricted, d)
+
+
 def _rref_zi(rows: Sequence[ZiRow], ncols: int,
              reduced: bool = True) -> Tuple[List[ZiRow], List[int]]:
     """Reduced row echelon form of sparse Z[i] rows: (pivot rows, pivot

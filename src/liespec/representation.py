@@ -8,7 +8,7 @@ Everything downstream (complexes, spectra) consumes this type.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .lie_core import (
     Character,
@@ -202,6 +202,18 @@ def rep_from_json(obj: dict, backend: str = EXACT) -> Representation:
         raise ValueError("representation.dimX: expected a nonnegative integer")
     if not isinstance(raw_mats, list) or len(raw_mats) != L.n:
         raise ValueError(f"representation.matrices: expected {L.n} matrices")
+    # each distinct text is parsed once; only str keys, since JSON true, 1
+    # and 1.0 are equal as dict keys and a boolean must still be refused
+    texts: Dict[str, Scalar] = {}
+
+    def read(x):
+        if not isinstance(x, str):
+            return scalar_from_json(x, backend)
+        y = texts.get(x)
+        if y is None:
+            y = texts[x] = scalar_from_json(x, backend)
+        return y
+
     mats = []
     for k, raw in enumerate(raw_mats):
         if not isinstance(raw, list) or len(raw) != m:
@@ -211,7 +223,7 @@ def rep_from_json(obj: dict, backend: str = EXACT) -> Representation:
             if not isinstance(raw_row, list) or len(raw_row) != m:
                 raise ValueError(f"representation.matrices[{k}][{r}]: expected {m} entries")
             try:
-                rows.append([scalar_from_json(x, backend) for x in raw_row])
+                rows.append([read(x) for x in raw_row])
             except ValueError as e:
                 raise ValueError(f"representation.matrices[{k}][{r}]: {e}") from None
         mats.append(matrix_from_rows(rows, backend, cols=m))

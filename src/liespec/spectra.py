@@ -83,6 +83,7 @@ from .numeric import (
     intersect_subspaces,
     inverse,
     nullspace_basis,
+    restrict_to_span,
     sc_abs,
     sc_is_zero,
     scalar_key,
@@ -297,19 +298,6 @@ def _ideal_order(L: LieAlgebra) -> Tuple[int, ...]:
         order.append(i)
 
 
-def _restricted(mat: Matrix, space: Matrix, rows: Sequence[int], what: str) -> Matrix:
-    """R = the rows `rows` of mat * space, for an exact basis space that is
-    the identity on those rows: the restriction of mat to the column span
-    of space, the one solution of space R == mat space when there is one.
-    That equation is checked; a failure raises VerificationFailure saying
-    that `what` is not invariant."""
-    moved = mat * space
-    restricted = submatrix(moved, rows, range(space.cols))
-    if space * restricted != moved:
-        raise VerificationFailure(f"{what} is not invariant")
-    return restricted
-
-
 def _joint_eigenvectors(
     rep: Representation,
     tol: Optional[float],
@@ -328,13 +316,15 @@ def _joint_eigenvectors(
     spans ideals first, and V carries rows P on which it is the identity.
     While the levels so far span an ideal I, V is a joint eigenspace of I,
     hence rho(L)-invariant (Lie's invariance lemma), so a prefix level with
-    V not yet everything branches over the eigenvalues of R =
-    _restricted(rho(e_k), V, P), a dim V x dim V matrix, and takes K, the
-    kernel of R - lam.  Every other level branches over the eigenvalues of
-    the whole rho(e_k) and takes K, the kernel of (rho(e_k) - lam) V, or of
-    rho(e_k) - lam while V is everything.  Either way V moves to V K, with
-    rows P[F] for the free rows F of K; a K with every column leaves V as it
-    is.  A leaf's vector is the first column of the canonical echelon basis
+    V not yet everything branches over the eigenvalues of R, the rows P of
+    rho(e_k) V, a dim V x dim V matrix, and takes K, the kernel of R - lam.
+    numeric.restrict_to_span forms R: V must be the identity on rows P, and
+    every other row i is checked as V[i] R = (rho(e_k) V)[i], so a V that
+    is not invariant raises VerificationFailure.  Every other level
+    branches over the eigenvalues of the whole rho(e_k) and takes K, the
+    kernel of (rho(e_k) - lam) V, or of rho(e_k) - lam while V is
+    everything.  Either way V moves to V K, with rows P[F] for the free
+    rows F of K; a K with every column leaves V as it is.  A leaf's vector is the first column of the canonical echelon basis
     of V, unless rho(e_0), ..., rho(e_(n-2)) are all scalar: then only one
     level narrows V, from everything, and the leaf keeps the first column
     of that free-variable kernel basis.
@@ -390,7 +380,7 @@ def _joint_eigenvectors(
             return
         restrict = j < len(prefix) and space.cols < m
         if restrict:
-            mat = _restricted(mat, space, rows, "joint eigenspace")
+            mat = restrict_to_span(mat, space, rows, "joint eigenspace")
         c = scalar_of(mat)
         if c is not None:  # V is already the eigenspace of c
             yield from descend(j + 1, space, rows, lams + (c,))
@@ -528,10 +518,10 @@ def weight_blocks(rep: Representation) -> List[Tuple[Vector, Representation]]:
     A block on which rho(e_k) has more than one eigenvalue is cut into the
     kernels of (rho(e_k) - lam)^mu, mu the multiplicity of lam.  Each
     kernel has dimension mu and, L being nilpotent, is invariant under every
-    rho(e_j).  Both are verified, the invariance as V R == M V for each
-    restricted matrix R.  The kernel
-    basis V is the identity on its free rows F, so R is the rows F of M V,
-    the one solution of V R == M V when there is one.  A failure raises
+    rho(e_j).  Both are verified.  The kernel basis V is the identity on
+    its free rows F, so the restriction of M = rho(e_j) is R, the rows F of
+    M V (numeric.restrict_to_span); V must be the identity on rows F, and
+    every other row i is checked as V[i] R = (M V)[i].  A failure raises
     VerificationFailure.
     """
     if not _splits_by_weight(rep):
@@ -557,7 +547,7 @@ def weight_blocks(rep: Representation) -> List[Tuple[Vector, Representation]]:
                         f"generalized eigenspace of dimension {v.cols} for an "
                         f"eigenvalue of multiplicity {mu}"
                     )
-                mats = tuple(_restricted(other, v, free, "generalized weight space")
+                mats = tuple(restrict_to_span(other, v, free, "generalized weight space")
                              for other in block.mats)
                 split.append((w + (lam,), Representation(block.algebra, mu, mats)))
         blocks = split

@@ -517,7 +517,8 @@ _CORRUPTED_INVERSE_SCRIPT = textwrap.dedent(
     from liespec import koszul as kz
     from liespec import lie_core as lc
     from liespec import representation as rp
-    from liespec.numeric import EXACT, Matrix, gr, identity, inverse, solve_matrix, zeros, zi_matrix
+    from liespec.numeric import (
+        EXACT, Matrix, gr, identity, inverse, restrict_to_span, solve_matrix, zeros, zi_matrix)
 
     assert False, "assert statements are live: not running under -O"
 
@@ -578,6 +579,10 @@ _CORRUPTED_INVERSE_SCRIPT = textwrap.dedent(
     sp._kernel_with_free_rows = honest_kernel
     sp._ideal_order = lambda L: tuple(range(L.n))
     report("eigen", lambda: sp.joint_eigencharacters(lab.fixture("H3").rep))
+
+    # rho V = 0 satisfies V R == rho V, but V is not the identity on row 0
+    report("restrict", lambda: restrict_to_span(
+        zeros(2, 2, EXACT), zi_matrix(2, 1, [{}, {0: (1, 0)}], 1), [0], "span"))
     """
 )
 
@@ -609,6 +614,7 @@ def test_homotopy_check_survives_optimised_bytecode():
     assert lines[8].startswith("candidate raised: non-character candidate"), proc.stdout
     assert lines[9] == "block raised: generalized weight space is not invariant", proc.stdout
     assert lines[10] == "eigen raised: joint eigenspace is not invariant", proc.stdout
+    assert lines[11] == "restrict raised: span is not invariant", proc.stdout
 
 
 # Caller input is checked with ValueError and the finite-rank proxy's

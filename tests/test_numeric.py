@@ -1485,3 +1485,90 @@ def test_exact_routes_build_no_fraction(monkeypatch):
     Fraction(1, 2)
     assert calls == [(1, 2)]
 
+
+
+def _reference_restriction(mat, space, rows):
+    """Rows `rows` of mat * space, kept when space * R == mat * space: the
+    restriction formed from two products and a submatrix, else None."""
+    moved = mat * space
+    restricted = nm.submatrix(moved, rows, range(space.cols))
+    return restricted if space * restricted == moved else None
+
+
+def _captured_restrictions(monkeypatch):
+    """The (rho(e), V, P) triples that weight_blocks and the joint
+    eigenvector search restrict, on seeded nilpotent inputs."""
+    from liespec import lab
+    from liespec import spectra as sp
+
+    triples = {"generalized weight space": [], "joint eigenspace": []}
+    honest = sp.restrict_to_span
+
+    def captured(mat, space, rows, what):
+        triples[what].append((mat, space, list(rows)))
+        return honest(mat, space, rows, what)
+
+    monkeypatch.setattr(sp, "restrict_to_span", captured)
+    for base in ("H3", "F4", "A1", "Z3"):
+        for seed in range(4):
+            rep = lab.random_nilpotent_rep(seed, base, 8)
+            sp.weight_blocks(rep)
+            sp.joint_eigencharacters(rep)
+    assert all(len(found) > 20 for found in triples.values()), {k: len(v) for k, v in triples.items()}
+    return [t for found in triples.values() for t in found]
+
+
+def test_restrict_to_span_matches_the_two_product_reference(monkeypatch):
+    triples = _captured_restrictions(monkeypatch)
+    for mat, space, rows in triples:
+        expected = _reference_restriction(mat, space, rows)
+        assert expected is not None
+        assert nm.restrict_to_span(mat, space, rows, "span") == expected
+    # one more entry in a row off P moves that row of mat V by V[P[0]] = e_0
+    # and leaves R as it was, so the span is no longer invariant
+    for mat, space, rows in triples:
+        off = next((i for i in range(space.rows) if i not in rows), None)
+        if off is None or not rows:
+            continue
+        bumped = mat + Matrix(mat.rows, mat.cols, tuple(
+            gr(int(t == off * mat.cols + rows[0])) for t in range(mat.rows * mat.cols)), EXACT)
+        assert _reference_restriction(bumped, space, rows) is None
+        with pytest.raises(nm.VerificationFailure, match="^span is not invariant$"):
+            nm.restrict_to_span(bumped, space, rows, "span")
+    # rows on which V is not the identity, in another order
+    for mat, space, rows in triples:
+        if len(rows) > 1:
+            with pytest.raises(nm.VerificationFailure, match="^span is not invariant$"):
+                nm.restrict_to_span(mat, space, rows[::-1], "span")
+
+
+def test_restrict_to_span_refuses_what_it_cannot_check():
+    def exact(rows, cols=None):
+        return matrix_from_rows([[gr(x) for x in r] for r in rows], EXACT, cols)
+
+    def refused(mat, space, rows, match="^span is not invariant$"):
+        with pytest.raises(nm.VerificationFailure, match=match):
+            nm.restrict_to_span(mat, space, rows, "span")
+
+    # e_0 goes to e_1: not invariant
+    refused(exact([[0, 0], [1, 0]]), exact([[1], [0]]), [0])
+    assert _reference_restriction(exact([[0, 0], [1, 0]]), exact([[1], [0]]), [0]) is None
+    # rho V = 0 satisfies V R == rho V whatever the rows P; V must be the
+    # identity on them all the same
+    zero = nm.zeros(2, 2, EXACT)
+    for space in (exact([[0], [1]]), exact([[2], [0]])):
+        assert _reference_restriction(zero, space, [0]) == nm.zeros(1, 1, EXACT)
+        refused(zero, space, [0])
+    refused(zero, identity(2, EXACT), [0, 0])
+    assert nm.restrict_to_span(zero, exact([[1], [2]]), [0], "span") == nm.zeros(1, 1, EXACT)
+    assert nm.restrict_to_span(zero, exact([[], []], 0), [], "span") == nm.zeros(0, 0, EXACT)
+    # float input, and shapes that do not fit
+    f = identity(2, FLOAT)
+    refused(f, f, [0, 1], "exact input")
+    refused(identity(2, EXACT), f, [0, 1], "exact input")
+    shapes = "no restriction"
+    refused(exact([[1, 0, 0], [0, 1, 0]]), identity(3, EXACT), [0, 1, 2], shapes)
+    refused(identity(3, EXACT), identity(2, EXACT), [0, 1], shapes)
+    refused(identity(2, EXACT), identity(2, EXACT), [0], shapes)
+    refused(identity(2, EXACT), exact([[1], [0]]), [2], shapes)
+    refused(identity(2, EXACT), exact([[0], [1]]), [-1], shapes)

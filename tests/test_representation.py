@@ -287,3 +287,29 @@ def test_json_rejects_malformed():
     obj2["matrices"][1][2] = ["0", "0"]
     with pytest.raises(ValueError):
         rp.rep_from_json(obj2)
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_json_parses_each_entry_text_once_and_refuses_at_the_first_path(backend, monkeypatch):
+    L = lc.abelian_algebra(["e1"])
+
+    def load(rows):
+        return rp.rep_from_json({"algebra": lc.algebra_to_json(L), "dimX": len(rows), "matrices": [rows]},
+                                backend)
+
+    texts = []
+    honest = rp.scalar_from_json
+    monkeypatch.setattr(rp, "scalar_from_json",
+                        lambda value, backend: texts.append(value) or honest(value, backend))
+    rows = [["1/2", "0", "1/2"], ["0", "i", 0], ["1/2", 0, "i"]]
+    rep = load(rows)
+    assert sorted(t for t in texts if isinstance(t, str)) == ["0", "1/2", "i"]
+    assert rep.mats[0].to_lists() == [[honest(x, backend) for x in row] for row in rows]
+    # a bad text fails where it first stands, and is not taken as parsed
+    for bad in ("x", "1/0"):
+        with pytest.raises(ValueError, match=r"^representation\.matrices\[0\]\[1\]: "):
+            load([["0", "0", "0"], ["0", bad, "0"], [bad, "0", "0"]])
+    # JSON true equals 1 as a dict key; it is still no number
+    for row in ([1, True, 0], ["1", 1, True]):
+        with pytest.raises(ValueError, match=r"^representation\.matrices\[0\]\[2\]: not a scalar: True$"):
+            load([["0"] * 3, ["1"] * 3, row])
