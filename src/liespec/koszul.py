@@ -58,6 +58,7 @@ from .numeric import (
     sc_one,
     sc_zero,
     sub_diagonal,
+    sums_to_identity,
     zero_threshold,
     zeros,
 )
@@ -253,7 +254,8 @@ def complex_splitting(
     B = d_(p+1) (A G_A A = A), h_(p-1) = G_A and h_p = G_B q for
     q = I - G_A A.  A q = A - A G_A A = 0, so q maps into N(d_p), which is
     R(d_(p+1)) when H_p = 0; B G_B fixes R(d_(p+1)), so B h_p = q and
-    B h_p + G_A A = I.  That identity is verified before returning.
+    B h_p + G_A A = I.  That identity is verified before returning: on the
+    exact backend row by row on Z[i] rows (numeric.sums_to_identity).
     """
     _check_degree(p, 0, C.n)
     A = C.d(p)
@@ -266,7 +268,7 @@ def complex_splitting(
     q = identity_minus_product(g_a, A)
     h_p = g_b * q
     if C.backend == EXACT:
-        holds = B * h_p == q
+        holds = sums_to_identity([(B, h_p), (g_a, A)])
     else:
         holds = (B * h_p - q).is_zero(HOMOTOPY_RESIDUAL)
     if not holds:
@@ -313,7 +315,8 @@ def splitting_homotopy(
 ) -> Tuple[Matrix, Matrix]:
     """Homotopy pair for the complex of rho - f at degree p, or NotSplit.
     Only d_p and d_(p+1) are built, on degrees max(p-1, 0)..min(p+1, n).  The
-    Cartan pair (module docstring) is checked on Z[i] forms."""
+    Cartan pair (module docstring) is checked row by row on Z[i] rows, with
+    no product formed (numeric.sums_to_identity)."""
     L = rep.algebra
     _check_degree(p, 0, L.n)
     C = _truncated_complex(rep, f, tol, max(p - 1, 0), min(p + 1, L.n))
@@ -325,7 +328,7 @@ def splitting_homotopy(
             if r == rep.m:
                 powers = [t_inv]
                 h_p, h_pm1 = _cartan_homotopy(L, k, p, powers), _cartan_homotopy(L, k, p - 1, powers)
-                if C.d(p + 1) * h_p != identity_minus_product(h_pm1, C.d(p)):
+                if not sums_to_identity([(C.d(p + 1), h_p), (h_pm1, C.d(p))]):
                     raise VerificationFailure("homotopy identity failed verification")
                 return h_p, h_pm1
     return complex_splitting(C, p, tol)

@@ -471,8 +471,14 @@ def algebra_from_json(obj: dict, backend: str = EXACT) -> LieAlgebra:
         raise ValueError("algebra.dim: expected a nonnegative integer")
     if not isinstance(names, list) or len(names) != n:
         raise ValueError("algebra.basis: expected a list of dim names")
+    for idx, name in enumerate(names):
+        if not isinstance(name, str):
+            raise ValueError(f"algebra.basis[{idx}]: expected a string name")
+    raw_brackets = obj.get("brackets", [])
+    if not isinstance(raw_brackets, list):
+        raise ValueError("algebra.brackets: expected a list of bracket entries")
     brackets = {}
-    for idx, entry in enumerate(obj.get("brackets", [])):
+    for idx, entry in enumerate(raw_brackets):
         try:
             i, j, coeffs = entry["i"], entry["j"], entry["coeffs"]
         except (KeyError, TypeError) as e:

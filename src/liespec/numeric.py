@@ -22,10 +22,13 @@ Two interchangeable backends:
     such a result fills its entries on first read.  The form is canonical,
     so == and hash compare it; no module but this one reads or builds it.
     Products, Kronecker sums and elimination read only the form.
-    Elimination is fraction-free: Gauss-Jordan with
-    row <- p*row - f*pivot_row and division by the row's integer content,
-    one reduced echelon routine for ranks, kernels, solutions and the
-    generalized inverse.  No rounding anywhere; equality means equality.
+    Elimination is fraction-free Gauss-Jordan, one reduced echelon routine
+    for ranks, kernels, solutions and the generalized inverse: a unit pivot
+    p eliminates with row <- row - f*conj(p)*pivot_row, any other with
+    row <- p*row - f*pivot_row and division by the row's integer content.
+    Identities such as sum_t X_t Y_t == I are checked row by row on Z[i]
+    rows, without forming the products.  No rounding anywhere; equality
+    means equality.
   * "float"  -- complex double precision.  Every comparison against zero
     goes through zero_threshold: TAU, or the caller's tolerance, times a
     scale taken from the entry magnitudes at hand, so ranks and kernels
@@ -256,12 +259,6 @@ def sc_abs(x: Scalar) -> float:
     return abs(x)
 
 
-def sc_to_complex(x: Scalar) -> complex:
-    if isinstance(x, GaussianRational):
-        return x.to_complex()
-    return x
-
-
 # --- text syntax ------------------------------------------------------------
 #
 # Exact scalar text: "a/b", "a/b+c/di", "a/b-c/di", "i", "-i", "3i", "2".
@@ -338,10 +335,12 @@ def scalar_from_text(text: str) -> GaussianRational:
     return _gr_over(p * t, r * q, q * t)
 
 
-def scalar_key(x: Scalar) -> Tuple[float, float]:
-    """Deterministic sort key (re, im)."""
-    c = sc_to_complex(x)
-    return (c.real, c.imag)
+def scalar_key(x: Scalar) -> Union[Tuple[Fraction, Fraction], Tuple[float, float]]:
+    """Deterministic sort key (re, im): Fractions for an exact scalar, so
+    that values past the range of a double sort too, floats for a float one."""
+    if isinstance(x, GaussianRational):
+        return x.re, x.im
+    return x.real, x.imag
 
 
 def scalar_to_json(x: Scalar):
@@ -849,6 +848,38 @@ def identity_minus_product(x: Matrix, y: Matrix) -> Matrix:
     return zi_matrix(x.rows, y.cols, out, d)
 
 
+def sums_to_identity(pairs: Sequence[Tuple[Matrix, Matrix]]) -> bool:
+    """Whether sum_t X_t Y_t == I for the exact (X_t, Y_t) pairs, decided
+    row by row on Z[i] rows.  Over the lcm D of the products' denominators,
+    the sum is the one product [s_1 X_1 | s_2 X_2 | ...] [Y_1; Y_2; ...] of
+    Gaussian-integer forms, s_t = D / (denominator of X_t Y_t); row i of it,
+    from _zi_row_product, is compared with D e_i.  The first row that
+    differs ends the check; no product matrix is formed.  No pairs, float
+    input, or products that are not all n x n for one n raise
+    VerificationFailure."""
+    n = pairs[0][0].rows if pairs else -1
+    if n < 0 or any(x.backend != EXACT or y.backend != EXACT or x.rows != n or y.cols != n
+                    or x.cols != y.rows for x, y in pairs):
+        raise VerificationFailure("no exact sum of square products of one size: " + ", ".join(
+            f"{x.rows}x{x.cols} times {y.rows}x{y.cols}" for x, y in pairs))
+    forms = [(zi_form(x), zi_form(y)) for x, y in pairs]
+    d = math.lcm(*[dx * dy for (_, dx), (_, dy) in forms])
+    xparts: List[Sequence[ZiRow]] = []
+    ystack: List[ZiRow] = []
+    for (xrows, dx), (yrows, dy) in forms:
+        s, off = d // (dx * dy), len(ystack)
+        if s != 1 or off:
+            xrows = [{off + k: (a * s, b * s) for k, (a, b) in row.items()} for row in xrows]
+        xparts.append(xrows)
+        ystack += yrows
+    for i, rows in enumerate(zip(*xparts)):
+        re, im = _zi_row_product({k: v for row in rows for k, v in row.items()}, ystack, n)
+        re[i] -= d
+        if any(re) or any(im):
+            return False
+    return True
+
+
 def restrict_to_span(m: Matrix, space: Matrix, rows: Sequence[int], what: str) -> Matrix:
     """R with space R == m space: the square exact m restricted to the
     column span V of space, an m.rows x s basis that is the identity on
@@ -888,16 +919,21 @@ def _rref_zi(rows: Sequence[ZiRow], ncols: int,
     """Reduced row echelon form of sparse Z[i] rows: (pivot rows, pivot
     columns), where the reduced row r is pivot row r divided by its entry
     at pivots[r].  The first nonzero pivot per column is taken, so the
-    result is deterministic for a given input.
+    result is deterministic for a given input.  A pivot row is some nonzero
+    Gaussian-integer multiple of its reduced row, not always a primitive
+    one: read the reduced rows through _zi_reduced.
 
     With reduced=False only the rows below each pivot are eliminated: the
     rows are an echelon form, not the reduced one, and the pivot columns
     are the same, since the pivot at column c is chosen among rows r and
     below, which eliminating above it does not change."""
     # Fraction-free Gauss-Jordan.  Scaling a row leaves the reduced echelon
-    # form unchanged, so rows are eliminated with row <- p*row - f*pivot_row
-    # and kept primitive by dividing out their integer content.  New rows
-    # are new dicts: the input rows are never mutated.
+    # form unchanged.  A unit pivot p (1, -1, i or -i) divides exactly, so
+    # rows are eliminated with row <- row - f*conj(p)*pivot_row, and neither
+    # scaled nor divided by their content.  Any other pivot eliminates with
+    # row <- p*row - f*pivot_row, and the row is kept primitive by dividing
+    # out its integer content.  New rows are new dicts: the input rows are
+    # never mutated.
     work = list(rows)
     nrows = len(work)
     pivots: List[int] = []
@@ -911,19 +947,26 @@ def _rref_zi(rows: Sequence[ZiRow], ncols: int,
         work[r], work[pivot_row] = work[pivot_row], work[r]
         prow = work[r]
         pa, pb = prow[c]
+        unit = pa * pa + pb * pb == 1
         for i in range(0 if reduced else r + 1, nrows):
             row = work[i]
             if i == r or c not in row:
                 continue
             fa, fb = row[c]
-            new = {j: (pa * xa - pb * xb, pa * xb + pb * xa) for j, (xa, xb) in row.items()}
+            if unit:
+                # f*conj(p), so that row[c] - f*conj(p)*p == 0
+                fa, fb = fa * pa + fb * pb, fb * pa - fa * pb
+                new = dict(row)
+            else:
+                new = {j: (pa * xa - pb * xb, pa * xb + pb * xa) for j, (xa, xb) in row.items()}
             for j, (ya, yb) in prow.items():
                 xa, xb = new.get(j, (0, 0))
                 new[j] = (xa - fa * ya + fb * yb, xb - fa * yb - fb * ya)
             new = {j: v for j, v in new.items() if v[0] or v[1]}
-            g = math.gcd(*[v for pair in new.values() for v in pair])
-            if g > 1:
-                new = {j: (xa // g, xb // g) for j, (xa, xb) in new.items()}
+            if not unit:
+                g = math.gcd(*[v for pair in new.values() for v in pair])
+                if g > 1:
+                    new = {j: (xa // g, xb // g) for j, (xa, xb) in new.items()}
             work[i] = new
         pivots.append(c)
         r += 1
@@ -1389,9 +1432,12 @@ def _lifted_roots(q: List[Tuple[int, int]]) -> List[ZiRoot]:
     distinct mod p.  Those roots are the roots of gcd(Q, y^p - y), split by
     _fp_roots.  Newton's step lifts each of them, and s, to a root mod
     P = p^(2^k) > 8 B^2.  The u + v*i with u + v*s = 0 (mod P) are the ideal
-    g Z[i], g = gcd(P, s - i), and Euclid in Z[i] is Lagrange's reduction of
-    that lattice; so a root y of Q is the element of least norm congruent to
-    its lifted root mod g.  Only candidates where q vanishes exactly are kept.
+    g Z[i], g = gcd(P, s - i) of norm P, so a root y of Q is the element of
+    least norm congruent to its lifted root mod g.  g is found as in
+    Cornacchia's algorithm: integer Euclid on (P, s), with r = t*s (mod P)
+    for each remainder r, stops at the first r with r^2 < P, where t^2 <= P;
+    r - t*i then lies in g Z[i] with norm under 2P, so it is a unit times
+    g.  Only candidates where q vanishes exactly are kept.
     """
     a, deg = q[0][0], len(q) - 1
     monic = [(1, 0)] + [(re * a ** k, im * a ** k) for k, (re, im) in enumerate(q[1:])]
@@ -1411,9 +1457,11 @@ def _lifted_roots(q: List[Tuple[int, int]]) -> List[ZiRoot]:
         s = _newton_step([1, 0, 1], s, m)
         poly = [(re + im * s) % m for re, im in monic]
         roots = [_newton_step(poly, r, m) for r in roots]
-    g, h = (m, 0), (s, -1)
-    while h != (0, 0):
-        g, h = h, _zi_mod(g, h)
+    r0, r1, t0, t1, top = m, s, 0, 1, math.isqrt(m - 1)  # r^2 < m exactly when r <= top
+    while r1 > top:
+        quo = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - quo * r1, t1, t0 - quo * t1
+    g = (r1, -t1)
     found = []
     for r in roots:
         x = _zi_mod((r, 0), g)
@@ -1445,8 +1493,11 @@ def _pure_power_root(p: List[Tuple[int, int]]) -> Optional[ZiRoot]:
 
 
 def _sorted_runs(runs: Sequence[Tuple[GaussianRational, int]]) -> List[Tuple[GaussianRational, int]]:
-    """The runs in scalar_key order of their roots, stably sorted."""
-    return sorted(runs, key=lambda run: scalar_key(run[0]))
+    """The runs in scalar_key order of their roots, stably sorted.  The key
+    is a root's (re, im) numerators over the lcm of the roots' denominators,
+    which orders the roots as their Fractions do."""
+    d = math.lcm(*[x.d for x, _ in runs])
+    return sorted(runs, key=lambda run: (run[0].a * (d // run[0].d), run[0].b * (d // run[0].d)))
 
 
 def _poly_roots_exact(p: List[Tuple[int, int]], scale: int = 1) -> List[Tuple[GaussianRational, int]]:

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from liespec import cli, lab, spectra
+from liespec import numeric as nm
 from liespec import koszul as kz
 from liespec import lie_core as lc
 from liespec import representation as rp
@@ -153,6 +154,50 @@ def test_number_too_large_for_a_double_exits_2_on_float(capsys, tmp_path, where,
     # the exact backend reads the same file
     code, _, err = run(capsys, "validate", str(path))
     assert code in (0, 1) and err == ""
+
+
+_COMMANDS = ("report", "koszul", "validate", "eigenchars", "spectrum", "crossval", "info")
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("value", ["5", "true", "1.5", "1" + "0" * 400, '"xy"', "{}", "null"])
+def test_brackets_that_are_not_a_list_exit_2(capsys, tmp_path, backend, value):
+    obj = rep_to_json(lab.fixture("h3").rep)
+    obj["algebra"]["brackets"] = "@"
+    path = tmp_path / "brackets.json"
+    path.write_text(json.dumps(obj).replace('"@"', value))
+    for command in _COMMANDS:
+        assert run(capsys, command, str(path), "--backend", backend) == (
+            2, "", f"error: {path}: algebra.brackets: expected a list of bracket entries\n"), command
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("name", [[0], 1, None, True, {"a": 1}])
+def test_basis_names_that_are_not_strings_exit_2(capsys, tmp_path, backend, name):
+    obj = rep_to_json(lab.fixture("h3").rep)
+    obj["algebra"]["basis"][1] = name
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps(obj))
+    for command in _COMMANDS:
+        assert run(capsys, command, str(path), "--backend", backend) == (
+            2, "", f"error: {path}: algebra.basis[1]: expected a string name\n"), command
+
+
+@pytest.mark.parametrize("huge", ['"1' + "0" * 400 + '"', "1" + "0" * 400])
+def test_exact_eigenvalues_past_the_double_range_are_sorted_exactly(capsys, tmp_path, huge):
+    # A1 acting as diag(10^400, 3): the eigenvalue runs sort on exact keys,
+    # where a float key would overflow
+    path = tmp_path / "a1.json"
+    path.write_text('{"algebra": {"dim": 1, "basis": ["x"], "brackets": []}, "dimX": 2, '
+                    f'"matrices": [[[{huge}, "0"], ["0", "3"]]]}}')
+    big = "1" + "0" * 400
+    for command in _COMMANDS:
+        code, out, err = run(capsys, command, str(path))
+        assert (code, err) == (0, ""), command
+    code, out, _ = run(capsys, "eigenchars", str(path))
+    assert json.loads(out)["eigencharacters"] == [[big], ["3"]]
+    rep = rp.rep_from_json(json.loads(path.read_text()))
+    assert [x for x, _ in nm.eigenvalues(rep.mats[0])] == [nm.gr(3), nm.gr(10 ** 400)]
 
 
 def _two_dim(i, j):

@@ -482,6 +482,37 @@ def test_exact_nilpotent_homotopies_skip_elimination_and_entries(monkeypatch):
         assert lhs.to_lists() == identity(C.dims[p], EXACT).to_lists(), (rep.algebra.names, p)
 
 
+def test_cartan_check_forms_no_product(monkeypatch):
+    # once both Cartan homotopies are built, the identity is checked row by
+    # row on Z[i] rows: no product, matrix or identity_minus_product follows
+    reps = [lab.fixture(name).rep for name in ("A1", "H3", "F4", "Z3")]
+    reps += [lab.random_nilpotent_rep(seed, base) for base in ("H3", "F4") for seed in range(3)]
+    events = []
+    honest_homotopy, honest_mul, honest_sums = kz._cartan_homotopy, nm.Matrix.__mul__, nm.sums_to_identity
+    honest_form, honest_minus = nm.zi_matrix, nm.identity_minus_product
+
+    def checked(pairs):
+        events.append("check")
+        events.append(honest_sums(pairs))
+        return events[-1]
+
+    with monkeypatch.context() as patched:
+        patched.setattr(kz, "_cartan_homotopy", lambda *args: (honest_homotopy(*args), events.append("h"))[0])
+        patched.setattr(nm.Matrix, "__mul__", lambda x, y: events.append("mul") or honest_mul(x, y))
+        patched.setattr(nm, "zi_matrix", lambda *args: events.append("matrix") or honest_form(*args))
+        patched.setattr(kz, "identity_minus_product", lambda *args: events.append("I-xy") or honest_minus(*args))
+        patched.setattr(nm, "identity_minus_product", lambda *args: events.append("I-xy") or honest_minus(*args))
+        patched.setattr(kz, "sums_to_identity", checked)
+        for rep in reps:
+            f = _far_shift(rep.algebra)
+            for p in range(rep.algebra.n + 1):
+                events.clear()
+                kz.splitting_homotopy(rep, f, p)
+                second = [t for t, e in enumerate(events) if e == "h"][1]
+                assert events[second + 1:] == ["check", True], (rep.algebra.names, p, events)
+                assert "I-xy" not in events
+
+
 def test_splitting_homotopy_eliminates_off_the_cartan_route(monkeypatch):
     calls = []
     honest = kz.complex_splitting
@@ -600,6 +631,28 @@ def _run_optimised(script):
     return proc
 
 
+_SUMS_TO_IDENTITY_SCRIPT = textwrap.dedent(
+    """
+    from liespec.numeric import EXACT, FLOAT, VerificationFailure, identity, sums_to_identity, zeros
+
+    assert False, "assert statements are live: not running under -O"
+
+    for label, pairs in [
+            ("no pairs", []),
+            ("inner sizes", [(zeros(2, 3, EXACT), zeros(2, 2, EXACT))]),
+            ("not square", [(zeros(2, 3, EXACT), zeros(3, 3, EXACT))]),
+            ("two sizes", [(identity(2, EXACT), identity(2, EXACT)), (identity(3, EXACT), identity(3, EXACT))]),
+            ("float", [(identity(2, FLOAT), identity(2, FLOAT))])]:
+        try:
+            sums_to_identity(pairs)
+        except VerificationFailure as e:
+            print(label, "raised:", e)
+        else:
+            print(label, "accepted")
+    """
+)
+
+
 def test_homotopy_check_survives_optimised_bytecode():
     proc = _run_optimised(_CORRUPTED_INVERSE_SCRIPT)
     lines = proc.stdout.splitlines()
@@ -615,6 +668,13 @@ def test_homotopy_check_survives_optimised_bytecode():
     assert lines[9] == "block raised: generalized weight space is not invariant", proc.stdout
     assert lines[10] == "eigen raised: joint eigenspace is not invariant", proc.stdout
     assert lines[11] == "restrict raised: span is not invariant", proc.stdout
+
+
+def test_identity_sum_shape_checks_survive_optimised_bytecode():
+    lines = _run_optimised(_SUMS_TO_IDENTITY_SCRIPT).stdout.splitlines()
+    labels = ["no pairs", "inner sizes", "not square", "two sizes", "float"]
+    assert [line.split(" raised: ")[0] for line in lines] == labels, lines
+    assert lines[1] == "inner sizes raised: no exact sum of square products of one size: 2x3 times 2x2"
 
 
 # Caller input is checked with ValueError and the finite-rank proxy's

@@ -287,6 +287,16 @@ def test_eigenvalues_are_distinct_runs_in_scalar_key_order():
     assert nm.eigenvalues(float_mat([[0, 0], [0, 0]])) == [(0j, 2)]
 
 
+def test_scalar_key_orders_exact_values_past_the_double_range():
+    huge = 10 ** 400
+    want = [gr(-huge), gr(-huge, 1), gr(0, -huge), gr(0), gr(Fraction(1, huge)), gr(Fraction(1, huge), 1),
+            gr(3), gr(huge)]
+    values = want[::-1][1::2] + want[::-1][::2]
+    assert sorted(values, key=nm.scalar_key) == want
+    assert nm._sorted_runs([(x, k) for k, x in enumerate(values)]) == sorted(
+        [(x, k) for k, x in enumerate(values)], key=lambda run: nm.scalar_key(run[0]))
+
+
 def test_float_eigenvalue_dedup_snaps_cluster():
     mf = float_mat([[1.0, 0.0], [0.0, 1.0 + 1e-9]])
     vals = _multiset(nm.eigenvalues(mf))
@@ -552,6 +562,10 @@ _KINDS = ("int", "frac", "imag", "mixed", "zero")
 def _entry(rng, kind):
     if kind == "zero" or rng.random() < 0.4:
         return _C_ZERO
+    if kind == "unit":
+        # mostly 1, -1, i and -i, so that most pivots are units
+        return rng.choice([_C_ONE, (Fraction(-1), Fraction(0)), (Fraction(0), Fraction(1)),
+                           (Fraction(0), Fraction(-1)), (Fraction(2), Fraction(1))])
     num = lambda: rng.randint(-4, 4)
     if kind == "int":
         return (Fraction(num()), Fraction(0))
@@ -573,12 +587,20 @@ def _rand_deficient(rng, rows, cols, kind):
 
 
 def _cases(seed, count, max_dim=5):
+    """count seeded cases over _KINDS, then count // 3 more of kind "unit"
+    from a stream of their own: entries 1, -1, i and -i, which eliminate
+    through unit pivots."""
     rng = random.Random(seed)
     for t in range(count):
         kind = _KINDS[t % len(_KINDS)]
         rows, cols = rng.randint(0, max_dim), rng.randint(0, max_dim)
         make = _rand_deficient if t % 3 == 1 else _rand
         yield rng, kind, rows, cols, make(rng, rows, cols, kind)
+    rng = random.Random(f"unit:{seed}")
+    for t in range(count // 3):
+        rows, cols = rng.randint(0, max_dim), rng.randint(0, max_dim)
+        make = _rand_deficient if t % 3 == 1 else _rand
+        yield rng, "unit", rows, cols, make(rng, rows, cols, "unit")
 
 
 def test_exact_product_matches_fraction_reference():
@@ -1009,6 +1031,75 @@ def test_identity_minus_product_matches_subtracting_the_product():
             assert _entrywise(got) == _entrywise(want), (kind, x, y)
     with pytest.raises(nm.VerificationFailure):
         nm.identity_minus_product(exact_mat([[1, 2]]), exact_mat([[1, 2]]))
+
+
+def _identity_sum(rng, kind):
+    """(n, c, terms): Fraction-pair terms (x, y, inner) with the sum of the
+    x y equal to the n x n identity.  x y comes split in one or two terms of
+    random inner sizes (0 allowed, as is n = 0), then g a with a = c I for a
+    random nonzero c and g = (I - x y) / c, so that the denominators differ."""
+    n, k = rng.randint(0, 5), rng.randint(0, 4)
+    x, y = _rand(rng, n, k, kind), _rand(rng, k, n, kind)
+    c = (Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 7)), Fraction(rng.randint(-2, 2), 3))
+    xy = _ref_mul(x, y, k, n)
+    g = [[_c_div(_c_sub(_C_ONE if i == j else _C_ZERO, xy[i][j]), c) for j in range(n)]
+         for i in range(n)]
+    a = [[c if i == j else _C_ZERO for j in range(n)] for i in range(n)]
+    s = rng.randint(0, k) if rng.random() < 0.3 else k
+    terms = [([r[:s] for r in x], y[:s], s), ([r[s:] for r in x], y[s:], k - s)][: 1 + (s < k)]
+    return n, c, terms + [(g, a, n)]
+
+
+def _ref_sums_to_identity(n, terms):
+    total = [[_C_ZERO] * n for _ in range(n)]
+    for x, y, inner in terms:
+        for i, row in enumerate(_ref_mul(x, y, inner, n)):
+            total[i] = [(u[0] + v[0], u[1] + v[1]) for u, v in zip(total[i], row)]
+    return total == [[_C_ONE if i == j else _C_ZERO for j in range(n)] for i in range(n)]
+
+
+def test_sums_to_identity_matches_the_materialised_sum():
+    # true cases, and near misses one entry off: off the diagonal, on it, or
+    # in an imaginary part only (g + E / c times c I adds E to the sum)
+    rng = random.Random(131)
+    seen = set()
+    for t in range(300):
+        kind = _KINDS[t % len(_KINDS)]
+        n, c, terms = _identity_sum(rng, kind)
+        misses = [None] + (["diagonal", "imaginary"] if n else []) + (["off-diagonal"] if n > 1 else [])
+        for miss in misses:
+            case = list(terms)
+            if miss:
+                g, a, _ = case[-1]
+                i = rng.randrange(n)
+                j = rng.choice([j for j in range(n) if j != i]) if miss == "off-diagonal" else i
+                e = (Fraction(0), Fraction(1, 2)) if miss == "imaginary" else (Fraction(-1, 3), Fraction(0))
+                g = [list(r) for r in g]
+                g[i][j] = (g[i][j][0] + _c_div(e, c)[0], g[i][j][1] + _c_div(e, c)[1])
+                case[-1] = (g, a, n)
+            if rng.random() < 0.5:
+                case.reverse()
+            pairs = [(_to_exact(x, inner), _to_exact(y, n)) for x, y, inner in case]
+            total = pairs[0][0] * pairs[0][1]
+            for x, y in pairs[1:]:
+                total = total + x * y
+            want = total == identity(n, EXACT)
+            assert want == _ref_sums_to_identity(n, case) == (miss is None), (kind, miss, case)
+            assert nm.sums_to_identity(pairs) == want, (kind, miss, case)
+            seen.add((miss, n == 0, min(inner for _, _, inner in case) == 0, len(case)))
+    assert {(None, True), (None, False), ("imaginary", False)} <= {s[:2] for s in seen}
+    assert {s[2] for s in seen} == {True, False} and {s[3] for s in seen} == {2, 3}
+
+
+def test_sums_to_identity_refuses_shapes_that_do_not_fit():
+    two, three = identity(2, EXACT), identity(3, EXACT)
+    for pairs in ([], [(nm.zeros(2, 3, EXACT), nm.zeros(2, 2, EXACT))],
+                  [(nm.zeros(2, 3, EXACT), nm.zeros(3, 3, EXACT))], [(two, two), (three, three)],
+                  [(two, two), (nm.zeros(2, 1, EXACT), nm.zeros(1, 3, EXACT))],
+                  [(identity(2, FLOAT), identity(2, FLOAT))]):
+        with pytest.raises(nm.VerificationFailure):
+            nm.sums_to_identity(pairs)
+    assert nm.sums_to_identity([(two, two)]) and not nm.sums_to_identity([(two, two), (two, two)])
 
 
 def _ref_kron_sum(terms, bm, bn, rows, cols):
