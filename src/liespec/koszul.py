@@ -254,8 +254,7 @@ def complex_splitting(
     B = d_(p+1) (A G_A A = A), h_(p-1) = G_A and h_p = G_B q for
     q = I - G_A A.  A q = A - A G_A A = 0, so q maps into N(d_p), which is
     R(d_(p+1)) when H_p = 0; B G_B fixes R(d_(p+1)), so B h_p = q and
-    B h_p + G_A A = I.  That identity is verified before returning: on the
-    exact backend row by row on Z[i] rows (numeric.sums_to_identity).
+    B h_p + G_A A = I.  That identity is verified before returning.
     """
     _check_degree(p, 0, C.n)
     A = C.d(p)
@@ -268,7 +267,7 @@ def complex_splitting(
     q = identity_minus_product(g_a, A)
     h_p = g_b * q
     if C.backend == EXACT:
-        holds = sums_to_identity([(B, h_p), (g_a, A)])
+        holds = B * h_p == q
     else:
         holds = (B * h_p - q).is_zero(HOMOTOPY_RESIDUAL)
     if not holds:

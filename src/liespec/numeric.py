@@ -22,13 +22,12 @@ Two interchangeable backends:
     such a result fills its entries on first read.  The form is canonical,
     so == and hash compare it; no module but this one reads or builds it.
     Products, Kronecker sums and elimination read only the form.
-    Elimination is fraction-free Gauss-Jordan, one reduced echelon routine
-    for ranks, kernels, solutions and the generalized inverse: a unit pivot
-    p eliminates with row <- row - f*conj(p)*pivot_row, any other with
-    row <- p*row - f*pivot_row and division by the row's integer content.
-    Identities such as sum_t X_t Y_t == I are checked row by row on Z[i]
-    rows, without forming the products.  No rounding anywhere; equality
-    means equality.
+    Elimination is fraction-free: Gauss-Jordan with
+    row <- p*row - f*pivot_row and division by the row's integer content,
+    one reduced echelon routine for ranks, kernels, solutions and the
+    generalized inverse.  Identities such as sum_t X_t Y_t == I are
+    checked row by row on Z[i] rows, without forming the products.  No
+    rounding anywhere; equality means equality.
   * "float"  -- complex double precision.  Every comparison against zero
     goes through zero_threshold: TAU, or the caller's tolerance, times a
     scale taken from the entry magnitudes at hand, so ranks and kernels
@@ -919,21 +918,16 @@ def _rref_zi(rows: Sequence[ZiRow], ncols: int,
     """Reduced row echelon form of sparse Z[i] rows: (pivot rows, pivot
     columns), where the reduced row r is pivot row r divided by its entry
     at pivots[r].  The first nonzero pivot per column is taken, so the
-    result is deterministic for a given input.  A pivot row is some nonzero
-    Gaussian-integer multiple of its reduced row, not always a primitive
-    one: read the reduced rows through _zi_reduced.
+    result is deterministic for a given input.
 
     With reduced=False only the rows below each pivot are eliminated: the
     rows are an echelon form, not the reduced one, and the pivot columns
     are the same, since the pivot at column c is chosen among rows r and
     below, which eliminating above it does not change."""
     # Fraction-free Gauss-Jordan.  Scaling a row leaves the reduced echelon
-    # form unchanged.  A unit pivot p (1, -1, i or -i) divides exactly, so
-    # rows are eliminated with row <- row - f*conj(p)*pivot_row, and neither
-    # scaled nor divided by their content.  Any other pivot eliminates with
-    # row <- p*row - f*pivot_row, and the row is kept primitive by dividing
-    # out its integer content.  New rows are new dicts: the input rows are
-    # never mutated.
+    # form unchanged, so rows are eliminated with row <- p*row - f*pivot_row
+    # and kept primitive by dividing out their integer content.  New rows
+    # are new dicts: the input rows are never mutated.
     work = list(rows)
     nrows = len(work)
     pivots: List[int] = []
@@ -947,26 +941,19 @@ def _rref_zi(rows: Sequence[ZiRow], ncols: int,
         work[r], work[pivot_row] = work[pivot_row], work[r]
         prow = work[r]
         pa, pb = prow[c]
-        unit = pa * pa + pb * pb == 1
         for i in range(0 if reduced else r + 1, nrows):
             row = work[i]
             if i == r or c not in row:
                 continue
             fa, fb = row[c]
-            if unit:
-                # f*conj(p), so that row[c] - f*conj(p)*p == 0
-                fa, fb = fa * pa + fb * pb, fb * pa - fa * pb
-                new = dict(row)
-            else:
-                new = {j: (pa * xa - pb * xb, pa * xb + pb * xa) for j, (xa, xb) in row.items()}
+            new = {j: (pa * xa - pb * xb, pa * xb + pb * xa) for j, (xa, xb) in row.items()}
             for j, (ya, yb) in prow.items():
                 xa, xb = new.get(j, (0, 0))
                 new[j] = (xa - fa * ya + fb * yb, xb - fa * yb - fb * ya)
             new = {j: v for j, v in new.items() if v[0] or v[1]}
-            if not unit:
-                g = math.gcd(*[v for pair in new.values() for v in pair])
-                if g > 1:
-                    new = {j: (xa // g, xb // g) for j, (xa, xb) in new.items()}
+            g = math.gcd(*[v for pair in new.values() for v in pair])
+            if g > 1:
+                new = {j: (xa // g, xb // g) for j, (xa, xb) in new.items()}
             work[i] = new
         pivots.append(c)
         r += 1
@@ -1495,7 +1482,8 @@ def _pure_power_root(p: List[Tuple[int, int]]) -> Optional[ZiRoot]:
 def _sorted_runs(runs: Sequence[Tuple[GaussianRational, int]]) -> List[Tuple[GaussianRational, int]]:
     """The runs in scalar_key order of their roots, stably sorted.  The key
     is a root's (re, im) numerators over the lcm of the roots' denominators,
-    which orders the roots as their Fractions do."""
+    which orders the roots as scalar_key's Fractions do without building a
+    Fraction: the exact routes keep to integer triples."""
     d = math.lcm(*[x.d for x, _ in runs])
     return sorted(runs, key=lambda run: (run[0].a * (d // run[0].d), run[0].b * (d // run[0].d)))
 

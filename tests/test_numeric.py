@@ -562,10 +562,6 @@ _KINDS = ("int", "frac", "imag", "mixed", "zero")
 def _entry(rng, kind):
     if kind == "zero" or rng.random() < 0.4:
         return _C_ZERO
-    if kind == "unit":
-        # mostly 1, -1, i and -i, so that most pivots are units
-        return rng.choice([_C_ONE, (Fraction(-1), Fraction(0)), (Fraction(0), Fraction(1)),
-                           (Fraction(0), Fraction(-1)), (Fraction(2), Fraction(1))])
     num = lambda: rng.randint(-4, 4)
     if kind == "int":
         return (Fraction(num()), Fraction(0))
@@ -587,20 +583,12 @@ def _rand_deficient(rng, rows, cols, kind):
 
 
 def _cases(seed, count, max_dim=5):
-    """count seeded cases over _KINDS, then count // 3 more of kind "unit"
-    from a stream of their own: entries 1, -1, i and -i, which eliminate
-    through unit pivots."""
     rng = random.Random(seed)
     for t in range(count):
         kind = _KINDS[t % len(_KINDS)]
         rows, cols = rng.randint(0, max_dim), rng.randint(0, max_dim)
         make = _rand_deficient if t % 3 == 1 else _rand
         yield rng, kind, rows, cols, make(rng, rows, cols, kind)
-    rng = random.Random(f"unit:{seed}")
-    for t in range(count // 3):
-        rows, cols = rng.randint(0, max_dim), rng.randint(0, max_dim)
-        make = _rand_deficient if t % 3 == 1 else _rand
-        yield rng, "unit", rows, cols, make(rng, rows, cols, "unit")
 
 
 def test_exact_product_matches_fraction_reference():
