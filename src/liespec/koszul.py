@@ -50,7 +50,6 @@ from .numeric import (
     VerificationFailure,
     generalized_inverse,
     identity,
-    identity_minus_product,
     kron_sum,
     matrix_from_rows,
     rank,
@@ -153,10 +152,9 @@ def _check_degree(p: int, lo: int, hi: int):
 
 def _differential(rep: Representation, p: int, fs: Tuple[Scalar, ...]) -> Matrix:
     """d_p of rho - f, the Kronecker sum of the module docstring (fs = () for
-    f = 0).  Float terms are summed in order, the scalar ones first, so that
-    a diagonal entry adds B_p - f_l to the entry of rho(e_l); an exact sum
-    does not depend on the order, and its scalar terms come last, so that
-    each block of rho(e_l) is written outright."""
+    f = 0).  The scalar terms come first, so that a float diagonal entry
+    adds B_p - f_l to the entry of rho(e_l); an exact sum does not depend
+    on the order."""
     L, m, backend = rep.algebra, rep.m, rep.backend
     _check_degree(p, 1, L.n)
     ops, scalars = _differential_pattern(L, p)
@@ -164,8 +162,7 @@ def _differential(rep: Representation, p: int, fs: Tuple[Scalar, ...]) -> Matrix
     terms = [] if scalars.is_zero() else [(one, scalars, eye)]
     terms += [(-f, e, eye) for e, f in zip(ops, fs) if not sc_is_zero(f)]
     rho = [(one, e, mat) for e, mat in zip(ops, rep.mats)]
-    return kron_sum(terms + rho if backend != EXACT else rho + terms,
-                    m * scalars.rows, m * scalars.cols, backend)
+    return kron_sum(terms + rho, m * scalars.rows, m * scalars.cols, backend)
 
 
 def check_entry_budget(n: int, m: int, lo: int, hi: int) -> None:
@@ -252,9 +249,10 @@ def complex_splitting(
 
     Exists iff H_p = 0.  With generalized inverses G_A of A = d_p and G_B of
     B = d_(p+1) (A G_A A = A), h_(p-1) = G_A and h_p = G_B q for
-    q = I - G_A A.  A q = A - A G_A A = 0, so q maps into N(d_p), which is
-    R(d_(p+1)) when H_p = 0; B G_B fixes R(d_(p+1)), so B h_p = q and
-    B h_p + G_A A = I.  That identity is verified before returning.
+    q = I - G_A A, formed as one two-term kron_sum with 1 x 1 left factors.
+    A q = A - A G_A A = 0, so q maps into N(d_p), which is R(d_(p+1)) when
+    H_p = 0; B G_B fixes R(d_(p+1)), so B h_p = q and B h_p + G_A A = I.
+    That identity is verified before returning.
     """
     _check_degree(p, 0, C.n)
     A = C.d(p)
@@ -264,7 +262,8 @@ def complex_splitting(
     h = C.dims[p] - r_a - r_b
     if h != 0:
         raise NotSplit(f"homology has dimension {h} at degree {p}")
-    q = identity_minus_product(g_a, A)
+    n, one, unit = C.dims[p], sc_one(C.backend), identity(1, C.backend)
+    q = kron_sum([(one, unit, identity(n, C.backend)), (-one, unit, g_a * A)], n, n, C.backend)
     h_p = g_b * q
     if C.backend == EXACT:
         holds = B * h_p == q

@@ -633,8 +633,9 @@ def kron_sum(terms: Sequence[Tuple[Scalar, Matrix, Matrix]], rows: int, cols: in
     (i, j) of A (x) B being A[i, j] B; the A share one shape, and so do the
     B.  Float terms are summed entry by entry, in term order, from 0j.
     Exact ones are summed in Z[i] over the lcm of their denominators, those
-    of c and of the forms of A and B.  A block that no earlier term touched
-    is written outright, as a copy of B's numerators when its factor is 1."""
+    of c and of the forms of A and B: each product entry is added into its
+    output entry, written when that is absent and deleted when the sum
+    cancels, so an exact sum does not depend on the order of its terms."""
     if not terms:
         return zeros(rows, cols, backend)
     _, a, b = terms[0]
@@ -655,7 +656,6 @@ def kron_sum(terms: Sequence[Tuple[Scalar, Matrix, Matrix]], rows: int, cols: in
                     for k, v in nonzero:
                         flat[base + k] += cx * v
         return Matrix(rows, cols, tuple(flat), FLOAT)
-    touched = bytearray(ar * ac)
     forms = [(c, zi_form(a), zi_form(b)) for c, a, b in terms if not c.is_zero]
     d = math.lcm(*[c.d * e * f for c, (_, e), (_, f) in forms])
     out: List[ZiRow] = [{} for _ in range(rows)]
@@ -664,28 +664,16 @@ def kron_sum(terms: Sequence[Tuple[Scalar, Matrix, Matrix]], rows: int, cols: in
         ca, cb = c.a * s, c.b * s
         for i, arow in enumerate(arows):
             for j, (xa, xb) in arow.items():
-                # y = s c x times B; nonzero where B is: Z[i] has no zero divisors
-                ya, yb = ca * xa - cb * xb, ca * xb + cb * xa
-                c0, t, targets = j * bn, i * ac + j, out[i * bm : (i + 1) * bm]
-                if touched[t]:
-                    for target, brow in zip(targets, brows):
-                        for col, (p, q) in brow.items():
-                            u, w = target.get(c0 + col, (0, 0))
-                            u, w = u + ya * p - yb * q, w + ya * q + yb * p
-                            if u or w:
-                                target[c0 + col] = (u, w)
-                            else:
-                                del target[c0 + col]
-                    continue
-                touched[t] = 1
-                if (ya, yb) == (1, 0):
-                    for target, brow in zip(targets, brows):
-                        for col, v in brow.items():
-                            target[c0 + col] = v
-                    continue
-                for target, brow in zip(targets, brows):
+                # block (i, j) gains y B, y = s c x
+                ya, yb, c0 = ca * xa - cb * xb, ca * xb + cb * xa, j * bn
+                for target, brow in zip(out[i * bm : (i + 1) * bm], brows):
                     for col, (p, q) in brow.items():
-                        target[c0 + col] = (ya * p - yb * q, ya * q + yb * p)
+                        u, w = target.get(c0 + col, (0, 0))
+                        u, w = u + ya * p - yb * q, w + ya * q + yb * p
+                        if u or w:
+                            target[c0 + col] = (u, w)
+                        else:
+                            del target[c0 + col]
     return zi_matrix(rows, cols, out, d)
 
 
@@ -830,21 +818,6 @@ def _zi_product_rows(x: Matrix, y: Matrix) -> Tuple[List[Tuple[List[int], List[i
 def _mul_exact(x: Matrix, y: Matrix) -> Matrix:
     rows, d = _zi_product_rows(x, y)
     return zi_matrix(x.rows, y.cols, [_zi_sparse(re, im) for re, im in rows], d)
-
-
-def identity_minus_product(x: Matrix, y: Matrix) -> Matrix:
-    """I - x y for a square product.  Exact entries are formed in Z[i] with
-    the identity folded in; float ones as identity - x * y."""
-    if x.cols != y.rows or x.rows != y.cols:
-        raise VerificationFailure(f"{x.rows}x{x.cols} times {y.rows}x{y.cols} is not square")
-    if x.backend != EXACT:
-        return identity(x.rows, x.backend) - x * y
-    rows, d = _zi_product_rows(x, y)
-    out = []
-    for i, (re, im) in enumerate(rows):
-        re[i] -= d
-        out.append({j: (-a, -b) for j, (a, b) in enumerate(zip(re, im)) if a or b})
-    return zi_matrix(x.rows, y.cols, out, d)
 
 
 def sums_to_identity(pairs: Sequence[Tuple[Matrix, Matrix]]) -> bool:
@@ -1482,8 +1455,9 @@ def _pure_power_root(p: List[Tuple[int, int]]) -> Optional[ZiRoot]:
 def _sorted_runs(runs: Sequence[Tuple[GaussianRational, int]]) -> List[Tuple[GaussianRational, int]]:
     """The runs in scalar_key order of their roots, stably sorted.  The key
     is a root's (re, im) numerators over the lcm of the roots' denominators,
-    which orders the roots as scalar_key's Fractions do without building a
-    Fraction: the exact routes keep to integer triples."""
+    which orders the roots as scalar_key's Fractions do.  scalar_key itself
+    is not the key: it reads .re and .im, which build Fractions, and the
+    exact routes build none (test_exact_routes_build_no_fraction)."""
     d = math.lcm(*[x.d for x, _ in runs])
     return sorted(runs, key=lambda run: (run[0].a * (d // run[0].d), run[0].b * (d // run[0].d)))
 

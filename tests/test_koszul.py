@@ -484,12 +484,12 @@ def test_exact_nilpotent_homotopies_skip_elimination_and_entries(monkeypatch):
 
 def test_cartan_check_forms_no_product(monkeypatch):
     # once both Cartan homotopies are built, the identity is checked row by
-    # row on Z[i] rows: no product, matrix or identity_minus_product follows
+    # row on Z[i] rows: no product or matrix follows
     reps = [lab.fixture(name).rep for name in ("A1", "H3", "F4", "Z3")]
     reps += [lab.random_nilpotent_rep(seed, base) for base in ("H3", "F4") for seed in range(3)]
     events = []
     honest_homotopy, honest_mul, honest_sums = kz._cartan_homotopy, nm.Matrix.__mul__, nm.sums_to_identity
-    honest_form, honest_minus = nm.zi_matrix, nm.identity_minus_product
+    honest_form = nm.zi_matrix
 
     def checked(pairs):
         events.append("check")
@@ -500,8 +500,6 @@ def test_cartan_check_forms_no_product(monkeypatch):
         patched.setattr(kz, "_cartan_homotopy", lambda *args: (honest_homotopy(*args), events.append("h"))[0])
         patched.setattr(nm.Matrix, "__mul__", lambda x, y: events.append("mul") or honest_mul(x, y))
         patched.setattr(nm, "zi_matrix", lambda *args: events.append("matrix") or honest_form(*args))
-        patched.setattr(kz, "identity_minus_product", lambda *args: events.append("I-xy") or honest_minus(*args))
-        patched.setattr(nm, "identity_minus_product", lambda *args: events.append("I-xy") or honest_minus(*args))
         patched.setattr(kz, "sums_to_identity", checked)
         for rep in reps:
             f = _far_shift(rep.algebra)
@@ -510,7 +508,6 @@ def test_cartan_check_forms_no_product(monkeypatch):
                 kz.splitting_homotopy(rep, f, p)
                 second = [t for t, e in enumerate(events) if e == "h"][1]
                 assert events[second + 1:] == ["check", True], (rep.algebra.names, p, events)
-                assert "I-xy" not in events
 
 
 def test_splitting_homotopy_eliminates_off_the_cartan_route(monkeypatch):

@@ -1005,22 +1005,6 @@ def test_scalar_of_reads_c_off_the_form_alone():
         nm.scalar_of(exact_mat([[1, 0]]))
 
 
-def test_identity_minus_product_matches_subtracting_the_product():
-    rng = random.Random(118)
-    for t in range(300):
-        kind = _KINDS[t % len(_KINDS)]
-        rows, inner = rng.randint(0, 5), rng.randint(0, 5)
-        x = _to_exact(_rand(rng, rows, inner, kind), inner)
-        y = _to_exact(_rand(rng, inner, rows, kind), rows)
-        for a, b in ((x, y), (x.to_float(), y.to_float())):
-            want = identity(rows, a.backend) - a * b
-            got = nm.identity_minus_product(a, b)
-            assert (got.rows, got.cols, got.backend) == (want.rows, want.cols, want.backend)
-            assert _entrywise(got) == _entrywise(want), (kind, x, y)
-    with pytest.raises(nm.VerificationFailure):
-        nm.identity_minus_product(exact_mat([[1, 2]]), exact_mat([[1, 2]]))
-
-
 def _identity_sum(rng, kind):
     """(n, c, terms): Fraction-pair terms (x, y, inner) with the sum of the
     x y equal to the n x n identity.  x y comes split in one or two terms of
@@ -1122,8 +1106,9 @@ def _float_kron_sum(terms, rows, cols):
 
 def test_kron_sum_matches_a_dense_kronecker_sum():
     # up to four terms of one A shape and one B shape, each with a
-    # coefficient of the same kind as the entries, or 1
-    rng = random.Random(121)
+    # coefficient of the same kind as the entries, or 1; each exact case
+    # again with its terms shuffled, which must give the same Z[i] form
+    rng, order = random.Random(121), random.Random(1210)
     for t in range(300):
         kind = _KINDS[t % len(_KINDS)]
         ar, ac, bm, bn = (rng.randint(0, 3) for _ in range(4))
@@ -1133,6 +1118,8 @@ def test_kron_sum_matches_a_dense_kronecker_sum():
         got = nm.kron_sum(terms, ar * bm, ac * bn, EXACT)
         assert (got.rows, got.cols) == (ar * bm, ac * bn)
         assert _pairs(got) == _ref_kron_sum(raw, bm, bn, ar * bm, ac * bn), (kind, raw)
+        shuffled = order.sample(terms, len(terms))
+        assert nm.zi_form(nm.kron_sum(shuffled, ar * bm, ac * bn, EXACT)) == nm.zi_form(got), (kind, raw)
         floats = [(c.to_complex(), a.to_float(), b.to_float()) for c, a, b in terms]
         got = nm.kron_sum(floats, ar * bm, ac * bn, FLOAT)
         assert _entrywise(got) == _float_kron_sum(floats, ar * bm, ac * bn), (kind, raw)
@@ -1164,6 +1151,13 @@ def test_kron_sum_edge_cases():
     assert part.to_lists() == nm.kron_sum([(gr(1), exact_mat([[0, 2], [0, gr(0, 1)]]), b)], 4, 4,
                                           EXACT).to_lists()
     _check_form(part, [[(e.re, e.im) for e in r] for r in part.to_lists()])
+    # a term cancelled by its negative, first, last, and between two others
+    w, neg, u, v = (gr(1), a, b), (gr(-1), a, b), (gr(2, -1), b, a), (gr(Fraction(-1, 3)), a, a)
+    rest = nm.kron_sum([u, v], 4, 4, EXACT)
+    for terms in ([w, neg, u, v], [u, v, w, neg], [u, w, neg, v], [w, u, v, neg], [neg, u, w, v]):
+        got = nm.kron_sum(terms, 4, 4, EXACT)
+        assert got == rest
+        _check_form(got, _pairs(rest))
     # mixed denominators and Gaussian entries, over the lcm of them all
     c = gr(Fraction(2, 7), Fraction(-1, 5))
     mixed = nm.kron_sum([(c, a, b), (gr(Fraction(1, 6)), b, a)], 4, 4, EXACT)
@@ -1177,6 +1171,19 @@ def test_kron_sum_edge_cases():
     fone = identity(1, FLOAT)
     fcombo = nm.kron_sum([(3 + 0j, fone, a.to_float()), (-1j, fone, b.to_float())], 2, 2, FLOAT)
     assert fcombo.entries == combo.to_float().entries
+    # I - X Y as the two-term sum of I and -X Y, 0 rows and 0 inner included
+    rng = random.Random(118)
+    for t in range(300):
+        kind = _KINDS[t % len(_KINDS)]
+        rows, inner = rng.randint(0, 5), rng.randint(0, 5)
+        x = _to_exact(_rand(rng, rows, inner, kind), inner)
+        y = _to_exact(_rand(rng, inner, rows, kind), rows)
+        for xm, ym in ((x, y), (x.to_float(), y.to_float())):
+            k, unit, eye = nm.sc_one(xm.backend), identity(1, xm.backend), identity(rows, xm.backend)
+            got = nm.kron_sum([(k, unit, eye), (-k, unit, xm * ym)], rows, rows, xm.backend)
+            want = eye - xm * ym
+            assert (got.rows, got.cols, got.backend) == (want.rows, want.cols, want.backend)
+            assert _entrywise(got) == _entrywise(want), (kind, x, y)
     # no terms: the zero matrix of the given shape
     for backend in (EXACT, FLOAT):
         empty = nm.kron_sum([], 3, 0, backend)
@@ -1247,9 +1254,6 @@ def test_exact_form_matches_entries_for_every_producer():
         y = _to_exact(yx, rows)
         xy = _ref_mul(x, yx, cols, rows)
         _check_form(m * y, xy)
-        _check_form(nm.identity_minus_product(m, y),
-                    [[_c_sub(_C_ONE if i == j else _C_ZERO, e) for j, e in enumerate(r)]
-                     for i, r in enumerate(xy)])
         c = _entry(random.Random(t), kind)  # its own stream: the draws below stay as they were
         _check_form(nm.kron_sum([(gr(*c), m, y), (gr(1), m, y)], rows * cols, cols * rows, EXACT),
                     _ref_kron_sum([(c, x, yx), (_C_ONE, x, yx)], cols, rows, rows * cols, cols * rows))
