@@ -10,7 +10,7 @@ left of its pivot).
 
 Chain terminology below: a full flag of ideals L_0 ⊂ L_1 ⊂ ... ⊂ L_n with
 dim L_i = i and [L_i, L_j] ⊆ L_{i-1} for i < j.  Such flags exist exactly
-for nilpotent algebras and are built here by refining the ascending central
+for nilpotent algebras and are built here by refining the lower central
 series one dimension at a time.
 
 Structural facts about an algebra (series, nilpotency, solvability, ideal
@@ -30,8 +30,6 @@ from .numeric import (
     Scalar,
     echelon_vectors,
     make_scalar,
-    matrix_from_rows,
-    nullspace_basis,
     sc_abs,
     sc_is_zero,
     sc_one,
@@ -256,10 +254,10 @@ def derived_subalgebra(L: LieAlgebra, tol: Optional[float] = None) -> Subspace:
     return span(L, prods, tol) if prods else zero_subspace(L)
 
 
-def _series(first: Subspace, step: Callable[[Subspace], Subspace], last_dim: int) -> Tuple[Subspace, ...]:
-    """first, step(first), ... until the dimension stops changing or reaches last_dim."""
+def _series(first: Subspace, step: Callable[[Subspace], Subspace]) -> Tuple[Subspace, ...]:
+    """first, step(first), ... until the dimension stops changing or reaches 0."""
     series = [first]
-    while series[-1].dim != last_dim:
+    while series[-1].dim != 0:
         nxt = step(series[-1])
         if nxt.dim == series[-1].dim:
             break
@@ -271,12 +269,12 @@ def _series(first: Subspace, step: Callable[[Subspace], Subspace], last_dim: int
 def lower_central_series(L: LieAlgebra, tol: Optional[float] = None) -> Tuple[Subspace, ...]:
     """L ⊇ [L,L] ⊇ [L,[L,L]] ⊇ ... until stabilization."""
     whole = full_subspace(L)
-    return _series(whole, lambda cur: _bracket_span(L, whole, cur, tol), 0)
+    return _series(whole, lambda cur: _bracket_span(L, whole, cur, tol))
 
 
 @lru_cache(maxsize=256)
 def derived_series(L: LieAlgebra, tol: Optional[float] = None) -> Tuple[Subspace, ...]:
-    return _series(full_subspace(L), lambda cur: _bracket_span(L, cur, cur, tol), 0)
+    return _series(full_subspace(L), lambda cur: _bracket_span(L, cur, cur, tol))
 
 
 @lru_cache(maxsize=256)
@@ -304,26 +302,6 @@ def is_ideal(L: LieAlgebra, S: Subspace, tol: Optional[float] = None) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=256)
-def _ascending_central_series(L: LieAlgebra, tol: Optional[float] = None) -> Tuple[Subspace, ...]:
-    """0 = Z_0 ⊆ Z_1 ⊆ ... with Z_{k+1}/Z_k the center of L/Z_k."""
-
-    def next_center(zk: Subspace) -> Subspace:
-        # v lies in Z_{k+1} iff [v, e_j] reduces to 0 mod Z_k for all j;
-        # rows of the condition matrix: one block per basis element e_j.
-        cond_rows: List[List[Scalar]] = []
-        for j in range(L.n):
-            cols = []
-            for i in range(L.n):
-                cols.append(reduce_mod(zk, L.structure(i, j), tol))
-            for coord in range(L.n):
-                cond_rows.append([cols[i][coord] for i in range(L.n)])
-        mat = matrix_from_rows(cond_rows, L.backend, cols=L.n)
-        return span(L, nullspace_basis(mat, tol).transpose().to_lists(), tol)
-
-    return _series(zero_subspace(L), next_center, L.n)
-
-
 def _normalize_leading(vec: Vector, thr: float = 0.0) -> Vector:
     lead = next(x for x in vec if not sc_is_zero(x, thr))
     return tuple(x / lead for x in vec)
@@ -333,16 +311,15 @@ def _normalize_leading(vec: Vector, thr: float = 0.0) -> Vector:
 def jordan_holder_chain(L: LieAlgebra, tol: Optional[float] = None) -> Tuple[Subspace, ...]:
     """Full flag 0 = L_0 ⊂ L_1 ⊂ ... ⊂ L_n = L with [L_i, L_j] ⊆ L_{i-1}.
 
-    Built by refining the ascending central series; inside each central
-    layer the lexicographically smallest reduced candidate vector is taken,
-    so the output is deterministic.
+    Built by refining the lower central series from the bottom up (C^(k+1) ⊆
+    V ⊆ C^k gives [L, V] ⊆ C^(k+1)); inside each layer the lexicographically
+    smallest reduced candidate vector is taken, so the output is deterministic.
     """
     if not is_nilpotent(L):
         raise NotNilpotent("a full flag of ideals with the bracket-drop "
                            "property requires a nilpotent algebra")
-    asc = _ascending_central_series(L, tol)
     chain = [zero_subspace(L)]
-    for target in asc[1:]:
+    for target in reversed(lower_central_series(L, tol)):
         while chain[-1].dim < target.dim:
             current = chain[-1]
             candidates = []
@@ -485,6 +462,8 @@ def algebra_from_json(obj: dict, backend: str = EXACT) -> LieAlgebra:
             raise ValueError(f"algebra.brackets[{idx}]: malformed entry") from None
         if not all(isinstance(x, int) and not isinstance(x, bool) for x in (i, j)) or not 0 <= i < j < n:
             raise ValueError(f"algebra.brackets[{idx}]: need 0 <= i < j < dim")
+        if (i, j) in brackets:
+            raise ValueError(f"algebra.brackets[{idx}]: duplicate bracket ({i},{j})")
         if not isinstance(coeffs, list) or len(coeffs) != n:
             raise ValueError(f"algebra.brackets[{idx}].coeffs: expected {n} scalars")
         try:

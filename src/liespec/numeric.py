@@ -31,7 +31,10 @@ Two interchangeable backends:
   * "float"  -- complex double precision.  Every comparison against zero
     goes through zero_threshold: TAU, or the caller's tolerance, times a
     scale taken from the entry magnitudes at hand, so ranks and kernels
-    are reproducible for a fixed input.
+    are reproducible for a fixed input.  Two absolute tolerances, with no
+    scale, do not: koszul.HOMOTOPY_RESIDUAL, the largest residual entry
+    complex_splitting accepts, and spectra.CHAR_MERGE, the coordinate
+    distance within which two characters count as one.
 
 Matrices are small and dense (desk scale), stored row-major.  kron_sum
 assembles the sum of c (A (x) B) over (c, A, B) terms on either backend: the

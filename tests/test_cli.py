@@ -172,6 +172,20 @@ def test_brackets_that_are_not_a_list_exit_2(capsys, tmp_path, backend, value):
 
 
 @pytest.mark.parametrize("backend", ["exact", "float"])
+def test_repeated_bracket_entry_exits_2(capsys, tmp_path, backend):
+    # a second (0,1) entry of zeros would otherwise replace [x, y] = z and
+    # load H3 as an abelian algebra
+    obj = rep_to_json(lab.fixture("h3").rep)
+    obj["algebra"]["brackets"].append({"i": 0, "j": 1, "coeffs": ["0", "0", "0"]})
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(obj))
+    for command in _COMMANDS + ("project",):
+        extra = ("--chain", "1") if command == "project" else ()
+        assert run(capsys, command, str(path), "--backend", backend, *extra) == (
+            2, "", f"error: {path}: algebra.brackets[1]: duplicate bracket (0,1)\n"), command
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
 @pytest.mark.parametrize("name", [[0], 1, None, True, {"a": 1}])
 def test_basis_names_that_are_not_strings_exit_2(capsys, tmp_path, backend, name):
     obj = rep_to_json(lab.fixture("h3").rep)

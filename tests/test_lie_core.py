@@ -151,6 +151,17 @@ def test_chain_h3_frozen():
     assert verify_chain(L, chain) == []
 
 
+@pytest.mark.parametrize("base", ["H3", "F4"])
+def test_chain_refines_lower_central_series_with_central_summand(base):
+    # base ⊕ ℂw: the center holds w outside [L, L], so a valid flag may
+    # start at ⟨w⟩ or inside [L, L]; this one runs through every C^k
+    A = lab.fixture(base).rep.algebra
+    L = lc.lie_algebra(A.names + ("w",), {(i, j): c + (0,) for i, j, c in A.table})
+    chain = lc.jordan_holder_chain(L)
+    assert all(term in chain for term in lc.lower_central_series(L))
+    assert verify_chain(L, chain) == []
+
+
 def test_chain_abelian():
     L = ab2()
     chain = lc.jordan_holder_chain(L)
