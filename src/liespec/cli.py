@@ -46,15 +46,13 @@ from .numeric import (
     scalar_to_json,
     scalar_to_text,
 )
-from .representation import rep_from_json, restrict_rep, validate_representation
+from .representation import rep_from_json, validate_representation
 from .spectra import (
     HypothesisViolation,
     NotSolvable,
-    _compare_projection,
-    _compare_routes,
-    _restrictions,
-    all_kinds,
     all_spectra,
+    chain_projections,
+    compare_routes,
     cross_validate,
     joint_eigencharacters,
     parse_kind,
@@ -393,19 +391,16 @@ def cmd_report(args) -> Tuple[int, dict]:
     algebra = {"dim": L.n, "basis": list(L.names), **_structure(L, args.tol)}
 
     reports = all_spectra(rep, tol=args.tol)
-    # kinds with one degree range share one member set (all_spectra), and
-    # every essential kind has none: one members list per distinct range
+    # kinds that share a member set (all_spectra) share one members list
     members_json = {}
     spectra = {}
     for name, report in sorted(reports.items()):
-        kind = report.kind
-        degrees = None if kind.essential else kind.degree_range(L.n)
-        if degrees not in members_json:
-            members_json[degrees] = [coeffs_json(c) for c in report.member_coeffs]
-        spectra[name] = {"members": members_json[degrees],
+        if report.members not in members_json:
+            members_json[report.members] = [coeffs_json(c) for c in report.member_coeffs]
+        spectra[name] = {"members": members_json[report.members],
                          "annotations": list(report.annotations)}
 
-    cv = _compare_routes(rep, reports["taylor"], joint_eigencharacters(rep, args.tol))
+    cv = compare_routes(rep, reports["taylor"], joint_eigencharacters(rep, args.tol))
     crossval = {
         "equal": cv.equal,
         "eigen_contained": cv.eigen_contained,
@@ -416,20 +411,9 @@ def cmd_report(args) -> Tuple[int, dict]:
     projections = []
     notes: List[str] = []
     if algebra["nilpotent"] and L.n >= 1:
-        ideal = jordan_holder_chain(L, args.tol)[L.n - 1]  # the codimension-one chain ideal
-        kinds = [kind for kind in all_kinds(L.n) if not kind.essential]
-        restricted = all_spectra(restrict_rep(rep, ideal, args.tol), kinds, tol=args.tol)
-        # every non-essential kind's members are Taylor members
-        restriction = _restrictions(reports["taylor"].members, ideal, args.tol)
-        # a kind's projection depends only on its degree ranges in L and the ideal
-        equal = {}
-        for kind in kinds:
-            name = kind.render()
-            ranges = kind.degree_range(L.n), kind.degree_range(ideal.dim)
-            if ranges not in equal:
-                equal[ranges] = _compare_projection(
-                    rep, reports[name], restricted[name], restriction).equal
-            projections.append({"kind": name, "ideal_dim": ideal.dim, "equal": equal[ranges]})
+        # onto the codimension-one chain ideal
+        projections = [{"kind": p.kind.render(), "ideal_dim": L.n - 1, "equal": p.equal}
+                       for p in chain_projections(rep, reports, args.tol)]
     else:
         notes.append(
             "projection table needs the invariant flag of a nilpotent algebra; skipped"

@@ -39,7 +39,6 @@ from .lie_core import (
     coeffs_text,
     derived_subalgebra,
     is_nilpotent,
-    jordan_holder_chain,
     lie_algebra,
     validate_lie_algebra,
 )
@@ -59,16 +58,14 @@ from .representation import (
     conjugate_representation,
     direct_sum,
     representation,
-    restrict_rep,
     shift,
     validate_representation,
 )
 from .spectra import (
-    _compare_projection,
-    _compare_routes,
-    _restrictions,
     all_spectra,
+    chain_projections,
     char_subset,
+    compare_routes,
     dedup_characters,
     joint_eigencharacters,
     same_character_sets,
@@ -483,19 +480,15 @@ def _check_routes(rep: Representation, reports) -> Optional[str]:
     if not is_nilpotent(rep.algebra):
         return None  # the routes may legitimately part ways
     # raises on a disagreement, which the suite records as this check's failure
-    _compare_routes(rep, reports["taylor"], joint_eigencharacters(rep))
+    compare_routes(rep, reports["taylor"], joint_eigencharacters(rep))
     return None
 
 
 def _check_projection(rep: Representation, reports) -> Optional[str]:
     L = rep.algebra
-    if not is_nilpotent(L) or L.n < 2:
+    if not is_nilpotent(L) or L.n < 1:
         return None
-    ideal = jordan_holder_chain(L)[L.n - 1]
-    # the suite's own Taylor report against one restricted spectrum, as in cli report
-    taylor = reports["taylor"]
-    small = spectrum(restrict_rep(rep, ideal), taylor.kind)
-    if not _compare_projection(rep, taylor, small, _restrictions(taylor.members, ideal, None)).equal:
+    if not all(p.equal for p in chain_projections(rep, reports)):
         return "projection onto the codimension-one chain ideal failed"
     return None
 

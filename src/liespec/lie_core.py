@@ -213,11 +213,12 @@ def _basis_vector(L: LieAlgebra, i: int) -> Vector:
 
 
 def validate_lie_algebra(L: LieAlgebra, tol: Optional[float] = None) -> List[Tuple[Tuple[int, int, int], Vector]]:
-    """Jacobi check over all basis triples i<j<k.
+    """Jacobi check over the basis triples i<j<k.
 
     Returns the list of violations, each the triple together with the
-    residual vector [[ei,ej],ek] + [[ej,ek],ei] + [[ek,ei],ej]; empty list
-    means the constants define a Lie algebra.
+    residual vector [[ei,ej],ek] + [[ej,ek],ei] + [[ek,ei],ej], in triple
+    order; empty list means the constants define a Lie algebra.  A triple
+    none of whose pairs has a table entry has a zero residual and is skipped.
     """
     def scale() -> float:
         mx = max((sc_abs(c) for _, _, row in L.table for c in row), default=0.0)
@@ -226,15 +227,14 @@ def validate_lie_algebra(L: LieAlgebra, tol: Optional[float] = None) -> List[Tup
     thr = zero_threshold(L.backend, tol, scale)
     violations = []
     basis = [_basis_vector(L, i) for i in range(L.n)]
-    for i in range(L.n):
-        for j in range(i + 1, L.n):
-            for k in range(j + 1, L.n):
-                r1 = bracket(L, L.structure(i, j), basis[k])
-                r2 = bracket(L, L.structure(j, k), basis[i])
-                r3 = bracket(L, L.structure(k, i), basis[j])
-                residual = tuple(a + b + c for a, b, c in zip(r1, r2, r3))
-                if not all(sc_is_zero(x, thr) for x in residual):
-                    violations.append(((i, j, k), residual))
+    for i, j, k in sorted({tuple(sorted((i, j, k))) for i, j, _ in L.table
+                           for k in range(L.n) if k not in (i, j)}):
+        r1 = bracket(L, L.structure(i, j), basis[k])
+        r2 = bracket(L, L.structure(j, k), basis[i])
+        r3 = bracket(L, L.structure(k, i), basis[j])
+        residual = tuple(a + b + c for a, b, c in zip(r1, r2, r3))
+        if not all(sc_is_zero(x, thr) for x in residual):
+            violations.append(((i, j, k), residual))
     return violations
 
 

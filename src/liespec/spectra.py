@@ -10,7 +10,8 @@ Two independent routes:
     delta_n and pi_n those of taylor, so all_spectra reads the members once
     per distinct range.  The cross-check and the projections reuse the same
     tables: a report needs one for the representation and one for its
-    restriction to an ideal, and compares each distinct projection once;
+    restriction to an ideal, and chain_projections compares each distinct
+    projection once;
   * eigencharacter route: enumerate joint eigenvectors directly, narrowing
     a joint eigenspace V level by level to the kernel of rho(e_k) - lam
     within V.  Exact input takes the basis in an ideal order.  While the
@@ -55,7 +56,7 @@ from __future__ import annotations
 import re as _re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .lie_core import (
     Character,
@@ -65,6 +66,7 @@ from .lie_core import (
     is_character,
     is_nilpotent,
     is_solvable,
+    jordan_holder_chain,
     restrict_character,
 )
 from .koszul import BettiVector, check_entry_budget, homology_dims
@@ -779,12 +781,12 @@ def cross_validate(
     """
     if not is_solvable(rep.algebra):
         raise NotSolvable("joint spectra here are defined for solvable algebras")
-    return _compare_routes(
+    return compare_routes(
         rep, spectrum(rep, taylor_kind(), tol), joint_eigencharacters(rep, tol)
     )
 
 
-def _compare_routes(
+def compare_routes(
     rep: Representation,
     taylor: SpectrumReport,
     eigen_pairs: Sequence[Tuple[Character, Matrix]],
@@ -827,30 +829,33 @@ def projection_check(
         kind = parse_kind(kind)
     if kind.essential:
         raise ValueError("projection check is for non-essential kinds")
-    big = spectrum(rep, kind, tol)
-    small = spectrum(restrict_rep(rep, ideal, tol), kind, tol)
-    return _compare_projection(rep, big, small, _restrictions(big.members, ideal, tol))
+    return _projections(rep, ideal, [spectrum(rep, kind, tol)], tol)[0]
 
 
-def _restrictions(members: Sequence[Character], ideal: Subspace, tol: Optional[float]) -> Dict[Character, Vector]:
-    """Each member's values on the ideal, one restriction per member."""
-    return {f: restrict_character(f, ideal, tol) for f in members}
+def chain_projections(rep: Representation, reports: Mapping[str, SpectrumReport],
+                      tol: Optional[float] = None) -> Tuple[ProjectionReport, ...]:
+    """projection_check of each non-essential report of all_spectra(rep) in
+    reports, in order, onto the codimension-one chain ideal; L nilpotent, n >= 1."""
+    ideal = jordan_holder_chain(rep.algebra, tol)[rep.algebra.n - 1]
+    return _projections(rep, ideal, [r for r in reports.values() if not r.kind.essential], tol)
 
 
-def _compare_projection(
-    rep: Representation,
-    big: SpectrumReport,
-    small: SpectrumReport,
-    restricted_members: Dict[Character, Vector],
-) -> ProjectionReport:
-    """projection_check on already computed reports of one kind for rep and
-    for its restriction to the ideal; restricted_members maps every member
-    of big to its restriction."""
-    projected = dedup_characters(
-        tuple(restricted_members[f] for f in big.members), rep.backend
-    )
-    restricted = small.member_coeffs
-    return ProjectionReport(
-        big.kind, projected, restricted,
-        same_character_sets(projected, restricted, rep.backend),
-    )
+def _projections(rep: Representation, ideal: Subspace, bigs: Sequence[SpectrumReport],
+                 tol: Optional[float]) -> Tuple[ProjectionReport, ...]:
+    """Off one all_spectra of the restriction and one restriction per
+    distinct member.  A kind's projection depends only on its degree ranges
+    in L and in the ideal (see all_spectra): each distinct pair is compared once."""
+    backend = rep.backend
+    small = all_spectra(restrict_rep(rep, ideal, tol), [big.kind for big in bigs], tol)
+    members = dict.fromkeys(f for big in bigs for f in big.members)
+    values = {f: restrict_character(f, ideal, tol) for f in members}
+    compared: Dict[Tuple[range, range], tuple] = {}
+    out = []
+    for big in bigs:
+        ranges = big.kind.degree_range(rep.algebra.n), big.kind.degree_range(ideal.dim)
+        if ranges not in compared:
+            projected = dedup_characters(tuple(values[f] for f in big.members), backend)
+            restricted = small[big.kind.render()].member_coeffs
+            compared[ranges] = projected, restricted, same_character_sets(projected, restricted, backend)
+        out.append(ProjectionReport(big.kind, *compared[ranges]))
+    return tuple(out)

@@ -873,19 +873,24 @@ def test_report_restricts_each_taylor_member_once(capsys, monkeypatch, name):
 def test_report_compares_each_distinct_projection_once(capsys, monkeypatch, name):
     # a projection depends only on the kind's degree ranges in L and in the
     # ideal: 2n + 1 distinct pairs among the 2 + 4(n + 1) non-essential kinds
+    rep = lab.fixture(name).rep
+    n = rep.algebra.n
+    reports = spectra.all_spectra(rep)
     compared = []
-    honest = cli._compare_projection
+    honest = spectra.same_character_sets
 
-    def counting(rep, big, small, restricted):
-        compared.append(big.kind.degree_range(rep.algebra.n))
-        return honest(rep, big, small, restricted)
+    def counting(a, b, backend):
+        compared.append((a, b))
+        return honest(a, b, backend)
 
-    monkeypatch.setattr(cli, "_compare_projection", counting)
+    monkeypatch.setattr(spectra, "same_character_sets", counting)
+    projections = spectra.chain_projections(rep, reports)
+    assert len(projections) == 2 + 4 * (n + 1)
+    assert len(compared) == 2 * n + 1
+    monkeypatch.undo()
     code, out, _ = run(capsys, "report", "--fixture", name)
     assert code == 0
-    n = lab.fixture(name).rep.algebra.n
     assert len(json.loads(out)["projections"]) == 2 + 4 * (n + 1)
-    assert len(compared) == len(set(compared)) == 2 * n + 1
 
 
 def test_parser_is_built_once_per_process():

@@ -250,8 +250,9 @@ def test_property_suite_builds_one_homology_table_per_representation(monkeypatch
     monkeypatch.setattr(sp, "homology_table", counted)
     summary = lab.run_property_suite(8)
     assert summary.ok
-    # 13 instances, 9 of them nilpotent with a chain ideal to restrict to
-    assert len(tables) == len(set(tables)) == 13 + 9
+    # 13 instances, 12 of them nilpotent with a chain ideal to restrict to
+    # (every nilpotent instance, A1 ones onto their zero ideal included)
+    assert len(tables) == len(set(tables)) == 13 + 12
 
 
 def test_property_suite_catalog_only():
@@ -313,3 +314,34 @@ def test_soundness_failure_prints_the_character_as_json(monkeypatch, backend, fa
                         lambda rep, f, tol=None: kz.BettiVector((9,) * (rep.algebra.n + 1)))
     summary = lab.run_property_suite(0, backend=backend)
     assert [(f.instance, f.check, f.detail) for f in summary.failures] == failures
+
+
+_PROJECTION_FAILED = "projection onto the codimension-one chain ideal failed"
+
+
+def test_suite_records_a_moved_restriction_as_a_projection_failure(monkeypatch):
+    # every restricted value moved by 1: each nilpotent instance whose chain
+    # ideal is nonzero fails; A1's ideal is zero, its restrictions empty
+    honest = sp.restrict_character
+    one = make_scalar(1, EXACT)
+    monkeypatch.setattr(sp, "restrict_character",
+                        lambda f, ideal, tol=None: tuple(v + one for v in honest(f, ideal, tol)))
+    summary = lab.run_property_suite(3)
+    assert [(f.instance, f.check, f.detail) for f in summary.failures] == [
+        (name, "projection", _PROJECTION_FAILED) for name in ("H3", "Z3", "F4", "H3#s0m3", "F4#s1m4")
+    ]
+
+
+def test_suite_checks_projection_on_one_dimensional_algebras(monkeypatch):
+    # the restricted spectra emptied: every nilpotent instance fails, A1 included
+    honest = sp.all_spectra
+
+    def emptied(rep, kinds=None, tol=None):
+        return {name: dataclasses.replace(r, members=()) for name, r in honest(rep, kinds, tol).items()}
+
+    monkeypatch.setattr(sp, "all_spectra", emptied)
+    summary = lab.run_property_suite(3)
+    assert [(f.instance, f.check, f.detail) for f in summary.failures] == [
+        (name, "projection", _PROJECTION_FAILED)
+        for name in ("A1", "H3", "Z3", "F4", "H3#s0m3", "F4#s1m4", "A1#s2m4")
+    ]

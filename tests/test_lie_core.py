@@ -60,6 +60,60 @@ def test_validate_float_backend():
     assert lc.validate_lie_algebra(ok) == []
 
 
+def _all_triples_violations(L, tol=None):
+    # reference: the residual of every triple i < j < k, whether or not any
+    # of its pairs has a table entry
+    scale = max((nm.sc_abs(c) for _, _, row in L.table for c in row), default=0.0)
+    thr = nm.zero_threshold(L.backend, tol, lambda: max(1.0, scale * scale))
+    basis = [tuple(nm.make_scalar(int(k == i), L.backend) for k in range(L.n)) for i in range(L.n)]
+    out = []
+    for i in range(L.n):
+        for j in range(i + 1, L.n):
+            for k in range(j + 1, L.n):
+                r1 = lc.bracket(L, L.structure(i, j), basis[k])
+                r2 = lc.bracket(L, L.structure(j, k), basis[i])
+                r3 = lc.bracket(L, L.structure(k, i), basis[j])
+                residual = tuple(a + b + c for a, b, c in zip(r1, r2, r3))
+                if not all(nm.sc_is_zero(x, thr) for x in residual):
+                    out.append(((i, j, k), residual))
+    return out
+
+
+def _sparse_algebra(seed, backend):
+    rng = random.Random(seed)
+    n = rng.randint(3, 7)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    brackets = {}
+    for i, j in rng.sample(pairs, rng.randint(1, min(4, len(pairs)))):
+        brackets[(i, j)] = [rng.choice((0, 0, 0, 1, -2)) for _ in range(n)]
+    return lc.lie_algebra([f"e{k}" for k in range(n)], brackets, backend)
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_validate_matches_the_all_triples_loop(backend):
+    algebras = [fix.rep.algebra for fix in lab.catalog(backend)]
+    algebras += [_sparse_algebra(seed, backend) for seed in range(40)]
+    violating = 0
+    for L in algebras:
+        expected = _all_triples_violations(L)
+        assert lc.validate_lie_algebra(L) == expected
+        violating += bool(expected)
+    assert 0 < violating < len(algebras)
+
+
+def test_validate_brackets_nothing_on_an_abelian_algebra(monkeypatch):
+    calls = []
+    honest = lc.bracket
+
+    def counting(*args):
+        calls.append(args)
+        return honest(*args)
+
+    monkeypatch.setattr(lc, "bracket", counting)
+    assert lc.validate_lie_algebra(lc.abelian_algebra([f"e{k}" for k in range(40)])) == []
+    assert calls == []
+
+
 # --- bracket ----------------------------------------------------------------
 
 
