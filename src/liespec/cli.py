@@ -395,9 +395,10 @@ def cmd_report(args) -> Tuple[int, dict]:
     members_json = {}
     spectra = {}
     for name, report in sorted(reports.items()):
-        if report.members not in members_json:
-            members_json[report.members] = [coeffs_json(c) for c in report.member_coeffs]
-        spectra[name] = {"members": members_json[report.members],
+        members = members_json.get(report.members)
+        if members is None:
+            members = members_json[report.members] = [coeffs_json(c) for c in report.member_coeffs]
+        spectra[name] = {"members": members,
                          "annotations": list(report.annotations)}
 
     cv = compare_routes(rep, reports["taylor"], joint_eigencharacters(rep, args.tol))
@@ -411,7 +412,6 @@ def cmd_report(args) -> Tuple[int, dict]:
     projections = []
     notes: List[str] = []
     if algebra["nilpotent"] and L.n >= 1:
-        # onto the codimension-one chain ideal
         projections = [{"kind": p.kind.render(), "ideal_dim": L.n - 1, "equal": p.equal}
                        for p in chain_projections(rep, reports, args.tol)]
     else:

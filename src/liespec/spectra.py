@@ -842,18 +842,19 @@ def chain_projections(rep: Representation, reports: Mapping[str, SpectrumReport]
 
 def _projections(rep: Representation, ideal: Subspace, bigs: Sequence[SpectrumReport],
                  tol: Optional[float]) -> Tuple[ProjectionReport, ...]:
-    """Off one all_spectra of the restriction and one restriction per
-    distinct member.  A kind's projection depends only on its degree ranges
-    in L and in the ideal (see all_spectra): each distinct pair is compared once."""
+    """One all_spectra of the restriction and one restriction per distinct member; a projection
+    depends only on the kind's degree ranges in L and the ideal, so each pair is compared once."""
     backend = rep.backend
     small = all_spectra(restrict_rep(rep, ideal, tol), [big.kind for big in bigs], tol)
-    members = dict.fromkeys(f for big in bigs for f in big.members)
-    values = {f: restrict_character(f, ideal, tol) for f in members}
+    values: Dict[Character, Vector] = {}
     compared: Dict[Tuple[range, range], tuple] = {}
     out = []
     for big in bigs:
         ranges = big.kind.degree_range(rep.algebra.n), big.kind.degree_range(ideal.dim)
         if ranges not in compared:
+            for f in big.members:
+                if f not in values:
+                    values[f] = restrict_character(f, ideal, tol)
             projected = dedup_characters(tuple(values[f] for f in big.members), backend)
             restricted = small[big.kind.render()].member_coeffs
             compared[ranges] = projected, restricted, same_character_sets(projected, restricted, backend)
