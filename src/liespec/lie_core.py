@@ -10,8 +10,9 @@ left of its pivot).
 
 Chain terminology below: a full flag of ideals L_0 ⊂ L_1 ⊂ ... ⊂ L_n with
 dim L_i = i and [L_i, L_j] ⊆ L_{i-1} for i < j.  Such flags exist exactly
-for nilpotent algebras and are built here by refining the lower central
-series one dimension at a time.
+for nilpotent algebras; here each refines the lower central series (every
+series stops at its first term that is no smaller than the one before) by
+the echelon rows of its terms, largest pivot first (see jordan_holder_chain).
 
 Structural facts about an algebra (series, nilpotency, solvability, ideal
 tests, the flag) are cached per (algebra, subspace, tol); series and flags
@@ -35,7 +36,6 @@ from .numeric import (
     sc_one,
     sc_zero,
     scalar_from_json,
-    scalar_key,
     scalar_to_json,
     zero_threshold,
 )
@@ -191,16 +191,18 @@ def contains(S: Subspace, vec: Sequence[Scalar], tol: Optional[float] = None) ->
 
 
 def bracket(L: LieAlgebra, u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
-    """[u, v] by bilinear expansion through the structure constants."""
+    """[u, v] over the pairs of nonzero coordinates with a table entry, i
+    before j: the skipped terms are zeros, so every float sum keeps its bits."""
     n = L.n
     if len(u) != n or len(v) != n:
         raise ValueError(f"bracket of vectors of lengths {len(u)}, {len(v)} in dimension {n}")
     out = list(L.zero_vector())
+    js = [j for j in range(n) if not sc_is_zero(v[j])]
     for i in range(n):
         if sc_is_zero(u[i]):
             continue
-        for j in range(n):
-            if sc_is_zero(v[j]) or i == j:
+        for j in js:
+            if (min(i, j), max(i, j)) not in L._map:
                 continue
             c = u[i] * v[j]
             for k, s in enumerate(L.structure(i, j)):
@@ -244,22 +246,28 @@ def validate_lie_algebra(L: LieAlgebra, tol: Optional[float] = None) -> List[Tup
 
 
 def _bracket_span(L: LieAlgebra, A: Subspace, B: Subspace, tol: Optional[float] = None) -> Subspace:
-    prods = [bracket(L, a, b) for a in A.basis for b in B.basis]
-    return span(L, prods, tol) if prods else zero_subspace(L)
+    """Span of the brackets [a, b] of the bases of A and B.  A float bracket at
+    or below tol times the largest structure constant and entries of a and b
+    is rounding residue: it adds no dimension."""
+    unit = zero_threshold(L.backend, tol, lambda: max(
+        (sc_abs(c) for _, _, row in L.table for c in row), default=0.0))
+    prods = [(bracket(L, a, b), unit and unit * max(map(sc_abs, a)) * max(map(sc_abs, b)))
+             for a in A.basis for b in B.basis]
+    return span(L, [w for w, thr in prods if not all(sc_is_zero(x, thr) for x in w)], tol)
 
 
 @lru_cache(maxsize=256)
 def derived_subalgebra(L: LieAlgebra, tol: Optional[float] = None) -> Subspace:
-    prods = [L.structure(i, j) for i in range(L.n) for j in range(i + 1, L.n)]
-    return span(L, prods, tol) if prods else zero_subspace(L)
+    return span(L, [coeffs for _, _, coeffs in L.table], tol)
 
 
 def _series(first: Subspace, step: Callable[[Subspace], Subspace]) -> Tuple[Subspace, ...]:
-    """first, step(first), ... until the dimension stops changing or reaches 0."""
+    """first, step(first), ... while the dimension drops, so step runs at
+    most dim(first) times; a term no smaller than its predecessor ends it."""
     series = [first]
     while series[-1].dim != 0:
         nxt = step(series[-1])
-        if nxt.dim == series[-1].dim:
+        if nxt.dim >= series[-1].dim:
             break
         series.append(nxt)
     return tuple(series)
@@ -302,34 +310,23 @@ def is_ideal(L: LieAlgebra, S: Subspace, tol: Optional[float] = None) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _normalize_leading(vec: Vector, thr: float = 0.0) -> Vector:
-    lead = next(x for x in vec if not sc_is_zero(x, thr))
-    return tuple(x / lead for x in vec)
-
-
 @lru_cache(maxsize=256)
 def jordan_holder_chain(L: LieAlgebra, tol: Optional[float] = None) -> Tuple[Subspace, ...]:
     """Full flag 0 = L_0 ⊂ L_1 ⊂ ... ⊂ L_n = L with [L_i, L_j] ⊆ L_{i-1}.
 
     Built by refining the lower central series from the bottom up (C^(k+1) ⊆
-    V ⊆ C^k gives [L, V] ⊆ C^(k+1)); inside each layer the lexicographically
-    smallest reduced candidate vector is taken, so the output is deterministic.
+    V ⊆ C^k gives [L, V] ⊆ C^(k+1)): each step adds the echelon row of C^k at
+    the largest pivot the current member lacks: of the vectors of C^k reduced
+    modulo the member and scaled to a leading 1, the lexicographically least.
     """
     if not is_nilpotent(L):
         raise NotNilpotent("a full flag of ideals with the bracket-drop "
                            "property requires a nilpotent algebra")
     chain = [zero_subspace(L)]
-    for target in reversed(lower_central_series(L, tol)):
-        while chain[-1].dim < target.dim:
-            current = chain[-1]
-            candidates = []
-            for b in target.basis:
-                r = reduce_mod(current, b, tol)
-                thr = zero_threshold(L.backend, tol, lambda: max(sc_abs(x) for x in r))
-                if not all(sc_is_zero(x, thr) for x in r):
-                    candidates.append(_normalize_leading(r, thr))
-            pick = min(candidates, key=lambda v: tuple(scalar_key(x) for x in v))
-            chain.append(span(L, list(current.basis) + [pick], tol))
+    for term in reversed(lower_central_series(L, tol)):
+        for p, row in reversed(tuple(zip(term.pivots, term.basis))):
+            if p not in chain[-1].pivots:
+                chain.append(span(L, chain[-1].basis + (row,), tol))
     return tuple(chain)
 
 

@@ -1,26 +1,48 @@
 """Seeded hostile input.  Each seed mutates the JSON of one catalog fixture:
-non-list brackets, non-string basis names, huge entries and denominators,
-huge diagonal actions, ragged rows, dimX mismatches, malformed bracket
-entries and Jacobi violations.  report, koszul, validate and eigenchars run
-on every file in-process under both backends.  Each run must exit 0, 1 or
-2, print exactly one `error:` line on stderr when it exits 1 or 2 (validate
-reports violations in its payload instead), and let no exception escape
-cli.main.  The seeds are fixed; never narrow them."""
+a change to a skewed integer basis, non-list brackets, non-string basis
+names, huge entries and denominators, huge diagonal actions, ragged rows,
+dimX mismatches, malformed bracket entries and Jacobi violations.  report,
+koszul, validate and eigenchars run on every file in-process under both
+backends.  Each run must exit 0, 1 or 2, print exactly one `error:` line
+on stderr when it exits 1 or 2 (validate reports violations in its payload
+instead), and let no exception escape cli.main.  The seeds are fixed; never
+narrow them."""
 
 import copy
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from liespec import lab
 from liespec.cli import main
-from liespec.representation import rep_to_json
+from liespec.lie_core import bracket, lie_algebra
+from liespec.numeric import EXACT, inverse, matrix_from_rows
+from liespec.representation import Representation, rep_from_json, rep_to_json
 
 SEEDS = range(150)
 COMMANDS = ("report", "koszul", "validate", "eigenchars")
 HUGE = 10 ** 400
 FIXTURES = ("a1", "h3", "s2", "z3", "f4")
+
+
+def _rebase(rng, obj):
+    """The algebra and its matrices rewritten in the basis f_i = g e_i, for a
+    seeded unimodular g: [f_i, f_j] = g^-1 [g e_i, g e_j] and rho'(f_i) =
+    rho(g e_i).  The input stays valid; its integer entries grow, and float
+    rounding no longer cancels exactly."""
+    rep = rep_from_json(obj)
+    L, n = rep.algebra, rep.algebra.n
+    g = lab.unimodular_matrix(rng, n, EXACT)
+    g_inv = inverse(g)
+    cols = [tuple(g.at(k, i) for k in range(n)) for i in range(n)]
+    brackets = {(i, j): (g_inv * matrix_from_rows([[x] for x in bracket(L, cols[i], cols[j])], EXACT)).entries
+                for i in range(n) for j in range(i + 1, n)}
+    rebased = Representation(lie_algebra(L.names, brackets), rep.m, tuple(rep.apply(c) for c in cols))
+    obj.update(rep_to_json(rebased))
 
 
 def _brackets_not_a_list(rng, obj):
@@ -101,7 +123,7 @@ def _jacobi(rng, obj):
 
 
 # applied in this order, so that no mutation reads what an earlier one broke
-MUTATIONS = (_jacobi, _bad_bracket, _huge_diagonal, _huge_entry, _name_not_a_string,
+MUTATIONS = (_rebase, _jacobi, _bad_bracket, _huge_diagonal, _huge_entry, _name_not_a_string,
              _brackets_not_a_list, _ragged, _dim_mismatch)
 
 
@@ -149,3 +171,20 @@ def test_hostile_input_exits_with_one_typed_error(capsys, mutants, command, back
         if code not in (0, 1, 2) or (code != 0 and len(errors) != 1 and not violations):
             bad.append(f"{path}: exit {code}, stderr {err[:200]!r}")
     assert not bad, "\n".join(bad)
+
+
+def test_float_info_on_a_rebased_f4_stops(tmp_path):
+    # the float lower central series of this input read 4, 2, 1, 3, 2, 1, ...
+    # while rounding residue of zero brackets counted as a dimension
+    obj = rep_to_json(lab.fixture("F4").rep)
+    _rebase(random.Random(12), obj)
+    assert obj["algebra"]["brackets"][0] == {"i": 0, "j": 1, "coeffs": ["-26", "72", "-310", "258"]}
+    path = tmp_path / "f4_rebased.json"
+    path.write_text(json.dumps(obj))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "liespec.cli", "info", str(path), "--backend", "float"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    facts = json.loads(proc.stdout)
+    assert facts["lower_central_dims"] == [4, 2, 1, 0] and facts["nilpotent"] is True

@@ -6,12 +6,13 @@ Fixtures used throughout:
   ab2     abelian on two generators.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from liespec import lab
+from liespec import cli, lab
 from liespec import lie_core as lc
 from liespec import numeric as nm
 from liespec.numeric import EXACT, FLOAT, gr
@@ -132,6 +133,64 @@ def test_bracket_bilinear():
     assert lc.bracket(L, xy, y) == (gr(0), gr(0), gr(1))
 
 
+def _counted_products(monkeypatch):
+    """The list that every GaussianRational product appends to from now on."""
+    calls = []
+    honest = nm.GaussianRational.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return honest(self, other)
+
+    monkeypatch.setattr(nm.GaussianRational, "__mul__", counting)
+    return calls
+
+
+def test_bracket_without_a_table_entry_multiplies_nothing(monkeypatch):
+    L = h3()
+    x, z = (gr(1), gr(0), gr(0)), (gr(0), gr(0), gr(1))
+    calls = _counted_products(monkeypatch)
+    assert lc.bracket(L, x, z) == L.zero_vector()
+    assert calls == []
+
+
+def test_structure_of_an_abelian_algebra_multiplies_nothing(monkeypatch):
+    # the full expansion made 159 120 products here, all of them c * 0
+    L = lc.abelian_algebra([f"ab40_{k}" for k in range(40)])
+    calls = _counted_products(monkeypatch)
+    facts = cli._structure(L, None)
+    assert facts["lower_central_dims"] == [40, 0] and facts["chain_dims"] == list(range(41))
+    assert calls == []
+
+
+def _full_expansion_bracket(L, u, v):
+    """bracket over every pair of nonzero coordinates, table entry or not."""
+    out = list(L.zero_vector())
+    for i in range(L.n):
+        if nm.sc_is_zero(u[i]):
+            continue
+        for j in range(L.n):
+            if nm.sc_is_zero(v[j]) or i == j:
+                continue
+            c = u[i] * v[j]
+            for k, s in enumerate(L.structure(i, j)):
+                out[k] = out[k] + c * s
+    return tuple(out)
+
+
+def test_bracket_is_bit_identical_to_the_full_expansion():
+    rng = random.Random(5)
+    for fix in lab.catalog(FLOAT):
+        for seed in range(3):
+            L = _in_seeded_basis(lab.fixture(fix.name).rep.algebra, seed, FLOAT)
+            for _ in range(20):
+                u, v = ([complex(rng.randint(-3, 3), rng.randint(-3, 3)) / rng.randint(1, 7)
+                         * rng.randint(0, 1) for _ in range(L.n)] for _ in range(2))
+                # repr keeps the sign of a float zero, which == does not
+                assert ([repr(x) for x in lc.bracket(L, u, v)]
+                        == [repr(x) for x in _full_expansion_bracket(L, u, v)]), (L, u, v)
+
+
 # --- derived subalgebra and series -------------------------------------------
 
 
@@ -159,6 +218,22 @@ def test_derived_vs_lower_central_first_step():
         series = lc.lower_central_series(L)
         step1 = series[1] if len(series) > 1 else lc.zero_subspace(L)
         assert lc.derived_subalgebra(L).basis == step1.basis
+
+
+def test_series_stops_when_the_dimension_does_not_drop():
+    # a float series once read 4, 2, 1, 3, 2, 1, 3, ... and stopped only on a tie
+    L = lc.abelian_algebra([f"cyc{k}" for k in range(4)])
+    dims = itertools.cycle([2, 1, 3])
+    calls = []
+
+    def step(S):
+        calls.append(S.dim)
+        if len(calls) > 2 * (L.n + 1):
+            raise AssertionError(f"series still stepping after {len(calls) - 1} steps")
+        return lc.span(L, [lc._basis_vector(L, k) for k in range(next(dims))])
+
+    assert [S.dim for S in lc._series(lc.full_subspace(L), step)] == [4, 2, 1]
+    assert calls == [4, 2, 1]
 
 
 # --- flags --------------------------------------------------------------------
@@ -253,6 +328,86 @@ def test_derived_inside_second_from_top_flag_member():
             continue
         chain = lc.jordan_holder_chain(L)
         assert all(lc.contains(chain[L.n - 2], v) for v in lc.derived_subalgebra(L).basis)
+
+
+def _greedy_chain(L, tol=None):
+    """The flag as a search: each step reduces every basis vector of the
+    layer's top term modulo the current member, scales each nonzero result
+    to a leading 1 and takes the lexicographically smallest in (re, im)."""
+    def normalize_leading(vec, thr):
+        lead = next(x for x in vec if not nm.sc_is_zero(x, thr))
+        return tuple(x / lead for x in vec)
+
+    chain = [lc.zero_subspace(L)]
+    for target in reversed(lc.lower_central_series(L, tol)):
+        while chain[-1].dim < target.dim:
+            current = chain[-1]
+            candidates = []
+            for b in target.basis:
+                r = lc.reduce_mod(current, b, tol)
+                thr = nm.zero_threshold(L.backend, tol, lambda: max(nm.sc_abs(x) for x in r))
+                if not all(nm.sc_is_zero(x, thr) for x in r):
+                    candidates.append(normalize_leading(r, thr))
+            pick = min(candidates, key=lambda v: tuple(nm.scalar_key(x) for x in v))
+            chain.append(lc.span(L, list(current.basis) + [pick], tol))
+    return tuple(chain)
+
+
+def _strictly_upper_triangular(k):
+    """n_k: strictly upper-triangular k x k matrices in the basis E_ab, a < b,
+    with [E_ab, E_cd] = [b == c] E_ad - [d == a] E_cb."""
+    units = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    index = {u: i for i, u in enumerate(units)}
+    brackets = {}
+    for i, (a, b) in enumerate(units):
+        for j, (c, d) in enumerate(units[i + 1:], start=i + 1):
+            coeffs = [0] * len(units)
+            if b == c:
+                coeffs[index[(a, d)]] += 1
+            if d == a:
+                coeffs[index[(c, b)]] -= 1
+            brackets[(i, j)] = coeffs
+    return lc.lie_algebra([f"E{a}{b}" for a, b in units], brackets)
+
+
+def _flag_algebras():
+    """Exact nilpotent algebras: the nilpotent catalog, H3 and F4 with a
+    central summand, and n_3, n_4, n_5."""
+    out = [lab.fixture(name).rep.algebra for name in ("A1", "H3", "Z3", "F4")]
+    for base in ("H3", "F4"):
+        A = lab.fixture(base).rep.algebra
+        out.append(lc.lie_algebra(A.names + ("w",), {(i, j): c + (0,) for i, j, c in A.table}))
+    return out + [_strictly_upper_triangular(k) for k in (3, 4, 5)]
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_chain_matches_the_greedy_search(backend):
+    # exact in the standard basis and four skewed ones; float in the standard
+    # basis only, where the search sees no rounding residue
+    checked = 0
+    for A in _flag_algebras():
+        algebras = [lc.lie_algebra(A.names, {(i, j): c for i, j, c in A.table}, backend)]
+        if backend == EXACT:
+            algebras += [_in_seeded_basis(A, seed, EXACT) for seed in range(4)]
+        for L in algebras:
+            assert lc.jordan_holder_chain(L) == _greedy_chain(L), L
+            checked += 1
+    with pytest.raises(lc.NotNilpotent):
+        lc.jordan_holder_chain(lab.fixture("S2", backend).rep.algebra)
+    assert checked == (45 if backend == EXACT else 9)
+
+
+def test_float_chain_in_skewed_bases_follows_the_exact_chain():
+    # the float series once stalled above 0 here (F4, seed 0: not nilpotent)
+    # or looped; the search itself could take the residue of a zero vector
+    # for a candidate, and pick a vector outside the layer or inside the member
+    for A in _flag_algebras():
+        for seed in range(4):
+            exact = lc.jordan_holder_chain(_in_seeded_basis(A, seed, EXACT))
+            approx = lc.jordan_holder_chain(_in_seeded_basis(A, seed, FLOAT))
+            assert [S.pivots for S in approx] == [S.pivots for S in exact], (A, seed)
+            assert all(abs(x - y.to_complex()) <= 1e-9 for S, T in zip(approx, exact)
+                       for u, v in zip(S.basis, T.basis) for x, y in zip(u, v)), (A, seed)
 
 
 # --- characters -----------------------------------------------------------------
