@@ -15,11 +15,10 @@ sort indices increasingly, multiply by the permutation parity, drop
 repeated-index terms.  These conventions make d o d = 0 an identity, which
 validate_complex checks explicitly.
 
-The differential is affine in the shift f, with E_(l,p) the signed operator
-terms and B_p the bracket scalars, matrices fixed by the algebra and p alone:
-    d_p(rho - f) = sum_l E_(l,p) (x) rho(e_l) + (B_p - sum_l f_l E_(l,p)) (x) I_m.
-_differential hands these terms to numeric.kron_sum as they stand, B_p (x) I_m
-and each -f_l E_(l,p) (x) I_m being one term.
+With E_(l,p) the signed operator terms and B_p the bracket scalars,
+matrices fixed by the algebra and p alone, d_p = B_p (x) I_m +
+sum_l E_(l,p) (x) rho(e_l), one numeric.kron_sum; the complex of rho - f is
+that of representation.shift(rho, f).
 
 Homotopies.  For x = e_k, iota_q = W_q (x) I_m with W_q = e_k ^ . (left
 wedge), and theta_q = A_q (x) I_m + I (x) T with A_q = ad(e_k) acting as a
@@ -42,11 +41,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
-from .lie_core import Character, LieAlgebra, NotACharacter, NotNilpotent, is_character, is_nilpotent
+from .lie_core import Character, LieAlgebra, NotNilpotent, is_nilpotent
 from .numeric import (
     EXACT,
     Matrix,
-    Scalar,
     VerificationFailure,
     generalized_inverse,
     identity,
@@ -56,12 +54,11 @@ from .numeric import (
     sc_is_zero,
     sc_one,
     sc_zero,
-    sub_diagonal,
     sums_to_identity,
     zero_threshold,
     zeros,
 )
-from .representation import Representation
+from .representation import Representation, shift
 
 # Budget on the dense entries (rows x cols) of one differential.  Each d_p
 # is a dense entry list, so this bounds a complex before any of it is
@@ -150,19 +147,17 @@ def _check_degree(p: int, lo: int, hi: int):
         raise ValueError(f"degree {p} outside {lo}..{hi}")
 
 
-def _differential(rep: Representation, p: int, fs: Tuple[Scalar, ...]) -> Matrix:
-    """d_p of rho - f, the Kronecker sum of the module docstring (fs = () for
-    f = 0).  The scalar terms come first, so that a float diagonal entry
-    adds B_p - f_l to the entry of rho(e_l); an exact sum does not depend
-    on the order."""
+def _differential(rep: Representation, p: int) -> Matrix:
+    """d_p of rho, the Kronecker sum of the module docstring.  The bracket
+    term comes first, so a float entry adds the entry of rho(e_l) to B_p's;
+    an exact sum does not depend on the order."""
     L, m, backend = rep.algebra, rep.m, rep.backend
     _check_degree(p, 1, L.n)
     ops, scalars = _differential_pattern(L, p)
-    one, eye = sc_one(backend), identity(m, backend)
-    terms = [] if scalars.is_zero() else [(one, scalars, eye)]
-    terms += [(-f, e, eye) for e, f in zip(ops, fs) if not sc_is_zero(f)]
-    rho = [(one, e, mat) for e, mat in zip(ops, rep.mats)]
-    return kron_sum(terms + rho, m * scalars.rows, m * scalars.cols, backend)
+    one = sc_one(backend)
+    terms = [] if scalars.is_zero() else [(one, scalars, identity(m, backend))]
+    terms += [(one, e, mat) for e, mat in zip(ops, rep.mats)]
+    return kron_sum(terms, m * scalars.rows, m * scalars.cols, backend)
 
 
 def check_entry_budget(n: int, m: int, lo: int, hi: int) -> None:
@@ -177,21 +172,21 @@ def check_entry_budget(n: int, m: int, lo: int, hi: int) -> None:
             )
 
 
+def _shifted(rep: Representation, f: Optional[Character], tol: Optional[float], lo: int, hi: int) -> Representation:
+    """shift(rho, f) once degrees lo..hi pass check_entry_budget; rho for a zero f of any algebra."""
+    check_entry_budget(rep.algebra.n, rep.m, lo, hi)
+    return rep if f is None or all(sc_is_zero(c) for c in f.coeffs) else shift(rep, f, tol)
+
+
 def _truncated_complex(rep: Representation, f: Optional[Character],
                        tol: Optional[float], lo: int, hi: int) -> ChainComplex:
     """The complex of rho - f cut to degrees lo..hi, zero below lo: homology is
     unchanged strictly between lo and hi, and at an end that is 0 or n.
     Raises DimensionCap before allocating when a differential it builds
-    would exceed MAX_DIFFERENTIAL_ENTRIES."""
-    L = rep.algebra
-    check_entry_budget(L.n, rep.m, lo, hi)
-    dims = tuple(rep.m * math.comb(L.n, p) if p >= lo else 0 for p in range(hi + 1))
-    fs: Tuple[Scalar, ...] = ()
-    if f is not None and not all(sc_is_zero(c) for c in f.coeffs):
-        if f.algebra != L or not is_character(L, f.coeffs, tol):
-            raise NotACharacter("shift needs a character of the same algebra")
-        fs = f.coeffs
-    ds = tuple(_differential(rep, p, fs) if p > lo else zeros(0, dims[p], rep.backend)
+    would exceed MAX_DIFFERENTIAL_ENTRIES, and only then shifts rho."""
+    rep = _shifted(rep, f, tol, lo, hi)
+    dims = tuple(rep.m * math.comb(rep.algebra.n, p) if p >= lo else 0 for p in range(hi + 1))
+    ds = tuple(_differential(rep, p) if p > lo else zeros(0, dims[p], rep.backend)
                for p in range(1, hi + 1))
     return ChainComplex(rep.backend, dims, ds)
 
@@ -312,17 +307,18 @@ def splitting_homotopy(
     tol: Optional[float] = None,
 ) -> Tuple[Matrix, Matrix]:
     """Homotopy pair for the complex of rho - f at degree p, or NotSplit.
-    Only d_p and d_(p+1) are built, on degrees max(p-1, 0)..min(p+1, n).  The
-    Cartan pair (module docstring) is checked row by row on Z[i] rows, with
-    no product formed (numeric.sums_to_identity)."""
+    Only d_p and d_(p+1) are built, on degrees max(p-1, 0)..min(p+1, n), from
+    rho shifted once; each Cartan T is a shifted matrix.  The Cartan pair
+    (module docstring) is checked row by row on Z[i] rows, with no product
+    formed (numeric.sums_to_identity)."""
     L = rep.algebra
     _check_degree(p, 0, L.n)
-    C = _truncated_complex(rep, f, tol, max(p - 1, 0), min(p + 1, L.n))
+    lo, hi = max(p - 1, 0), min(p + 1, L.n)
+    rep = _shifted(rep, f, tol, lo, hi)
+    C = _truncated_complex(rep, None, tol, lo, hi)
     if rep.backend == EXACT and is_nilpotent(L):
-        # f was checked above: one of another algebra is zero
-        fs = f.coeffs if f is not None and f.algebra == L else L.zero_vector()
         for k, mat in enumerate(rep.mats):
-            t_inv, r = generalized_inverse(sub_diagonal(mat, fs[k]))
+            t_inv, r = generalized_inverse(mat)
             if r == rep.m:
                 powers = [t_inv]
                 h_p, h_pm1 = _cartan_homotopy(L, k, p, powers), _cartan_homotopy(L, k, p - 1, powers)

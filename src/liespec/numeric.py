@@ -36,7 +36,8 @@ Two interchangeable backends:
     complex_splitting accepts, and spectra.CHAR_MERGE, the coordinate
     distance within which two characters count as one.
 
-Matrices are small and dense (desk scale), stored row-major.  kron_sum
+Matrices are small (desk scale): float ones dense and row-major, exact ones
+sparse Z[i] rows over one denominator, as above.  kron_sum
 assembles the sum of c (A (x) B) over (c, A, B) terms on either backend: the
 Koszul differentials, the Cartan homotopies and rho(x) are such sums.  All
 functions are pure; the one write is a matrix caching its own integer form
@@ -1084,19 +1085,6 @@ def echelon_vectors(
     m = matrix_from_rows(vectors, EXACT)
     rows, d, pivots = _zi_reduced(zi_form(m)[0], m.cols)
     return tuple(map(tuple, zi_matrix(len(rows), m.cols, rows, d).to_lists())), tuple(pivots)
-
-
-def complement_columns(basis: Matrix, tol: Optional[float] = None) -> Matrix:
-    """The standard vectors e_j, as the columns of one matrix in order of j,
-    that extend the span of basis's columns to the whole space: every j that
-    is no pivot of the echelon form of those columns.  The columns of basis
-    must be independent.  An exact result is built as its Z[i] form."""
-    comp = _free_columns(basis.rows, _pivot_columns(basis.transpose(), tol))
-    if basis.backend == EXACT:
-        return zi_matrix(len(comp), basis.rows, [{j: (1, 0)} for j in comp], 1).transpose()
-    zero, one = sc_zero(basis.backend), sc_one(basis.backend)
-    entries = tuple(one if i == j else zero for i in range(basis.rows) for j in comp)
-    return Matrix(basis.rows, len(comp), entries, basis.backend)
 
 
 def intersect_subspaces(a: Matrix, b: Matrix, tol: Optional[float] = None) -> Matrix:

@@ -78,7 +78,7 @@ from .numeric import (
     VerificationFailure,
     _column_echelon,
     _kernel_with_free_rows,
-    complement_columns,
+    _pivot_columns,
     eigenvalues,
     hstack,
     identity,
@@ -176,22 +176,21 @@ class SpectrumKind:
         return range(n - k, n + 1)
 
 
+# taylor, fredholm, split and split_e, in all_kinds order
+_TAYLOR_KINDS = tuple(SpectrumKind("taylor", split, ess, None) for split in (False, True) for ess in (False, True))
+
+
 def taylor_kind(split: bool = False, essential: bool = False) -> SpectrumKind:
-    return SpectrumKind("taylor", split, essential, None)
+    return _TAYLOR_KINDS[2 * split + essential]
 
 
 def parse_kind(text: str) -> SpectrumKind:
     """Accepts taylor, delta:K, pi:K, fredholm, delta_e:K, pi_e:K, split,
     split_delta:K, split_pi:K, split_e, split_delta_e:K, split_pi_e:K."""
     s = text.strip()
-    simple = {
-        "taylor": SpectrumKind("taylor", False, False, None),
-        "fredholm": SpectrumKind("taylor", False, True, None),
-        "split": SpectrumKind("taylor", True, False, None),
-        "split_e": SpectrumKind("taylor", True, True, None),
-    }
-    if s in simple:
-        return simple[s]
+    for kind in _TAYLOR_KINDS:
+        if kind.render() == s:
+            return kind
     m = _re.match(
         r"^(?P<split>split_)?(?P<family>delta|pi)(?P<ess>_e)?:(?P<k>\d+)$", s
     )
@@ -208,12 +207,7 @@ def parse_kind(text: str) -> SpectrumKind:
 @lru_cache(maxsize=64)
 def all_kinds(n: int) -> Tuple[SpectrumKind, ...]:
     """Every kind meaningful for an n-dimensional algebra; cached per n."""
-    kinds = [
-        SpectrumKind("taylor", False, False, None),
-        SpectrumKind("taylor", False, True, None),
-        SpectrumKind("taylor", True, False, None),
-        SpectrumKind("taylor", True, True, None),
-    ]
+    kinds = list(_TAYLOR_KINDS)
     for family in ("delta", "pi"):
         for split in (False, True):
             for ess in (False, True):
@@ -436,7 +430,10 @@ def joint_eigencharacters(
 
 def triangular_weights(rep: Representation, tol: Optional[float] = None) -> List[Vector]:
     """Diagonal weight tuples of a simultaneous triangularization, with
-    multiplicity, obtained by repeated eigenvector extraction and quotient."""
+    multiplicity, obtained by repeated eigenvector extraction and quotient.
+    The quotient by a joint eigenvector v keeps the unit vectors e_j off
+    v's pivot as the columns of C: B = [v | C] is a basis, and with `lower`
+    the rows 1.. of B^-1, X/<v> acts by lower rho(e_k) C."""
     L = rep.algebra
     if not is_solvable(L):
         raise NotSolvable("simultaneous triangularization needs a solvable algebra")
@@ -449,19 +446,18 @@ def triangular_weights(rep: Representation, tol: Optional[float] = None) -> List
         weights.append(lams)
         if work.m == 1:
             break
-        basis = hstack([v, complement_columns(v, tol)])
+        pivot = _pivot_columns(v.transpose(), tol)[0]
+        others = [j for j in range(work.m) if j != pivot]
+        comp = submatrix(identity(work.m, backend), others, range(work.m)).transpose()
         try:
-            inv = inverse(basis, tol)
+            lower = submatrix(inverse(hstack([v, comp]), tol), range(1, work.m), range(work.m))
         except ZeroDivisionError:
             # exact [v | e_j] is a basis by construction; a float one can fail
             # the relative pivot threshold when v has large entries
             raise VerificationFailure(
                 "quotient basis [v | e_j] of a joint eigenvector is numerically singular"
             ) from None
-        sub_mats = []
-        for mat in work.mats:
-            sub_mats.append(submatrix(inv * mat * basis, range(1, work.m), range(1, work.m)))
-        work = Representation(L, work.m - 1, tuple(sub_mats))
+        work = Representation(L, work.m - 1, tuple(lower * mat * comp for mat in work.mats))
         if backend == EXACT:
             # the quotient's rho(e_k) keeps all of a known multiset but one
             # copy of lams[k]

@@ -942,3 +942,42 @@ def test_internal_errors_propagate_with_traceback(monkeypatch):
     monkeypatch.setattr(spectra, "joint_eigencharacters", broken)
     with pytest.raises(RuntimeError, match="an internal bug"):
         main(["crossval", "--fixture", "h3"])
+
+
+# --- refusals of unusable input: exit 2 with one error line ---------------------------
+
+
+def test_missing_input_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "absent.json"
+    code, out, err = run(capsys, "report", str(path))
+    assert (code, out, err) == (2, "", f"error: {path}: No such file or directory\n")
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--chain", "1", "--ideal", "1,0,0"], "give either --chain or --ideal, not both"),
+    ([], "give --chain INDEX or --ideal VECTORS"),
+    (["--ideal", ";"], "empty --ideal"),
+])
+def test_project_ideal_flags_refused_exit_2(capsys, flags, message):
+    code, out, err = run(capsys, "project", "--fixture", "h3", *flags)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_lab_suite_negative_seed_count_exits_2(capsys):
+    code, out, err = run(capsys, "lab", "suite", "--seeds", "-1")
+    assert (code, out, err) == (2, "", "error: --seeds must be nonnegative\n")
+
+
+@pytest.mark.parametrize("config,message", [
+    ([], "expected an object"),
+    ({"schedule": [0]}, "schedule must be a list of positive integers"),
+    ({"rank_budget": True}, "rank_budget must be an integer"),
+    ({"algebra": 3}, "algebra must be a fixture name"),
+    ({"seed": "1"}, "seed must be an integer"),
+    ({"backend": "quad"}, "unknown backend 'quad'"),
+])
+def test_lab_proxy_bad_config_exits_2(capsys, tmp_path, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(capsys, "lab", "proxy", "--config", str(path))
+    assert (code, out, err) == (2, "", f"error: proxy config: {message}\n")

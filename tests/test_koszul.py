@@ -267,12 +267,12 @@ def test_entry_budget_is_checked_before_allocating(monkeypatch):
     honest = kz._differential
     built = []
 
-    def recording(rep, p, fs):
+    def recording(rep, p):
         rows, cols = rep.m * len(kz.exterior_basis(L.n, p - 1)), rep.m * len(kz.exterior_basis(L.n, p))
         if rows * cols > 10 ** 6:
             raise AssertionError(f"allocating a {rows}x{cols} differential")
         built.append(p)
-        return honest(rep, p, fs)
+        return honest(rep, p)
 
     monkeypatch.setattr(kz, "_differential", recording)
     with pytest.raises(kz.DimensionCap, match="d_4 would have 1200x2100"):
@@ -937,10 +937,27 @@ def test_build_complex_matches_shift_then_naive_assembly(backend, rep):
             assert C.d(p).to_lists() == _naive_differential(shifted, p), (p, f)
 
 
-def test_float_differential_folds_the_shift_into_the_bracket_scalar_first():
-    # on S2, [x, y] = y puts the bracket scalar c of B_2 and the shift -f_x of
-    # E_(x,2) on one block of d_2: a float diagonal entry there is v + (c - f),
-    # with c - f rounded before rho(x)'s entry v is added
+@pytest.mark.parametrize("backend,rep", list(_assembly_cases()))
+def test_build_complex_of_a_shift_is_that_of_the_shifted_representation(backend, rep):
+    # representation.shift is the one place that forms rho - f
+    L = rep.algebra
+    rng = random.Random(L.n * 100 + rep.m)
+    shifts = [lc.character(L, [0] * L.n)] + [lab.random_character(rng, L) for _ in range(2)]
+    if backend == EXACT:
+        free = [lab.random_character(random.Random(7), L).coeffs[k] for k in range(L.n)]
+        shifts.append(lc.character(L, [c * gr(Fraction(1, 3), Fraction(-2, 5)) for c in free]))
+    for f in shifts:
+        got, want = kz.build_complex(rep, f), kz.build_complex(rp.shift(rep, f))
+        assert got.dims == want.dims
+        for p in range(1, L.n + 1):
+            assert got.d(p) == want.d(p), (p, f)
+
+
+def test_float_shifted_differential_adds_the_bracket_scalar_to_the_shifted_entry():
+    # on S2, [x, y] = y puts the bracket scalar c of B_2 and rho(x) - f_x on
+    # one block of d_2: the shift is formed on rho first (representation.shift),
+    # so a float diagonal entry there is (v - f) + c, with v - f rounded before
+    # c is added
     L = lc.lie_algebra(["x", "y"], {(0, 1): [0, 1]}, FLOAT)
     v = 2.0 ** 53 + 2  # one ulp is 2 here, so each order of the two sums rounds differently
     rep = rp.Representation(L, 1, (nm.matrix_from_rows([[complex(v)]], FLOAT),
@@ -949,8 +966,8 @@ def test_float_differential_folds_the_shift_into_the_bracket_scalar_first():
     c = scalars.at(1, 0)  # the block of d_2 from x ^ y to y
     f = complex(c.real) if c.real else 1 + 0j
     assert ops[0].at(1, 0) == 1 and c != 0
-    got = kz._differential(rep, 2, (f, 0j)).at(1, 0)
-    assert got == v + (c - f) and got not in ((v + c) - f, (v - f) + c), (got, c, f)
+    got = kz.build_complex(rep, lc.Character(L, (f, 0j))).d(2).at(1, 0)
+    assert got == (v - f) + c and got not in ((v + c) - f, v + (c - f)), (got, c, f)
 
 
 def test_build_complex_rejects_non_characters():
@@ -972,16 +989,11 @@ def test_splitting_homotopy_builds_at_most_two_differentials(monkeypatch):
     built = []
     real = kz._differential
 
-    def counted(rep, p, fs):
+    def counted(rep, p):
         built.append(p)
-        return real(rep, p, fs)
-
-    def no_shift(*args, **kwargs):
-        raise AssertionError("the Koszul build must not call representation.shift")
+        return real(rep, p)
 
     monkeypatch.setattr(kz, "_differential", counted)
-    monkeypatch.setattr(rp, "shift", no_shift)
-    monkeypatch.setattr(kz, "shift", no_shift, raising=False)
     for rep, coeffs in ((h3_rep(), [1, 0, 0]), (f4_rep(), [1, 2, 0, 0]), (s2_rep(), [1, 0])):
         f = ch(rep.algebra, coeffs)
         full = kz.build_complex(rep, f)

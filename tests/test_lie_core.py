@@ -707,3 +707,19 @@ def test_cached_results_hold_no_mutable_container():
                     calls += 1
                     assert _mutable_parts(result) == [], (name, fix.name, backend)
     assert calls > 100
+
+
+def test_malformed_bracket_tables_are_refused():
+    zero = (gr(0), gr(0))
+    cases = [
+        (lambda: lc.LieAlgebra(("x", "y"), ((1, 0, zero),), EXACT), "bad bracket index pair (1,0)"),
+        (lambda: lc.LieAlgebra(("x", "y"), ((0, 1, (gr(1),)),), EXACT), "bracket (0,1) has 1 coefficients, not 2"),
+        (lambda: lc.LieAlgebra(("x", "y"), ((0, 1, zero), (0, 1, zero)), EXACT), "duplicate bracket (0,1)"),
+        (lambda: lc.lie_algebra(["x", "y"], {(1, 0): [0, 1]}), "brackets must be given for i<j, got (1,0)"),
+        # zero brackets are dropped before LieAlgebra sees the table
+        (lambda: lc.lie_algebra(["x", "y"], {(0, 1): [0, 0, 0]}), "bracket (0,1) has 3 coefficients, not 2"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message

@@ -619,15 +619,6 @@ def test_exact_pivot_columns_match_fraction_reference_positions():
         pivots = _ref_rref(x, cols)[1]
         assert nm._pivot_columns(m, None) == pivots, (kind, x)
         assert nm.rank(m) == len(pivots)
-        # the complement of a kernel basis: the standard vectors off the
-        # pivots of the reference echelon form of its columns
-        basis = nm.nullspace_basis(m)
-        kernel_pivots = _ref_rref(_ref_nullspace(x, cols), cols)[1]
-        want = [[_C_ONE if i == j else _C_ZERO for j in range(cols) if j not in kernel_pivots]
-                for i in range(cols)]
-        comp = nm.complement_columns(basis)
-        assert (comp.rows, comp.cols) == (cols, cols - len(kernel_pivots))
-        assert _pairs(comp) == want, (kind, x)
 
 
 def test_exact_rank_eliminates_below_pivots_only(monkeypatch):
@@ -650,8 +641,7 @@ def test_exact_rank_eliminates_below_pivots_only(monkeypatch):
 
     monkeypatch.setattr(nm, "_rref_zi", recorded)
     nm.rank(_to_exact(x, n))
-    nm.complement_columns(_to_exact(x, n))
-    assert calls == [False, False]
+    assert calls == [False]
 
 
 def test_exact_inverse_matches_fraction_reference():
@@ -1279,8 +1269,8 @@ def test_exact_form_matches_entries_for_every_producer():
         L = rep.algebra
         shift = lc.character(L, [gr(Fraction(1, 2), Fraction(-3, 4))] + [gr(0)] * (L.n - 1))
         for p in range(1, L.n + 1):
-            for fs, shifted in (((), rep), (shift.coeffs, rp.shift(rep, shift))):
-                d = kz._differential(rep, p, fs)
+            for shifted in (rep, rp.shift(rep, shift)):
+                d = kz._differential(shifted, p)
                 _check_form(d, [[(e.re, e.im) for e in r] for r in _naive_differential(shifted, p)])
                 assert nm.zi_form(d)[1] > 1
                 rebuilt = matrix_from_rows(d.to_lists(), EXACT, cols=d.cols)

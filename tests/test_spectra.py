@@ -55,6 +55,17 @@ def float_copy(rep):
 # --- kinds ----------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("args,message", [
+    (("gamma", False, False, None), "unknown spectrum family 'gamma'"),
+    (("taylor", False, False, 1), "the taylor family takes no degree k"),
+    (("pi", False, False, -1), "the pi family needs a degree k >= 0, got -1"),
+])
+def test_malformed_kinds_are_refused(args, message):
+    with pytest.raises(ValueError) as info:
+        sp.SpectrumKind(*args)
+    assert str(info.value) == message
+
+
 def test_kind_parse_render_round_trip():
     for text in (
         "taylor", "fredholm", "split", "split_e",
@@ -156,6 +167,60 @@ def test_triangular_weights_of_conjugated_sums_of_shifted_s2():
     for shifts, rep in shifted_s2_sums():
         want = [(gr(c - a), gr(0)) for a in shifts for c in (1, 0)]
         assert sorted(sp.triangular_weights(rep), key=key) == sorted(want, key=key), shifts
+
+
+def _reference_triangular_weights(rep, tol=None):
+    """triangular_weights with each quotient taken as the block on rows and
+    columns 1.. of B^-1 rho(e_k) B, B = [v | e_j for every j off v's pivot]."""
+    L = rep.algebra
+    if not lc.is_solvable(L):
+        raise sp.NotSolvable("simultaneous triangularization needs a solvable algebra")
+    work, weights, multisets = rep, [], [None] * L.n
+    while work.m > 0:
+        lams, v = next(sp._joint_eigenvectors(work, tol, multisets))
+        weights.append(lams)
+        if work.m == 1:
+            break
+        pivots = nm._pivot_columns(v.transpose(), tol)
+        one, zero = nm.sc_one(rep.backend), nm.sc_zero(rep.backend)
+        comp = nm.matrix_from_rows([[one if i == j else zero for j in range(work.m) if j not in pivots]
+                                    for i in range(work.m)], rep.backend, work.m - len(pivots))
+        basis = nm.hstack([v, comp])
+        try:
+            inv = nm.inverse(basis, tol)
+        except ZeroDivisionError:
+            raise nm.VerificationFailure(
+                "quotient basis [v | e_j] of a joint eigenvector is numerically singular") from None
+        work = rp.Representation(L, work.m - 1, tuple(
+            nm.submatrix(inv * mat * basis, range(1, work.m), range(1, work.m)) for mat in work.mats))
+        if rep.backend == EXACT:
+            multisets = [None if ms is None else sp._drop_one(ms, lam) for ms, lam in zip(multisets, lams)]
+        else:
+            multisets = [None] * L.n
+    return weights
+
+
+def _weights_or_error(weights, rep):
+    try:
+        return weights(rep)
+    except (sp.NotSolvable, nm.VerificationFailure) as e:
+        return type(e).__name__, str(e)
+
+
+def test_triangular_weights_match_the_full_quotient_product():
+    # the quotient from v's pivot row keeps every entry of the full product,
+    # each the same dot product: float weights equal bit for bit, and the
+    # numerically singular float bases fail with the same message
+    reps = [fix.rep for fix in lab.catalog()] + [rp.adjoint_action(fix.rep.algebra) for fix in lab.catalog()]
+    reps += [rep for _, rep in shifted_s2_sums()]
+    for base, sizes in (("H3", (5, 7)), ("A1", (5, 7)), ("Z3", (5, 7)), ("F4", (6, 8))):
+        reps += [lab.random_nilpotent_rep(seed, base, m) for m in sizes for seed in range(6)]
+    singular = 0
+    for rep in reps + [float_copy(rep) for rep in reps]:
+        want = _weights_or_error(_reference_triangular_weights, rep)
+        assert _weights_or_error(sp.triangular_weights, rep) == want, rp.rep_to_json(rep)
+        singular += "numerically singular" in str(want)
+    assert singular == 3
 
 
 def intersected_leaves(rep):
