@@ -14,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
@@ -432,29 +432,29 @@ def cmd_report(args) -> Tuple[int, dict]:
 
 
 def _proxy_config(obj: dict, args) -> lab.ExperimentConfig:
+    """The fields of lab.ExperimentConfig read from obj, each defaulting as
+    the dataclass does; --seed and --backend override the file."""
     if not isinstance(obj, dict):
         raise InputError("proxy config: expected an object")
-    known = {"algebra", "schedule", "rank_budget", "seed", "backend"}
-    extra = set(obj) - known
+    default = lab.ExperimentConfig()
+    extra = set(obj) - {f.name for f in fields(default)}
     if extra:
         raise InputError(f"proxy config: unknown fields {sorted(extra)}")
-    schedule = obj.get("schedule", [6, 10, 14])
+    schedule = obj.get("schedule", list(default.schedule))
     if not isinstance(schedule, list) or not all(
         isinstance(x, int) and not isinstance(x, bool) and x > 0 for x in schedule
     ):
         raise InputError("proxy config: schedule must be a list of positive integers")
-    budget = obj.get("rank_budget", 3)
+    budget = obj.get("rank_budget", default.rank_budget)
     if not isinstance(budget, int) or isinstance(budget, bool):
         raise InputError("proxy config: rank_budget must be an integer")
-    algebra = obj.get("algebra", "h3")
+    algebra = obj.get("algebra", default.algebra)
     if not isinstance(algebra, str):
         raise InputError("proxy config: algebra must be a fixture name")
-    seed = obj.get("seed", 0)
-    if args.seed is not None:
-        seed = args.seed
+    seed = obj.get("seed", default.seed) if args.seed is None else args.seed
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise InputError("proxy config: seed must be an integer")
-    backend = args.backend or obj.get("backend") or EXACT
+    backend = args.backend or obj.get("backend") or default.backend
     if backend not in (EXACT, FLOAT):
         raise InputError(f"proxy config: unknown backend {backend!r}")
     return lab.ExperimentConfig(
@@ -570,26 +570,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _tol_joined(argv: Sequence[str]) -> List[str]:
-    """argv with each "--tol VALUE" whose value parses as a float written as
-    "--tol=VALUE": argparse would take a value such as -1e-6 for an option."""
+_SIGNED_VALUE_OPTIONS = ("--tol", "--shift", "--ideal")
+
+
+def _signed_values_joined(argv: Sequence[str]) -> List[str]:
+    """argv with each "OPTION VALUE" written as "OPTION=VALUE" when OPTION is
+    --tol, --shift or --ideal and VALUE begins with a single "-", as -1e-6,
+    -1,3,0 and "-1,0,0;0,0,1" do: argparse would take such a value for an
+    option.  A value beginning with "--" is left to argparse, which refuses
+    it as a missing value."""
     out: List[str] = []
     for arg in argv:
-        if out and out[-1] == "--tol":
-            try:
-                float(arg)
-            except ValueError:
-                pass
-            else:
-                out[-1] = "--tol=" + arg
-                continue
-        out.append(arg)
+        if out and out[-1] in _SIGNED_VALUE_OPTIONS and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
     return out
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(_tol_joined(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(_signed_values_joined(sys.argv[1:] if argv is None else argv))
     tol = getattr(args, "tol", None)  # the lab subcommands take no --tol
     if tol is not None and (args.backend or EXACT) != FLOAT:
         print("error: --tol applies only to --backend float", file=sys.stderr)

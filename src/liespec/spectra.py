@@ -54,7 +54,7 @@ search level descends once with lam = c.
 from __future__ import annotations
 
 import re as _re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -141,10 +141,16 @@ _FAMILIES = {"taylor", "delta", "pi"}
 
 @dataclass(frozen=True)
 class SpectrumKind:
+    """One spectrum kind, named and annotated once, at construction: taylor,
+    fredholm, split and split_e take no degree; the others render as
+    [split_]delta|pi[_e]:k.  The annotations say how the paper's clause for
+    the kind reads in finite dimension."""
     family: str  # taylor | delta | pi
     split: bool
     essential: bool
     k: Optional[int]
+    _name: str = field(init=False, repr=False, compare=False)
+    annotations: Tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
@@ -152,20 +158,28 @@ class SpectrumKind:
         if self.family == "taylor":
             if self.k is not None:
                 raise ValueError("the taylor family takes no degree k")
+            if self.split:
+                name = "split_e" if self.essential else "split"
+            else:
+                name = "fredholm" if self.essential else "taylor"
         elif self.k is None or self.k < 0:
             raise ValueError(f"the {self.family} family needs a degree k >= 0, got {self.k}")
+        else:
+            name = f"{'split_' if self.split else ''}{self.family}{'_e' if self.essential else ''}:{self.k}"
+        notes = []
+        if self.family == "pi":
+            notes.append(ANN_CLOSED_RANGE)
+            if self.essential:
+                notes.append(ANN_CLOSED_RANGE_READINGS)
+        if self.essential:
+            notes.append(ANN_ESSENTIAL)
+        elif self.split:
+            notes.append(ANN_SPLIT)
+        object.__setattr__(self, "_name", name)
+        object.__setattr__(self, "annotations", tuple(notes))
 
     def render(self) -> str:
-        if self.family == "taylor":
-            if self.essential:
-                return "split_e" if self.split else "fredholm"
-            return "split" if self.split else "taylor"
-        name = self.family
-        if self.essential:
-            name += "_e"
-        if self.split:
-            name = "split_" + name
-        return f"{name}:{self.k}"
+        return self._name
 
     def degree_range(self, n: int) -> range:
         if self.family == "taylor":
@@ -180,8 +194,9 @@ class SpectrumKind:
 _TAYLOR_KINDS = tuple(SpectrumKind("taylor", split, ess, None) for split in (False, True) for ess in (False, True))
 
 
-def taylor_kind(split: bool = False, essential: bool = False) -> SpectrumKind:
-    return _TAYLOR_KINDS[2 * split + essential]
+def taylor_kind() -> SpectrumKind:
+    """The plain Taylor kind."""
+    return _TAYLOR_KINDS[0]
 
 
 def parse_kind(text: str) -> SpectrumKind:
@@ -653,35 +668,6 @@ class SpectrumReport:
         return tuple(f.coeffs for f in self.members)
 
 
-def _annotations(kind: SpectrumKind) -> Tuple[str, ...]:
-    annotations: List[str] = []
-    if kind.family == "pi":
-        annotations.append(ANN_CLOSED_RANGE)
-        if kind.essential:
-            annotations.append(ANN_CLOSED_RANGE_READINGS)
-    if kind.essential:
-        annotations.append(ANN_ESSENTIAL)
-    elif kind.split:
-        annotations.append(ANN_SPLIT)
-    return tuple(annotations)
-
-
-# one kind as all_spectra reads it: (kind, its name, its degree range or
-# None for an essential kind, its annotations)
-KindPlan = Tuple[Tuple[SpectrumKind, str, Optional[range], Tuple[str, ...]], ...]
-
-
-def _plan(kinds: Sequence[SpectrumKind], n: int) -> KindPlan:
-    return tuple((kind, kind.render(), None if kind.essential else kind.degree_range(n),
-                  _annotations(kind)) for kind in kinds)
-
-
-@lru_cache(maxsize=64)
-def _kind_plan(n: int) -> KindPlan:
-    """The plan of all_kinds(n), cached per algebra dimension."""
-    return _plan(all_kinds(n), n)
-
-
 def all_spectra(
     rep: Representation,
     kinds: Optional[Sequence[SpectrumKind]] = None,
@@ -691,22 +677,25 @@ def all_spectra(
     table.  The members and their Betti vectors are read once per distinct
     degree range, and every kind with that range gets the same tuples: a
     split kind has the members of its plain kind, and delta_n and pi_n those
-    of taylor.  Every essential kind reports no members."""
+    of taylor.  Every essential kind reports no members.  Each report
+    carries its kind's annotations."""
     L = rep.algebra
-    plan = _kind_plan(L.n) if kinds is None else _plan(kinds, L.n)
-    table = homology_table(rep, tol) if any(degrees is not None for _, _, degrees, _ in plan) else ()
+    kinds = all_kinds(L.n) if kinds is None else kinds
+    table = homology_table(rep, tol) if any(not kind.essential for kind in kinds) else ()
     candidates = tuple(c for c, _ in table)
     read: Dict[range, Tuple[Tuple[Character, ...], Tuple[Tuple[Vector, BettiVector], ...]]] = {}
     out = {}
-    for kind, name, degrees, annotations in plan:
-        if degrees is None:
-            out[name] = SpectrumReport(kind, (), (), "homology", (), annotations)
+    for kind in kinds:
+        if kind.essential:
+            out[kind.render()] = SpectrumReport(kind, (), (), "homology", (), kind.annotations)
             continue
+        degrees = kind.degree_range(L.n)
         if degrees not in read:
             member_betti = tuple((c, b) for c, b in table if any(b.h[p] != 0 for p in degrees))
             read[degrees] = tuple(Character(L, c) for c, _ in member_betti), member_betti
         members, member_betti = read[degrees]
-        out[name] = SpectrumReport(kind, members, member_betti, "homology", candidates, annotations)
+        out[kind.render()] = SpectrumReport(kind, members, member_betti, "homology", candidates,
+                                            kind.annotations)
     return out
 
 

@@ -4,6 +4,7 @@ shapes, and byte determinism of the JSON rendering."""
 import json
 import os
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -981,3 +982,56 @@ def test_lab_proxy_bad_config_exits_2(capsys, tmp_path, config, message):
     path.write_text(json.dumps(config))
     code, out, err = run(capsys, "lab", "proxy", "--config", str(path))
     assert (code, out, err) == (2, "", f"error: proxy config: {message}\n")
+
+
+@pytest.mark.parametrize("option,value,argv", [
+    ("--shift", "-1,3,0", ["koszul", "--fixture", "h3"]),
+    ("--shift", "-2", ["koszul", "--fixture", "a1", "--backend", "float"]),
+    ("--ideal", "-1,0,0;0,0,1", ["project", "--fixture", "h3"]),
+    ("--ideal", "-1,0,0", ["project", "--fixture", "h3"]),
+])
+def test_a_value_that_begins_with_a_minus_sign_is_the_option_value(capsys, option, value, argv):
+    joined = run(capsys, *argv, f"{option}={value}")
+    assert run(capsys, *argv, option, value) == joined
+    assert joined[0] == (1 if value == "-1,0,0" else 0), joined  # span{-x} is no ideal of h3
+
+
+def test_an_option_after_shift_is_no_value(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["koszul", "--fixture", "h3", "--shift", "--format", "json"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: argument --shift: expected one argument\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["koszul", "--fixture", "h3", "--shift", "1,x,0"], "malformed scalar text: 'x'"),
+    (["project", "--fixture", "h3", "--chain", "1", "--kind", "bogus"], "unknown spectrum kind: 'bogus'"),
+])
+def test_malformed_values_exit_2_with_their_message(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_crossval_of_a_non_solvable_algebra_exits_1(capsys, tmp_path):
+    # sl2: [e, f] = h, [h, e] = 2e, [h, f] = -2f
+    sl2 = lc.lie_algebra(["e", "f", "h"], {(0, 1): [0, 0, 1], (0, 2): [-2, 0, 0], (1, 2): [0, 2, 0]})
+    path = tmp_path / "sl2.json"
+    path.write_text(json.dumps(rep_to_json(rp.adjoint_action(sl2))))
+    assert run(capsys, "crossval", str(path)) == (
+        1, "", "error: joint spectra here are defined for solvable algebras\n")
+
+
+def test_eigenchars_of_the_zero_dimensional_module_is_empty(capsys, tmp_path):
+    h3 = lab.fixture("h3").rep
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(rep_to_json(rp.representation(h3.algebra, [[]] * 3, 0))))
+    code, out, err = run(capsys, "eigenchars", str(path))
+    assert (code, json.loads(out), err) == (0, {"eigencharacters": [], "witnesses": []}, "")
+
+
+def test_float_betti_labels_print_the_imaginary_part(capsys, tmp_path):
+    # the abelian algebra C acting as diag(1 + 2i, 3 - i/2): members 1 + 2i and 3 - i/2
+    rep = rp.representation(lc.abelian_algebra(["x"]), [[[(1, 2), 0], [0, (3, Fraction(-1, 2))]]])
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(rep_to_json(rep)))
+    code, out, _ = run(capsys, "spectrum", str(path), "--backend", "float")
+    assert (code, json.loads(out)["betti"]) == (0, {"1+2i": [1, 1], "3-0.5i": [1, 1]})

@@ -723,3 +723,20 @@ def test_malformed_bracket_tables_are_refused():
         with pytest.raises(ValueError) as info:
             build()
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: lc.algebra_from_json([]), ValueError, "algebra: expected an object"),
+    (lambda: lc.algebra_from_json({"dim": 2, "basis": ["x", "y"],
+                                   "brackets": [{"i": 0, "j": 1, "coeffs": ["1"]}]}),
+     ValueError, "algebra.brackets[0].coeffs: expected 2 scalars"),
+    (lambda: lc.bracket(h3(), (gr(0),), (gr(0),) * 3), ValueError,
+     "bracket of vectors of lengths 1, 3 in dimension 3"),
+    # span{x} is no ideal of h3: [x, y] = z
+    (lambda: lc.induced_algebra(lc.span(h3(), [(gr(1), gr(0), gr(0))])), lc.NotAnIdeal,
+     "induced structure constants need an ideal"),
+])
+def test_malformed_algebra_input_is_refused_with_its_message(build, error, message):
+    with pytest.raises(error) as raised:
+        build()
+    assert (raised.type, str(raised.value)) == (error, message)

@@ -1645,3 +1645,22 @@ def test_restrict_to_span_refuses_what_it_cannot_check():
     refused(identity(2, EXACT), identity(2, EXACT), [0], shapes)
     refused(identity(2, EXACT), exact([[1], [0]]), [2], shapes)
     refused(identity(2, EXACT), exact([[0], [1]]), [-1], shapes)
+
+
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: nm.scalar_from_json(1.5, EXACT), ValueError,
+     'non-integral float 1.5 not accepted on the exact backend; use "a/b" text'),
+    (lambda: nm.scalar_from_json([1, 0.5], EXACT), ValueError,
+     "non-integral float in [1, 0.5] not accepted on the exact backend"),
+    (lambda: nm.make_scalar("1", EXACT), TypeError, "cannot build exact scalar from '1'"),
+    (lambda: nm.make_scalar("1", FLOAT), TypeError, "cannot build float scalar from '1'"),
+])
+def test_scalars_the_backend_cannot_hold_are_refused_with_their_message(build, error, message):
+    with pytest.raises(error) as raised:
+        build()
+    assert (raised.type, str(raised.value)) == (error, message)
+
+
+def test_make_scalar_takes_a_float_pair_of_any_real_numbers():
+    assert nm.make_scalar((1, Fraction(-1, 2)), FLOAT) == complex(1, -0.5)
+    assert nm.make_scalar((0.25, 3), FLOAT) == complex(0.25, 3)

@@ -14,7 +14,7 @@ from liespec import lie_core as lc
 from liespec import representation as rp
 from liespec import spectra as sp
 from liespec.numeric import (
-    EXACT, FLOAT, Matrix, gr, identity, make_scalar, matrix_from_rows, scalar_from_text, zi_form,
+    EXACT, FLOAT, Matrix, VerificationFailure, gr, identity, make_scalar, matrix_from_rows, scalar_from_text, zi_form,
     zi_matrix,
 )
 
@@ -313,3 +313,30 @@ def test_json_parses_each_entry_text_once_and_refuses_at_the_first_path(backend,
     for row in ([1, True, 0], ["1", 1, True]):
         with pytest.raises(ValueError, match=r"^representation\.matrices\[0\]\[2\]: not a scalar: True$"):
             load([["0"] * 3, ["1"] * 3, row])
+
+
+def _h3_json_with_two_matrices():
+    obj = rp.rep_to_json(h3_rep())
+    obj["matrices"] = obj["matrices"][:2]
+    return obj
+
+
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: rp.rep_from_json([]), ValueError, "representation: expected an object"),
+    (lambda: rp.rep_from_json(_h3_json_with_two_matrices()), ValueError,
+     "representation.matrices: expected 3 matrices"),
+    (lambda: rp.Representation(h3_rep().algebra, 3, h3_rep().mats[:2]), VerificationFailure,
+     "2 matrices for an algebra of dimension 3"),
+    (lambda: rp.Representation(h3_rep().algebra, 2, h3_rep().mats), VerificationFailure,
+     "a 3x3 exact matrix in a 2-dimensional exact representation"),
+    (lambda: rp.representation(h3_rep().algebra, []), ValueError,
+     "need at least one matrix or an explicit dimension"),
+    (lambda: rp.conjugate_representation(h3_rep(), identity(2, EXACT)), ValueError,
+     "a 2x2 exact matrix cannot conjugate a 3-dimensional exact representation"),
+    (lambda: rp.direct_sum(h3_rep(), a1_rep()), ValueError,
+     "direct sum of representations of different algebras"),
+])
+def test_malformed_representations_are_refused_with_their_message(build, error, message):
+    with pytest.raises(error) as raised:
+        build()
+    assert (raised.type, str(raised.value)) == (error, message)

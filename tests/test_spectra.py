@@ -1021,3 +1021,10 @@ def test_float_eigencharacters_match():
     pairs = sp.joint_eigencharacters(f_rep)
     assert len(pairs) == 1
     assert abs(pairs[0][0].coeffs[0] - 1) <= 1e-9
+
+
+def test_float_character_sets_differ_when_a_member_has_no_partner_within_the_merge():
+    near, far = 1 + sp.CHAR_MERGE / 2, 1 + 2 * sp.CHAR_MERGE
+    assert sp.same_character_sets([(0j,), (1 + 0j,)], [(0j,), (near + 0j,)], FLOAT)
+    assert not sp.same_character_sets([(0j,), (1 + 0j,)], [(0j,), (far + 0j,)], FLOAT)
+    assert not sp.same_character_sets([(0j,), (far + 0j,)], [(1 + 0j,), (0j,)], FLOAT)

@@ -5,7 +5,10 @@ Usage: PYTHONPATH=src python tools/cli_digest.py
 Runs `liespec.cli.main` in process, on both backends, over
   * the five catalog fixtures: report, report --format table, crossval,
     eigenchars, spectrum, spectrum --kind pi:1, koszul, info,
-    project --chain 1, and koszul --shift with two nonzero characters each;
+    project --chain 1, validate, spectrum --route eigenchar
+    --override-nilpotency, koszul --shift with two nonzero characters each,
+    spectrum --kind K for every K in spectra.all_kinds(n), and
+    project --chain 1 --kind K for every such K that is not essential;
   * 48 seeded files of lab.random_nilpotent_rep (H3, A1 and Z3 with
     m in {5, 7}, F4 with m in {6, 8}, seeds 0-5), written to a temporary
     directory: report, crossval, eigenchars, spectrum --kind pi:1 and
@@ -26,12 +29,13 @@ import os
 import sys
 import tempfile
 
-from liespec import cli, lab
+from liespec import cli, lab, spectra
 from liespec.representation import rep_to_json
 
 FIXTURE_COMMANDS = (
     ["report"], ["report", "--format", "table"], ["crossval"], ["eigenchars"], ["spectrum"],
-    ["spectrum", "--kind", "pi:1"], ["koszul"], ["info"], ["project", "--chain", "1"],
+    ["spectrum", "--kind", "pi:1"], ["koszul"], ["info"], ["project", "--chain", "1"], ["validate"],
+    ["spectrum", "--route", "eigenchar", "--override-nilpotency"],
 )
 # two nonzero characters per fixture: each vanishes on [L, L]
 SHIFTS = {
@@ -65,6 +69,11 @@ def _argvs(tmp):
                 yield command + ["--fixture", name, "--backend", backend]
             for f in shifts:
                 yield ["koszul", "--fixture", name, "--shift=" + f, "--backend", backend]
+            for kind in spectra.all_kinds(lab.fixture(name, backend).rep.algebra.n):
+                yield ["spectrum", "--fixture", name, "--kind", kind.render(), "--backend", backend]
+                if not kind.essential:
+                    yield ["project", "--fixture", name, "--chain", "1", "--kind", kind.render(),
+                           "--backend", backend]
     paths = []
     for base, sizes in SEEDED_SIZES:
         for m in sizes:
