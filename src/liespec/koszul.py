@@ -30,7 +30,10 @@ nilpotent, so when T is invertible h_q = theta_(q+1)^-1 iota_q = sum_j (-1)^j
 again one kron_sum.  splitting_homotopy uses it for the first such k on
 exact input of a nilpotent algebra, and complex_splitting eliminates
 otherwise (every T singular, as at a member shift; float input; L not
-nilpotent).
+nilpotent).  Each h_q depends on T^-1 and q alone, so splitting_homotopy
+keeps the shift, T^-1 with its powers, and the d_q and h_q of the last
+(rep, f, tol) it saw in one module-level slot: a sweep over p = 0..n builds
+each once, and every degree still checks its own identity.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .lie_core import Character, LieAlgebra, NotNilpotent, is_nilpotent
 from .numeric import (
@@ -172,23 +175,28 @@ def check_entry_budget(n: int, m: int, lo: int, hi: int) -> None:
             )
 
 
-def _shifted(rep: Representation, f: Optional[Character], tol: Optional[float], lo: int, hi: int) -> Representation:
-    """shift(rho, f) once degrees lo..hi pass check_entry_budget; rho for a zero f of any algebra."""
-    check_entry_budget(rep.algebra.n, rep.m, lo, hi)
+def _shifted(rep: Representation, f: Optional[Character], tol: Optional[float]) -> Representation:
+    """shift(rho, f); rho itself for a zero f of any algebra."""
     return rep if f is None or all(sc_is_zero(c) for c in f.coeffs) else shift(rep, f, tol)
+
+
+def _cut_complex(rep: Representation, lo: int, hi: int, d: Callable[[int], Matrix]) -> ChainComplex:
+    """The complex of rho cut to degrees lo..hi, zero below lo, with d(p) the
+    d_p of rho for lo < p <= hi: homology is unchanged strictly between lo
+    and hi, and at an end that is 0 or n."""
+    dims = tuple(rep.m * math.comb(rep.algebra.n, p) if p >= lo else 0 for p in range(hi + 1))
+    ds = tuple(d(p) if p > lo else zeros(0, dims[p], rep.backend) for p in range(1, hi + 1))
+    return ChainComplex(rep.backend, dims, ds)
 
 
 def _truncated_complex(rep: Representation, f: Optional[Character],
                        tol: Optional[float], lo: int, hi: int) -> ChainComplex:
-    """The complex of rho - f cut to degrees lo..hi, zero below lo: homology is
-    unchanged strictly between lo and hi, and at an end that is 0 or n.
-    Raises DimensionCap before allocating when a differential it builds
-    would exceed MAX_DIFFERENTIAL_ENTRIES, and only then shifts rho."""
-    rep = _shifted(rep, f, tol, lo, hi)
-    dims = tuple(rep.m * math.comb(rep.algebra.n, p) if p >= lo else 0 for p in range(hi + 1))
-    ds = tuple(_differential(rep, p) if p > lo else zeros(0, dims[p], rep.backend)
-               for p in range(1, hi + 1))
-    return ChainComplex(rep.backend, dims, ds)
+    """The complex of rho - f cut to degrees lo..hi (_cut_complex).  Raises
+    DimensionCap before allocating when a differential it builds would
+    exceed MAX_DIFFERENTIAL_ENTRIES, and only then shifts rho."""
+    check_entry_budget(rep.algebra.n, rep.m, lo, hi)
+    rep = _shifted(rep, f, tol)
+    return _cut_complex(rep, lo, hi, lambda p: _differential(rep, p))
 
 
 def build_complex(rep: Representation, f: Optional[Character] = None,
@@ -300,6 +308,41 @@ def _cartan_homotopy(L: LieAlgebra, k: int, q: int, powers: List[Matrix]) -> Mat
                     m * len(exterior_basis(L.n, q + 1)), m * len(exterior_basis(L.n, q)), L.backend)
 
 
+class _Family:
+    """What every degree of the splitting of rho - f reads: rho shifted once;
+    the first Cartan index k with powers = [T^-1, T^-2, ...] (k None on float
+    input, for L not nilpotent, or when every T is singular); and the d_q
+    and h_q built so far.  Nothing is stored until it is complete."""
+
+    def __init__(self, rep: Representation, f: Optional[Character], tol: Optional[float]):
+        self.rep, self.key = rep, (f, tol)
+        self.shifted = _shifted(rep, f, tol)
+        self.k, self.powers, self.ds, self.hs = None, [], {}, {}
+        if rep.backend == EXACT and is_nilpotent(rep.algebra):
+            for k, mat in enumerate(self.shifted.mats):
+                t_inv, r = generalized_inverse(mat)
+                if r == rep.m:
+                    self.k, self.powers = k, [t_inv]
+                    break
+
+    def d(self, q: int) -> Matrix:
+        if q not in self.ds:
+            self.ds[q] = _differential(self.shifted, q)
+        return self.ds[q]
+
+    def h(self, q: int) -> Matrix:
+        if q not in self.hs:
+            self.hs[q] = _cartan_homotopy(self.rep.algebra, self.k, q, self.powers)
+        return self.hs[q]
+
+
+# The family of the most recent (rep, f, tol) splitting_homotopy was asked
+# for: rep matched by identity (the slot holds it, so its id is not reused),
+# f and tol by ==.  One slot, so a sweep over p builds each piece once while
+# a caller cycling through several inputs builds each family anew.
+_family: Optional[_Family] = None
+
+
 def splitting_homotopy(
     rep: Representation,
     f: Optional[Character] = None,
@@ -307,22 +350,23 @@ def splitting_homotopy(
     tol: Optional[float] = None,
 ) -> Tuple[Matrix, Matrix]:
     """Homotopy pair for the complex of rho - f at degree p, or NotSplit.
-    Only d_p and d_(p+1) are built, on degrees max(p-1, 0)..min(p+1, n), from
-    rho shifted once; each Cartan T is a shifted matrix.  The Cartan pair
-    (module docstring) is checked row by row on Z[i] rows, with no product
-    formed (numeric.sums_to_identity)."""
+    Consecutive calls with the same rep object and equal f and tol share
+    one shift of rho, one T^-1 with its powers, and each d_q and h_q; a call
+    builds only the d_p, d_(p+1), h_p and h_(p-1) still missing.  Every call
+    checks its degree and entry budget first and its own identity last: the
+    Cartan pair (module docstring) row by row on Z[i] rows, with no product
+    formed (numeric.sums_to_identity), any other pair in complex_splitting."""
+    global _family
     L = rep.algebra
     _check_degree(p, 0, L.n)
     lo, hi = max(p - 1, 0), min(p + 1, L.n)
-    rep = _shifted(rep, f, tol, lo, hi)
-    C = _truncated_complex(rep, None, tol, lo, hi)
-    if rep.backend == EXACT and is_nilpotent(L):
-        for k, mat in enumerate(rep.mats):
-            t_inv, r = generalized_inverse(mat)
-            if r == rep.m:
-                powers = [t_inv]
-                h_p, h_pm1 = _cartan_homotopy(L, k, p, powers), _cartan_homotopy(L, k, p - 1, powers)
-                if not sums_to_identity([(C.d(p + 1), h_p), (h_pm1, C.d(p))]):
-                    raise VerificationFailure("homotopy identity failed verification")
-                return h_p, h_pm1
+    check_entry_budget(L.n, rep.m, lo, hi)
+    if _family is None or _family.rep is not rep or _family.key != (f, tol):
+        _family = _Family(rep, f, tol)
+    C = _cut_complex(_family.shifted, lo, hi, _family.d)
+    if _family.k is not None:
+        h_p, h_pm1 = _family.h(p), _family.h(p - 1)
+        if not sums_to_identity([(C.d(p + 1), h_p), (h_pm1, C.d(p))]):
+            raise VerificationFailure("homotopy identity failed verification")
+        return h_p, h_pm1
     return complex_splitting(C, p, tol)

@@ -475,7 +475,7 @@ def test_exact_nilpotent_homotopies_skip_elimination_and_entries(monkeypatch):
             f = _far_shift(rep.algebra)
             pairs += [(rep, f, p, kz.splitting_homotopy(rep, f, p)) for p in range(rep.algebra.n + 1)]
     # the first e_k with rho(e_k) - f_k invertible: e_1, past the singular e_0
-    assert filled == [] and set(ks) == {0, 1} and ks.count(0) == 2 * 2  # A1: 2 degrees, 2 each
+    assert filled == [] and set(ks) == {0, 1} and ks.count(0) == 3  # A1's h_-1, h_0, h_1, once each
     for rep, f, p, (h_p, h_pm1) in pairs:
         C = kz.build_complex(rep, f)
         lhs = C.d(p + 1) * h_p + h_pm1 * C.d(p)
@@ -483,8 +483,9 @@ def test_exact_nilpotent_homotopies_skip_elimination_and_entries(monkeypatch):
 
 
 def test_cartan_check_forms_no_product(monkeypatch):
-    # once both Cartan homotopies are built, the identity is checked row by
-    # row on Z[i] rows: no product or matrix follows
+    # once the Cartan homotopies a degree lacks are built (h_p alone past
+    # p = 0), the identity is checked row by row on Z[i] rows, once per
+    # call: no product or matrix follows
     reps = [lab.fixture(name).rep for name in ("A1", "H3", "F4", "Z3")]
     reps += [lab.random_nilpotent_rep(seed, base) for base in ("H3", "F4") for seed in range(3)]
     events = []
@@ -506,8 +507,9 @@ def test_cartan_check_forms_no_product(monkeypatch):
             for p in range(rep.algebra.n + 1):
                 events.clear()
                 kz.splitting_homotopy(rep, f, p)
-                second = [t for t, e in enumerate(events) if e == "h"][1]
-                assert events[second + 1:] == ["check", True], (rep.algebra.names, p, events)
+                last = [t for t, e in enumerate(events) if e == "h"][-1]
+                assert events[last + 1:] == ["check", True], (rep.algebra.names, p, events)
+                assert events.count("check") == 1, (rep.algebra.names, p, events)
 
 
 def test_splitting_homotopy_eliminates_off_the_cartan_route(monkeypatch):
@@ -998,10 +1000,118 @@ def test_splitting_homotopy_builds_at_most_two_differentials(monkeypatch):
         f = ch(rep.algebra, coeffs)
         full = kz.build_complex(rep, f)
         assert sorted(built) == list(range(1, rep.algebra.n + 1))
+        swept = []
         for p in range(rep.algebra.n + 1):
             built.clear()
             h_p, h_pm1 = kz.splitting_homotopy(rep, f, p)
-            assert sorted(built) == [q for q in (p, p + 1) if 1 <= q <= rep.algebra.n]
+            assert set(built) <= {q for q in (p, p + 1) if 1 <= q <= rep.algebra.n}
+            swept += built
             expect = kz.complex_splitting(full, p)
             assert (h_p.to_lists(), h_pm1.to_lists()) == (expect[0].to_lists(), expect[1].to_lists())
+        # the sweep builds each differential once
+        assert sorted(swept) == list(range(1, rep.algebra.n + 1))
         built.clear()
+
+
+def _sweep(rep, f, tol=None):
+    return [kz.splitting_homotopy(rep, f, p, tol) for p in range(rep.algebra.n + 1)]
+
+
+def test_splitting_homotopy_slot_boundaries(monkeypatch):
+    # splitting_homotopy keeps the family of the last (rep, f, tol) only:
+    # rep by identity, f and tol by ==
+    inverses = []
+    honest_inverse = kz.generalized_inverse
+    monkeypatch.setattr(kz, "generalized_inverse",
+                        lambda *args: inverses.append(args) or honest_inverse(*args))
+    h3, s2 = h3_rep(), s2_rep()
+    f, g = ch(h3.algebra, [5, 0, 0]), ch(s2.algebra, [1, 0])  # T = rho(x) - 5 is invertible
+    # n + 1 degrees of one (rep, f, tol) on the Cartan route take one inverse
+    sequential = _sweep(h3, f)
+    assert len(inverses) == 1
+    sequential_s2 = _sweep(s2, g)
+    # two sweeps interleaved degree by degree evict each other at every call
+    interleaved, interleaved_s2 = [], []
+    for p in range(h3.algebra.n + 1):
+        interleaved.append(kz.splitting_homotopy(h3, f, p))
+        if p <= s2.algebra.n:
+            interleaved_s2.append(kz.splitting_homotopy(s2, g, p))
+    assert interleaved == sequential and interleaved_s2 == sequential_s2
+    # a content-equal copy, another f and another tol each take a new inverse
+    inverses.clear()
+    assert kz.splitting_homotopy(h3, f, 1) == sequential[1] and inverses == []
+    copy = rp.rep_from_json(rp.rep_to_json(h3))
+    assert kz.splitting_homotopy(copy, f, 1) == sequential[1] and len(inverses) == 1
+    kz.splitting_homotopy(copy, ch(h3.algebra, [3, 0, 0]), 1)
+    assert len(inverses) == 2
+    kz.splitting_homotopy(copy, ch(h3.algebra, [3, 0, 0]), 1, tol=1e-9)
+    assert len(inverses) == 3
+
+
+def test_splitting_homotopy_slot_keeps_no_failed_family(monkeypatch):
+    # a non-character raises at every call, and a degree over the entry
+    # budget raises before any piece of it is built
+    s2 = s2_rep()
+    not_a_character = lc.Character(s2.algebra, (gr(0), gr(1)))
+    kz.splitting_homotopy(s2, ch(s2.algebra, [1, 0]), 0)
+    for p in range(s2.algebra.n + 1):
+        with pytest.raises(lc.NotACharacter):
+            kz.splitting_homotopy(s2, not_a_character, p)
+    h3 = h3_rep()
+    f = _far_shift(h3.algebra)
+    expect = _sweep(rp.rep_from_json(rp.rep_to_json(h3)), f)
+    # m = 3: d_1 and d_3 have 27 entries, d_2 has 81, so the budget admits
+    # degrees 0 and 3 alone
+    with monkeypatch.context() as patched:
+        patched.setattr(kz, "MAX_DIFFERENTIAL_ENTRIES", 27)
+        for p in (2, 0, 1, 3):
+            if p in (0, 3):
+                assert kz.splitting_homotopy(h3, f, p) == expect[p]
+            else:
+                with pytest.raises(kz.DimensionCap):
+                    kz.splitting_homotopy(h3, f, p)
+    assert _sweep(h3, f) == expect
+
+
+# A piece the slot hands to a second degree is checked again there; the
+# check must survive python -O, which strips assert statements.
+_CORRUPTED_PIECE_SCRIPT = textwrap.dedent(
+    """
+    from liespec import koszul as kz
+    from liespec import lab
+    from liespec import lie_core as lc
+    from liespec.numeric import Matrix, gr
+
+    assert False, "assert statements are live: not running under -O"
+
+    honest_homotopy = kz._cartan_homotopy
+    corrupted = []
+
+    def corrupted_homotopy(L, k, q, powers):
+        h = honest_homotopy(L, k, q, powers)
+        if q != 1:
+            return h
+        corrupted.append(q)
+        return Matrix(h.rows, h.cols, (h.entries[0] + gr(1),) + h.entries[1:], h.backend)
+
+    kz._cartan_homotopy = corrupted_homotopy
+    rep = lab.fixture("H3").rep
+    f = lc.character(rep.algebra, [0, -7, 0])
+    for p in range(rep.algebra.n + 1):
+        try:
+            kz.splitting_homotopy(rep, f, p)
+        except kz.VerificationFailure as e:
+            print(p, "raised:", e)
+        else:
+            print(p, "accepted")
+    print("h_1 built", len(corrupted), "time(s)")
+    """
+)
+
+
+def test_reused_piece_is_checked_at_each_degree():
+    # h_1 is corrupted once, built at p = 1 and read from the slot at p = 2
+    lines = _run_optimised(_CORRUPTED_PIECE_SCRIPT).stdout.splitlines()
+    assert lines == ["0 accepted", "1 raised: homotopy identity failed verification",
+                     "2 raised: homotopy identity failed verification", "3 accepted",
+                     "h_1 built 1 time(s)"], lines
